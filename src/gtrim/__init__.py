@@ -12,6 +12,7 @@ from .errors import (
     NonHomogeneousError,
     NotNPrimaryError,
     PreconditionError,
+    UnitIdealError,
 )
 from .fields import DEFAULT_CHAR, PrimeField, RationalField, default_field, field_of_characteristic
 from .ideals import (
@@ -67,7 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassificationScopeError", "NonHomogeneousError", "NotNPrimaryError",
-    "PreconditionError", "DEFAULT_CHAR", "PrimeField", "RationalField",
+    "PreconditionError", "UnitIdealError", "DEFAULT_CHAR", "PrimeField", "RationalField",
     "default_field", "field_of_characteristic", "HilbertData", "Ideal",
     "QuotientRing", "SocleData", "buchberger", "ideal_equal",
     "scale_by_maximal", "trim", "KoszulComplex", "KoszulElement", "TorClass",

@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import PreconditionError
 from .fields import DEFAULT_CHAR, field_of_characteristic
 from .ideals import Ideal, trim
-from .koszul import KoszulComplex, report_dict
+from .koszul import KoszulComplex, TorClass, report_dict
 from .pfaffians import (
     PfaffianFamily,
     TrimChoice,
@@ -173,8 +173,14 @@ def _load_ideal(path: str, cfg: RunConfig) -> Ideal:
         raise CliError(f"bad JSON in {path}: {exc}")
     if not isinstance(data, dict) or "generators" not in data:
         raise CliError(f"{path} has no \"generators\" list")
-    explicit_char = data.get("field", {}).get("char")
-    field = field_of_characteristic(explicit_char) if explicit_char is not None else cfg.field()
+    spec = data.get("field", {})
+    if not isinstance(spec, dict):
+        raise CliError(f"bad field in {path}: expected {{\"char\": N}}, got {spec!r}")
+    char = spec.get("char")
+    try:
+        field = field_of_characteristic(char) if char is not None else cfg.field()
+    except ValueError as exc:
+        raise CliError(f"bad field in {path}: {exc}")
     order = data.get("order", cfg.order)
     try:
         return Ideal.from_json_dict({"generators": data["generators"]}, field, order)
@@ -210,13 +216,13 @@ def cmd_classify(args) -> str:
     ideal = _classify_target(args, cfg)
     kz = KoszulComplex(ideal.quotient_ring())
     report = report_dict(kz)
+    display = TorClass(report["class"], report["class_params"]).display()
     hilbert = list(ideal.hilbert_function().coefficients)
     ordered = {"mu": report["mu"], "type": report["type"], "hilbert": hilbert}
     for key in ("ranks", "p", "q", "r", "class", "class_params", "gorenstein"):
         ordered[key] = report[key]
     if cfg.output_format == "json":
         return _json_block(ordered)
-    display = kz.classify().display()
     if cfg.output_format == "text":
         pairs = []
         for k, v in ordered.items():

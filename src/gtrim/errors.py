@@ -19,5 +19,9 @@ class NotNPrimaryError(PreconditionError):
     """The quotient is not artinian: some variable has no pure power leading term."""
 
 
+class UnitIdealError(PreconditionError):
+    """The ideal is the whole ring: a generator is a nonzero constant."""
+
+
 class ClassificationScopeError(PreconditionError):
     """The ideal has a degree-1 minimal generator, outside the classification's scope."""

@@ -49,8 +49,8 @@ class PrimeField:
     __slots__ = ("char",)
 
     def __init__(self, char: int):
-        if not _is_prime(char):
-            raise ValueError(f"characteristic must be prime, got {char}")
+        if not isinstance(char, int) or not _is_prime(char):
+            raise ValueError(f"characteristic must be prime, got {char!r}")
         self.char = char
 
     @property

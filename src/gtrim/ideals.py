@@ -1,19 +1,20 @@
 """Homogeneous ideals in k[x, y, z]: Groebner bases and graded invariants.
 
-The engine is a plain Buchberger loop with the coprime-leading-term criterion
-and degree-by-degree S-pair selection, followed by interreduction to the
-unique reduced Groebner basis.  Quotient-ring invariants (Hilbert function,
-socle, minimal generator counts, colon by the maximal ideal) are computed by
-dense linear algebra on standard-monomial bases, one degree at a time.
+The engine is Buchberger's algorithm with the Gebauer-Moeller pair criteria
+(M, F, B and coprime leading terms) and S-pair selection by lcm degree,
+followed by interreduction to the unique reduced Groebner basis.  Normal
+forms take terms from a heap, against reducers each ideal builds once.
+Quotient-ring invariants (Hilbert function, socle, minimal generator counts,
+colon by the maximal ideal) are computed by dense linear algebra on
+standard-monomial bases, one degree at a time.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass
 
-from .errors import NonHomogeneousError, NotNPrimaryError
+from .errors import NonHomogeneousError, NotNPrimaryError, UnitIdealError
 from .fields import default_field, field_of_characteristic
 from .linalg import Subspace, kernel_basis
 from .poly import (
@@ -32,22 +33,33 @@ from .poly import (
 _VAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _normal_form_terms(terms, reducers, field, key):
-    """Full normal form of a term dict against monic reducers [(lm, terms)]."""
+def _normal_form_terms(terms, reducers, field, order):
+    """Full normal form of a term dict against monic reducers [(lm, terms)].
+
+    Pending terms sit in a heap keyed by the negated order key, so the largest
+    pops first.  A term cancelled and later re-created is pushed again; its
+    stale entry is skipped when popped.
+    """
+    key = mono_key(order)
+
+    def entry(m):
+        return (tuple(-k for k in key(m)), m)
+
     work = dict(terms)
+    heap = [entry(m) for m in work]
+    heapq.heapify(heap)
     out = {}
-    while work:
-        mono = max(work, key=key)
-        coeff = work.pop(mono)
-        hit = None
-        for lm, rterms in reducers:
-            if mono_divides(lm, mono):
-                hit = (lm, rterms)
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        coeff = work.pop(mono, None)
+        if coeff is None:
+            continue
+        for lm, rterms in reducers:  # mono_divides, inlined in the innermost loop
+            if lm[0] <= mono[0] and lm[1] <= mono[1] and lm[2] <= mono[2]:
                 break
-        if hit is None:
+        else:
             out[mono] = coeff
             continue
-        lm, rterms = hit
         shift = mono_div(mono, lm)
         for rm, rc in rterms.items():
             if rm == lm:
@@ -57,13 +69,14 @@ def _normal_form_terms(terms, reducers, field, key):
             if field.is_zero(s):
                 work.pop(t, None)
             else:
+                if t not in work:
+                    heapq.heappush(heap, entry(t))
                 work[t] = s
     return out
 
 
-def _s_poly(f: Polynomial, g: Polynomial, order: str) -> Polynomial:
-    """S-polynomial of two monic polynomials."""
-    lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
+def _s_poly(f: Polynomial, g: Polynomial, lmf, lmg) -> Polynomial:
+    """S-polynomial of two monic polynomials with the given leading monomials."""
     lcm = mono_lcm(lmf, lmg)
     mf = Polynomial.monomial(f.field, mono_div(lcm, lmf))
     mg = Polynomial.monomial(f.field, mono_div(lcm, lmg))
@@ -71,69 +84,73 @@ def _s_poly(f: Polynomial, g: Polynomial, order: str) -> Polynomial:
 
 
 def buchberger(generators, order: str = "grevlex") -> list:
-    """The reduced Groebner basis of the given polynomials."""
+    """The reduced Groebner basis of the given polynomials.
+
+    Each new element h joins through the Gebauer-Moeller update.  Of its
+    pairs with earlier elements, criterion M drops those whose lcm is
+    properly divisible by another new pair's lcm, and criterion F keeps one
+    pair per lcm; the survivor is dropped too when any pair of that lcm has
+    coprime leading monomials.  Criterion B drops a pending pair (i, j) when
+    lm(h) divides its lcm and lcm(i, h), lcm(j, h) both differ from it.
+    Pending pairs are taken by lcm degree, ties broken by index, and their
+    S-polynomials are reduced against every element so far.  Interreduction
+    then yields the unique reduced basis.
+    """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
     field = gens[0].field
     key = mono_key(order)
-    basis = []
+    basis, lms, reducers, pairs = [], [], [], []
+
+    def add(h):
+        t = h.leading_monomial(order)
+        k = len(basis)
+        pairs[:] = [p for p in pairs
+                    if not (mono_divides(t, p[3]) and mono_lcm(lms[p[1]], t) != p[3]
+                            and mono_lcm(lms[p[2]], t) != p[3])]  # criterion B
+        groups = {}  # lcm -> (first index, any pair coprime)
+        for i, lm in enumerate(lms):
+            lcm = mono_lcm(lm, t)
+            first, coprime = groups.get(lcm, (i, False))
+            groups[lcm] = (first, coprime or lcm == mono_mul(lm, t))
+        for lcm, (i, coprime) in groups.items():
+            if not coprime and not any(other != lcm and mono_divides(other, lcm)
+                                       for other in groups):  # criteria F and M
+                pairs.append((mono_degree(lcm), i, k, lcm))
+        heapq.heapify(pairs)
+        basis.append(h)
+        lms.append(t)
+        reducers.append((t, h.terms))
+
     for g in gens:
-        h = g.monic(order)
-        if all(h != b for b in basis):
-            basis.append(h)
-
-    def reducers():
-        return [(b.leading_monomial(order), b.terms) for b in basis]
-
-    pairs = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            lcm = mono_lcm(basis[i].leading_monomial(order), basis[j].leading_monomial(order))
-            heapq.heappush(pairs, (mono_degree(lcm), i, j, lcm))
+        add(g.monic(order))
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
-        if lcm == mono_mul(basis[i].leading_monomial(order), basis[j].leading_monomial(order)):
-            continue  # coprime leading terms reduce to zero
-        s = _s_poly(basis[i], basis[j], order)
-        rem = Polynomial(field, _normal_form_terms(s.terms, reducers(), field, key))
-        if rem.is_zero():
-            continue
-        rem = rem.monic(order)
-        basis.append(rem)
-        k = len(basis) - 1
-        lmk = rem.leading_monomial(order)
-        for i in range(k):
-            lcm = mono_lcm(basis[i].leading_monomial(order), lmk)
-            heapq.heappush(pairs, (mono_degree(lcm), i, k, lcm))
+        _, i, j, _ = heapq.heappop(pairs)
+        s = _s_poly(basis[i], basis[j], lms[i], lms[j])
+        rem = _normal_form_terms(s.terms, reducers, field, order)
+        if rem:
+            add(Polynomial(field, rem).monic(order))
 
     # interreduce to the unique reduced basis
-    basis.sort(key=lambda b: key(b.leading_monomial(order)))
     minimal = []
-    for b in basis:
-        lm = b.leading_monomial(order)
-        if any(mono_divides(m.leading_monomial(order), lm) for m in minimal):
-            continue
-        minimal.append(b)
-    reduced = []
-    for idx, b in enumerate(minimal):
-        others = [(m.leading_monomial(order), m.terms)
-                  for k, m in enumerate(minimal) if k != idx]
-        r = Polynomial(field, _normal_form_terms(b.terms, others, field, key))
-        reduced.append(r.monic(order))
-    reduced.sort(key=lambda b: key(b.leading_monomial(order)))
-    return reduced
+    for lm, terms in sorted(reducers, key=lambda r: key(r[0])):
+        if not any(mono_divides(m, lm) for m, _ in minimal):
+            minimal.append((lm, terms))
+    return [Polynomial(field, _normal_form_terms(terms, minimal[:k] + minimal[k + 1:],
+                                                 field, order))
+            for k, (_, terms) in enumerate(minimal)]
 
 
 class Ideal:
     """Homogeneous ideal with a cached reduced Groebner basis.
 
     Construction rejects non-homogeneous generators; zero generators are
-    dropped.  The Groebner basis is computed once under a lock, so concurrent
-    readers only ever observe the finished tuple.
+    dropped.  The Groebner basis and its (lm, terms) reducers are computed
+    once, on first use.
     """
 
-    __slots__ = ("field", "order", "generators", "_gb", "_ring", "_lock")
+    __slots__ = ("field", "order", "generators", "_gb", "_reducers", "_ring")
 
     def __init__(self, generators, order: str = "grevlex", field=None):
         gens = list(generators)
@@ -155,16 +172,15 @@ class Ideal:
         self.order = order
         self.generators = tuple(kept)
         self._gb = None
+        self._reducers = None
         self._ring = None
-        self._lock = threading.RLock()
 
     # ---- Groebner machinery ---------------------------------------------
 
     def groebner_basis(self) -> tuple:
         if self._gb is None:
-            with self._lock:
-                if self._gb is None:
-                    self._gb = tuple(buchberger(self.generators, self.order))
+            self._gb = tuple(buchberger(self.generators, self.order))
+            self._reducers = [(g.leading_monomial(self.order), g.terms) for g in self._gb]
         return self._gb
 
     def leading_monomials(self) -> tuple:
@@ -173,9 +189,9 @@ class Ideal:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.field != self.field:
             raise ValueError("mismatched coefficient fields")
-        reducers = [(g.leading_monomial(self.order), g.terms) for g in self.groebner_basis()]
+        self.groebner_basis()  # builds self._reducers on first use
         return Polynomial(self.field,
-                          _normal_form_terms(f.terms, reducers, self.field, mono_key(self.order)))
+                          _normal_form_terms(f.terms, self._reducers, self.field, self.order))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -220,9 +236,7 @@ class Ideal:
 
     def quotient_ring(self) -> "QuotientRing":
         if self._ring is None:
-            with self._lock:
-                if self._ring is None:
-                    self._ring = QuotientRing(self)
+            self._ring = QuotientRing(self)
         return self._ring
 
     def hilbert_function(self) -> "HilbertData":
@@ -251,7 +265,7 @@ class Ideal:
         order; a candidate is kept exactly when it is independent in I/(nI).
         """
         if any(g.degree() == 0 for g in self.generators):
-            raise ValueError("minimal generators are only defined for ideals inside (x, y, z)")
+            raise UnitIdealError("minimal generators are only defined for ideals inside (x, y, z)")
         ranked = sorted(enumerate(self.generators), key=lambda t: (t[1].degree(), t[0]))
         kept = []
         spans = {}

@@ -48,7 +48,7 @@ def _key_grevlex(m: Monomial):
 
 
 def _key_grlex(m: Monomial):
-    return (m[0] + m[1] + m[2], m)
+    return (m[0] + m[1] + m[2],) + m
 
 
 def _key_lex(m: Monomial):
@@ -59,7 +59,7 @@ _KEYS = {"grevlex": _key_grevlex, "grlex": _key_grlex, "lex": _key_lex}
 
 
 def mono_key(order: str = "grevlex"):
-    """Sort key under which larger monomials compare larger."""
+    """Sort key under which larger monomials compare larger: a flat int tuple."""
     try:
         return _KEYS[order]
     except KeyError:
@@ -338,7 +338,10 @@ def parse_polynomial(text: str, field) -> Polynomial:
                     v = VARS.index(tok[0])
                     expo[v] += int(tok[2:]) if len(tok) > 1 else 1
                 else:
-                    coeff *= Fraction(tok)
+                    try:
+                        coeff *= Fraction(tok)
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in {text!r}") from None
                 i += 1
                 expect_factor = False
             elif i < n and tokens[i] == "*":

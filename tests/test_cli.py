@@ -1,10 +1,15 @@
 """End-to-end command line behavior: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import helpers
+import gtrim
 from gtrim import report_dict
 from gtrim.cli import main
 
@@ -24,6 +29,20 @@ def run_cli(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_cli_process(argv):
+    """Run the CLI in a fresh interpreter, so a crash shows as a traceback on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gtrim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gtrim.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def classify_ideal_file(tmp_path, payload):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(payload))
+    return run_cli_process(["classify", "--ideal", str(path)])
 
 
 # ---- gen ---------------------------------------------------------------------
@@ -154,6 +173,37 @@ def test_classify_precondition_exit_codes(capsys, tmp_path):
         code, out, err = run_cli(["classify", "--ideal", str(path)], capsys)
         assert code == 3, name
         assert out == "" and "error:" in err
+
+
+def test_classify_ideal_nonprime_characteristic_exits_2(tmp_path):
+    for char in (4, 7.0, "5"):
+        code, out, err = classify_ideal_file(
+            tmp_path, {"field": {"char": char}, "generators": ["x^2", "y^2", "z^2"]})
+        assert code == 2 and out == "", char
+        assert err.startswith("error: bad field") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+
+def test_classify_ideal_field_not_an_object_exits_2(tmp_path):
+    code, out, err = classify_ideal_file(
+        tmp_path, {"field": 7, "generators": ["x^2", "y^2", "z^2"]})
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad field") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_classify_ideal_zero_denominator_exits_2(tmp_path):
+    code, out, err = classify_ideal_file(tmp_path, {"generators": ["3/0*x^2", "y^2", "z^2"]})
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad generators") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_classify_unit_ideal_exits_3(tmp_path):
+    code, out, err = classify_ideal_file(tmp_path, {"generators": ["1"]})
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 # ---- table ---------------------------------------------------------------------

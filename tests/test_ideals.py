@@ -1,5 +1,6 @@
 """Groebner bases, normal forms, quotient invariants, socle, colon, trims."""
 
+import pickle
 import random
 
 import pytest
@@ -9,10 +10,13 @@ from gtrim import (
     Ideal,
     Polynomial,
     QuotientRing,
+    TrimChoice,
     d_poly,
     ideal_equal,
     scale_by_maximal,
+    selector_labels,
     trim,
+    trimmed_ideal,
     variables,
 )
 from gtrim.errors import NonHomogeneousError, NotNPrimaryError
@@ -76,6 +80,45 @@ def test_buchberger_criterion_on_suite_instances():
     assert_reduced_groebner(helpers.trim_ideal(2, "x1"))
     assert_reduced_groebner(helpers.trim_ideal(3, "d"))
     assert_reduced_groebner(Ideal(helpers.family_ideal(2).generators, order="lex"))
+
+
+def groebner_corpus():
+    """(label, ideal): the family and every trim for m <= 6, then random
+    homogeneous ideals (1-5 generators of degree 1-4) per field and order."""
+    out = []
+    for m in range(1, 7):
+        out.append((f"family-m{m}", helpers.family_ideal(m)))
+        if m >= 2:
+            out += [(f"trim-m{m}-{sel}", helpers.trim_ideal(m, sel)) for sel in selector_labels(m)]
+    rng = random.Random(helpers.SEED + 11)
+    for char in (2, 3, 32003, 0):
+        fld = helpers.field(char)
+        for order in ("grevlex", "grlex", "lex"):
+            for k in range(30):
+                gens = [helpers.random_form(rng, fld, rng.randint(1, 4))
+                        for _ in range(rng.randint(1, 5))]
+                out.append((f"random-{char}-{order}-{k}", Ideal(gens, order, fld)))
+    return out
+
+
+def test_groebner_property_on_corpus():
+    for label, ideal in groebner_corpus():
+        try:
+            assert_reduced_groebner(ideal)
+        except AssertionError:
+            raise AssertionError(f"{label}: {[g.to_text() for g in ideal.generators]}")
+
+
+def test_ideal_pickle_round_trip():
+    for char in (32003, 0):
+        ideal = trimmed_ideal(TrimChoice(5, "d"), helpers.field(char))
+        cold = pickle.loads(pickle.dumps(ideal))  # before the basis is cached
+        gb, hilbert = ideal.groebner_basis(), ideal.hilbert_function()
+        warm = pickle.loads(pickle.dumps(ideal))  # with basis, reducers and ring
+        for copy in (cold, warm):
+            assert copy.groebner_basis() == gb
+            assert copy.hilbert_function() == hilbert
+            assert all(copy.contains(g) for g in ideal.generators)
 
 
 def test_normal_form_properties_random():
