@@ -21,7 +21,6 @@ from .ideals import (
     QuotientRing,
     SocleData,
     buchberger,
-    ideal_equal,
     scale_by_maximal,
     trim,
 )
@@ -54,10 +53,7 @@ from .pfaffians import (
 from .poly import (
     Polynomial,
     PolyMatrix,
-    det_bareiss,
-    exact_div,
     matrix_det,
-    mono_cmp,
     mono_key,
     monomials_of_degree,
     parse_polynomial,
@@ -70,14 +66,14 @@ __all__ = [
     "ClassificationScopeError", "NonHomogeneousError", "NotNPrimaryError",
     "PreconditionError", "UnitIdealError", "DEFAULT_CHAR", "PrimeField", "RationalField",
     "default_field", "field_of_characteristic", "HilbertData", "Ideal",
-    "QuotientRing", "SocleData", "buchberger", "ideal_equal",
+    "QuotientRing", "SocleData", "buchberger",
     "scale_by_maximal", "trim", "KoszulComplex", "KoszulElement", "TorClass",
     "TorInvariants", "a1_annihilator_cycle", "a1_cycle_basis",
     "annihilates_a1", "classify_from_invariants", "report_dict",
     "PfaffianFamily", "TrimChoice", "all_sub_pfaffians", "build_u", "build_v",
     "canonical_generators", "d_poly", "family_hilbert", "gorenstein_ideal",
     "pfaffian", "selector_labels", "sub_pfaffian", "trimmed_ideal",
-    "Polynomial", "PolyMatrix", "det_bareiss", "exact_div", "matrix_det",
-    "mono_cmp", "mono_key", "monomials_of_degree", "parse_polynomial",
+    "Polynomial", "PolyMatrix", "matrix_det",
+    "mono_key", "monomials_of_degree", "parse_polynomial",
     "variables",
 ]

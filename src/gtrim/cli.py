@@ -25,6 +25,7 @@ from .pfaffians import (
     TrimChoice,
     family_hilbert,
     gorenstein_ideal,
+    selector_index,
     selector_labels,
     trimmed_ideal,
 )
@@ -117,20 +118,6 @@ def _config(args) -> RunConfig:
                      output_format=args.output_format, out=args.out)
 
 
-def _selector_index(label: str, m: int) -> int:
-    """Canonical generator index for a selector, for any odd generator count."""
-    if label == "d":
-        return m
-    if len(label) < 2 or label[0] not in "xy" or not label[1:].isdigit():
-        raise CliError(f"bad trim selector {label!r}; expected x0, y0, d, xI or yI")
-    i = int(label[1:])
-    if i > m - 1:
-        raise CliError(f"selector {label!r} needs 0 <= I <= {m - 1} for m={m}")
-    if label[0] == "x":
-        return i
-    return 2 * m - i if i else 2 * m
-
-
 def _json_block(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -182,8 +169,11 @@ def _load_ideal(path: str, cfg: RunConfig) -> Ideal:
     except ValueError as exc:
         raise CliError(f"bad field in {path}: {exc}")
     order = data.get("order", cfg.order)
+    gens = data["generators"]
+    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        raise CliError(f"bad generators in {path}: expected a list of strings, got {gens!r}")
     try:
-        return Ideal.from_json_dict({"generators": data["generators"]}, field, order)
+        return Ideal.from_json_dict({"generators": gens}, field, order)
     except PreconditionError:
         raise
     except ValueError as exc:
@@ -200,8 +190,11 @@ def _classify_target(args, cfg: RunConfig) -> Ideal:
         count = len(ideal.generators)
         if count < 3 or count % 2 == 0:
             raise CliError(f"--trim needs an odd generator count >= 3, found {count}")
-        return trim(list(ideal.generators), _selector_index(args.trim, (count - 1) // 2),
-                    ideal.order)
+        try:
+            index = selector_index(args.trim, (count - 1) // 2)
+        except ValueError as exc:
+            raise CliError(str(exc))
+        return trim(list(ideal.generators), index, ideal.order)
     if args.trim is None:
         return gorenstein_ideal(args.m, cfg.field(), cfg.order)
     try:

@@ -5,8 +5,8 @@ The engine is Buchberger's algorithm with the Gebauer-Moeller pair criteria
 followed by interreduction to the unique reduced Groebner basis.  Normal
 forms take terms from a heap, against reducers each ideal builds once.
 Quotient-ring invariants (Hilbert function, socle, minimal generator counts,
-colon by the maximal ideal) are computed by dense linear algebra on
-standard-monomial bases, one degree at a time.
+colon by the maximal ideal) are computed one degree at a time on
+standard-monomial bases, by sparse reduced echelon forms (`linalg.Echelon`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NonHomogeneousError, NotNPrimaryError, UnitIdealError
 from .fields import default_field, field_of_characteristic
-from .linalg import Subspace, kernel_basis
+from .linalg import Echelon
 from .poly import (
     Polynomial,
     mono_degree,
@@ -242,22 +242,6 @@ class Ideal:
     def hilbert_function(self) -> "HilbertData":
         return self.quotient_ring().hilbert()
 
-    def component_basis(self, d: int) -> list:
-        """Vectors (over all degree-d monomials) spanning the degree-d slice of I."""
-        monos = monomials_of_degree(d)
-        index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for g in self.groebner_basis():
-            dg = g.degree()
-            if dg > d:
-                continue
-            for shift in monomials_of_degree(d - dg):
-                vec = [self.field.zero] * len(monos)
-                for m, c in g.terms.items():
-                    vec[index[mono_mul(m, shift)]] = c
-                rows.append(vec)
-        return rows
-
     def minimal_generators(self):
         """(subset of the input generators that generates minimally, count).
 
@@ -272,50 +256,28 @@ class Ideal:
         for _, g in ranked:
             d = g.degree()
             if d not in spans:
-                monos = monomials_of_degree(d)
-                index = {m: i for i, m in enumerate(monos)}
-                space = Subspace(self.field, len(monos))
-                if d >= 1:
-                    for row in self._scaled_component(d, index):
-                        space.add(row)
+                index = {m: i for i, m in enumerate(monomials_of_degree(d))}
+                space = Echelon(self.field)
+                for h in self.groebner_basis():
+                    if h.degree() < d:  # multiples m*h with deg m >= 1 span (nI)_d
+                        for shift in monomials_of_degree(d - h.degree()):
+                            space.add({index[mono_mul(m, shift)]: c for m, c in h.terms.items()})
                 spans[d] = (space, index)
             space, index = spans[d]
-            vec = [self.field.zero] * space.dim
-            for m, c in g.terms.items():
-                vec[index[m]] = c
-            if space.add(vec):
+            if space.add({index[m]: c for m, c in g.terms.items()}):
                 kept.append(g)
         return kept, len(kept)
-
-    def _scaled_component(self, d: int, index) -> list:
-        """Degree-d vectors spanning (nI)_d, i.e. multiples m*g with deg m >= 1."""
-        rows = []
-        for g in self.groebner_basis():
-            dg = g.degree()
-            if dg >= d:
-                continue
-            for shift in monomials_of_degree(d - dg):
-                vec = [self.field.zero] * len(index)
-                for m, c in g.terms.items():
-                    vec[index[mono_mul(m, shift)]] = c
-                rows.append(vec)
-        return rows
 
     def socle_basis(self) -> "SocleData":
         """Basis of the annihilator of (x, y, z) in Q/I, as normal forms."""
         ring = self.quotient_ring()
-        field = self.field
         reps = []
         for d in range(ring.top_degree + 1):
-            basis = ring.basis(d)
-            h_next = len(ring.basis(d + 1))
-            rows = []
+            space = Echelon(self.field)
             for v in range(3):
-                mat = ring.mult_matrix(v, d)
-                for r in range(h_next):
-                    rows.append([mat[r][c] for c in range(len(basis))])
-            for vec in kernel_basis(rows, len(basis), field):
-                reps.append(ring.from_vector(d, vec))
+                for row in ring.mult_matrix(v, d):
+                    space.add(row)
+            reps += [ring.from_vector(d, vec) for vec in space.kernel(len(ring.basis(d)))]
         return SocleData(basis=tuple(reps), type_rank=len(reps))
 
     def colon_by_maximal(self) -> "Ideal":
@@ -341,10 +303,6 @@ class Ideal:
             order = data.get("order", "grevlex")
         gens = [parse_polynomial(s, field) for s in data.get("generators", [])]
         return cls(gens, order, field)
-
-
-def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    return a.equals(b)
 
 
 def scale_by_maximal(g: Polynomial, order: str = "grevlex") -> Ideal:
@@ -436,11 +394,11 @@ class QuotientRing:
         return vec
 
     def from_vector(self, d: int, vec) -> Polynomial:
-        terms = {}
-        for m, c in zip(self.basis(d), vec):
-            if not self.field.is_zero(c):
-                terms[m] = c
-        return Polynomial(self.field, terms)
+        """The degree-d polynomial with coordinates vec over basis(d), given
+        as a dense sequence or as a sparse {index: coefficient} dict."""
+        basis = self.basis(d)
+        items = sorted(vec.items()) if isinstance(vec, dict) else enumerate(vec)
+        return Polynomial(self.field, {basis[j]: c for j, c in items})
 
     def mult_matrix(self, var: int, d: int) -> list:
         """Matrix of multiplication by x_var from degree d to degree d+1."""

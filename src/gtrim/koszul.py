@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ClassificationScopeError
 from .ideals import QuotientRing
-from .linalg import Subspace, kernel_basis, solve_columns
+from .linalg import Echelon
 from .pfaffians import TrimChoice, d_poly
 from .poly import Polynomial, mono_degree, variables
 
@@ -139,10 +139,8 @@ class KoszulComplex:
         self.ring = ring
         self.field = ring.field
         self._vars = variables(self.field)
-        self._diff = {}
-        self._reps = {}
-        self._solver = {}
-        self._offsets = {}
+        self._reps = ([], [], [], [])  # per exterior degree: (internal degree, cycle)
+        self._classes = {}  # (i, d) -> Echelon: boundaries untagged, representatives tagged
         self._basis_elements = {}
         self._inv = None
         self._build_homology()
@@ -154,94 +152,73 @@ class KoszulComplex:
             return 0
         return len(WORDS[i]) * len(self.ring.basis(d - i))
 
-    def _diff_matrix(self, i: int, d: int) -> list:
-        """Rows of the internal-degree-d differential K_i -> K_{i-1}."""
-        key = (i, d)
-        if key in self._diff:
-            return self._diff[key]
+    def _diff_columns(self, i: int, d: int) -> list:
+        """Sparse columns of the internal-degree-d differential K_i -> K_{i-1}."""
         f = self.field
         h_src = len(self.ring.basis(d - i))
         h_tgt = len(self.ring.basis(d - i + 1))
-        rows = [[f.zero] * (len(WORDS[i]) * h_src)
-                for _ in range(len(WORDS[i - 1]) * h_tgt)]
-        for wi, w in enumerate(WORDS[i]):
+        cols = [{} for _ in range(self.component_size(i, d))]
+        for wi, w in enumerate(WORDS[i] if cols else ()):
             for t, letter in enumerate(w):
-                target = WORD_INDEX[i - 1][w[:t] + w[t + 1:]]
-                mat = self.ring.mult_matrix(letter, d - i)
-                negate = t % 2 == 1
-                for r in range(h_tgt):
-                    row = rows[target * h_tgt + r]
-                    for c in range(h_src):
-                        val = mat[r][c]
-                        if f.is_zero(val):
-                            continue
-                        if negate:
-                            val = f.neg(val)
-                        row[wi * h_src + c] = f.add(row[wi * h_src + c], val)
-        self._diff[key] = rows
-        return rows
+                base = WORD_INDEX[i - 1][w[:t] + w[t + 1:]] * h_tgt
+                for r, row in enumerate(self.ring.mult_matrix(letter, d - i)):
+                    for c, val in enumerate(row):
+                        if not f.is_zero(val):
+                            cols[wi * h_src + c][base + r] = f.neg(val) if t % 2 else val
+        return cols
 
     def _build_homology(self):
+        """Per (i, d): cycles are the kernel of d_i, and a cycle becomes a
+        representative when it is independent of the boundaries and of the
+        representatives before it."""
         f = self.field
-        top = self.ring.top_degree
-        for i in range(4):
-            offset = 0
-            for d in range(i, top + i + 1):
-                size = self.component_size(i, d)
-                if size == 0:
+        for d in range(self.ring.top_degree + 4):
+            cols = [self._diff_columns(i, d) for i in range(4)]
+            for i in range(4):
+                if not cols[i]:
                     continue
-                if i == 0:
-                    cycles = [[f.one if k == j else f.zero for k in range(size)]
-                              for j in range(size)]
-                else:
-                    cycles = kernel_basis(self._diff_matrix(i, d), size, f)
-                boundary = []
-                space = Subspace(f, size)
-                if i < 3 and self.component_size(i + 1, d) > 0:
-                    up = self._diff_matrix(i + 1, d)
-                    for c in range(self.component_size(i + 1, d)):
-                        col = [up[r][c] for r in range(size)]
-                        if space.add(col):
-                            boundary.append(col)
-                reps = []
-                for v in cycles:
-                    if space.add(v):
-                        reps.append(v)
-                if reps or boundary:
-                    self._reps[(i, d)] = reps
-                    self._solver[(i, d)] = reps + boundary
-                if reps:
-                    self._offsets[(i, d)] = offset
-                    offset += len(reps)
-            self._offsets[("rank", i)] = offset
+                rows = {}
+                for c, col in enumerate(cols[i]):
+                    for r, val in col.items():
+                        rows.setdefault(r, {})[c] = val
+                d_i = Echelon(f)
+                for row in rows.values():
+                    d_i.add(row)
+                space = Echelon(f)
+                for col in cols[i + 1] if i < 3 else ():
+                    space.add(col)
+                reps = self._reps[i]
+                for vec in d_i.kernel(len(cols[i])):
+                    if space.add(vec, tag=len(reps)):
+                        reps.append((d, vec))
+                self._classes[(i, d)] = space
 
     def ranks(self) -> tuple:
-        return tuple(self._offsets[("rank", i)] for i in range(4))
+        return tuple(len(reps) for reps in self._reps)
 
     # ---- elements ----------------------------------------------------------
 
     def reduce_element(self, el: KoszulElement) -> KoszulElement:
         return el.map_coefficients(self.ring.normal_form)
 
-    def element_from_vector(self, i: int, d: int, vec) -> KoszulElement:
+    def element_from_vector(self, i: int, d: int, vec: dict) -> KoszulElement:
+        """The element with sparse coordinates {index: coefficient} in K_{i,d}."""
         h = len(self.ring.basis(d - i))
-        comps = {}
-        for wi, w in enumerate(WORDS[i]):
-            part = self.ring.from_vector(d - i, vec[wi * h:(wi + 1) * h])
-            if not part.is_zero():
-                comps[w] = part
-        return KoszulElement(i, comps)
+        parts = {}
+        for k in sorted(vec):
+            parts.setdefault(WORDS[i][k // h], {})[k % h] = vec[k]
+        return KoszulElement(i, {w: self.ring.from_vector(d - i, part)
+                                 for w, part in parts.items()})
 
     def _element_vectors(self, el: KoszulElement) -> dict:
-        """Split a reduced element into {internal degree: coordinate vector}."""
+        """Split a reduced element into {internal degree: sparse coordinates}."""
         i = el.exterior_degree
         out = {}
         for w, p in el.components.items():
             wi = WORD_INDEX[i][w]
             for e, part in p.homogeneous_components().items():
-                d = e + i
                 h = len(self.ring.basis(e))
-                vec = out.setdefault(d, [self.field.zero] * self.component_size(i, d))
+                vec = out.setdefault(e + i, {})
                 for c, val in enumerate(self.ring.coords(part, e)):
                     if not self.field.is_zero(val):
                         vec[wi * h + c] = val
@@ -250,12 +227,8 @@ class KoszulComplex:
     def homology_basis(self, i: int) -> list:
         """Deterministic cycle representatives of a basis of A_i."""
         if i not in self._basis_elements:
-            top = self.ring.top_degree
-            items = []
-            for d in range(i, top + i + 1):
-                for vec in self._reps.get((i, d), []):
-                    items.append(self.element_from_vector(i, d, vec))
-            self._basis_elements[i] = items
+            self._basis_elements[i] = [self.element_from_vector(i, d, vec)
+                                       for d, vec in self._reps[i]]
         return list(self._basis_elements[i])
 
     def differential(self, el: KoszulElement) -> KoszulElement:
@@ -309,18 +282,13 @@ class KoszulComplex:
     def class_coords(self, el: KoszulElement) -> list:
         """Coordinates of the homology class of a cycle over the A_i basis."""
         i = el.exterior_degree
-        coords = [self.field.zero] * self._offsets[("rank", i)]
+        coords = [self.field.zero] * len(self._reps[i])
         for d, vec in sorted(self._element_vectors(self.reduce_element(el)).items()):
-            if all(self.field.is_zero(c) for c in vec):
-                continue
-            cols = self._solver.get((i, d))
-            sol = solve_columns(cols, vec, self.field) if cols else None
+            sol = self._classes[(i, d)].solve(vec)
             if sol is None:
                 raise ValueError(f"element is not a cycle (internal degree {d})")
-            reps = self._reps.get((i, d), [])
-            base = self._offsets.get((i, d), 0)
-            for k in range(len(reps)):
-                coords[base + k] = sol[k]
+            for k, c in sol.items():
+                coords[k] = c
         return coords
 
     def is_boundary(self, el: KoszulElement) -> bool:
@@ -341,12 +309,10 @@ class KoszulComplex:
             f = self.field
             a1 = self.homology_basis(1)
             a2 = self.homology_basis(2)
-            rank3 = self._offsets[("rank", 3)]
-            p_span = Subspace(f, self._offsets[("rank", 2)])
+            p_span, q_span, delta_span = Echelon(f), Echelon(f), Echelon(f)
             for s in range(len(a1)):
                 for t in range(s + 1, len(a1)):
                     p_span.add(self.class_coords(self.wedge(a1[s], a1[t])))
-            q_span = Subspace(f, rank3)
             delta_rows = []
             for g in a2:
                 row = []
@@ -354,12 +320,10 @@ class KoszulComplex:
                     prod = self.class_coords(self.wedge(e, g))
                     q_span.add(prod)
                     row.extend(prod)
-                delta_rows.append(row)
-            delta_span = Subspace(f, len(a1) * rank3)
-            for row in delta_rows:
                 delta_span.add(row)
+                delta_rows.append(row)
             self._inv = TorInvariants(p=p_span.rank, q=q_span.rank, r=delta_span.rank,
-                                      mu=len(a1), type_rank=rank3)
+                                      mu=len(a1), type_rank=len(self._reps[3]))
             self._delta_rows = delta_rows
         return self._inv
 

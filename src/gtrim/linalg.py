@@ -1,126 +1,99 @@
-"""Dense exact linear algebra over a coefficient field.
+"""Exact sparse linear algebra over a coefficient field: one echelon structure.
 
-Vectors are plain lists of field elements.  Pivoting is deterministic
-(leftmost nonzero column, first usable row), so every basis produced here is
-reproducible run to run.
+Vectors are dicts ``{column: nonzero coefficient}``; dense sequences are
+accepted on input.  An `Echelon` keeps its rows in reduced row echelon form:
+each row is monic at its leftmost column (its pivot) and zero at every other
+pivot column.  That form is unique for a given span, so kernel bases do not
+depend on the order in which rows arrive.
 """
 
 from __future__ import annotations
 
 
-class Subspace:
-    """Growable row-echelon span supporting membership tests and rank."""
+def _sub_multiple(field, vec: dict, c, row: dict):
+    """vec -= c * row in place, dropping entries that cancel."""
+    for j, a in row.items():
+        s = field.mul(c, a)
+        if j in vec:
+            s = field.sub(vec[j], s)
+            if field.is_zero(s):
+                del vec[j]
+            else:
+                vec[j] = s
+        else:
+            vec[j] = field.neg(s)
 
-    def __init__(self, field, dim: int):
+
+class Echelon:
+    """Growable span in reduced row echelon form, with tagged generators.
+
+    A vector added with a tag is a named generator; each row records which
+    combination of tagged vectors it equals modulo the untagged ones, so
+    `solve` can write a member of the span over the tagged vectors.
+    """
+
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field):
         self.field = field
-        self.dim = dim
-        self.rows = []
-        self.pivots = []
+        self.rows = {}  # pivot column -> (row, {tag: coefficient})
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> list:
-        """Residual of vec after elimination against the stored rows."""
+    def _reduce(self, vec, combo: dict) -> dict:
+        """Residual of vec against the rows; combo tracks the tags subtracted."""
         f = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
+        v = dict(vec) if isinstance(vec, dict) else {
+            j: c for j, c in enumerate(vec) if not f.is_zero(c)}
+        # rows vanish at each other's pivots, so one pass clears every pivot column
+        for p in [j for j in v if j in self.rows]:
             c = v[p]
-            if f.is_zero(c):
-                continue
-            for j in range(p, self.dim):
-                v[j] = f.sub(v[j], f.mul(c, row[j]))
+            row, row_combo = self.rows[p]
+            _sub_multiple(f, v, c, row)
+            _sub_multiple(f, combo, c, row_combo)
         return v
 
-    def contains(self, vec) -> bool:
-        f = self.field
-        return all(f.is_zero(c) for c in self.reduce(vec))
-
-    def add(self, vec) -> bool:
+    def add(self, vec, tag=None) -> bool:
         """Insert vec into the span; True when the rank grew."""
         f = self.field
-        v = self.reduce(vec)
-        pivot = next((j for j in range(self.dim) if not f.is_zero(v[j])), None)
-        if pivot is None:
+        combo = {} if tag is None else {tag: f.one}
+        v = self._reduce(vec, combo)
+        if not v:
             return False
+        pivot = min(v)
         inv = f.inv(v[pivot])
-        v = [f.mul(c, inv) for c in v]
-        # keep earlier rows reduced against the new one
-        for row in self.rows:
-            c = row[pivot]
-            if not f.is_zero(c):
-                for j in range(pivot, self.dim):
-                    row[j] = f.sub(row[j], f.mul(c, v[j]))
-        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pivot)
+        v = {j: f.mul(c, inv) for j, c in v.items()}
+        combo = {t: f.mul(c, inv) for t, c in combo.items()}
+        for row, row_combo in self.rows.values():
+            c = row.get(pivot)
+            if c is not None:
+                _sub_multiple(f, row, c, v)
+                _sub_multiple(f, row_combo, c, combo)
+        self.rows[pivot] = (v, combo)
         return True
 
+    def kernel(self, ncols: int) -> list:
+        """Basis of {v : row . v = 0 for every row}, one vector per free column.
 
-def span_rank(vectors, dim: int, field) -> int:
-    space = Subspace(field, dim)
-    for v in vectors:
-        space.add(v)
-    return space.rank
+        The vector for free column j is 1 at j and minus row[j] at each
+        pivot, in ascending order of j.
+        """
+        f = self.field
+        above = {}  # column -> [(pivot, entry)] over the rows that reach it
+        for p, (row, _) in self.rows.items():
+            for j, c in row.items():
+                if j != p:
+                    above.setdefault(j, []).append((p, c))
+        return [dict([(j, f.one)] + [(p, f.neg(c)) for p, c in above.get(j, ())])
+                for j in range(ncols) if j not in self.rows]
 
-
-def rref(rows, ncols: int, field):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if not field.is_zero(mat[i][col])), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = field.inv(mat[r][col])
-        mat[r] = [field.mul(c, inv) for c in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not field.is_zero(mat[i][col]):
-                c = mat[i][col]
-                mat[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def matrix_rank(rows, ncols: int, field) -> int:
-    return len(rref(rows, ncols, field)[1])
-
-
-def kernel_basis(rows, ncols: int, field) -> list:
-    """Basis of the right kernel {v : A v = 0}; A given as a list of rows."""
-    echelon, pivots = rref(rows, ncols, field)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [field.zero] * ncols
-        v[free] = field.one
-        for row, p in zip(echelon, pivots):
-            v[p] = field.neg(row[free])
-        basis.append(v)
-    return basis
-
-
-def solve_columns(columns, target, field):
-    """Coefficients x with sum x_i * columns[i] = target, or None.
-
-    When the columns are dependent the particular solution with free
-    coordinates zero is returned.
-    """
-    k = len(columns)
-    n = len(target)
-    rows = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    echelon, pivots = rref(rows, k + 1, field)
-    if k in pivots:
-        return None
-    x = [field.zero] * k
-    for row, p in zip(echelon, pivots):
-        x[p] = row[k]
-    return x
+    def solve(self, vec):
+        """{tag: coefficient} writing vec over the tagged vectors modulo the
+        untagged span, or None when vec is not in the span."""
+        f = self.field
+        combo = {}
+        if self._reduce(vec, combo):
+            return None
+        return {t: f.neg(c) for t, c in combo.items()}

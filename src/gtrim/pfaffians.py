@@ -17,7 +17,7 @@ from .fields import default_field
 from .ideals import Ideal, scale_by_maximal, trim
 from .poly import Polynomial, PolyMatrix, matrix_det, variables
 
-_SELECTOR = re.compile(r"^(x|y)(\d+)$|^d$")
+_SELECTOR = re.compile(r"(x|y)(0|[1-9][0-9]*)|d")
 
 
 def build_u(m: int, field=None) -> PolyMatrix:
@@ -200,6 +200,25 @@ def selector_labels(m: int) -> list:
     return left + ["d"] + right
 
 
+def selector_index(selector: str, m: int) -> int:
+    """Position of a selector's generator among 2m+1 in canonical order.
+
+    Selectors are x0, y0, d or xI/yI with 1 <= I <= m-1, written in ASCII
+    digits without leading zeros; anything else raises ValueError.
+    """
+    match = _SELECTOR.fullmatch(selector)
+    if not match:
+        raise ValueError(f"bad trim selector {selector!r}; expected x0, y0, d, xI or yI")
+    if selector == "d":
+        return m
+    i = int(match.group(2))
+    if i > m - 1:
+        raise ValueError(f"selector {selector!r} needs 0 <= I <= {m - 1} for m={m}")
+    if match.group(1) == "x":
+        return i
+    return 2 * m - i if i else 2 * m
+
+
 @dataclass(frozen=True)
 class TrimChoice:
     """A generator choice for trimming: selectors x0 (x^m), y0 (y^m), d (d_m),
@@ -211,25 +230,12 @@ class TrimChoice:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError(f"trimming is defined for m >= 2, got m={self.m}")
-        match = _SELECTOR.match(self.selector)
-        if not match:
-            raise ValueError(f"bad trim selector {self.selector!r}; "
-                             "expected x0, y0, d, xI or yI")
-        if self.selector != "d":
-            i = int(match.group(2))
-            if i > self.m - 1:
-                raise ValueError(
-                    f"selector {self.selector!r} needs 0 <= I <= {self.m - 1} for m={self.m}")
+        selector_index(self.selector, self.m)
 
     @property
     def index(self) -> int:
         """Position of the chosen generator in the canonical ordering."""
-        if self.selector == "d":
-            return self.m
-        side, i = self.selector[0], int(self.selector[1:])
-        if side == "x":
-            return i
-        return 2 * self.m - i if i else 2 * self.m
+        return selector_index(self.selector, self.m)
 
     @property
     def is_interior(self) -> bool:
@@ -287,6 +293,6 @@ class PfaffianFamily:
 __all__ = [
     "build_u", "build_v", "d_poly", "pfaffian", "sub_pfaffian",
     "all_sub_pfaffians", "canonical_generators", "gorenstein_ideal",
-    "family_hilbert", "selector_labels", "TrimChoice", "trimmed_ideal",
+    "family_hilbert", "selector_labels", "selector_index", "TrimChoice", "trimmed_ideal",
     "PfaffianFamily", "scale_by_maximal",
 ]

@@ -66,12 +66,6 @@ def mono_key(order: str = "grevlex"):
         raise ValueError(f"unknown monomial order {order!r}; expected one of {ORDER_NAMES}")
 
 
-def mono_cmp(a: Monomial, b: Monomial, order: str = "grevlex") -> int:
-    """-1, 0 or 1 as a <, =, > b in the given order."""
-    ka, kb = mono_key(order)(a), mono_key(order)(b)
-    return (ka > kb) - (ka < kb)
-
-
 def monomials_of_degree(d: int) -> list:
     """All degree-d monomials, grevlex descending (deterministic basis order)."""
     out = [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
@@ -302,7 +296,9 @@ def parse_polynomial(text: str, field) -> Polynomial:
 
     Terms are joined with + or -, factors within a term with ``*``; powers use
     ``^``; coefficients are integers (or rationals ``a/b``).  Whitespace is
-    insignificant.
+    insignificant.  A factor must be followed by ``*``, ``+``, ``-`` or the
+    end of the text: juxtaposition such as ``xy``, ``x^2y`` or ``2 x`` raises
+    ValueError rather than being read as a sum or a product.
     """
     s = text.strip()
     if not s:
@@ -347,34 +343,12 @@ def parse_polynomial(text: str, field) -> Polynomial:
             elif i < n and tokens[i] == "*":
                 i += 1
                 expect_factor = True
+            elif i < n and tokens[i] not in "+-":
+                raise ValueError(f"missing operator before {tokens[i]!r} in {text!r}")
             else:
                 break
         result = result + Polynomial.monomial(field, tuple(expo), coeff)
     return result
-
-
-# ---- exact division ---------------------------------------------------------
-
-def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The quotient f / g when g divides f exactly; raises otherwise."""
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    field = f.field
-    if field != g.field:
-        raise ValueError("mismatched coefficient fields")
-    lm_g = g.leading_monomial()
-    lc_g = g.leading_coeff()
-    rem = f
-    quot = Polynomial.zero(field)
-    while not rem.is_zero():
-        lm = rem.leading_monomial()
-        if not mono_divides(lm_g, lm):
-            raise ValueError("inexact polynomial division")
-        t = Polynomial.monomial(field, mono_div(lm, lm_g),
-                                field.div(rem.leading_coeff(), lc_g))
-        quot = quot + t
-        rem = rem - t * g
-    return quot
 
 
 # ---- matrices ----------------------------------------------------------------
@@ -459,30 +433,3 @@ def matrix_det(M: PolyMatrix, field=None) -> Polynomial:
 
     idx = tuple(range(M.rows))
     return det(idx, idx)
-
-
-def det_bareiss(M: PolyMatrix) -> Polynomial:
-    """Determinant by fraction-free (Bareiss) elimination with exact division."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        raise ValueError("empty matrix needs an explicit field")
-    field = M.entries[0][0].field
-    a = [list(row) for row in M.entries]
-    sign = 1
-    prev = Polynomial.constant(field, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if pivot is None:
-                return Polynomial.zero(field)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-            a[i][k] = Polynomial.zero(field)
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return -result if sign < 0 else result

@@ -4,6 +4,9 @@ Expensive objects (Groebner bases, quotient rings, Koszul homology) are
 cached per (m, selector, characteristic) so every test module works on the
 same instances without recomputing them.  The oracles here are deliberately
 naive re-derivations: they share no code path with the routines they check.
+Among them are dense exact linear algebra (the sparse `gtrim.linalg.Echelon`
+is checked against it), Bareiss determinants with exact polynomial division,
+a monomial comparison, ideal equality and degree slices of an ideal.
 """
 
 from functools import lru_cache
@@ -12,6 +15,7 @@ from gtrim import (
     Ideal,
     KoszulComplex,
     Polynomial,
+    PolyMatrix,
     TrimChoice,
     field_of_characteristic,
     gorenstein_ideal,
@@ -20,8 +24,7 @@ from gtrim import (
     trimmed_ideal,
     variables,
 )
-from gtrim.linalg import kernel_basis
-from gtrim.poly import monomials_of_degree
+from gtrim.poly import Monomial, mono_div, mono_divides, mono_key, mono_mul, monomials_of_degree
 
 SEED = 20260825
 
@@ -151,3 +154,130 @@ def colon_oracle(ideal):
             terms = {mono: c for mono, c in zip(monos, vec) if not fld.is_zero(c)}
             gens.append(Polynomial(fld, terms))
     return Ideal(gens, ideal.order, fld)
+
+
+# ---- dense exact linear algebra ----------------------------------------------
+
+def rref(rows, ncols: int, field):
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if not field.is_zero(mat[i][col])), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = field.inv(mat[r][col])
+        mat[r] = [field.mul(c, inv) for c in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not field.is_zero(mat[i][col]):
+                c = mat[i][col]
+                mat[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def matrix_rank(rows, ncols: int, field) -> int:
+    return len(rref(rows, ncols, field)[1])
+
+
+def span_rank(vectors, dim: int, field) -> int:
+    return matrix_rank(vectors, dim, field)
+
+
+def kernel_basis(rows, ncols: int, field) -> list:
+    """Basis of the right kernel {v : A v = 0}; A given as a list of rows."""
+    echelon, pivots = rref(rows, ncols, field)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [field.zero] * ncols
+        v[free] = field.one
+        for row, p in zip(echelon, pivots):
+            v[p] = field.neg(row[free])
+        basis.append(v)
+    return basis
+
+
+# ---- polynomial and ideal oracles ----------------------------------------------
+
+def mono_cmp(a: Monomial, b: Monomial, order: str = "grevlex") -> int:
+    """-1, 0 or 1 as a <, =, > b in the given order."""
+    ka, kb = mono_key(order)(a), mono_key(order)(b)
+    return (ka > kb) - (ka < kb)
+
+
+def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The quotient f / g when g divides f exactly; raises otherwise."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    field = f.field
+    if field != g.field:
+        raise ValueError("mismatched coefficient fields")
+    lm_g = g.leading_monomial()
+    lc_g = g.leading_coeff()
+    rem = f
+    quot = Polynomial.zero(field)
+    while not rem.is_zero():
+        lm = rem.leading_monomial()
+        if not mono_divides(lm_g, lm):
+            raise ValueError("inexact polynomial division")
+        t = Polynomial.monomial(field, mono_div(lm, lm_g),
+                                field.div(rem.leading_coeff(), lc_g))
+        quot = quot + t
+        rem = rem - t * g
+    return quot
+
+
+def det_bareiss(M: PolyMatrix) -> Polynomial:
+    """Determinant by fraction-free (Bareiss) elimination with exact division."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = M.rows
+    if n == 0:
+        raise ValueError("empty matrix needs an explicit field")
+    field = M.entries[0][0].field
+    a = [list(row) for row in M.entries]
+    sign = 1
+    prev = Polynomial.constant(field, 1)
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            pivot = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if pivot is None:
+                return Polynomial.zero(field)
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+            a[i][k] = Polynomial.zero(field)
+        prev = a[k][k]
+    result = a[n - 1][n - 1]
+    return -result if sign < 0 else result
+
+
+def ideal_equal(a: Ideal, b: Ideal) -> bool:
+    return a.equals(b)
+
+
+def component_basis(ideal: Ideal, d: int) -> list:
+    """Vectors (over all degree-d monomials) spanning the degree-d slice of I."""
+    monos = monomials_of_degree(d)
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for g in ideal.groebner_basis():
+        dg = g.degree()
+        if dg > d:
+            continue
+        for shift in monomials_of_degree(d - dg):
+            vec = [ideal.field.zero] * len(monos)
+            for m, c in g.terms.items():
+                vec[index[mono_mul(m, shift)]] = c
+            rows.append(vec)
+    return rows

@@ -27,8 +27,8 @@ from gtrim import (
     sub_pfaffian,
     variables,
 )
-from gtrim.linalg import span_rank
 from gtrim.poly import monomials_of_degree
+from helpers import span_rank
 
 
 def passed(num, message):

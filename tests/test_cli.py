@@ -199,6 +199,45 @@ def test_classify_ideal_zero_denominator_exits_2(tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_classify_ideal_bad_generator_types_exit_2(tmp_path):
+    # a string used to be read character by character, "xyz" as (x, y, z);
+    # a non-string entry used to end in an AttributeError traceback
+    for gens in ("xyz", [2], [None], {"x^2": 1}):
+        code, out, err = classify_ideal_file(tmp_path, {"generators": gens})
+        assert code == 2 and out == "", gens
+        assert err.startswith("error: bad generators") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+
+def test_classify_ideal_juxtaposition_exits_2(tmp_path):
+    code, out, err = classify_ideal_file(tmp_path, {"generators": ["x^2y", "y^3", "z^3"]})
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad generators") and "missing operator" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_classify_three_generator_file_trims(capsys, tmp_path):
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps({"generators": ["x^2", "y^2", "z^2"]}))
+    for sel in ("x0", "d", "y0"):
+        code, out, err = run_cli(["classify", "--ideal", str(path), "--trim", sel], capsys)
+        assert code == 0 and err == "", sel
+        assert json.loads(out)["class"] == "B"
+    code, out, err = run_cli(["classify", "--ideal", str(path), "--trim", "x1"], capsys)
+    assert code == 2 and "needs 0 <= I <= 0 for m=1" in err
+
+
+def test_selectors_match_in_full_ascii(capsys, tmp_path):
+    # a trailing newline, a non-ASCII digit and a leading zero were accepted before
+    path = tmp_path / "ci.json"
+    path.write_text(json.dumps({"generators": ["x^2", "y^2", "z^2"]}))
+    for sel in ("x1\n", "x\u0663", "x01", "y01", "d\n", " x1"):
+        for source in (["--m", "4"], ["--ideal", str(path)]):
+            code, out, err = run_cli(["classify"] + source + ["--trim", sel], capsys)
+            assert code == 2 and out == "", (sel, source)
+            assert err.startswith("error: bad trim selector") and len(err.splitlines()) == 1
+
+
 def test_classify_unit_ideal_exits_3(tmp_path):
     code, out, err = classify_ideal_file(tmp_path, {"generators": ["1"]})
     assert code == 3 and out == ""

@@ -20,7 +20,7 @@ from gtrim import (
 )
 from gtrim.errors import ClassificationScopeError
 from gtrim.koszul import wedge_words
-from gtrim.linalg import matrix_rank, span_rank
+from helpers import matrix_rank, span_rank
 
 F = helpers.field()
 X, Y, Z = variables(F)

@@ -10,15 +10,13 @@ from gtrim import (
     PolyMatrix,
     build_u,
     d_poly,
-    det_bareiss,
-    exact_div,
     matrix_det,
-    mono_cmp,
     parse_polynomial,
     variables,
 )
 from gtrim.errors import NonHomogeneousError
 from gtrim.poly import mono_key, monomials_of_degree, require_homogeneous
+from helpers import det_bareiss, exact_div, mono_cmp
 
 F = helpers.field()
 Q = helpers.field(0)
@@ -153,6 +151,14 @@ def test_parse_rejects_garbage():
     for bad in ("", "x +", "x*", "w", "x^", "x^-2", "2//3", "x + + "):
         with pytest.raises(ValueError):
             parse_polynomial(bad, F)
+
+
+def test_parse_rejects_juxtaposition():
+    # each of these used to parse silently as a sum, e.g. "xy" as x + y
+    for bad in ("xy", "x y", "x^2y", "2 x", "3x", "x*y z", "x^2 3", "1/2 x"):
+        with pytest.raises(ValueError, match="missing operator"):
+            parse_polynomial(bad, F)
+    assert parse_polynomial("x * y - - z", F) == X * Y + Z
 
 
 def test_parse_round_trip_random():
