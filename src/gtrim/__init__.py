@@ -53,7 +53,6 @@ from .pfaffians import (
 from .poly import (
     Polynomial,
     PolyMatrix,
-    matrix_det,
     mono_key,
     monomials_of_degree,
     parse_polynomial,
@@ -73,7 +72,7 @@ __all__ = [
     "PfaffianFamily", "TrimChoice", "all_sub_pfaffians", "build_u", "build_v",
     "canonical_generators", "d_poly", "family_hilbert", "gorenstein_ideal",
     "pfaffian", "selector_labels", "sub_pfaffian", "trimmed_ideal",
-    "Polynomial", "PolyMatrix", "matrix_det",
+    "Polynomial", "PolyMatrix",
     "mono_key", "monomials_of_degree", "parse_polynomial",
     "variables",
 ]

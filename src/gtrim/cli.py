@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import PreconditionError
@@ -36,18 +35,11 @@ class CliError(Exception):
     """Bad arguments detected after parsing; mapped to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    characteristic: int
-    order: str
-    output_format: str
-    out: str | None
-
-    def field(self):
-        try:
-            return field_of_characteristic(self.characteristic)
-        except ValueError as exc:
-            raise CliError(str(exc))
+def _field(args):
+    try:
+        return field_of_characteristic(args.char)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _positive_int(text: str) -> int:
@@ -113,11 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(characteristic=args.char, order=args.order,
-                     output_format=args.output_format, out=args.out)
-
-
 def _json_block(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -135,12 +122,10 @@ def _csv_text(header, rows) -> str:
 
 
 def cmd_gen(args) -> str:
-    cfg = _config(args)
-    fam = PfaffianFamily.build(args.m, cfg.field())
-    data = fam.to_json_dict()
-    if cfg.output_format == "json":
+    data = PfaffianFamily.build(args.m, _field(args)).to_json_dict()
+    if args.output_format == "json":
         return _json_block(data)
-    if cfg.output_format == "text":
+    if args.output_format == "text":
         lines = [f"m = {data['m']}", f"d = {data['d']}", "U:"]
         lines += ["  " + "  ".join(row) for row in data["U"]]
         lines.append("V:")
@@ -151,7 +136,7 @@ def cmd_gen(args) -> str:
     raise CliError("gen emits matrices; use --format json or text")
 
 
-def _load_ideal(path: str, cfg: RunConfig) -> Ideal:
+def _load_ideal(path: str, args) -> Ideal:
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -165,10 +150,12 @@ def _load_ideal(path: str, cfg: RunConfig) -> Ideal:
         raise CliError(f"bad field in {path}: expected {{\"char\": N}}, got {spec!r}")
     char = spec.get("char")
     try:
-        field = field_of_characteristic(char) if char is not None else cfg.field()
+        field = field_of_characteristic(char) if char is not None else _field(args)
     except ValueError as exc:
         raise CliError(f"bad field in {path}: {exc}")
-    order = data.get("order", cfg.order)
+    order = data.get("order", args.order)
+    if order not in ORDER_NAMES:
+        raise CliError(f"bad order in {path}: expected one of {ORDER_NAMES}, got {order!r}")
     gens = data["generators"]
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise CliError(f"bad generators in {path}: expected a list of strings, got {gens!r}")
@@ -180,11 +167,11 @@ def _load_ideal(path: str, cfg: RunConfig) -> Ideal:
         raise CliError(f"bad generators in {path}: {exc}")
 
 
-def _classify_target(args, cfg: RunConfig) -> Ideal:
+def _classify_target(args) -> Ideal:
     if (args.ideal is None) == (args.m is None):
         raise CliError("classify needs exactly one of --m or --ideal")
     if args.ideal is not None:
-        ideal = _load_ideal(args.ideal, cfg)
+        ideal = _load_ideal(args.ideal, args)
         if args.trim is None:
             return ideal
         count = len(ideal.generators)
@@ -196,69 +183,46 @@ def _classify_target(args, cfg: RunConfig) -> Ideal:
             raise CliError(str(exc))
         return trim(list(ideal.generators), index, ideal.order)
     if args.trim is None:
-        return gorenstein_ideal(args.m, cfg.field(), cfg.order)
+        return gorenstein_ideal(args.m, _field(args), args.order)
     try:
         choice = TrimChoice(args.m, args.trim)
     except ValueError as exc:
         raise CliError(str(exc))
-    return trimmed_ideal(choice, cfg.field(), cfg.order)
+    return trimmed_ideal(choice, _field(args), args.order)
+
+
+def _display(report: dict) -> str:
+    return TorClass(report["class"], report["class_params"]).display()
 
 
 def cmd_classify(args) -> str:
-    cfg = _config(args)
-    ideal = _classify_target(args, cfg)
-    kz = KoszulComplex(ideal.quotient_ring())
-    report = report_dict(kz)
-    display = TorClass(report["class"], report["class_params"]).display()
-    hilbert = list(ideal.hilbert_function().coefficients)
-    ordered = {"mu": report["mu"], "type": report["type"], "hilbert": hilbert}
-    for key in ("ranks", "p", "q", "r", "class", "class_params", "gorenstein"):
-        ordered[key] = report[key]
-    if cfg.output_format == "json":
-        return _json_block(ordered)
-    if cfg.output_format == "text":
-        pairs = []
-        for k, v in ordered.items():
-            if k == "class_params":
-                continue
-            if k == "class":
-                v = display
-            elif isinstance(v, list):
-                v = " ".join(str(c) for c in v)
-            pairs.append((k, v))
-        return _kv_text(pairs)
-    header = ["mu", "type", "hilbert", "ranks", "p", "q", "r", "class", "gorenstein"]
-    row = [ordered["mu"], ordered["type"], " ".join(map(str, hilbert)),
-           " ".join(map(str, ordered["ranks"])), ordered["p"], ordered["q"],
-           ordered["r"], display, ordered["gorenstein"]]
-    return _csv_text(header, [row])
+    report = report_dict(KoszulComplex(_classify_target(args).quotient_ring()))
+    if args.output_format == "json":
+        return _json_block(report)
+    shown = {k: " ".join(map(str, v)) if isinstance(v, list) else v
+             for k, v in report.items() if k != "class_params"}
+    shown["class"] = _display(report)
+    if args.output_format == "text":
+        return _kv_text(shown.items())
+    return _csv_text(list(shown), [list(shown.values())])
 
 
 def cmd_table(args) -> str:
-    cfg = _config(args)
     lo, hi = args.m
-    field = cfg.field()
+    field = _field(args)
     rows = []
     for m in range(lo, hi + 1):
         for label in selector_labels(m):
             choice = TrimChoice(m, label)
-            ideal = trimmed_ideal(choice, field, cfg.order)
-            kz = KoszulComplex(ideal.quotient_ring())
-            inv = kz.invariants()
-            rows.append({
-                "m": m,
-                "g": choice.generator(field).to_text(),
-                "mu": inv.mu,
-                "type": inv.type_rank,
-                "p": inv.p,
-                "q": inv.q,
-                "r": inv.r,
-                "class": kz.classify().display(),
-            })
-    if cfg.output_format == "json":
+            ideal = trimmed_ideal(choice, field, args.order)
+            report = report_dict(KoszulComplex(ideal.quotient_ring()))
+            rows.append({"m": m, "g": choice.generator(field).to_text(),
+                         **{k: report[k] for k in ("mu", "type", "p", "q", "r")},
+                         "class": _display(report)})
+    if args.output_format == "json":
         return _json_block(rows)
     header = ["m", "g", "mu", "type", "p", "q", "r", "class"]
-    if cfg.output_format == "csv":
+    if args.output_format == "csv":
         return _csv_text(header, [[row[k] for k in header] for row in rows])
     cells = [header] + [[str(row[k]) for k in header] for row in rows]
     widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
@@ -268,15 +232,14 @@ def cmd_table(args) -> str:
 
 
 def cmd_hilbert(args) -> str:
-    cfg = _config(args)
-    ideal = gorenstein_ideal(args.m, cfg.field(), cfg.order)
+    ideal = gorenstein_ideal(args.m, _field(args), args.order)
     computed = list(ideal.hilbert_function().coefficients)
     closed = family_hilbert(args.m)
     data = {"m": args.m, "coefficients": computed, "closed_form": closed,
             "match": computed == closed}
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         return _json_block(data)
-    if cfg.output_format == "text":
+    if args.output_format == "text":
         return _kv_text([("m", args.m),
                          ("coefficients", " ".join(map(str, computed))),
                          ("closed_form", " ".join(map(str, closed))),

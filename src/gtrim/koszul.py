@@ -346,12 +346,13 @@ class KoszulComplex:
 
 
 def report_dict(kz: KoszulComplex) -> dict:
-    """Classification report with a fixed key order."""
+    """Classification report with a fixed key order: the `classify` record."""
     inv = kz.invariants()
     cls = kz.classify()
     return {
         "mu": inv.mu,
         "type": inv.type_rank,
+        "hilbert": list(kz.ring.hilbert().coefficients),
         "ranks": list(kz.ranks()),
         "p": inv.p,
         "q": inv.q,
@@ -381,7 +382,7 @@ def a1_cycle_basis(choice: TrimChoice, kz: KoszulComplex) -> list:
     m = choice.m
     field = kz.ring.field
     x, y, z = variables(field)
-    d = [d_poly(k, field, "recurrence") for k in range(m + 1)]
+    d = [d_poly(k, field) for k in range(m + 1)]
     sel = choice.selector
     e_x, e_y, e_z = (0,), (1,), (2,)
 
@@ -429,7 +430,7 @@ def a1_annihilator_cycle(choice: TrimChoice, kz: KoszulComplex) -> KoszulElement
     m = choice.m
     field = kz.ring.field
     x, y, z = variables(field)
-    d = [d_poly(k, field, "recurrence") for k in range(m + 1)]
+    d = [d_poly(k, field) for k in range(m + 1)]
     sel = choice.selector
     e_xy, e_xz, e_yz = (0, 1), (0, 2), (1, 2)
 

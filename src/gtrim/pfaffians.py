@@ -3,8 +3,10 @@
 U_m is the m x m symmetric band matrix with x, z, y along the three central
 anti-diagonals, d_m = det(U_m), and V_m is the (2m+1) x (2m+1) skew-symmetric
 matrix whose maximal sub-Pfaffians generate a height-3 Gorenstein ideal with
-2m+1 minimal generators of degree m.  Trimming replaces one generator g by
-(x, y, z)*g.
+2m+1 minimal generators of degree m.  Up to sign those sub-Pfaffians are
+x^(m-i) d_i, d_m and y^(m-i) d_i, so the ideals are built from d_poly's closed
+form alone; of the pipeline, only PfaffianFamily expands Pfaffians.  Trimming
+replaces one generator g by (x, y, z)*g.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .fields import default_field
 from .ideals import Ideal, scale_by_maximal, trim
-from .poly import Polynomial, PolyMatrix, matrix_det, variables
+from .poly import Polynomial, PolyMatrix, variables
 
 _SELECTOR = re.compile(r"(x|y)(0|[1-9][0-9]*)|d")
 
@@ -67,45 +69,28 @@ def build_v(m: int, field=None) -> PolyMatrix:
     return PolyMatrix.from_rows(rows)
 
 
-def d_poly(m: int, field=None, method: str = "closed_form") -> Polynomial:
-    """The degree-m polynomial d_m = det(U_m), by one of three routes.
+def d_poly(m: int, field=None) -> Polynomial:
+    """The degree-m polynomial d_m = det(U_m), from its closed form.
 
-    methods: "determinant" (cofactor expansion of U_m), "recurrence"
-    (d_m = (-1)^(m-1) z d_{m-1} + x y d_{m-2}), "closed_form" (binomial sum).
-    d_0 = 1 and d_{-1} = 0.
+    d_m = sum_j (-1)^((m-2j) div 2) C(m-j, j) x^j y^j z^(m-2j), with d_0 = 1
+    and d_{-1} = 0; it satisfies d_m = (-1)^(m-1) z d_{m-1} + x y d_{m-2}.
     """
     if m < -1:
         raise ValueError(f"d_poly index must be >= -1, got {m}")
     field = field or default_field()
-    if method == "determinant":
-        if m == -1:
-            return Polynomial.zero(field)
-        if m == 0:
-            return Polynomial.constant(field, 1)
-        return matrix_det(build_u(m, field))
-    if method == "recurrence":
-        if m == -1:
-            return Polynomial.zero(field)
-        x, y, z = variables(field)
-        prev = Polynomial.zero(field)       # d_{-1}
-        cur = Polynomial.constant(field, 1)  # d_0
-        for k in range(1, m + 1):
-            sign_z = z if k % 2 else -z
-            cur, prev = sign_z * cur + x * y * prev, cur
-        return cur
-    if method == "closed_form":
-        if m == -1:
-            return Polynomial.zero(field)
-        terms = {}
-        for j in range(m // 2 + 1):
-            sign = -1 if ((m - 2 * j) // 2) % 2 else 1
-            terms[(j, j, m - 2 * j)] = field.of(sign * math.comb(m - j, j))
-        return Polynomial(field, terms)
-    raise ValueError(f"unknown d_poly method {method!r}")
+    terms = {}
+    for j in range(m // 2 + 1):
+        sign = -1 if ((m - 2 * j) // 2) % 2 else 1
+        terms[(j, j, m - 2 * j)] = field.of(sign * math.comb(m - j, j))
+    return Polynomial(field, terms)
 
 
 def pfaffian(M: PolyMatrix) -> Polynomial:
-    """Pfaffian of an even skew-symmetric matrix by first-row expansion."""
+    """Pfaffian of an even skew-symmetric matrix by first-row expansion.
+
+    Each principal minor is expanded once: results are kept per tuple of
+    remaining rows, which turns the (n-1)!! expansion into at most 2^n minors.
+    """
     if M.rows != M.cols:
         raise ValueError("Pfaffian of a non-square matrix")
     if M.rows % 2:
@@ -114,12 +99,12 @@ def pfaffian(M: PolyMatrix) -> Polynomial:
         raise ValueError("Pfaffian of a non-skew-symmetric matrix")
     if M.rows == 0:
         raise ValueError("empty matrix has no coefficient field; use size >= 2")
-    field = M.entry(0, 1).field if M.rows else None
-    one = Polynomial.constant(field, 1)
+    field = M.entry(0, 1).field
+    memo = {(): Polynomial.constant(field, 1)}
 
     def pf(active):
-        if not active:
-            return one
+        if active in memo:
+            return memo[active]
         first = active[0]
         rest = active[1:]
         total = Polynomial.zero(field)
@@ -132,6 +117,7 @@ def pfaffian(M: PolyMatrix) -> Polynomial:
             if pos % 2:
                 term = -term
             total = total + term
+        memo[active] = total
         return total
 
     return pf(tuple(range(M.rows)))
@@ -164,7 +150,7 @@ def canonical_generators(m: int, field=None) -> list:
 
 def _generator_ladder(m: int, field) -> list:
     x, y, z = variables(field)
-    d = [d_poly(k, field, "recurrence") for k in range(m + 1)]
+    d = [d_poly(k, field) for k in range(m + 1)]
     left = [x ** (m - i) * d[i] for i in range(m)]
     right = [y ** (m - i) * d[i] for i in range(m - 1, -1, -1)]
     return left + [d[m]] + right
@@ -272,7 +258,7 @@ class PfaffianFamily:
         V = build_v(m, field)
         gens = _generator_ladder(m, field)
         return cls(m=m, U=build_u(m, field), V=V,
-                   d=d_poly(m, field, "recurrence"),
+                   d=d_poly(m, field),
                    pfaffians=tuple(all_sub_pfaffians(V)),
                    generators=tuple(gens))
 

@@ -396,40 +396,3 @@ class PolyMatrix:
 
     def to_strings(self) -> list:
         return [[p.to_text() for p in row] for row in self.entries]
-
-
-def matrix_det(M: PolyMatrix, field=None) -> Polynomial:
-    """Determinant by cofactor expansion along the sparsest row."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    if M.rows == 0:
-        if field is None:
-            raise ValueError("empty matrix needs an explicit field")
-        return Polynomial.constant(field, 1)
-    field = M.entries[0][0].field
-    one = Polynomial.constant(field, 1)
-
-    def det(rows, cols):
-        n = len(rows)
-        if n == 0:
-            return one
-        if n == 1:
-            return M.entries[rows[0]][cols[0]]
-        best = min(range(n),
-                   key=lambda k: sum(bool(M.entries[rows[k]][c]) for c in cols))
-        r = rows[best]
-        sub_rows = rows[:best] + rows[best + 1:]
-        total = Polynomial.zero(field)
-        for pos, c in enumerate(cols):
-            e = M.entries[r][c]
-            if e.is_zero():
-                continue
-            minor = det(sub_rows, cols[:pos] + cols[pos + 1:])
-            term = e * minor
-            if (best + pos) % 2:
-                term = -term
-            total = total + term
-        return total
-
-    idx = tuple(range(M.rows))
-    return det(idx, idx)

@@ -18,17 +18,17 @@ from gtrim import (
     a1_annihilator_cycle,
     a1_cycle_basis,
     annihilates_a1,
+    build_u,
     build_v,
     d_poly,
     family_hilbert,
-    matrix_det,
     report_dict,
     selector_labels,
     sub_pfaffian,
     variables,
 )
 from gtrim.poly import monomials_of_degree
-from helpers import span_rank
+from helpers import det_bareiss, span_rank
 
 
 def passed(num, message):
@@ -127,37 +127,45 @@ def check_trims_m2(char):
 # ---- the ten criteria ------------------------------------------------------------
 
 def test_01_band_determinant_routes_agree():
-    fld = helpers.field()
-    for m in range(0, 11):
-        det = d_poly(m, fld, "determinant")
-        assert det == d_poly(m, fld, "recurrence")
-        assert det == d_poly(m, fld, "closed_form")
-        assert det == closed_form_oracle(m, fld)
+    for char in (32003, 0):
+        fld = helpers.field(char)
+        x, y, z = variables(fld)
+        assert d_poly(-1, fld).is_zero()
+        assert d_poly(0, fld) == closed_form_oracle(0, fld)
+        for m in range(1, 11):
+            d = d_poly(m, fld)
+            assert d == det_bareiss(build_u(m, fld)), (char, m)
+            assert d == closed_form_oracle(m, fld), (char, m)
+            sign = 1 if m % 2 else -1
+            assert d == sign * (z * d_poly(m - 1, fld)) + x * y * d_poly(m - 2, fld), (char, m)
     frozen = {1: "z", 2: "x*y - z^2", 3: "2*x*y*z - z^3",
               4: "x^2*y^2 - 3*x*y*z^2 + z^4"}
     for m, text in frozen.items():
-        assert d_poly(m, fld).to_text() == text
-    passed(1, "band determinant: determinant, recurrence and closed-form routes "
-              "agree for m=0..10; m=1..4 displays frozen")
+        assert d_poly(m, helpers.field()).to_text() == text
+    passed(1, "band determinant: d_m equals the Bareiss determinant of U_m, the "
+              "binomial oracle and the recurrence for m=0..10 over F_32003 and Q; "
+              "m=1..4 displays frozen")
 
 
 def test_02_sub_pfaffians_square_to_minors():
-    fld = helpers.field()
-    x, y, _ = variables(fld)
-    for m in range(1, 6):
-        V = build_v(m, fld)
-        for i in range(1, 2 * m + 2):
-            pf = sub_pfaffian(V, i)
-            assert pf * pf == matrix_det(V.delete_row_col(i - 1)), (m, i)
-            if i <= m:
-                expected = y ** (m - i + 1) * d_poly(i - 1, fld)
-            elif i == m + 1:
-                expected = d_poly(m, fld)
-            else:
-                expected = x ** (i - m - 1) * d_poly(2 * m + 1 - i, fld)
-            assert pf == expected or pf == -expected, (m, i)
-    passed(2, "sub-Pfaffians: squares equal principal minors and match the "
-              "x/y-power times band-determinant closed forms, m=1..5, all positions")
+    for char in (32003, 0):
+        fld = helpers.field(char)
+        x, y, _ = variables(fld)
+        for m in range(1, 11):
+            V = build_v(m, fld)
+            for i in range(1, 2 * m + 2):
+                pf = sub_pfaffian(V, i)
+                assert pf * pf == det_bareiss(V.delete_row_col(i - 1)), (char, m, i)
+                if i <= m:
+                    expected = y ** (m - i + 1) * d_poly(i - 1, fld)
+                elif i == m + 1:
+                    expected = d_poly(m, fld)
+                else:
+                    expected = x ** (i - m - 1) * d_poly(2 * m + 1 - i, fld)
+                assert pf == expected or pf == -expected, (char, m, i)
+    passed(2, "sub-Pfaffians: squares equal the Bareiss principal minors and match "
+              "the x/y-power times band-determinant closed forms, m=1..10 over "
+              "F_32003 and Q, all positions")
 
 
 def test_03_family_mu_hilbert_type_socle():

@@ -89,13 +89,14 @@ def test_classify_trim_json_frozen(capsys):
 
 
 def test_classify_family_matches_library(capsys):
-    code, out, _ = run_cli(["classify", "--m", "2"], capsys)
-    assert code == 0
-    data = json.loads(out)
-    report = report_dict(helpers.koszul(2))
+    # the CLI prints report_dict itself: same keys, same order, same values
+    for argv, kz in ((["--m", "3", "--trim", "d"], helpers.koszul(3, "d")),
+                     (["--m", "2"], helpers.koszul(2))):
+        code, out, _ = run_cli(["classify"] + argv, capsys)
+        assert code == 0
+        data, report = json.loads(out), report_dict(kz)
+        assert data == report and list(data) == list(report), argv
     assert data["hilbert"] == [1, 3, 1]
-    for key, value in report.items():
-        assert data[key] == value
     assert data["class"] == "Gorenstein"
     assert data["gorenstein"] is True
 
@@ -197,6 +198,16 @@ def test_classify_ideal_zero_denominator_exits_2(tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error: bad generators") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+def test_classify_ideal_bad_order_exits_2(tmp_path):
+    # a list used to end in a TypeError traceback; 5 and "revlex" said "bad generators"
+    for order in (["x"], 5, "revlex"):
+        code, out, err = classify_ideal_file(
+            tmp_path, {"order": order, "generators": ["x^2", "y^2", "z^2"]})
+        assert code == 2 and out == "", order
+        assert err.startswith("error: bad order") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
 
 def test_classify_ideal_bad_generator_types_exit_2(tmp_path):

@@ -1,6 +1,7 @@
 """Band matrices, their determinants and Pfaffians, and the trim selectors."""
 
 import math
+import random
 
 import pytest
 
@@ -18,7 +19,6 @@ from gtrim import (
     d_poly,
     family_hilbert,
     gorenstein_ideal,
-    matrix_det,
     pfaffian,
     selector_labels,
     sub_pfaffian,
@@ -26,6 +26,7 @@ from gtrim import (
     trimmed_ideal,
     variables,
 )
+from helpers import det_bareiss
 
 F = helpers.field()
 X, Y, Z = variables(F)
@@ -97,23 +98,25 @@ def test_d_frozen_displays():
 
 
 def test_d_three_routes_and_oracle():
+    # closed form, Bareiss determinant of U_m and the test-side binomial sum
     for fld in (F, helpers.field(0)):
-        for m in range(0, 11):
-            det = d_poly(m, fld, "determinant")
-            assert det == d_poly(m, fld, "recurrence")
-            assert det == d_poly(m, fld, "closed_form")
-            assert det == closed_form_oracle(m, fld)
+        assert d_poly(0, fld) == closed_form_oracle(0, fld)
+        for m in range(1, 11):
+            assert d_poly(m, fld) == det_bareiss(build_u(m, fld))
+            assert d_poly(m, fld) == closed_form_oracle(m, fld)
 
 
 def test_d_recurrence_identity():
-    for m in range(2, 11):
-        sign = 1 if (m - 1) % 2 == 0 else -1
-        assert d_poly(m, F) == sign * (Z * d_poly(m - 1, F)) + X * Y * d_poly(m - 2, F)
+    for fld in (F, helpers.field(0)):
+        x, y, z = variables(fld)
+        for m in range(1, 11):
+            sign = 1 if (m - 1) % 2 == 0 else -1
+            assert d_poly(m, fld) == \
+                sign * (z * d_poly(m - 1, fld)) + x * y * d_poly(m - 2, fld)
 
 
 def test_d_rejects_bad_input():
-    with pytest.raises(ValueError):
-        d_poly(2, F, method="magic")
+    assert d_poly(-1, F).is_zero()
     with pytest.raises(ValueError):
         d_poly(-2, F)
 
@@ -128,6 +131,23 @@ def test_pfaffian_small_cases():
     M = PolyMatrix.from_rows([
         [zero, a, b, c], [-a, zero, d, e], [-b, -d, zero, f], [-c, -e, -f, zero]])
     assert pfaffian(M) == a * f - b * e + c * d
+
+
+def test_pfaffian_squares_to_determinant_random():
+    # the memoized expansion shares minors between branches; dense random
+    # entries make every branch and every shared minor count
+    rng = random.Random(helpers.SEED + 5)
+    zero = Polynomial.zero(F)
+    for n in (2, 4, 6, 8):
+        for _ in range(3):
+            rows = [[zero] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = helpers.random_poly(rng, F, max_degree=1, max_terms=2)
+                    rows[j][i] = -rows[i][j]
+            M = PolyMatrix.from_rows(rows)
+            pf = pfaffian(M)
+            assert pf * pf == det_bareiss(M), n
 
 
 def test_pfaffian_validation():
@@ -145,7 +165,7 @@ def test_sub_pfaffian_squares_are_principal_minors():
         V = build_v(m, F)
         for i in range(1, 2 * m + 2):
             pf = sub_pfaffian(V, i)
-            assert pf * pf == matrix_det(V.delete_row_col(i - 1))
+            assert pf * pf == det_bareiss(V.delete_row_col(i - 1))
 
 
 def test_pfaffian_lists_frozen():
@@ -158,7 +178,7 @@ def test_pfaffian_lists_frozen():
 
 
 def test_pfaffians_match_closed_forms_up_to_sign():
-    for m in range(1, 6):
+    for m in range(1, 17):
         pfs = all_sub_pfaffians(build_v(m, F))
         for i in range(1, 2 * m + 2):
             if i <= m:
