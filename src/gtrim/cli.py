@@ -28,7 +28,7 @@ from .pfaffians import (
     selector_labels,
     trimmed_ideal,
 )
-from .poly import ORDER_NAMES
+from .poly import ORDER_NAMES, parse_polynomial
 
 
 class CliError(Exception):
@@ -160,7 +160,7 @@ def _load_ideal(path: str, args) -> Ideal:
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise CliError(f"bad generators in {path}: expected a list of strings, got {gens!r}")
     try:
-        return Ideal.from_json_dict({"generators": gens}, field, order)
+        return Ideal([parse_polynomial(s, field) for s in gens], order, field)
     except PreconditionError:
         raise
     except ValueError as exc:

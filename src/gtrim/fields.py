@@ -87,9 +87,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero in F_p")
         return pow(a, -1, self.char)
 
-    def div(self, a, b):
-        return a * self.inv(b) % self.char
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -142,11 +139,6 @@ class RationalField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / _RAT(a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return _RAT(a) / b
 
     def is_zero(self, a) -> bool:
         return a == 0

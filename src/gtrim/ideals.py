@@ -4,9 +4,13 @@ The engine is Buchberger's algorithm with the Gebauer-Moeller pair criteria
 (M, F, B and coprime leading terms) and S-pair selection by lcm degree,
 followed by interreduction to the unique reduced Groebner basis.  Normal
 forms take terms from a heap, against reducers each ideal builds once.
-Quotient-ring invariants (Hilbert function, socle, minimal generator counts,
-colon by the maximal ideal) are computed one degree at a time on
-standard-monomial bases, by sparse reduced echelon forms (`linalg.Echelon`).
+The standard monomials form an order ideal, so the quotient ring walks the
+staircase: degree d+1 is {x, y, z} times degree d, less the multiples of a
+leading monomial, so its cost follows dim R rather than the count of all
+monomials up to the top degree.  Quotient-ring invariants (Hilbert function,
+socle, minimal generator counts, colon by the maximal ideal) are computed one
+degree at a time on those bases, by sparse reduced echelon forms
+(`linalg.Echelon`).
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import NonHomogeneousError, NotNPrimaryError, UnitIdealError
-from .fields import default_field, field_of_characteristic
 from .linalg import Echelon
 from .poly import (
     Polynomial,
@@ -26,11 +29,11 @@ from .poly import (
     mono_lcm,
     mono_mul,
     monomials_of_degree,
-    parse_polynomial,
     variables,
 )
 
 _VAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_GREVLEX = mono_key("grevlex")  # basis(d) is grevlex descending, as monomials_of_degree
 
 
 def _normal_form_terms(terms, reducers, field, order):
@@ -285,25 +288,6 @@ class Ideal:
         lifts = self.socle_basis().basis
         return Ideal(self.generators + tuple(lifts), self.order, self.field)
 
-    # ---- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "field": {"char": self.field.char},
-            "order": self.order,
-            "generators": [g.to_text() for g in self.generators],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, field=None, order=None) -> "Ideal":
-        if field is None:
-            char = data.get("field", {}).get("char")
-            field = field_of_characteristic(char) if char is not None else default_field()
-        if order is None:
-            order = data.get("order", "grevlex")
-        gens = [parse_polynomial(s, field) for s in data.get("generators", [])]
-        return cls(gens, order, field)
-
 
 def scale_by_maximal(g: Polynomial, order: str = "grevlex") -> Ideal:
     """The ideal (x*g, y*g, z*g)."""
@@ -328,12 +312,6 @@ class HilbertData:
 
     coefficients: tuple
 
-    def total(self) -> int:
-        return sum(self.coefficients)
-
-    def __getitem__(self, d: int) -> int:
-        return self.coefficients[d] if 0 <= d < len(self.coefficients) else 0
-
 
 @dataclass(frozen=True)
 class SocleData:
@@ -354,14 +332,14 @@ class QuotientRing:
         self.field = ideal.field
         lms = ideal.leading_monomials()
         std = []
-        d = 0
-        while True:
-            level = tuple(m for m in monomials_of_degree(d)
-                          if not any(mono_divides(lm, m) for lm in lms))
+        level = {(0, 0, 0)}
+        while True:  # standard monomials are closed under division: walk the staircase
+            level = tuple(sorted((m for m in level if not any(mono_divides(lm, m) for lm in lms)),
+                                 key=_GREVLEX, reverse=True))
             if not level:
                 break
             std.append(level)
-            d += 1
+            level = {mono_mul(m, v) for m in level for v in _VAR_MONOS}
         self.std = tuple(std)
         self.top_degree = len(std) - 1
         self._mult = {}
@@ -383,22 +361,18 @@ class QuotientRing:
     def normal_form(self, f: Polynomial) -> Polynomial:
         return self.ideal.normal_form(f)
 
-    def coords(self, f: Polynomial, d: int) -> list:
-        """Coordinates of a normal-form, degree-d polynomial over basis(d)."""
-        vec = [self.field.zero] * len(self.basis(d))
-        index = self._index[d] if d <= self.top_degree else {}
-        for m, c in f.terms.items():
-            if m not in index:
-                raise ValueError(f"{f} is not a degree-{d} normal form")
-            vec[index[m]] = c
-        return vec
+    def index(self, mono) -> int:
+        """Position of a standard monomial in basis(deg mono)."""
+        d = mono_degree(mono)
+        if d > self.top_degree or mono not in self._index[d]:
+            raise ValueError(f"{mono} is not a standard monomial")
+        return self._index[d][mono]
 
-    def from_vector(self, d: int, vec) -> Polynomial:
-        """The degree-d polynomial with coordinates vec over basis(d), given
-        as a dense sequence or as a sparse {index: coefficient} dict."""
+    def from_vector(self, d: int, vec: dict) -> Polynomial:
+        """The degree-d polynomial with sparse coordinates {index: coefficient}
+        over basis(d)."""
         basis = self.basis(d)
-        items = sorted(vec.items()) if isinstance(vec, dict) else enumerate(vec)
-        return Polynomial(self.field, {basis[j]: c for j, c in items})
+        return Polynomial(self.field, {basis[j]: c for j, c in sorted(vec.items())})
 
     def mult_matrix(self, var: int, d: int) -> list:
         """Matrix of multiplication by x_var from degree d to degree d+1."""

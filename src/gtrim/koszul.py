@@ -3,18 +3,22 @@
 The complex is the exterior algebra on e_x, e_y, e_z over R with
 differential e_x -> x (and so on), so H_i lives in internal degrees
 (coefficient degree plus exterior degree) between 0 and top_degree(R) + 3.
-Homology bases are produced degreewise with deterministic pivoting, and the
-multiplication on classes yields the invariants (p, q, r) that drive the
-Tor-algebra classification.
+The differential and its sign rule are written once, as sparse columns per
+(i, d) over the standard-monomial coordinates; homology bases come from them
+degreewise with deterministic pivoting, and `differential` applies the same
+columns to an element's coordinates.  The class is read from A = H(K^R)
+alone: A_0 = 0 is the unit ideal, an A_1 class in internal degree 1 is a
+linear minimal generator, and the products on A give the invariants
+(p, q, r) of the Tor-algebra classification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ClassificationScopeError
+from .errors import ClassificationScopeError, UnitIdealError
 from .ideals import QuotientRing
-from .linalg import Echelon
+from .linalg import Echelon, _sub_multiple
 from .pfaffians import TrimChoice, d_poly
 from .poly import Polynomial, mono_degree, variables
 
@@ -78,10 +82,6 @@ class KoszulElement:
         return " + ".join(bits)
 
 
-def _coefficient_element(exterior_degree: int, word: tuple, coeff: Polynomial) -> KoszulElement:
-    return KoszulElement(exterior_degree, {word: coeff})
-
-
 @dataclass(frozen=True)
 class TorInvariants:
     """Multiplication invariants of A = H(K^R) plus mu and the type."""
@@ -138,7 +138,6 @@ class KoszulComplex:
     def __init__(self, ring: QuotientRing):
         self.ring = ring
         self.field = ring.field
-        self._vars = variables(self.field)
         self._reps = ([], [], [], [])  # per exterior degree: (internal degree, cycle)
         self._classes = {}  # (i, d) -> Echelon: boundaries untagged, representatives tagged
         self._basis_elements = {}
@@ -201,56 +200,47 @@ class KoszulComplex:
     def reduce_element(self, el: KoszulElement) -> KoszulElement:
         return el.map_coefficients(self.ring.normal_form)
 
-    def element_from_vector(self, i: int, d: int, vec: dict) -> KoszulElement:
-        """The element with sparse coordinates {index: coefficient} in K_{i,d}."""
-        h = len(self.ring.basis(d - i))
-        parts = {}
-        for k in sorted(vec):
-            parts.setdefault(WORDS[i][k // h], {})[k % h] = vec[k]
-        return KoszulElement(i, {w: self.ring.from_vector(d - i, part)
-                                 for w, part in parts.items()})
+    def element_from_vector(self, i: int, vecs: dict) -> KoszulElement:
+        """The element with sparse coordinates {internal degree d: {index:
+        coefficient} in K_{i,d}}; the inverse of `_element_vectors`."""
+        terms = {}
+        for d, vec in vecs.items():
+            basis = self.ring.basis(d - i)
+            for k, c in vec.items():
+                terms.setdefault(WORDS[i][k // len(basis)], {})[basis[k % len(basis)]] = c
+        return KoszulElement(i, {w: Polynomial(self.field, t) for w, t in terms.items()})
 
     def _element_vectors(self, el: KoszulElement) -> dict:
         """Split a reduced element into {internal degree: sparse coordinates}."""
-        i = el.exterior_degree
+        i, ring = el.exterior_degree, self.ring
         out = {}
         for w, p in el.components.items():
             wi = WORD_INDEX[i][w]
-            for e, part in p.homogeneous_components().items():
-                h = len(self.ring.basis(e))
-                vec = out.setdefault(e + i, {})
-                for c, val in enumerate(self.ring.coords(part, e)):
-                    if not self.field.is_zero(val):
-                        vec[wi * h + c] = val
+            for mono, c in p.terms.items():
+                e = mono_degree(mono)
+                out.setdefault(e + i, {})[wi * len(ring.basis(e)) + ring.index(mono)] = c
         return out
 
     def homology_basis(self, i: int) -> list:
         """Deterministic cycle representatives of a basis of A_i."""
         if i not in self._basis_elements:
-            self._basis_elements[i] = [self.element_from_vector(i, d, vec)
+            self._basis_elements[i] = [self.element_from_vector(i, {d: vec})
                                        for d, vec in self._reps[i]]
         return list(self._basis_elements[i])
 
     def differential(self, el: KoszulElement) -> KoszulElement:
-        """The boundary of el, with coefficients reduced in R."""
-        i = el.exterior_degree
+        """The boundary of el, with coefficients reduced in R: the columns of
+        `_diff_columns` applied to the coordinates of the reduced element."""
+        i, f = el.exterior_degree, self.field
         if i == 0:
             return KoszulElement(0, {})
-        comps = {}
-        for w, p in el.components.items():
-            for t, letter in enumerate(w):
-                piece = self._vars[letter] * p
-                if t % 2:
-                    piece = -piece
-                w2 = w[:t] + w[t + 1:]
-                cur = comps.get(w2)
-                comps[w2] = piece if cur is None else cur + piece
-        out = {}
-        for w, p in comps.items():
-            q = self.ring.normal_form(p)
-            if not q.is_zero():
-                out[w] = q
-        return KoszulElement(i - 1, out)
+        images = {}
+        for d, vec in self._element_vectors(self.reduce_element(el)).items():
+            cols = self._diff_columns(i, d)
+            image = images[d] = {}
+            for k, c in vec.items():
+                _sub_multiple(f, image, f.neg(c), cols[k])
+        return self.element_from_vector(i - 1, images)
 
     def is_cycle(self, el: KoszulElement) -> bool:
         return self.differential(el).is_zero()
@@ -272,12 +262,7 @@ class KoszulComplex:
                     piece = -piece
                 cur = comps.get(merged)
                 comps[merged] = piece if cur is None else cur + piece
-        out = {}
-        for w, p in comps.items():
-            q = self.ring.normal_form(p)
-            if not q.is_zero():
-                out[w] = q
-        return KoszulElement(i, out)
+        return self.reduce_element(KoszulElement(i, comps))
 
     def class_coords(self, el: KoszulElement) -> list:
         """Coordinates of the homology class of a cycle over the A_i basis."""
@@ -309,36 +294,27 @@ class KoszulComplex:
             f = self.field
             a1 = self.homology_basis(1)
             a2 = self.homology_basis(2)
-            p_span, q_span, delta_span = Echelon(f), Echelon(f), Echelon(f)
+            p_span, q_span, r_span = Echelon(f), Echelon(f), Echelon(f)
             for s in range(len(a1)):
                 for t in range(s + 1, len(a1)):
                     p_span.add(self.class_coords(self.wedge(a1[s], a1[t])))
-            delta_rows = []
-            for g in a2:
+            for g in a2:  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
                 row = []
                 for e in a1:
                     prod = self.class_coords(self.wedge(e, g))
                     q_span.add(prod)
                     row.extend(prod)
-                delta_span.add(row)
-                delta_rows.append(row)
-            self._inv = TorInvariants(p=p_span.rank, q=q_span.rank, r=delta_span.rank,
+                r_span.add(row)
+            self._inv = TorInvariants(p=p_span.rank, q=q_span.rank, r=r_span.rank,
                                       mu=len(a1), type_rank=len(self._reps[3]))
-            self._delta_rows = delta_rows
         return self._inv
 
-    def delta_matrix(self) -> list:
-        """Rows indexed by the A_2 basis; row = concatenated A_3 coords of
-        the products with each A_1 basis class."""
-        self.invariants()
-        return [list(row) for row in self._delta_rows]
-
-    def delta_rank(self) -> int:
-        return self.invariants().r
-
     def classify(self) -> TorClass:
-        mins, _ = self.ring.ideal.minimal_generators()
-        if any(g.degree() < 2 for g in mins):
+        """The class of R; the scope is read from A: A_0 = k unless R = 0, and
+        A_1 in internal degree d counts the degree-d minimal generators."""
+        if not self._reps[0]:
+            raise UnitIdealError("minimal generators are only defined for ideals inside (x, y, z)")
+        if any(d == 1 for d, _ in self._reps[1]):
             raise ClassificationScopeError(
                 "ideal has a degree-1 minimal generator; classification "
                 "requires the ideal to sit inside the square of the maximal ideal")
@@ -387,7 +363,7 @@ def a1_cycle_basis(choice: TrimChoice, kz: KoszulComplex) -> list:
     e_x, e_y, e_z = (0,), (1,), (2,)
 
     def on(word, coeff):
-        return _coefficient_element(1, word, coeff)
+        return KoszulElement(1, {word: coeff})
 
     def x_side(skip=None):
         return [on(e_x, x ** (m - j - 1) * d[j]) for j in range(m) if j != skip]
@@ -435,11 +411,11 @@ def a1_annihilator_cycle(choice: TrimChoice, kz: KoszulComplex) -> KoszulElement
     e_xy, e_xz, e_yz = (0, 1), (0, 2), (1, 2)
 
     if sel == "x0":
-        el = _coefficient_element(2, e_yz, y ** (m - 1))
+        el = KoszulElement(2, {e_yz: y ** (m - 1)})
     elif sel == "y0":
-        el = _coefficient_element(2, e_xz, x ** (m - 1))
+        el = KoszulElement(2, {e_xz: x ** (m - 1)})
     elif sel == "d":
-        el = _coefficient_element(2, e_xy, d[m - 1])
+        el = KoszulElement(2, {e_xy: d[m - 1]})
     elif sel[0] == "x":
         i = int(sel[1:])
         sign = 1 if (i - 1) % 2 == 0 else -1

@@ -262,9 +262,6 @@ class PfaffianFamily:
                    pfaffians=tuple(all_sub_pfaffians(V)),
                    generators=tuple(gens))
 
-    def ideal(self, order: str = "grevlex") -> Ideal:
-        return Ideal(list(self.generators), order)
-
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,

@@ -11,8 +11,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonHomogeneousError
-
 VARS = ("x", "y", "z")
 ORDER_NAMES = ("grevlex", "grlex", "lex")
 
@@ -134,13 +132,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degrees = {mono_degree(m) for m in self.terms}
         return len(degrees) <= 1
-
-    def homogeneous_components(self) -> dict:
-        """Map degree -> homogeneous part."""
-        parts = {}
-        for mono, coeff in self.terms.items():
-            parts.setdefault(mono_degree(mono), {})[mono] = coeff
-        return {d: Polynomial(self.field, t) for d, t in sorted(parts.items())}
 
     def sorted_terms(self, order: str = "grevlex") -> list:
         """(monomial, coefficient) pairs, strictly descending in the order."""
@@ -280,12 +271,6 @@ def variables(field):
     return tuple(Polynomial.variable(field, v) for v in VARS)
 
 
-def require_homogeneous(f: Polynomial) -> Polynomial:
-    if not f.is_homogeneous():
-        raise NonHomogeneousError(f"non-homogeneous polynomial: {f}")
-    return f
-
-
 # ---- parsing ---------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*([+\-]|[xyz](?:\^\d+)?|\d+(?:/\d+)?|\*)")
@@ -376,9 +361,6 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i][j]
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(tuple(zip(*self.entries)))
 
     def is_skew_symmetric(self) -> bool:
         if self.rows != self.cols:

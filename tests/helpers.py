@@ -5,8 +5,11 @@ cached per (m, selector, characteristic) so every test module works on the
 same instances without recomputing them.  The oracles here are deliberately
 naive re-derivations: they share no code path with the routines they check.
 Among them are dense exact linear algebra (the sparse `gtrim.linalg.Echelon`
-is checked against it), Bareiss determinants with exact polynomial division,
-a monomial comparison, ideal equality and degree slices of an ideal.
+is checked against it), the Koszul differential from polynomial products and
+normal forms (the sparse columns of `KoszulComplex` are checked against it),
+standard monomials by filtering every monomial, Bareiss determinants with
+exact polynomial division, a monomial comparison, ideal equality and degree
+slices of an ideal.
 """
 
 from functools import lru_cache
@@ -14,6 +17,7 @@ from functools import lru_cache
 from gtrim import (
     Ideal,
     KoszulComplex,
+    KoszulElement,
     Polynomial,
     PolyMatrix,
     TrimChoice,
@@ -94,9 +98,18 @@ def random_poly(rng, fld, max_degree=3, max_terms=4):
     return out
 
 
+def random_artinian_ideal(rng, fld, order="grevlex"):
+    """Pure powers of x, y, z (exponents 2..4) plus up to three random forms of
+    degree 1..3, shuffled; the quotient is artinian with dimension <= 64."""
+    x, y, z = variables(fld)
+    gens = [x ** rng.randint(2, 4), y ** rng.randint(2, 4), z ** rng.randint(2, 4)]
+    gens += [random_form(rng, fld, rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(gens)
+    return Ideal(gens, order, fld)
+
+
 def random_element(rng, kz, i, max_degree=2, density=0.7):
     """Random reduced element of exterior degree i (not necessarily a cycle)."""
-    from gtrim import KoszulElement
     from gtrim.koszul import WORDS
 
     comps = {}
@@ -110,8 +123,6 @@ def random_element(rng, kz, i, max_degree=2, density=0.7):
 
 def random_cycle(rng, kz, i):
     """Random cycle: a combination of basis classes plus a random boundary."""
-    from gtrim import KoszulElement
-
     el = KoszulElement(i, {})
     for b in kz.homology_basis(i):
         c = rng.randint(-5, 5)
@@ -120,6 +131,35 @@ def random_cycle(rng, kz, i):
     if i < 3:
         el = el + kz.differential(random_element(rng, kz, i + 1))
     return kz.reduce_element(el)
+
+
+def koszul_differential(ideal, el):
+    """The Koszul boundary of el, sum over words of (-1)^t x_(w_t) p e_(w - w_t),
+    from Polynomial products and `Ideal.normal_form` alone."""
+    xyz = variables(ideal.field)
+    comps = {}
+    for w, p in el.components.items():
+        for t, letter in enumerate(w):
+            piece = xyz[letter] * p
+            w2 = w[:t] + w[t + 1:]
+            comps[w2] = comps.get(w2, Polynomial.zero(ideal.field)) + (-piece if t % 2 else piece)
+    reduced = {w: ideal.normal_form(p) for w, p in comps.items()}
+    return KoszulElement(max(el.exterior_degree - 1, 0),
+                         {w: p for w, p in reduced.items() if not p.is_zero()})
+
+
+def delta_rows(kz):
+    """The matrix of A_2 -> Hom(A_1, A_3): one row per A_2 basis class, the
+    concatenated A_3 coordinates of its products with each A_1 basis class."""
+    a1 = kz.homology_basis(1)
+    return [[c for e in a1 for c in kz.class_coords(kz.wedge(e, g))]
+            for g in kz.homology_basis(2)]
+
+
+def standard_monomials(ideal, d):
+    """The degree-d monomials outside the leading-term ideal, grevlex descending."""
+    lms = ideal.leading_monomials()
+    return tuple(m for m in monomials_of_degree(d) if not any(mono_divides(lm, m) for lm in lms))
 
 
 def colon_oracle(ideal):
@@ -229,7 +269,7 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
         if not mono_divides(lm_g, lm):
             raise ValueError("inexact polynomial division")
         t = Polynomial.monomial(field, mono_div(lm, lm_g),
-                                field.div(rem.leading_coeff(), lc_g))
+                                field.mul(rem.leading_coeff(), field.inv(lc_g)))
         quot = quot + t
         rem = rem - t * g
     return quot

@@ -31,18 +31,18 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
-def run_cli_process(argv):
+def run_cli_process(argv, timeout=None):
     """Run the CLI in a fresh interpreter, so a crash shows as a traceback on stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(gtrim.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "gtrim.cli"] + argv,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def classify_ideal_file(tmp_path, payload):
+def classify_ideal_file(tmp_path, payload, timeout=None):
     path = tmp_path / "ideal.json"
     path.write_text(json.dumps(payload))
-    return run_cli_process(["classify", "--ideal", str(path)])
+    return run_cli_process(["classify", "--ideal", str(path)], timeout)
 
 
 # ---- gen ---------------------------------------------------------------------
@@ -250,10 +250,41 @@ def test_selectors_match_in_full_ascii(capsys, tmp_path):
 
 
 def test_classify_unit_ideal_exits_3(tmp_path):
-    code, out, err = classify_ideal_file(tmp_path, {"generators": ["1"]})
-    assert code == 3 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
-    assert len(err.splitlines()) == 1
+    code, out, err = classify_ideal_file(tmp_path, {"generators": ["1"]}, timeout=30)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.splitlines() == [
+        "error: minimal generators are only defined for ideals inside (x, y, z)"]
+
+
+def test_classify_ideal_rational_coefficients(capsys, tmp_path):
+    # over Q, 1/2*x^2 - y^2 and x^2 - 2*y^2 are proportional, so mu is 3
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"field": {"char": 0},
+                                "generators": ["1/2*x^2 - y^2", "x^2 - 2*y^2", "x*y", "z^2"]}))
+    code, out, err = run_cli(["classify", "--ideal", str(path)], capsys)
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert (data["mu"], data["hilbert"], data["class"]) == (3, [1, 3, 3, 1],
+                                                             "CompleteIntersection")
+
+
+LINEAR_GENERATOR = ("error: ideal has a degree-1 minimal generator; classification "
+                    "requires the ideal to sit inside the square of the maximal ideal")
+
+
+def test_classify_ideal_large_pure_power(tmp_path):
+    # the work grows linearly in a pure power's exponent: well inside 30 s
+    code, out, err = classify_ideal_file(tmp_path, {"generators": ["x^160", "y^2", "z^2"]},
+                                         timeout=30)
+    assert code == 0 and err == ""
+    assert json.loads(out)["class"] == "CompleteIntersection"
+
+
+def test_classify_ideal_large_power_with_linear_generator_exits_3(tmp_path):
+    code, out, err = classify_ideal_file(
+        tmp_path, {"generators": ["x^400", "x", "y", "z^2"]}, timeout=30)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.splitlines() == [LINEAR_GENERATOR]
 
 
 # ---- table ---------------------------------------------------------------------

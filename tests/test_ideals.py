@@ -203,8 +203,21 @@ def test_hilbert_functions_frozen():
     assert Ideal([X * X, Y * Y, Z * Z]).hilbert_function().coefficients == (1, 3, 3, 1)
     for sel in ("x0", "x1", "d", "y1", "y0"):
         assert helpers.trim_ideal(2, sel).hilbert_function().coefficients == (1, 3, 2)
-    h = helpers.family_ideal(3).hilbert_function()
-    assert (h.total(), h[2], h[99]) == (14, 6, 0)
+    h = helpers.family_ideal(3).hilbert_function().coefficients
+    assert (sum(h), h[2], len(h)) == (14, 6, 5)
+
+
+def test_staircase_walk_matches_filtered_monomials():
+    rng = random.Random(helpers.SEED + 12)
+    corpus = [I for _, I in helpers.small_instances()]
+    corpus += [helpers.random_artinian_ideal(rng, helpers.field(char), order)
+               for char in (2, 3, 32003, 0) for order in ("grevlex", "grlex", "lex")
+               for _ in range(5)]
+    for I in corpus:
+        ring = I.quotient_ring()
+        for d in range(ring.top_degree + 2):
+            assert ring.basis(d) == helpers.standard_monomials(I, d), (I.field, I, d)
+        assert helpers.standard_monomials(I, ring.top_degree + 1) == ()
 
 
 def test_quotient_ring_bases_and_coords():
@@ -215,15 +228,17 @@ def test_quotient_ring_bases_and_coords():
     assert ring.basis(2) == ((0, 0, 2),)
     assert ring.basis(3) == ()
     nf = ring.normal_form(X * Y + Z ** 2)
-    assert ring.coords(nf, 2) == [F.of(2)]
-    assert ring.from_vector(2, [F.of(2)]) == 2 * Z ** 2
+    assert nf.terms == {(0, 0, 2): F.of(2)} and ring.index((0, 0, 2)) == 0
+    assert ring.from_vector(2, {0: F.of(2)}) == 2 * Z ** 2
     with pytest.raises(ValueError):
-        ring.coords(X * Y, 2)  # x*y is not a standard monomial here
+        ring.index((1, 1, 0))  # x*y is not a standard monomial here
+    with pytest.raises(ValueError):
+        ring.index((0, 0, 3))  # beyond the top degree
 
 
 def test_component_basis_matches_hilbert():
     I = helpers.family_ideal(2)
-    h = I.hilbert_function()
+    h = I.hilbert_function().coefficients + (0, 0)
     for d in range(5):
         rows = component_basis(I, d)
         total = len(monomials_of_degree(d))
@@ -323,19 +338,3 @@ def test_trimmed_ideal_is_strictly_smaller():
         assert all(I.contains(g) for g in T.generators)
         assert not T.equals(I)
         assert T.quotient_ring().dim() == I.quotient_ring().dim() + 1
-
-
-# ---- serialization ------------------------------------------------------------------
-
-def test_json_round_trip():
-    I = helpers.family_ideal(2)
-    data = I.to_json_dict()
-    assert data["field"] == {"char": 32003}
-    assert data["order"] == "grevlex"
-    assert data["generators"][0] == "x^2"
-    assert Ideal.from_json_dict(data).equals(I)
-    over_q = {"field": {"char": 0}, "generators": ["1/2*x^2 - y^2", "z^2"]}
-    J = Ideal.from_json_dict(over_q)
-    assert J.field.char == 0
-    assert J.contains(Polynomial.variable(J.field, "x") ** 2
-                      - 2 * Polynomial.variable(J.field, "y") ** 2)

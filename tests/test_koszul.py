@@ -18,7 +18,7 @@ from gtrim import (
     classify_from_invariants,
     variables,
 )
-from gtrim.errors import ClassificationScopeError
+from gtrim.errors import ClassificationScopeError, UnitIdealError
 from gtrim.koszul import wedge_words
 from helpers import matrix_rank, span_rank
 
@@ -50,6 +50,17 @@ def test_differential_formulas():
     assert d_top.components[E_XY] == Z
     d_xy = kz.differential(KoszulElement(2, {E_XY: one}))
     assert d_xy.components == {E_Y: X, E_X: -Y}
+
+
+def test_differential_matches_polynomial_oracle():
+    rng = random.Random(helpers.SEED + 10)
+    for char in (32003, 0):
+        for m, sel in ((2, None), (2, "x1"), (3, "d"), (4, "x2")):
+            kz = helpers.koszul(m, sel, char)
+            for i in range(4):
+                samples = [helpers.random_element(rng, kz, i, max_degree=3) for _ in range(15)]
+                for el in samples + kz.homology_basis(i):
+                    assert kz.differential(el) == helpers.koszul_differential(kz.ring.ideal, el)
 
 
 def test_differential_squares_to_zero():
@@ -90,6 +101,19 @@ def test_euler_characteristic_vanishes():
         assert r[0] - r[1] + r[2] - r[3] == 0
 
 
+def test_a1_representative_degrees_are_minimal_generator_degrees():
+    rng = random.Random(helpers.SEED + 11)
+    corpus = [I for _, I in helpers.small_instances()]
+    corpus += [helpers.random_artinian_ideal(rng, helpers.field(char))
+               for char in (2, 3, 32003, 0) for _ in range(15)]
+    for I in corpus:
+        kz = KoszulComplex(I.quotient_ring())
+        reps = [1 + max(p.degree() for p in b.components.values())
+                for b in kz.homology_basis(1)]
+        kept, _ = I.minimal_generators()
+        assert sorted(reps) == sorted(g.degree() for g in kept), (I.field, I)
+
+
 def test_ranks_cross_checked_against_ideal_invariants():
     cases = [(2, None), (3, None), (2, "x0"), (2, "x1"), (2, "d"),
              (3, "x1"), (3, "d"), (3, "y0")]
@@ -108,6 +132,7 @@ def test_homology_basis_elements_are_cycles_not_boundaries():
             assert len(basis) == kz.ranks()[i]
             coords = []
             for b in basis:
+                assert helpers.koszul_differential(kz.ring.ideal, b).is_zero()
                 assert kz.is_cycle(b)
                 assert not kz.is_boundary(b)
                 coords.append(kz.class_coords(b))
@@ -216,25 +241,30 @@ def test_trims_have_type_two():
 
 
 def test_delta_matrix_shape_and_rank():
-    kz = helpers.koszul(3, "d")
-    inv = kz.invariants()
-    rows = kz.delta_matrix()
-    assert len(rows) == kz.ranks()[2]
-    assert all(len(r) == inv.mu * kz.ranks()[3] for r in rows)
-    assert matrix_rank(rows, inv.mu * kz.ranks()[3], F) == inv.r
-    assert kz.delta_rank() == inv.r
+    for char in (32003, 0):
+        kz = helpers.koszul(3, "d", char)
+        inv = kz.invariants()
+        rows = helpers.delta_rows(kz)
+        assert len(rows) == kz.ranks()[2]
+        assert all(len(r) == inv.mu * kz.ranks()[3] for r in rows)
+        assert matrix_rank(rows, inv.mu * kz.ranks()[3], kz.field) == inv.r == 4
 
 
 def test_delta_is_isomorphism_for_family():
     for m in (2, 3, 4):
         kz = helpers.koszul(m)
-        assert kz.delta_rank() == 2 * m + 1
+        r = matrix_rank(helpers.delta_rows(kz), (2 * m + 1) * kz.ranks()[3], F)
+        assert r == kz.invariants().r == 2 * m + 1
 
 
 def test_classify_requires_ideal_inside_square_of_maximal():
     kz = KoszulComplex(Ideal([X, Y * Y, Z * Z]).quotient_ring())
     with pytest.raises(ClassificationScopeError):
         kz.classify()
+    unit = KoszulComplex(Ideal([Polynomial.constant(F, 1), X]).quotient_ring())
+    assert unit.ranks() == (0, 0, 0, 0)
+    with pytest.raises(UnitIdealError):
+        unit.classify()
 
 
 # ---- hand-built cycles ---------------------------------------------------------------

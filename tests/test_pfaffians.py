@@ -58,7 +58,7 @@ def test_u_is_symmetric_band():
     for m in range(1, 8):
         U = build_u(m, F)
         assert (U.rows, U.cols) == (m, m)
-        assert U.transpose().entries == U.entries
+        assert all(U.entry(i, j) == U.entry(j, i) for i in range(m) for j in range(m))
 
 
 def test_v_frozen_displays():
@@ -288,4 +288,4 @@ def test_family_json_dict():
     assert data["d"] == "x*y - z^2"
     assert data["pfaffians"] == ["y^2", "y*z", "-x*y + z^2", "x*z", "x^2"]
     assert data["generators"] == ["x^2", "x*z", "x*y - z^2", "y*z", "y^2"]
-    assert fam.ideal().equals(helpers.family_ideal(2))
+    assert fam.generators == gorenstein_ideal(2, F).generators
