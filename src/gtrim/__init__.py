@@ -19,7 +19,6 @@ from .ideals import (
     HilbertData,
     Ideal,
     QuotientRing,
-    SocleData,
     buchberger,
     scale_by_maximal,
     trim,
@@ -65,7 +64,7 @@ __all__ = [
     "ClassificationScopeError", "NonHomogeneousError", "NotNPrimaryError",
     "PreconditionError", "UnitIdealError", "DEFAULT_CHAR", "PrimeField", "RationalField",
     "default_field", "field_of_characteristic", "HilbertData", "Ideal",
-    "QuotientRing", "SocleData", "buchberger",
+    "QuotientRing", "buchberger",
     "scale_by_maximal", "trim", "KoszulComplex", "KoszulElement", "TorClass",
     "TorInvariants", "a1_annihilator_cycle", "a1_cycle_basis",
     "annihilates_a1", "classify_from_invariants", "report_dict",

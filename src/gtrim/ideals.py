@@ -7,10 +7,8 @@ forms take terms from a heap, against reducers each ideal builds once.
 The standard monomials form an order ideal, so the quotient ring walks the
 staircase: degree d+1 is {x, y, z} times degree d, less the multiples of a
 leading monomial, so its cost follows dim R rather than the count of all
-monomials up to the top degree.  Quotient-ring invariants (Hilbert function,
-socle, minimal generator counts, colon by the maximal ideal) are computed one
-degree at a time on those bases, by sparse reduced echelon forms
-(`linalg.Echelon`).
+monomials up to the top degree.  The Hilbert function and the
+multiplication matrices are read off those bases one degree at a time.
 """
 
 from __future__ import annotations
@@ -18,8 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import NonHomogeneousError, NotNPrimaryError, UnitIdealError
-from .linalg import Echelon
+from .errors import NonHomogeneousError, NotNPrimaryError
 from .poly import (
     Polynomial,
     mono_degree,
@@ -28,7 +25,6 @@ from .poly import (
     mono_key,
     mono_lcm,
     mono_mul,
-    monomials_of_degree,
     variables,
 )
 
@@ -245,49 +241,6 @@ class Ideal:
     def hilbert_function(self) -> "HilbertData":
         return self.quotient_ring().hilbert()
 
-    def minimal_generators(self):
-        """(subset of the input generators that generates minimally, count).
-
-        Candidates are scanned by ascending degree, ties broken by input
-        order; a candidate is kept exactly when it is independent in I/(nI).
-        """
-        if any(g.degree() == 0 for g in self.generators):
-            raise UnitIdealError("minimal generators are only defined for ideals inside (x, y, z)")
-        ranked = sorted(enumerate(self.generators), key=lambda t: (t[1].degree(), t[0]))
-        kept = []
-        spans = {}
-        for _, g in ranked:
-            d = g.degree()
-            if d not in spans:
-                index = {m: i for i, m in enumerate(monomials_of_degree(d))}
-                space = Echelon(self.field)
-                for h in self.groebner_basis():
-                    if h.degree() < d:  # multiples m*h with deg m >= 1 span (nI)_d
-                        for shift in monomials_of_degree(d - h.degree()):
-                            space.add({index[mono_mul(m, shift)]: c for m, c in h.terms.items()})
-                spans[d] = (space, index)
-            space, index = spans[d]
-            if space.add({index[m]: c for m, c in g.terms.items()}):
-                kept.append(g)
-        return kept, len(kept)
-
-    def socle_basis(self) -> "SocleData":
-        """Basis of the annihilator of (x, y, z) in Q/I, as normal forms."""
-        ring = self.quotient_ring()
-        reps = []
-        for d in range(ring.top_degree + 1):
-            space = Echelon(self.field)
-            for v in range(3):
-                for row in ring.mult_matrix(v, d):
-                    space.add(row)
-            reps += [ring.from_vector(d, vec) for vec in space.kernel(len(ring.basis(d)))]
-        return SocleData(basis=tuple(reps), type_rank=len(reps))
-
-    def colon_by_maximal(self) -> "Ideal":
-        """The ideal (I : (x, y, z)), computed as I plus socle lifts."""
-        lifts = self.socle_basis().basis
-        return Ideal(self.generators + tuple(lifts), self.order, self.field)
-
 
 def scale_by_maximal(g: Polynomial, order: str = "grevlex") -> Ideal:
     """The ideal (x*g, y*g, z*g)."""
@@ -311,12 +264,6 @@ class HilbertData:
     """Hilbert function of an artinian quotient as a coefficient tuple."""
 
     coefficients: tuple
-
-
-@dataclass(frozen=True)
-class SocleData:
-    basis: tuple
-    type_rank: int
 
 
 class QuotientRing:

@@ -6,10 +6,20 @@ differential e_x -> x (and so on), so H_i lives in internal degrees
 The differential and its sign rule are written once, as sparse columns per
 (i, d) over the standard-monomial coordinates; homology bases come from them
 degreewise with deterministic pivoting, and `differential` applies the same
-columns to an element's coordinates.  The class is read from A = H(K^R)
-alone: A_0 = 0 is the unit ideal, an A_1 class in internal degree 1 is a
-linear minimal generator, and the products on A give the invariants
-(p, q, r) of the Tor-algebra classification.
+columns to an element's coordinates.
+
+The homology is built only where it can be non-zero.  H_i(K^R)_d is
+Tor_i(R, k)_d, so H_0 is k in degree 0 and H_1 lives only in the degrees of
+the input generators.  H_3,d is the kernel of d_3 alone (nothing maps into
+K_3), and the Euler characteristic of each degree, read from the Hilbert
+function, then gives dim H_2,d in every other degree.  The full kernel,
+boundary and representative elimination for i <= 2 runs only in the degrees
+where these leave H_0, H_1 or H_2 possibly non-zero; elsewhere A is zero and
+a cycle's class is zero.
+
+The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
+class in internal degree 1 is a linear minimal generator, and the products
+on A give the invariants (p, q, r) of the Tor-algebra classification.
 """
 
 from __future__ import annotations
@@ -167,30 +177,48 @@ class KoszulComplex:
         return cols
 
     def _build_homology(self):
-        """Per (i, d): cycles are the kernel of d_i, and a cycle becomes a
-        representative when it is independent of the boundaries and of the
-        representatives before it."""
+        """A_3 in every internal degree d, and A_0, A_1, A_2 where they can be
+        non-zero: in degree 0, in the degrees of the input generators (H_1 =
+        Tor_1(R, k) lives there), and where the Euler characteristic
+        chi_d - [d = 0] + dim H_3,d, which is dim H_2,d outside those degrees,
+        is non-zero.  Every other degree keeps no `_classes` entry for i <= 2."""
+        ring = self.ring
+        gen_degrees = {g.degree() for g in ring.ideal.generators}
+        for d in range(ring.top_degree + 4):
+            above = self._diff_columns(3, d)
+            h3 = self._homology(3, d, above, [])
+            chi = sum((-1) ** i * self.component_size(i, d) for i in range(4))
+            if d == 0 or d in gen_degrees or chi - (d == 0) + h3:
+                for i in (2, 1, 0):
+                    cols = self._diff_columns(i, d)
+                    self._homology(i, d, cols, above)
+                    above = cols
+
+    def _homology(self, i: int, d: int, cols: list, boundaries: list) -> int:
+        """Representatives of H_{i,d}, appended to `_reps[i]`; returns their
+        count.  The cycles are the kernel of d_i (`cols`), and a cycle becomes
+        a representative when it is independent of the `boundaries` (the
+        columns of d_{i+1}) and of the representatives before it."""
+        if not cols:
+            return 0
         f = self.field
-        for d in range(self.ring.top_degree + 4):
-            cols = [self._diff_columns(i, d) for i in range(4)]
-            for i in range(4):
-                if not cols[i]:
-                    continue
-                rows = {}
-                for c, col in enumerate(cols[i]):
-                    for r, val in col.items():
-                        rows.setdefault(r, {})[c] = val
-                d_i = Echelon(f)
-                for row in rows.values():
-                    d_i.add(row)
-                space = Echelon(f)
-                for col in cols[i + 1] if i < 3 else ():
-                    space.add(col)
-                reps = self._reps[i]
-                for vec in d_i.kernel(len(cols[i])):
-                    if space.add(vec, tag=len(reps)):
-                        reps.append((d, vec))
-                self._classes[(i, d)] = space
+        rows = {}
+        for c, col in enumerate(cols):
+            for r, val in col.items():
+                rows.setdefault(r, {})[c] = val
+        d_i = Echelon(f)
+        for row in rows.values():
+            d_i.add(row)
+        space = Echelon(f)
+        for col in boundaries:
+            space.add(col)
+        reps = self._reps[i]
+        before = len(reps)
+        for vec in d_i.kernel(len(cols)):
+            if space.add(vec, tag=len(reps)):
+                reps.append((d, vec))
+        self._classes[(i, d)] = space
+        return len(reps) - before
 
     def ranks(self) -> tuple:
         return tuple(len(reps) for reps in self._reps)
@@ -231,16 +259,21 @@ class KoszulComplex:
     def differential(self, el: KoszulElement) -> KoszulElement:
         """The boundary of el, with coefficients reduced in R: the columns of
         `_diff_columns` applied to the coordinates of the reduced element."""
-        i, f = el.exterior_degree, self.field
+        i = el.exterior_degree
         if i == 0:
             return KoszulElement(0, {})
-        images = {}
-        for d, vec in self._element_vectors(self.reduce_element(el)).items():
-            cols = self._diff_columns(i, d)
-            image = images[d] = {}
-            for k, c in vec.items():
-                _sub_multiple(f, image, f.neg(c), cols[k])
-        return self.element_from_vector(i - 1, images)
+        return self.element_from_vector(i - 1, {
+            d: self._boundary_vector(i, d, vec)
+            for d, vec in self._element_vectors(self.reduce_element(el)).items()})
+
+    def _boundary_vector(self, i: int, d: int, vec: dict) -> dict:
+        """The columns of `_diff_columns(i, d)` applied to coordinates in K_{i,d}."""
+        f = self.field
+        cols = self._diff_columns(i, d)
+        image = {}
+        for k, c in vec.items():
+            _sub_multiple(f, image, f.neg(c), cols[k])
+        return image
 
     def is_cycle(self, el: KoszulElement) -> bool:
         return self.differential(el).is_zero()
@@ -265,11 +298,17 @@ class KoszulComplex:
         return self.reduce_element(KoszulElement(i, comps))
 
     def class_coords(self, el: KoszulElement) -> list:
-        """Coordinates of the homology class of a cycle over the A_i basis."""
+        """Coordinates of the homology class of a cycle over the A_i basis.
+        A degree without a `_classes` entry has H_{i,d} = 0, so a cycle there
+        adds nothing; only its boundary is checked to vanish."""
         i = el.exterior_degree
         coords = [self.field.zero] * len(self._reps[i])
         for d, vec in sorted(self._element_vectors(self.reduce_element(el)).items()):
-            sol = self._classes[(i, d)].solve(vec)
+            space = self._classes.get((i, d))
+            if space is not None:
+                sol = space.solve(vec)
+            else:
+                sol = None if self._boundary_vector(i, d, vec) else {}
             if sol is None:
                 raise ValueError(f"element is not a cycle (internal degree {d})")
             for k, c in sol.items():

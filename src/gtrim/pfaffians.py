@@ -223,11 +223,6 @@ class TrimChoice:
         """Position of the chosen generator in the canonical ordering."""
         return selector_index(self.selector, self.m)
 
-    @property
-    def is_interior(self) -> bool:
-        """True for xi/yi with 1 <= i <= m-1 (neither a pure power nor d_m)."""
-        return self.selector != "d" and int(self.selector[1:]) > 0
-
     def generator(self, field=None) -> Polynomial:
         field = field or default_field()
         return _generator_ladder(self.m, field)[self.index]

@@ -9,9 +9,15 @@ is checked against it), the Koszul differential from polynomial products and
 normal forms (the sparse columns of `KoszulComplex` are checked against it),
 standard monomials by filtering every monomial, Bareiss determinants with
 exact polynomial division, a monomial comparison, ideal equality and degree
-slices of an ideal.
+slices of an ideal.  `full_homology` runs the homology elimination in every
+internal degree, the oracle for the degree-local build of `KoszulComplex`; it
+shares the differential columns, which `koszul_differential` checks.
+The routines that serve only as cross-checks (minimal generators, the socle,
+the colon by the maximal ideal, interior selectors) live here, not in the
+package.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from gtrim import (
@@ -28,6 +34,8 @@ from gtrim import (
     trimmed_ideal,
     variables,
 )
+from gtrim.errors import UnitIdealError
+from gtrim.linalg import Echelon
 from gtrim.poly import Monomial, mono_div, mono_divides, mono_key, mono_mul, monomials_of_degree
 
 SEED = 20260825
@@ -321,3 +329,100 @@ def component_basis(ideal: Ideal, d: int) -> list:
                 vec[index[mono_mul(m, shift)]] = c
             rows.append(vec)
     return rows
+
+
+# ---- the homology in every internal degree --------------------------------------
+
+class _FullHomology(KoszulComplex):
+    """A `KoszulComplex` whose homology runs the full kernel, boundary and
+    representative elimination in every (i, d), with no degree left out."""
+
+    def _build_homology(self):
+        """Per (i, d): cycles are the kernel of d_i, and a cycle becomes a
+        representative when it is independent of the boundaries and of the
+        representatives before it."""
+        f = self.field
+        for d in range(self.ring.top_degree + 4):
+            cols = [self._diff_columns(i, d) for i in range(4)]
+            for i in range(4):
+                if not cols[i]:
+                    continue
+                rows = {}
+                for c, col in enumerate(cols[i]):
+                    for r, val in col.items():
+                        rows.setdefault(r, {})[c] = val
+                d_i = Echelon(f)
+                for row in rows.values():
+                    d_i.add(row)
+                space = Echelon(f)
+                for col in cols[i + 1] if i < 3 else ():
+                    space.add(col)
+                reps = self._reps[i]
+                for vec in d_i.kernel(len(cols[i])):
+                    if space.add(vec, tag=len(reps)):
+                        reps.append((d, vec))
+                self._classes[(i, d)] = space
+
+
+def full_homology(ring):
+    """The Koszul homology of `ring` built in every internal degree."""
+    return _FullHomology(ring)
+
+
+# ---- cross-checks kept out of the package -----------------------------------------
+
+def minimal_generators(ideal):
+    """(subset of the input generators that generates minimally, count).
+
+    Candidates are scanned by ascending degree, ties broken by input
+    order; a candidate is kept exactly when it is independent in I/(nI).
+    """
+    if any(g.degree() == 0 for g in ideal.generators):
+        raise UnitIdealError("minimal generators are only defined for ideals inside (x, y, z)")
+    ranked = sorted(enumerate(ideal.generators), key=lambda t: (t[1].degree(), t[0]))
+    kept = []
+    spans = {}
+    for _, g in ranked:
+        d = g.degree()
+        if d not in spans:
+            index = {m: i for i, m in enumerate(monomials_of_degree(d))}
+            space = Echelon(ideal.field)
+            for h in ideal.groebner_basis():
+                if h.degree() < d:  # multiples m*h with deg m >= 1 span (nI)_d
+                    for shift in monomials_of_degree(d - h.degree()):
+                        space.add({index[mono_mul(m, shift)]: c for m, c in h.terms.items()})
+            spans[d] = (space, index)
+        space, index = spans[d]
+        if space.add({index[m]: c for m, c in g.terms.items()}):
+            kept.append(g)
+    return kept, len(kept)
+
+
+@dataclass(frozen=True)
+class SocleData:
+    basis: tuple
+    type_rank: int
+
+
+def socle_basis(ideal) -> SocleData:
+    """Basis of the annihilator of (x, y, z) in Q/I, as normal forms."""
+    ring = ideal.quotient_ring()
+    reps = []
+    for d in range(ring.top_degree + 1):
+        space = Echelon(ideal.field)
+        for v in range(3):
+            for row in ring.mult_matrix(v, d):
+                space.add(row)
+        reps += [ring.from_vector(d, vec) for vec in space.kernel(len(ring.basis(d)))]
+    return SocleData(basis=tuple(reps), type_rank=len(reps))
+
+
+def colon_by_maximal(ideal) -> Ideal:
+    """The ideal (I : (x, y, z)), computed as I plus socle lifts."""
+    lifts = socle_basis(ideal).basis
+    return Ideal(ideal.generators + tuple(lifts), ideal.order, ideal.field)
+
+
+def is_interior(choice: TrimChoice) -> bool:
+    """True for xi/yi with 1 <= i <= m-1 (neither a pure power nor d_m)."""
+    return choice.selector != "d" and int(choice.selector[1:]) > 0

@@ -16,11 +16,13 @@ from gtrim import (
     a1_cycle_basis,
     annihilates_a1,
     classify_from_invariants,
+    report_dict,
+    selector_labels,
     variables,
 )
 from gtrim.errors import ClassificationScopeError, UnitIdealError
 from gtrim.koszul import wedge_words
-from helpers import matrix_rank, span_rank
+from helpers import is_interior, matrix_rank, minimal_generators, socle_basis, span_rank
 
 F = helpers.field()
 X, Y, Z = variables(F)
@@ -110,7 +112,7 @@ def test_a1_representative_degrees_are_minimal_generator_degrees():
         kz = KoszulComplex(I.quotient_ring())
         reps = [1 + max(p.degree() for p in b.components.values())
                 for b in kz.homology_basis(1)]
-        kept, _ = I.minimal_generators()
+        kept, _ = minimal_generators(I)
         assert sorted(reps) == sorted(g.degree() for g in kept), (I.field, I)
 
 
@@ -120,9 +122,74 @@ def test_ranks_cross_checked_against_ideal_invariants():
     for m, sel in cases:
         I = helpers.family_ideal(m) if sel is None else helpers.trim_ideal(m, sel)
         kz = helpers.koszul(m, sel)
-        assert kz.ranks()[1] == I.minimal_generators()[1]
-        assert kz.ranks()[3] == I.socle_basis().type_rank
+        assert kz.ranks()[1] == minimal_generators(I)[1]
+        assert kz.ranks()[3] == socle_basis(I).type_rank
         assert kz.ranks()[0] == 1
+
+
+# ---- degree-local homology against the all-degrees oracle ---------------------------
+
+def redundant_generator_ideals(rng, char, count):
+    """Random artinian ideals plus x_v * g for one of their generators g, so a
+    generator degree can carry no minimal generator (H_1 = 0 there)."""
+    out = []
+    for _ in range(count):
+        ideal = helpers.random_artinian_ideal(rng, helpers.field(char))
+        g = ideal.generators[rng.randrange(len(ideal.generators))]
+        extra = variables(ideal.field)[rng.randrange(3)] * g
+        out.append(Ideal(ideal.generators + (extra,), ideal.order, ideal.field))
+    return out
+
+
+def assert_matches_full_homology(kz, rng, label):
+    """Ranks, representatives and class coordinates agree with the homology
+    built in every internal degree."""
+    ref = helpers.full_homology(kz.ring)
+    assert kz.ranks() == ref.ranks(), label
+    for i in range(4):
+        assert [str(b) for b in kz.homology_basis(i)] == \
+            [str(b) for b in ref.homology_basis(i)], (label, i)
+    a1, a2 = kz.homology_basis(1), kz.homology_basis(2)
+    products = [kz.wedge(a1[s], a1[t]) for s in range(len(a1)) for t in range(s + 1, len(a1))]
+    products += [kz.wedge(e, g) for e in a1 for g in a2]
+    for el in products + [helpers.random_cycle(rng, kz, i) for i in range(4)]:
+        assert kz.class_coords(el) == ref.class_coords(el), (label, str(el))
+
+
+def test_degree_local_homology_matches_full_oracle():
+    rng = random.Random(helpers.SEED + 12)
+    for label, ideal in helpers.small_instances():
+        assert_matches_full_homology(KoszulComplex(ideal.quotient_ring()), rng, label)
+    for char, top in ((32003, 6), (0, 4)):
+        for m in range(2, top + 1):
+            for label in selector_labels(m):
+                assert_matches_full_homology(helpers.koszul(m, label, char), rng,
+                                             (m, label, char))
+    silent = 0  # generator degrees that carry no A_1 class
+    for char in (2, 3, 32003, 0):
+        for ideal in redundant_generator_ideals(rng, char, 10):
+            kz = KoszulComplex(ideal.quotient_ring())
+            assert_matches_full_homology(kz, rng, (char, str(ideal)))
+            a1_degrees = {d for d, _ in kz._reps[1]}
+            silent += len({g.degree() for g in ideal.generators} - a1_degrees)
+    assert silent > 0
+
+
+def test_degree_without_homology_checks_cycles():
+    kz = helpers.koszul(4, "d")
+    for i in (1, 2):
+        d = next(d for d in range(kz.ring.top_degree + 4)
+                 if (i, d) not in kz._classes and kz.component_size(i, d)
+                 and kz.component_size(i + 1, d))
+        basis = [kz.element_from_vector(i, {d: {k: F.one}})
+                 for k in range(kz.component_size(i, d))]
+        non_cycle = next(el for el in basis if not kz.is_cycle(el))
+        with pytest.raises(ValueError, match="element is not a cycle"):
+            kz.class_coords(non_cycle)
+        boundary = next(b for b in (kz.differential(kz.element_from_vector(i + 1, {d: {k: F.one}}))
+                                    for k in range(kz.component_size(i + 1, d)))
+                        if not b.is_zero())
+        assert kz.class_coords(boundary) == [F.zero] * kz.ranks()[i]
 
 
 def test_homology_basis_elements_are_cycles_not_boundaries():
@@ -238,6 +305,16 @@ def test_trims_have_type_two():
     for m in (2, 3):
         for label in ("x0", "x1", "d", "y1", "y0"):
             assert helpers.koszul(m, label).invariants().type_rank == 2
+
+
+def test_class_table_at_m7_and_m8():
+    for m in (7, 8):
+        for label in selector_labels(m):
+            mu, r = (2 * m, 2 * m - 3) if is_interior(TrimChoice(m, label)) else (2 * m + 1, 2 * m - 2)
+            report = report_dict(helpers.koszul(m, label))
+            assert report["ranks"] == [1, mu, mu + 1, 2], (m, label, report)
+            assert report["type"] == 2, (m, label, report)
+            assert (report["class"], report["class_params"]) == ("G", {"r": r}), (m, label)
 
 
 def test_delta_matrix_shape_and_rank():

@@ -26,7 +26,7 @@ from gtrim import (
     trimmed_ideal,
     variables,
 )
-from helpers import det_bareiss
+from helpers import det_bareiss, is_interior
 
 F = helpers.field()
 X, Y, Z = variables(F)
@@ -244,11 +244,11 @@ def test_trim_choice_index_map():
 
 
 def test_trim_choice_interior_flag():
-    assert TrimChoice(3, "x1").is_interior
-    assert TrimChoice(3, "y2").is_interior
-    assert not TrimChoice(3, "x0").is_interior
-    assert not TrimChoice(3, "y0").is_interior
-    assert not TrimChoice(3, "d").is_interior
+    assert is_interior(TrimChoice(3, "x1"))
+    assert is_interior(TrimChoice(3, "y2"))
+    assert not is_interior(TrimChoice(3, "x0"))
+    assert not is_interior(TrimChoice(3, "y0"))
+    assert not is_interior(TrimChoice(3, "d"))
 
 
 def test_trim_choice_validation():
@@ -273,8 +273,8 @@ def test_interior_generators_become_superfluous():
             choice = TrimChoice(m, label)
             rest = Ideal([g for k, g in enumerate(gens) if k != choice.index])
             absorbed = all(rest.contains(v * gens[choice.index]) for v in (X, Y, Z))
-            assert absorbed == choice.is_interior
-            assert helpers.trim_ideal(m, label).equals(rest) == choice.is_interior
+            assert absorbed == is_interior(choice)
+            assert helpers.trim_ideal(m, label).equals(rest) == is_interior(choice)
 
 
 # ---- the bundled family object -------------------------------------------------------
