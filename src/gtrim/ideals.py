@@ -3,12 +3,17 @@
 The engine is Buchberger's algorithm with the Gebauer-Moeller pair criteria
 (M, F, B and coprime leading terms) and S-pair selection by lcm degree,
 followed by interreduction to the unique reduced Groebner basis.  Normal
-forms take terms from a heap, against reducers each ideal builds once.
+forms in the ideal take terms from a heap, against reducers each ideal
+builds once; Buchberger, membership and equality use them.
 The standard monomials form an order ideal, so the quotient ring walks the
-staircase: degree d+1 is {x, y, z} times degree d, less the multiples of a
-leading monomial, so its cost follows dim R rather than the count of all
-monomials up to the top degree.  The Hilbert function and the
-multiplication matrices are read off those bases one degree at a time.
+staircase: a monomial of degree d+1 is standard when it is no leading
+monomial and each of its parents t / x_v is standard of degree d, so the
+cost follows dim R rather than the count of all monomials up to the top
+degree.  The Hilbert function is read off those bases.  The quotient's
+normal forms and multiplication maps come from one table over the border
+(standard monomials times a variable), built on first use in increasing
+term order from the reduced basis alone (FGLM), with no polynomial
+reduction.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import NonHomogeneousError, NotNPrimaryError
+from .linalg import _sub_multiple
 from .poly import (
     Polynomial,
     mono_degree,
@@ -30,6 +36,14 @@ from .poly import (
 
 _VAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _GREVLEX = mono_key("grevlex")  # basis(d) is grevlex descending, as monomials_of_degree
+
+
+def _parents(t):
+    """(v, t / x_v) for each variable x_v dividing t, in the order x, y, z."""
+    a, b, c = t
+    for v, p in ((0, (a - 1, b, c)), (1, (a, b - 1, c)), (2, (a, b, c - 1))):
+        if t[v]:
+            yield v, p
 
 
 def _normal_form_terms(terms, reducers, field, order):
@@ -267,9 +281,15 @@ class HilbertData:
 
 
 class QuotientRing:
-    """Artinian graded quotient Q/I with standard-monomial bases per degree."""
+    """Artinian graded quotient Q/I with standard-monomial bases per degree.
 
-    __slots__ = ("ideal", "field", "std", "top_degree", "_mult", "_index")
+    Normal forms are read from one table, built on first use (so the Hilbert
+    function never pays for it): NF(t) as sparse coordinates {index:
+    coefficient} over basis(deg t), for every standard monomial and every
+    border monomial x_v * b (b standard) of degree at most top_degree.
+    """
+
+    __slots__ = ("ideal", "field", "std", "top_degree", "_index", "_table")
 
     def __init__(self, ideal: Ideal):
         if not ideal.is_n_primary():
@@ -277,22 +297,22 @@ class QuotientRing:
                 "quotient is not artinian; some variable has no pure-power leading term")
         self.ideal = ideal
         self.field = ideal.field
-        lms = ideal.leading_monomials()
-        std = []
-        level = {(0, 0, 0)}
-        while True:  # standard monomials are closed under division: walk the staircase
-            level = tuple(sorted((m for m in level if not any(mono_divides(lm, m) for lm in lms)),
-                                 key=_GREVLEX, reverse=True))
-            if not level:
-                break
-            std.append(level)
-            level = {mono_mul(m, v) for m in level for v in _VAR_MONOS}
+        lms = set(ideal.leading_monomials())
+        std, index = [], []
+        level = [] if (0, 0, 0) in lms else [(0, 0, 0)]
+        while level:  # standard monomials are closed under division: walk the staircase
+            level.sort(key=_GREVLEX, reverse=True)
+            below = {m: i for i, m in enumerate(level)}
+            std.append(tuple(level))
+            index.append(below)
+            # a candidate t is standard iff it is no leading monomial and
+            # every t / x_v is standard
+            level = [t for t in {mono_mul(m, v) for m in level for v in _VAR_MONOS}
+                     if t not in lms and all(p in below for _, p in _parents(t))]
         self.std = tuple(std)
         self.top_degree = len(std) - 1
-        self._mult = {}
-        self._index = [
-            {m: i for i, m in enumerate(level)} for level in std
-        ]
+        self._index = index
+        self._table = None
 
     def dim(self) -> int:
         return sum(len(level) for level in self.std)
@@ -305,34 +325,92 @@ class QuotientRing:
             return self.std[d]
         return ()
 
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        return self.ideal.normal_form(f)
-
-    def index(self, mono) -> int:
-        """Position of a standard monomial in basis(deg mono)."""
-        d = mono_degree(mono)
-        if d > self.top_degree or mono not in self._index[d]:
-            raise ValueError(f"{mono} is not a standard monomial")
-        return self._index[d][mono]
-
     def from_vector(self, d: int, vec: dict) -> Polynomial:
         """The degree-d polynomial with sparse coordinates {index: coefficient}
         over basis(d)."""
         basis = self.basis(d)
         return Polynomial(self.field, {basis[j]: c for j, c in sorted(vec.items())})
 
+    # ---- the normal-form table ---------------------------------------------
+
+    def _nf_table(self) -> dict:
+        """The table of NF(t), filled on first use over the standard and the
+        border monomials (FGLM), degree by degree in increasing term order:
+        a standard t maps to itself, a leading monomial t of the reduced basis
+        to t - g, and any other t through `_entry`."""
+        if self._table is None:
+            f, order = self.field, self.ideal.order
+            reduced = {g.leading_monomial(order): g for g in self.ideal.groebner_basis()}
+            self._table = table = {}
+            for d, index in enumerate(self._index):
+                for t, j in index.items():
+                    table[t] = {j: f.one}
+                border = {mono_mul(b, v) for b in self.basis(d - 1) for v in _VAR_MONOS}
+                for t in sorted(border - index.keys(), key=mono_key(order)):
+                    g = reduced.get(t)
+                    if g is None:
+                        self._entry(t)
+                    else:
+                        table[t] = {index[m]: f.neg(c) for m, c in g.terms.items() if m != t}
+        return self._table
+
+    def _entry(self, t) -> dict:
+        """NF(t) over basis(deg t), shared with the table: read it, never
+        change it.  Above top_degree every monomial is zero.  A t without an
+        entry is x_w * t' with t' non-standard, and NF(t) is the sum of
+        c * NF(x_w * b) over NF(t') = sum of c * b; each x_w * b is standard or
+        on the border and smaller than t, so the table has it.  Off the border
+        t' may lack an entry too, so the rule descends until one exists, then
+        climbs back, keeping every entry made on the way."""
+        if mono_degree(t) > self.top_degree:
+            return {}
+        f, table = self.field, self._nf_table()
+        letters = []
+        while t not in table:
+            w, t = next((w, p) for w, p in _parents(t) if p not in self._index[mono_degree(p)])
+            letters.append(w)
+        for w in reversed(letters):
+            basis, var = self.std[mono_degree(t)], _VAR_MONOS[w]
+            vec = {}
+            for j, c in table[t].items():
+                _sub_multiple(f, vec, f.neg(c), table[mono_mul(basis[j], var)])
+            t = mono_mul(t, var)
+            table[t] = vec
+        return table[t]
+
+    def mult_column(self, var: int, mono) -> dict:
+        """NF(x_var * mono) as sparse coordinates {index: coefficient} over
+        basis(deg mono + 1); the dict is the table's, read-only."""
+        return self._entry(mono_mul(mono, _VAR_MONOS[var]))
+
     def mult_matrix(self, var: int, d: int) -> list:
-        """Matrix of multiplication by x_var from degree d to degree d+1."""
-        key = (var, d)
-        if key not in self._mult:
-            source = self.basis(d)
-            target_len = len(self.basis(d + 1))
-            mat = [[self.field.zero] * len(source) for _ in range(target_len)]
-            if target_len:
-                for j, mono in enumerate(source):
-                    image = self.ideal.normal_form(
-                        Polynomial.monomial(self.field, mono_mul(mono, _VAR_MONOS[var])))
-                    for m, c in image.terms.items():
-                        mat[self._index[d + 1][m]][j] = c
-            self._mult[key] = mat
-        return self._mult[key]
+        """Dense matrix of multiplication by x_var from degree d to degree
+        d+1, one row per basis(d + 1) monomial, from `mult_column`; built on
+        each call, not cached."""
+        source = self.basis(d)
+        mat = [[self.field.zero] * len(source) for _ in self.basis(d + 1)]
+        for j, mono in enumerate(source):
+            for r, c in self.mult_column(var, mono).items():
+                mat[r][j] = c
+        return mat
+
+    def coordinates(self, f: Polynomial) -> dict:
+        """The normal form of f as {degree d: sparse coordinates over
+        basis(d)}, read term by term from the table; degrees whose part
+        vanishes are left out."""
+        if f.field != self.field:
+            raise ValueError("mismatched coefficient fields")
+        fld = self.field
+        out = {}
+        for mono, c in f.terms.items():
+            entry = self._entry(mono)
+            if entry:
+                _sub_multiple(fld, out.setdefault(mono_degree(mono), {}), fld.neg(c), entry)
+        return {d: vec for d, vec in out.items() if vec}
+
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        """The normal form of f modulo the ideal, from the table alone: the
+        same polynomial as `Ideal.normal_form`, without heap reduction."""
+        return Polynomial(self.field, {self.std[d][j]: c
+                                       for d, vec in self.coordinates(f).items()
+                                       for j, c in vec.items()})

@@ -3,10 +3,13 @@
 The complex is the exterior algebra on e_x, e_y, e_z over R with
 differential e_x -> x (and so on), so H_i lives in internal degrees
 (coefficient degree plus exterior degree) between 0 and top_degree(R) + 3.
-The differential and its sign rule are written once, as sparse columns per
-(i, d) over the standard-monomial coordinates; homology bases come from them
-degreewise with deterministic pivoting, and `differential` applies the same
-columns to an element's coordinates.
+The differential and its sign rule are written once, as one sparse column
+per basis element of K_{i,d} over the standard-monomial coordinates, read
+from the quotient ring's sparse multiplication columns; homology bases come
+from them degreewise with deterministic pivoting, and `differential` applies
+the columns in an element's support to its coordinates.  Coefficients are
+reduced through the quotient ring's normal-form table, so products and class
+coordinates need no polynomial reduction against the Groebner basis.
 
 The homology is built only where it can be non-zero.  H_i(K^R)_d is
 Tor_i(R, k)_d, so H_0 is k in degree 0 and H_1 lives only in the degrees of
@@ -30,7 +33,7 @@ from .errors import ClassificationScopeError, UnitIdealError
 from .ideals import QuotientRing
 from .linalg import Echelon, _sub_multiple
 from .pfaffians import TrimChoice, d_poly
-from .poly import Polynomial, mono_degree, variables
+from .poly import Polynomial, variables
 
 WORDS = (((),), ((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),))
 WORD_INDEX = tuple({w: k for k, w in enumerate(level)} for level in WORDS)
@@ -161,20 +164,24 @@ class KoszulComplex:
             return 0
         return len(WORDS[i]) * len(self.ring.basis(d - i))
 
+    def _diff_column(self, i: int, d: int, k: int) -> dict:
+        """Sparse column k of the internal-degree-d differential K_i -> K_{i-1}:
+        e_w * b maps to the sum over the letters w_t of (-1)^t x_(w_t) b e_(w - w_t)."""
+        f, ring = self.field, self.ring
+        source = ring.basis(d - i)
+        h_tgt = len(ring.basis(d - i + 1))
+        w = WORDS[i][k // len(source)]
+        mono = source[k % len(source)]
+        col = {}
+        for t, letter in enumerate(w):
+            base = WORD_INDEX[i - 1][w[:t] + w[t + 1:]] * h_tgt
+            for r, val in ring.mult_column(letter, mono).items():
+                col[base + r] = f.neg(val) if t % 2 else val
+        return col
+
     def _diff_columns(self, i: int, d: int) -> list:
         """Sparse columns of the internal-degree-d differential K_i -> K_{i-1}."""
-        f = self.field
-        h_src = len(self.ring.basis(d - i))
-        h_tgt = len(self.ring.basis(d - i + 1))
-        cols = [{} for _ in range(self.component_size(i, d))]
-        for wi, w in enumerate(WORDS[i] if cols else ()):
-            for t, letter in enumerate(w):
-                base = WORD_INDEX[i - 1][w[:t] + w[t + 1:]] * h_tgt
-                for r, row in enumerate(self.ring.mult_matrix(letter, d - i)):
-                    for c, val in enumerate(row):
-                        if not f.is_zero(val):
-                            cols[wi * h_src + c][base + r] = f.neg(val) if t % 2 else val
-        return cols
+        return [self._diff_column(i, d, k) for k in range(self.component_size(i, d))]
 
     def _build_homology(self):
         """A_3 in every internal degree d, and A_0, A_1, A_2 where they can be
@@ -239,14 +246,15 @@ class KoszulComplex:
         return KoszulElement(i, {w: Polynomial(self.field, t) for w, t in terms.items()})
 
     def _element_vectors(self, el: KoszulElement) -> dict:
-        """Split a reduced element into {internal degree: sparse coordinates}."""
+        """Split an element, reduced on the way, into {internal degree:
+        sparse coordinates}."""
         i, ring = el.exterior_degree, self.ring
         out = {}
         for w, p in el.components.items():
             wi = WORD_INDEX[i][w]
-            for mono, c in p.terms.items():
-                e = mono_degree(mono)
-                out.setdefault(e + i, {})[wi * len(ring.basis(e)) + ring.index(mono)] = c
+            for e, vec in ring.coordinates(p).items():
+                base = wi * len(ring.basis(e))
+                out.setdefault(e + i, {}).update((base + j, c) for j, c in vec.items())
         return out
 
     def homology_basis(self, i: int) -> list:
@@ -264,15 +272,15 @@ class KoszulComplex:
             return KoszulElement(0, {})
         return self.element_from_vector(i - 1, {
             d: self._boundary_vector(i, d, vec)
-            for d, vec in self._element_vectors(self.reduce_element(el)).items()})
+            for d, vec in self._element_vectors(el).items()})
 
     def _boundary_vector(self, i: int, d: int, vec: dict) -> dict:
-        """The columns of `_diff_columns(i, d)` applied to coordinates in K_{i,d}."""
+        """The differential applied to coordinates in K_{i,d}, one column per
+        coordinate in the support."""
         f = self.field
-        cols = self._diff_columns(i, d)
         image = {}
         for k, c in vec.items():
-            _sub_multiple(f, image, f.neg(c), cols[k])
+            _sub_multiple(f, image, f.neg(c), self._diff_column(i, d, k))
         return image
 
     def is_cycle(self, el: KoszulElement) -> bool:
@@ -303,7 +311,7 @@ class KoszulComplex:
         adds nothing; only its boundary is checked to vanish."""
         i = el.exterior_degree
         coords = [self.field.zero] * len(self._reps[i])
-        for d, vec in sorted(self._element_vectors(self.reduce_element(el)).items()):
+        for d, vec in sorted(self._element_vectors(el).items()):
             space = self._classes.get((i, d))
             if space is not None:
                 sol = space.solve(vec)

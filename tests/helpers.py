@@ -7,6 +7,8 @@ naive re-derivations: they share no code path with the routines they check.
 Among them are dense exact linear algebra (the sparse `gtrim.linalg.Echelon`
 is checked against it), the Koszul differential from polynomial products and
 normal forms (the sparse columns of `KoszulComplex` are checked against it),
+the multiplication matrices from heap-reduced normal forms (the border table
+of `QuotientRing` is checked against them),
 standard monomials by filtering every monomial, Bareiss determinants with
 exact polynomial division, a monomial comparison, ideal equality and degree
 slices of an ideal.  `full_homology` runs the homology elimination in every
@@ -39,6 +41,7 @@ from gtrim.linalg import Echelon
 from gtrim.poly import Monomial, mono_div, mono_divides, mono_key, mono_mul, monomials_of_degree
 
 SEED = 20260825
+_VAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @lru_cache(maxsize=None)
@@ -154,6 +157,21 @@ def koszul_differential(ideal, el):
     reduced = {w: ideal.normal_form(p) for w, p in comps.items()}
     return KoszulElement(max(el.exterior_degree - 1, 0),
                          {w: p for w, p in reduced.items() if not p.is_zero()})
+
+
+def mult_matrix_oracle(ring, var, d):
+    """Matrix of multiplication by x_var from degree d to degree d+1, from
+    `Ideal.normal_form` of every product of x_var and a basis(d) monomial."""
+    source = ring.basis(d)
+    target_len = len(ring.basis(d + 1))
+    mat = [[ring.field.zero] * len(source) for _ in range(target_len)]
+    if target_len:
+        for j, mono in enumerate(source):
+            image = ring.ideal.normal_form(
+                Polynomial.monomial(ring.field, mono_mul(mono, _VAR_MONOS[var])))
+            for m, c in image.terms.items():
+                mat[ring.basis(d + 1).index(m)][j] = c
+    return mat
 
 
 def delta_rows(kz):

@@ -235,12 +235,39 @@ def test_quotient_ring_bases_and_coords():
     assert ring.basis(2) == ((0, 0, 2),)
     assert ring.basis(3) == ()
     nf = ring.normal_form(X * Y + Z ** 2)
-    assert nf.terms == {(0, 0, 2): F.of(2)} and ring.index((0, 0, 2)) == 0
+    assert nf.terms == {(0, 0, 2): F.of(2)}
+    assert ring.coordinates(X * Y + Z ** 2) == {2: {0: F.of(2)}}
     assert ring.from_vector(2, {0: F.of(2)}) == 2 * Z ** 2
-    with pytest.raises(ValueError):
-        ring.index((1, 1, 0))  # x*y is not a standard monomial here
-    with pytest.raises(ValueError):
-        ring.index((0, 0, 3))  # beyond the top degree
+    assert ring.coordinates(X * Y) == {2: {0: F.one}}  # x*y is not standard: it reads as z^2
+    assert ring.coordinates(Z ** 3) == {}  # beyond the top degree
+
+
+def test_normal_form_table_matches_heap_reduction():
+    """`QuotientRing.normal_form` and `mult_matrix` read the border table; the
+    heap reduction of `Ideal.normal_form` is the independent reference."""
+    rng = random.Random(helpers.SEED + 13)
+    corpus = [Ideal([ONE]), Ideal([X, Y, Z])]
+    for char, top_m in ((32003, 6), (0, 4)):
+        for m in range(2, top_m + 1):
+            corpus.append(helpers.family_ideal(m, char))
+            corpus += [helpers.trim_ideal(m, label, char) for label in selector_labels(m)]
+    corpus += [helpers.random_artinian_ideal(rng, helpers.field(char), order)
+               for char in (2, 3, 32003, 0) for order in ("grevlex", "grlex", "lex")
+               for _ in range(4)]
+    for I in corpus:
+        ring, fld = I.quotient_ring(), I.field
+        for d in range(ring.top_degree + 2):
+            for mono in monomials_of_degree(d):
+                f = Polynomial.monomial(fld, mono)
+                assert ring.normal_form(f) == I.normal_form(f), (I, mono)
+        for _ in range(20):  # inhomogeneous, with terms above the top degree
+            f = helpers.random_poly(rng, fld, max_degree=ring.top_degree + 2, max_terms=6)
+            assert ring.normal_form(f) == I.normal_form(f), (I, f)
+        for d in range(-1, ring.top_degree + 2):
+            for v in range(3):
+                assert ring.mult_matrix(v, d) == helpers.mult_matrix_oracle(ring, v, d), (I, v, d)
+        with pytest.raises(ValueError):
+            ring.normal_form(Polynomial.variable(helpers.field(3 if fld.char != 3 else 2), "x"))
 
 
 def test_component_basis_matches_hilbert():

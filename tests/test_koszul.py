@@ -18,8 +18,10 @@ from gtrim import (
     classify_from_invariants,
     report_dict,
     selector_labels,
+    trimmed_ideal,
     variables,
 )
+from gtrim import ideals
 from gtrim.errors import ClassificationScopeError, UnitIdealError
 from gtrim.koszul import wedge_words
 from helpers import is_interior, matrix_rank, minimal_generators, socle_basis, span_rank
@@ -190,6 +192,26 @@ def test_degree_without_homology_checks_cycles():
                                     for k in range(kz.component_size(i + 1, d)))
                         if not b.is_zero())
         assert kz.class_coords(boundary) == [F.zero] * kz.ranks()[i]
+
+
+def test_classify_path_makes_no_heap_reduction(monkeypatch):
+    """Homology, products and the class read normal forms from the quotient
+    ring's table; the heap reduction against the Groebner basis is not called."""
+    ideal = trimmed_ideal(TrimChoice(6, "d"), F)
+    ideal.groebner_basis()
+    calls = []
+    heap = ideals._normal_form_terms
+
+    def counted(*args):
+        calls.append(args)
+        return heap(*args)
+
+    monkeypatch.setattr(ideals, "_normal_form_terms", counted)
+    kz = KoszulComplex(ideal.quotient_ring())
+    kz.invariants()
+    assert kz.classify().display() == "G(10)"
+    assert len(calls) == 0
+    assert ideal.normal_form(X ** 6).is_zero() and len(calls) == 1  # the wrapper counts
 
 
 def test_homology_basis_elements_are_cycles_not_boundaries():
