@@ -2,18 +2,17 @@
 
 The engine is Buchberger's algorithm with the Gebauer-Moeller pair criteria
 (M, F, B and coprime leading terms) and S-pair selection by lcm degree,
-followed by interreduction to the unique reduced Groebner basis.  Normal
-forms in the ideal take terms from a heap, against reducers each ideal
-builds once; Buchberger, membership and equality use them.
-The standard monomials form an order ideal, so the quotient ring walks the
-staircase: a monomial of degree d+1 is standard when it is no leading
-monomial and each of its parents t / x_v is standard of degree d, so the
-cost follows dim R rather than the count of all monomials up to the top
-degree.  The Hilbert function is read off those bases.  The quotient's
-normal forms and multiplication maps come from one table over the border
-(standard monomials times a variable), built on first use in increasing
-term order from the reduced basis alone (FGLM), with no polynomial
-reduction.
+followed by interreduction to the unique reduced Groebner basis.  Criterion
+M tests each new lcm only against the minimal lcms of lower degree.  Normal
+forms take terms from a heap and reduce each by its first divisor among the
+reducers, read off bit sets of their exponents rather than found by a scan;
+Buchberger, membership and equality use them.  The quotient ring walks the
+staircase: t of degree d+1 is standard when it is no leading monomial and
+each parent t / x_v is standard, so the cost follows dim R.  The Hilbert
+function is read off those bases.  The quotient's normal forms and
+multiplication maps come from one table over the border (standard monomials
+times a variable), built on first use in increasing term order from the
+reduced basis alone (FGLM), with no polynomial reduction.
 """
 
 from __future__ import annotations
@@ -46,13 +45,35 @@ def _parents(t):
             yield v, p
 
 
-def _normal_form_terms(terms, reducers, field, order):
-    """Full normal form of a term dict against monic reducers [(lm, terms)].
+class _Reducers:
+    """Monic polynomials and their leading monomials, appended only, with a
+    bit set per variable x_v and exponent e of those whose lm has x_v-exponent
+    at most e: the lowest bit common to the three sets of t is t's first divisor."""
 
-    Pending terms sit in a heap keyed by the negated order key, so the largest
-    pops first.  A term cancelled and later re-created is pushed again; its
-    stale entry is skipped when popped.
-    """
+    def __init__(self, entries=()):
+        self.lms, self.polys, self.masks = [], [], ([0], [0], [0])
+        for lm, g in entries:
+            self.append(lm, g)
+
+    def append(self, lm, g):
+        bit = 1 << len(self.lms)
+        self.lms.append(lm)
+        self.polys.append(g)
+        for col, e in zip(self.masks, lm):
+            col.extend(col[-1:] * (e + 1 - len(col)))
+            col[e:] = [m | bit for m in col[e:]]
+
+    def first_divisor(self, t) -> int:
+        """The index of the first lm dividing t, or -1."""
+        (x, y, z), (a, b, c) = self.masks, t
+        hits = x[min(a, len(x) - 1)] & y[min(b, len(y) - 1)] & z[min(c, len(z) - 1)]
+        return (hits & -hits).bit_length() - 1
+
+
+def _normal_form_terms(terms, reducers: _Reducers, field, order):
+    """Full normal form of a term dict.  Terms pop from a heap keyed by the
+    negated order key, largest first, and reduce by their first divisor; a
+    term cancelled and re-created is pushed again, its stale entry skipped."""
     key = mono_key(order)
 
     def entry(m):
@@ -67,14 +88,13 @@ def _normal_form_terms(terms, reducers, field, order):
         coeff = work.pop(mono, None)
         if coeff is None:
             continue
-        for lm, rterms in reducers:  # mono_divides, inlined in the innermost loop
-            if lm[0] <= mono[0] and lm[1] <= mono[1] and lm[2] <= mono[2]:
-                break
-        else:
+        j = reducers.first_divisor(mono)
+        if j < 0:
             out[mono] = coeff
             continue
+        lm = reducers.lms[j]
         shift = mono_div(mono, lm)
-        for rm, rc in rterms.items():
+        for rm, rc in reducers.polys[j].terms.items():
             if rm == lm:
                 continue
             t = mono_mul(rm, shift)
@@ -88,78 +108,82 @@ def _normal_form_terms(terms, reducers, field, order):
     return out
 
 
-def _s_poly(f: Polynomial, g: Polynomial, lmf, lmg) -> Polynomial:
-    """S-polynomial of two monic polynomials with the given leading monomials."""
-    lcm = mono_lcm(lmf, lmg)
-    mf = Polynomial.monomial(f.field, mono_div(lcm, lmf))
-    mg = Polynomial.monomial(f.field, mono_div(lcm, lmg))
-    return mf * f - mg * g
+def _new_pairs(lms, t) -> list:
+    """The pairs (lcm degree, i, k, lcm) that element k = len(lms) with lm t
+    adds: one per lcm, with its first index (F), none for an lcm with a coprime
+    pair or one another properly divides (M).  Proper divisors have lower
+    degree, so lcms taken by degree are tested only against minimal ones."""
+    a, b, c = t
+    groups = {}  # lcm -> [first index, any pair coprime]
+    for i, (p, q, r) in enumerate(lms):
+        group = groups.setdefault((p if p > a else a, q if q > b else b, r if r > c else c),
+                                  [i, False])
+        if not (p and a or q and b or r and c):
+            group[1] = True
+    k, minimal, pairs = len(lms), [], []
+    for lcm in sorted(groups, key=sum):
+        x, y, z = lcm
+        for m in minimal:
+            if m[0] <= x and m[1] <= y and m[2] <= z:
+                break
+        else:
+            minimal.append(lcm)
+            i, coprime = groups[lcm]
+            if not coprime:
+                pairs.append((x + y + z, i, k, lcm))
+    return pairs
 
 
 def buchberger(generators, order: str = "grevlex") -> list:
     """The reduced Groebner basis of the given polynomials.
 
-    Each new element h joins through the Gebauer-Moeller update.  Of its
-    pairs with earlier elements, criterion M drops those whose lcm is
-    properly divisible by another new pair's lcm, and criterion F keeps one
-    pair per lcm; the survivor is dropped too when any pair of that lcm has
-    coprime leading monomials.  Criterion B drops a pending pair (i, j) when
-    lm(h) divides its lcm and lcm(i, h), lcm(j, h) both differ from it.
-    Pending pairs are taken by lcm degree, ties broken by index, and their
-    S-polynomials are reduced against every element so far.  Interreduction
-    then yields the unique reduced basis.
+    A new element h gets its pairs from `_new_pairs` (M over the minimal lcms,
+    and F); criterion B drops a pending pair (i, j) when lm(h) divides its lcm
+    and lcm(i, h), lcm(j, h) both differ from it.  S-polynomials, by lcm
+    degree then index, reduce against all elements so far (first divisors from
+    `_Reducers`).  Interreduction keeps the elements whose lm no other divides
+    and reduces each tail against all of them (an lm divides no smaller term).
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
     field = gens[0].field
-    key = mono_key(order)
-    basis, lms, reducers, pairs = [], [], [], []
+    reducers, pairs = _Reducers(), []
+    basis, lms = reducers.polys, reducers.lms
 
     def add(h):
         t = h.leading_monomial(order)
-        k = len(basis)
         pairs[:] = [p for p in pairs
                     if not (mono_divides(t, p[3]) and mono_lcm(lms[p[1]], t) != p[3]
                             and mono_lcm(lms[p[2]], t) != p[3])]  # criterion B
-        groups = {}  # lcm -> (first index, any pair coprime)
-        for i, lm in enumerate(lms):
-            lcm = mono_lcm(lm, t)
-            first, coprime = groups.get(lcm, (i, False))
-            groups[lcm] = (first, coprime or lcm == mono_mul(lm, t))
-        for lcm, (i, coprime) in groups.items():
-            if not coprime and not any(other != lcm and mono_divides(other, lcm)
-                                       for other in groups):  # criteria F and M
-                pairs.append((mono_degree(lcm), i, k, lcm))
+        pairs.extend(_new_pairs(lms, t))
         heapq.heapify(pairs)
-        basis.append(h)
-        lms.append(t)
-        reducers.append((t, h.terms))
+        reducers.append(t, h)
 
     for g in gens:
         add(g.monic(order))
     while pairs:
-        _, i, j, _ = heapq.heappop(pairs)
-        s = _s_poly(basis[i], basis[j], lms[i], lms[j])
+        _, i, j, lcm = heapq.heappop(pairs)  # the S-polynomial of monic basis[i], basis[j]:
+        s = (Polynomial.monomial(field, mono_div(lcm, lms[i])) * basis[i]
+             - Polynomial.monomial(field, mono_div(lcm, lms[j])) * basis[j])
         rem = _normal_form_terms(s.terms, reducers, field, order)
         if rem:
             add(Polynomial(field, rem).monic(order))
 
-    # interreduce to the unique reduced basis
-    minimal = []
-    for lm, terms in sorted(reducers, key=lambda r: key(r[0])):
-        if not any(mono_divides(m, lm) for m, _ in minimal):
-            minimal.append((lm, terms))
-    return [Polynomial(field, _normal_form_terms(terms, minimal[:k] + minimal[k + 1:],
-                                                 field, order))
-            for k, (_, terms) in enumerate(minimal)]
+    minimal = _Reducers()
+    for lm, g in sorted(zip(lms, basis), key=lambda r: mono_key(order)(r[0])):
+        if minimal.first_divisor(lm) < 0:
+            minimal.append(lm, g)
+    return [Polynomial(field, {lm: g.terms[lm], **_normal_form_terms(
+                {m: c for m, c in g.terms.items() if m != lm}, minimal, field, order)})
+            for lm, g in zip(minimal.lms, minimal.polys)]
 
 
 class Ideal:
     """Homogeneous ideal with a cached reduced Groebner basis.
 
     Construction rejects non-homogeneous generators; zero generators are
-    dropped.  The Groebner basis and its (lm, terms) reducers are computed
+    dropped.  The Groebner basis and its indexed reducers are computed
     once, on first use.
     """
 
@@ -193,7 +217,7 @@ class Ideal:
     def groebner_basis(self) -> tuple:
         if self._gb is None:
             self._gb = tuple(buchberger(self.generators, self.order))
-            self._reducers = [(g.leading_monomial(self.order), g.terms) for g in self._gb]
+            self._reducers = _Reducers((g.leading_monomial(self.order), g) for g in self._gb)
         return self._gb
 
     def leading_monomials(self) -> tuple:
@@ -324,12 +348,6 @@ class QuotientRing:
         if 0 <= d <= self.top_degree:
             return self.std[d]
         return ()
-
-    def from_vector(self, d: int, vec: dict) -> Polynomial:
-        """The degree-d polynomial with sparse coordinates {index: coefficient}
-        over basis(d)."""
-        basis = self.basis(d)
-        return Polynomial(self.field, {basis[j]: c for j, c in sorted(vec.items())})
 
     # ---- the normal-form table ---------------------------------------------
 

@@ -8,15 +8,17 @@ Among them are dense exact linear algebra (the sparse `gtrim.linalg.Echelon`
 is checked against it), the Koszul differential from polynomial products and
 normal forms (the sparse columns of `KoszulComplex` are checked against it),
 the multiplication matrices from heap-reduced normal forms (the border table
-of `QuotientRing` is checked against them),
+of `QuotientRing` is checked against them), Buchberger's algorithm over every
+pair with plain first-divisor reduction (`buchberger` is checked against it),
+the quadratic Gebauer-Moeller pair rule (`_new_pairs` is checked against it),
 standard monomials by filtering every monomial, Bareiss determinants with
 exact polynomial division, a monomial comparison, ideal equality and degree
 slices of an ideal.  `full_homology` runs the homology elimination in every
 internal degree, the oracle for the degree-local build of `KoszulComplex`; it
 shares the differential columns, which `koszul_differential` checks.
 The routines that serve only as cross-checks (minimal generators, the socle,
-the colon by the maximal ideal, interior selectors) live here, not in the
-package.
+the colon by the maximal ideal, interior selectors, polynomials from
+coordinate vectors) live here, not in the package.
 """
 
 from dataclasses import dataclass
@@ -38,7 +40,16 @@ from gtrim import (
 )
 from gtrim.errors import UnitIdealError
 from gtrim.linalg import Echelon
-from gtrim.poly import Monomial, mono_div, mono_divides, mono_key, mono_mul, monomials_of_degree
+from gtrim.poly import (
+    Monomial,
+    mono_div,
+    mono_divides,
+    mono_degree,
+    mono_key,
+    mono_lcm,
+    mono_mul,
+    monomials_of_degree,
+)
 
 SEED = 20260825
 _VAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -220,6 +231,83 @@ def colon_oracle(ideal):
             terms = {mono: c for mono, c in zip(monos, vec) if not fld.is_zero(c)}
             gens.append(Polynomial(fld, terms))
     return Ideal(gens, ideal.order, fld)
+
+
+# ---- Groebner oracles ---------------------------------------------------------
+
+def naive_normal_form(f: Polynomial, basis, order: str) -> Polynomial:
+    """The normal form of f against `basis`: the leading term of what is
+    left is cancelled by the first element whose leading monomial divides
+    it, or moved to the remainder."""
+    fld = f.field
+    lms = [g.leading_monomial(order) for g in basis]
+    rest, out = f, Polynomial.zero(fld)
+    while not rest.is_zero():
+        lm, lc = rest.leading_monomial(order), rest.leading_coeff(order)
+        j = next((j for j, m in enumerate(lms) if mono_divides(m, lm)), None)
+        if j is None:
+            term = Polynomial.monomial(fld, lm, lc)
+            rest, out = rest - term, out + term
+        else:
+            coeff = fld.mul(lc, fld.inv(basis[j].leading_coeff(order)))
+            rest = rest - Polynomial.monomial(fld, mono_div(lm, lms[j]), coeff) * basis[j]
+    return out
+
+
+def naive_buchberger(generators, order: str = "grevlex") -> list:
+    """The reduced Groebner basis by Buchberger's algorithm in its plainest
+    form: every pair of elements is reduced, with no criterion, lowest lcm
+    degree first, and each non-zero remainder joins made monic; then the
+    minimal elements are made monic and each is reduced against the others.
+    Sorted by increasing leading monomial."""
+    basis = [g for g in generators if not g.is_zero()]
+
+    def pair(i, j):
+        lmf, lmg = basis[i].leading_monomial(order), basis[j].leading_monomial(order)
+        lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
+        return sum(lcm), i, j, mono_div(lcm, lmf), mono_div(lcm, lmg)
+
+    pairs = [pair(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        chosen = min(pairs)
+        pairs.remove(chosen)
+        _, i, j, shift_f, shift_g = chosen
+        f, g, fld = basis[i], basis[j], basis[i].field
+        s = (Polynomial.monomial(fld, shift_f, fld.inv(f.leading_coeff(order))) * f
+             - Polynomial.monomial(fld, shift_g, fld.inv(g.leading_coeff(order))) * g)
+        rem = naive_normal_form(s, basis, order)
+        if not rem.is_zero():
+            basis.append(rem.monic(order))
+            pairs += [pair(k, len(basis) - 1) for k in range(len(basis) - 1)]
+    lms = [g.leading_monomial(order) for g in basis]
+    minimal = [g for k, g in enumerate(basis)
+               if not any(mono_divides(m, lms[k]) and (m != lms[k] or j < k)
+                          for j, m in enumerate(lms) if j != k)]
+    minimal = [g.monic(order) for g in minimal]
+    reduced = [naive_normal_form(g, minimal[:k] + minimal[k + 1:], order)
+               for k, g in enumerate(minimal)]
+    key = mono_key(order)
+    return sorted(reduced, key=lambda g: key(g.leading_monomial(order)))
+
+
+def new_pairs_oracle(lms, t) -> list:
+    """The pairs (lcm degree, i, k, lcm) that a new element k = len(lms) with
+    leading monomial t adds in the Gebauer-Moeller update, by the quadratic
+    rule: every lcm group is tested against every other (criterion M), a
+    group keeps its first index (criterion F), and a group with a coprime
+    pair forms no pair."""
+    k = len(lms)
+    groups = {}  # lcm -> (first index, any pair coprime)
+    for i, lm in enumerate(lms):
+        lcm = mono_lcm(lm, t)
+        first, coprime = groups.get(lcm, (i, False))
+        groups[lcm] = (first, coprime or lcm == mono_mul(lm, t))
+    pairs = []
+    for lcm, (i, coprime) in groups.items():
+        if not coprime and not any(other != lcm and mono_divides(other, lcm)
+                                   for other in groups):  # criteria F and M
+            pairs.append((mono_degree(lcm), i, k, lcm))
+    return pairs
 
 
 # ---- dense exact linear algebra ----------------------------------------------
@@ -416,6 +504,13 @@ def minimal_generators(ideal):
     return kept, len(kept)
 
 
+def from_vector(ring, d: int, vec: dict) -> Polynomial:
+    """The degree-d polynomial with sparse coordinates {index: coefficient}
+    over ring.basis(d)."""
+    basis = ring.basis(d)
+    return Polynomial(ring.field, {basis[j]: c for j, c in sorted(vec.items())})
+
+
 @dataclass(frozen=True)
 class SocleData:
     basis: tuple
@@ -431,7 +526,7 @@ def socle_basis(ideal) -> SocleData:
         for v in range(3):
             for row in ring.mult_matrix(v, d):
                 space.add(row)
-        reps += [ring.from_vector(d, vec) for vec in space.kernel(len(ring.basis(d)))]
+        reps += [from_vector(ring, d, vec) for vec in space.kernel(len(ring.basis(d)))]
     return SocleData(basis=tuple(reps), type_rank=len(reps))
 
 

@@ -1,5 +1,6 @@
 """Groebner bases, normal forms, quotient invariants, socle, colon, trims."""
 
+import hashlib
 import pickle
 import random
 
@@ -19,6 +20,7 @@ from gtrim import (
     variables,
 )
 from gtrim.errors import NonHomogeneousError, NotNPrimaryError
+from gtrim.ideals import _new_pairs, buchberger
 from gtrim.poly import mono_div, mono_divides, mono_key, mono_lcm, monomials_of_degree
 from helpers import (
     colon_by_maximal,
@@ -88,11 +90,11 @@ def test_buchberger_criterion_on_suite_instances():
     assert_reduced_groebner(Ideal(helpers.family_ideal(2).generators, order="lex"))
 
 
-def groebner_corpus():
-    """(label, ideal): the family and every trim for m <= 6, then random
+def groebner_corpus(max_m=6):
+    """(label, ideal): the family and every trim for m <= max_m, then random
     homogeneous ideals (1-5 generators of degree 1-4) per field and order."""
     out = []
-    for m in range(1, 7):
+    for m in range(1, max_m + 1):
         out.append((f"family-m{m}", helpers.family_ideal(m)))
         if m >= 2:
             out += [(f"trim-m{m}-{sel}", helpers.trim_ideal(m, sel)) for sel in selector_labels(m)]
@@ -113,6 +115,45 @@ def test_groebner_property_on_corpus():
             assert_reduced_groebner(ideal)
         except AssertionError:
             raise AssertionError(f"{label}: {[g.to_text() for g in ideal.generators]}")
+
+
+def test_buchberger_matches_naive_oracle():
+    """The pair criteria, the pair order and the divisor index leave the basis
+    as Buchberger's algorithm over every pair gives it."""
+    for label, ideal in groebner_corpus(max_m=5):
+        gb = buchberger(ideal.generators, ideal.order)
+        assert gb == helpers.naive_buchberger(ideal.generators, ideal.order), label
+
+
+def test_groebner_bases_frozen_by_digest():
+    """sha256 of the reduced basis, one `to_text` per line, for g_16 and the
+    m = 14 trim of d_m over F_32003."""
+    frozen = {
+        (16, None): ("a16509eb041fff8d8569ddf6ac90199e24c95fbf9f5c8d8f1cca54ca6921ad86", 153),
+        (14, "d"): ("05fdac6e98ed37fc8d15ada9b296012282aee7a2c75152765da76f05da122fcb", 119),
+    }
+    for (m, sel), (digest, size) in frozen.items():
+        ideal = helpers.family_ideal(m) if sel is None else helpers.trim_ideal(m, sel)
+        gb = ideal.groebner_basis()
+        text = "\n".join(g.to_text() for g in gb)
+        assert (hashlib.sha256(text.encode()).hexdigest(), len(gb)) == (digest, size), (m, sel)
+
+
+def test_new_pairs_match_quadratic_rule():
+    """Criterion M over the minimal lcms, taken by degree, keeps the same
+    pairs as testing every lcm group against every other."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    mono = st.tuples(*[st.integers(0, 4)] * 3)
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.lists(mono, max_size=14), mono)
+    def check(lms, t):
+        got = _new_pairs(lms, t)
+        assert len(got) == len(set(got))
+        assert set(got) == set(helpers.new_pairs_oracle(lms, t))
+
+    check()
 
 
 def test_ideal_pickle_round_trip():
@@ -237,7 +278,7 @@ def test_quotient_ring_bases_and_coords():
     nf = ring.normal_form(X * Y + Z ** 2)
     assert nf.terms == {(0, 0, 2): F.of(2)}
     assert ring.coordinates(X * Y + Z ** 2) == {2: {0: F.of(2)}}
-    assert ring.from_vector(2, {0: F.of(2)}) == 2 * Z ** 2
+    assert helpers.from_vector(ring, 2, {0: F.of(2)}) == 2 * Z ** 2
     assert ring.coordinates(X * Y) == {2: {0: F.one}}  # x*y is not standard: it reads as z^2
     assert ring.coordinates(Z ** 3) == {}  # beyond the top degree
 
