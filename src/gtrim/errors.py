@@ -25,3 +25,8 @@ class UnitIdealError(PreconditionError):
 
 class ClassificationScopeError(PreconditionError):
     """The ideal has a degree-1 minimal generator, outside the classification's scope."""
+
+
+class QuotientTooLargeError(PreconditionError):
+    """The input exceeds the bound on dim R: a generator's degree or the count
+    of standard monomials is above it."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import NonHomogeneousError, NotNPrimaryError
+from .errors import NonHomogeneousError, NotNPrimaryError, QuotientTooLargeError
 from .linalg import _sub_multiple
 from .poly import (
     Polynomial,
@@ -35,6 +35,9 @@ from .poly import (
 
 _VAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _GREVLEX = mono_key("grevlex")  # basis(d) is grevlex descending, as monomials_of_degree
+# bound on dim R, checked on each generator's degree and while the staircase
+# is walked (about 6 us per monomial): a huge input fails in about a second
+MAX_DIM = 200_000
 
 
 def _parents(t):
@@ -204,6 +207,10 @@ class Ideal:
                 continue
             if not g.is_homogeneous():
                 raise NonHomogeneousError(f"non-homogeneous generator: {g}")
+            # a minimal generator of degree D leaves R_d != 0 for d < D, so dim R >= D
+            if g.degree() > MAX_DIM:
+                raise QuotientTooLargeError(
+                    f"generator of degree {g.degree()} is above the bound {MAX_DIM} on dim R")
             kept.append(g)
         self.field = field
         self.order = order
@@ -322,9 +329,13 @@ class QuotientRing:
         self.ideal = ideal
         self.field = ideal.field
         lms = set(ideal.leading_monomials())
-        std, index = [], []
+        std, index, count = [], [], 0
         level = [] if (0, 0, 0) in lms else [(0, 0, 0)]
         while level:  # standard monomials are closed under division: walk the staircase
+            count += len(level)
+            if count > MAX_DIM:
+                raise QuotientTooLargeError(
+                    f"quotient has more than {MAX_DIM} standard monomials (the bound on dim R)")
             level.sort(key=_GREVLEX, reverse=True)
             below = {m: i for i, m in enumerate(level)}
             std.append(tuple(level))

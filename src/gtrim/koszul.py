@@ -5,20 +5,21 @@ differential e_x -> x (and so on), so H_i lives in internal degrees
 (coefficient degree plus exterior degree) between 0 and top_degree(R) + 3.
 The differential and its sign rule are written once, as one sparse column
 per basis element of K_{i,d} over the standard-monomial coordinates, read
-from the quotient ring's sparse multiplication columns; homology bases come
-from them degreewise with deterministic pivoting, and `differential` applies
-the columns in an element's support to its coordinates.  Coefficients are
-reduced through the quotient ring's normal-form table, so products and class
-coordinates need no polynomial reduction against the Groebner basis.
+from the quotient ring's sparse multiplication columns, and `differential`
+applies the columns in an element's support to its coordinates.  Each d_i
+is eliminated once per internal degree, column by column: the relations
+among its columns are the cycles in K_i, and the rows left behind span the
+boundaries in K_{i-1}.  Coefficients are reduced through the quotient
+ring's normal-form table, so products and class coordinates need no
+polynomial reduction against the Groebner basis.
 
 The homology is built only where it can be non-zero.  H_i(K^R)_d is
 Tor_i(R, k)_d, so H_0 is k in degree 0 and H_1 lives only in the degrees of
 the input generators.  H_3,d is the kernel of d_3 alone (nothing maps into
 K_3), and the Euler characteristic of each degree, read from the Hilbert
-function, then gives dim H_2,d in every other degree.  The full kernel,
-boundary and representative elimination for i <= 2 runs only in the degrees
-where these leave H_0, H_1 or H_2 possibly non-zero; elsewhere A is zero and
-a cycle's class is zero.
+function, then gives dim H_2,d in every other degree.  The eliminations of
+d_2, d_1 and d_0 run only in the degrees where these leave H_0, H_1 or H_2
+possibly non-zero; elsewhere A is zero and a cycle's class is zero.
 
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
@@ -78,10 +79,6 @@ class KoszulElement:
             else:
                 out[w] = s
         return KoszulElement(self.exterior_degree, out)
-
-    def __neg__(self) -> "KoszulElement":
-        return KoszulElement(self.exterior_degree,
-                             {w: -p for w, p in self.components.items()})
 
     def __str__(self):
         if self.is_zero():
@@ -179,53 +176,42 @@ class KoszulComplex:
                 col[base + r] = f.neg(val) if t % 2 else val
         return col
 
-    def _diff_columns(self, i: int, d: int) -> list:
-        """Sparse columns of the internal-degree-d differential K_i -> K_{i-1}."""
-        return [self._diff_column(i, d, k) for k in range(self.component_size(i, d))]
-
     def _build_homology(self):
         """A_3 in every internal degree d, and A_0, A_1, A_2 where they can be
         non-zero: in degree 0, in the degrees of the input generators (H_1 =
         Tor_1(R, k) lives there), and where the Euler characteristic
         chi_d - [d = 0] + dim H_3,d, which is dim H_2,d outside those degrees,
-        is non-zero.  Every other degree keeps no `_classes` entry for i <= 2."""
+        is non-zero.  Every other degree keeps no `_classes` entry for i <= 2.
+        The image of each d_{i+1} is the boundary span handed to H_{i,d}."""
         ring = self.ring
         gen_degrees = {g.degree() for g in ring.ideal.generators}
         for d in range(ring.top_degree + 4):
-            above = self._diff_columns(3, d)
-            h3 = self._homology(3, d, above, [])
+            image = self._homology(3, d, Echelon(self.field))
+            h3 = self.component_size(3, d) - image.rank
             chi = sum((-1) ** i * self.component_size(i, d) for i in range(4))
             if d == 0 or d in gen_degrees or chi - (d == 0) + h3:
                 for i in (2, 1, 0):
-                    cols = self._diff_columns(i, d)
-                    self._homology(i, d, cols, above)
-                    above = cols
+                    image = self._homology(i, d, image)
 
-    def _homology(self, i: int, d: int, cols: list, boundaries: list) -> int:
-        """Representatives of H_{i,d}, appended to `_reps[i]`; returns their
-        count.  The cycles are the kernel of d_i (`cols`), and a cycle becomes
-        a representative when it is independent of the `boundaries` (the
-        columns of d_{i+1}) and of the representatives before it."""
-        if not cols:
-            return 0
-        f = self.field
-        rows = {}
-        for c, col in enumerate(cols):
-            for r, val in col.items():
-                rows.setdefault(r, {})[c] = val
-        d_i = Echelon(f)
-        for row in rows.values():
-            d_i.add(row)
-        space = Echelon(f)
-        for col in boundaries:
-            space.add(col)
+    def _homology(self, i: int, d: int, space: Echelon) -> Echelon:
+        """Representatives of H_{i,d}, appended to `_reps[i]`, from one
+        elimination of the columns of d_i.  Each column that depends on the
+        earlier ones leaves its relation, a cycle, and the cycle becomes a
+        representative when it is independent of `space` (the boundaries, with
+        no tags) and of the representatives before it.  Returns the image of
+        d_i with its column tags dropped: the boundary span for H_{i-1,d}."""
+        image = Echelon(self.field)
+        n = self.component_size(i, d)
+        if not n:
+            return image
         reps = self._reps[i]
-        before = len(reps)
-        for vec in d_i.kernel(len(cols)):
-            if space.add(vec, tag=len(reps)):
-                reps.append((d, vec))
+        for c in range(n):
+            cycle = image.add(self._diff_column(i, d, c), tag=c)
+            if cycle is not None and space.add(cycle, tag=len(reps)) is None:
+                reps.append((d, cycle))
         self._classes[(i, d)] = space
-        return len(reps) - before
+        image.rows = {p: (row, {}) for p, (row, _) in image.rows.items()}
+        return image
 
     def ranks(self) -> tuple:
         return tuple(len(reps) for reps in self._reps)
@@ -266,7 +252,7 @@ class KoszulComplex:
 
     def differential(self, el: KoszulElement) -> KoszulElement:
         """The boundary of el, with coefficients reduced in R: the columns of
-        `_diff_columns` applied to the coordinates of the reduced element."""
+        `_diff_column` applied to the coordinates of the reduced element."""
         i = el.exterior_degree
         if i == 0:
             return KoszulElement(0, {})

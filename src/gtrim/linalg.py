@@ -3,8 +3,14 @@
 Vectors are dicts ``{column: nonzero coefficient}``; dense sequences are
 accepted on input.  An `Echelon` keeps its rows in reduced row echelon form:
 each row is monic at its leftmost column (its pivot) and zero at every other
-pivot column.  That form is unique for a given span, so kernel bases do not
-depend on the order in which rows arrive.
+pivot column, so one pass over a vector's entries clears every pivot column.
+
+Kernels come from relations, not from a transposed elimination: add the
+columns of a matrix in order, each tagged with its index, and every column
+that depends on the earlier ones leaves its relation, a kernel vector that is
+1 at that column and otherwise lives on the independent earlier columns.
+These relations arrive in ascending order of their free columns and form a
+basis of the kernel; the rows left behind span the image.
 """
 
 from __future__ import annotations
@@ -55,13 +61,17 @@ class Echelon:
             _sub_multiple(f, combo, c, row_combo)
         return v
 
-    def add(self, vec, tag=None) -> bool:
-        """Insert vec into the span; True when the rank grew."""
+    def add(self, vec, tag=None):
+        """Insert vec into the span.  None when the rank grew; otherwise the
+        relation {tag: coefficient} that shows the dependence: vec's own tag
+        has coefficient 1, and the combination of tagged vectors it gives,
+        plus vec itself when vec is untagged, lies in the untagged span.  An
+        untagged vec can leave the falsy {}, so test the result with `is None`."""
         f = self.field
         combo = {} if tag is None else {tag: f.one}
         v = self._reduce(vec, combo)
         if not v:
-            return False
+            return combo
         pivot = min(v)
         inv = f.inv(v[pivot])
         v = {j: f.mul(c, inv) for j, c in v.items()}
@@ -72,22 +82,7 @@ class Echelon:
                 _sub_multiple(f, row, c, v)
                 _sub_multiple(f, row_combo, c, combo)
         self.rows[pivot] = (v, combo)
-        return True
-
-    def kernel(self, ncols: int) -> list:
-        """Basis of {v : row . v = 0 for every row}, one vector per free column.
-
-        The vector for free column j is 1 at j and minus row[j] at each
-        pivot, in ascending order of j.
-        """
-        f = self.field
-        above = {}  # column -> [(pivot, entry)] over the rows that reach it
-        for p, (row, _) in self.rows.items():
-            for j, c in row.items():
-                if j != p:
-                    above.setdefault(j, []).append((p, c))
-        return [dict([(j, f.one)] + [(p, f.neg(c)) for p, c in above.get(j, ())])
-                for j in range(ncols) if j not in self.rows]
+        return None
 
     def solve(self, vec):
         """{tag: coefficient} writing vec over the tagged vectors modulo the

@@ -15,7 +15,9 @@ standard monomials by filtering every monomial, Bareiss determinants with
 exact polynomial division, a monomial comparison, ideal equality and degree
 slices of an ideal.  `full_homology` runs the homology elimination in every
 internal degree, the oracle for the degree-local build of `KoszulComplex`; it
-shares the differential columns, which `koszul_differential` checks.
+takes its cycles from the dense kernel oracle, and shares the differential
+columns, which `koszul_differential` checks, and the `Echelon` that holds
+boundaries and representatives.
 The routines that serve only as cross-checks (minimal generators, the socle,
 the colon by the maximal ideal, interior selectors, polynomials from
 coordinate vectors) live here, not in the package.
@@ -376,6 +378,10 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("mismatched coefficient fields")
     lm_g = g.leading_monomial()
     lc_g = g.leading_coeff()
+    if len(g.terms) == 1:  # a monomial divides term by term (mono_div raises if inexact)
+        inv = field.inv(lc_g)
+        return Polynomial(field, {mono_div(m, lm_g): field.mul(c, inv)
+                                  for m, c in f.terms.items()})
     rem = f
     quot = Polynomial.zero(field)
     while not rem.is_zero():
@@ -409,6 +415,8 @@ def det_bareiss(M: PolyMatrix) -> Polynomial:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
+                if a[i][j].is_zero() and (a[i][k].is_zero() or a[k][j].is_zero()):
+                    continue  # the update is zero already
                 a[i][j] = exact_div(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
             a[i][k] = Polynomial.zero(field)
         prev = a[k][k]
@@ -441,7 +449,8 @@ def component_basis(ideal: Ideal, d: int) -> list:
 
 class _FullHomology(KoszulComplex):
     """A `KoszulComplex` whose homology runs the full kernel, boundary and
-    representative elimination in every (i, d), with no degree left out."""
+    representative elimination in every (i, d), with no degree left out and
+    the cycles taken from the dense kernel oracle."""
 
     def _build_homology(self):
         """Per (i, d): cycles are the kernel of d_i, and a cycle becomes a
@@ -449,24 +458,21 @@ class _FullHomology(KoszulComplex):
         representatives before it."""
         f = self.field
         for d in range(self.ring.top_degree + 4):
-            cols = [self._diff_columns(i, d) for i in range(4)]
+            cols = [[self._diff_column(i, d, k) for k in range(self.component_size(i, d))]
+                    for i in range(4)]
             for i in range(4):
                 if not cols[i]:
                     continue
-                rows = {}
-                for c, col in enumerate(cols[i]):
-                    for r, val in col.items():
-                        rows.setdefault(r, {})[c] = val
-                d_i = Echelon(f)
-                for row in rows.values():
-                    d_i.add(row)
+                nrows = self.component_size(i - 1, d)
+                rows = [[col.get(r, f.zero) for col in cols[i]] for r in range(nrows)]
                 space = Echelon(f)
                 for col in cols[i + 1] if i < 3 else ():
                     space.add(col)
                 reps = self._reps[i]
-                for vec in d_i.kernel(len(cols[i])):
-                    if space.add(vec, tag=len(reps)):
-                        reps.append((d, vec))
+                for vec in kernel_basis(rows, len(cols[i]), f):
+                    cycle = {j: c for j, c in enumerate(vec) if not f.is_zero(c)}
+                    if space.add(cycle, tag=len(reps)) is None:
+                        reps.append((d, cycle))
                 self._classes[(i, d)] = space
 
 
@@ -499,7 +505,7 @@ def minimal_generators(ideal):
                         space.add({index[mono_mul(m, shift)]: c for m, c in h.terms.items()})
             spans[d] = (space, index)
         space, index = spans[d]
-        if space.add({index[m]: c for m, c in g.terms.items()}):
+        if space.add({index[m]: c for m, c in g.terms.items()}) is None:
             kept.append(g)
     return kept, len(kept)
 
@@ -522,11 +528,9 @@ def socle_basis(ideal) -> SocleData:
     ring = ideal.quotient_ring()
     reps = []
     for d in range(ring.top_degree + 1):
-        space = Echelon(ideal.field)
-        for v in range(3):
-            for row in ring.mult_matrix(v, d):
-                space.add(row)
-        reps += [from_vector(ring, d, vec) for vec in space.kernel(len(ring.basis(d)))]
+        rows = [row for v in range(3) for row in ring.mult_matrix(v, d)]
+        reps += [from_vector(ring, d, dict(enumerate(vec)))
+                 for vec in kernel_basis(rows, len(ring.basis(d)), ideal.field)]
     return SocleData(basis=tuple(reps), type_rank=len(reps))
 
 

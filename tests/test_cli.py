@@ -287,6 +287,16 @@ def test_classify_ideal_large_power_with_linear_generator_exits_3(tmp_path):
     assert err.splitlines() == [LINEAR_GENERATOR]
 
 
+def test_classify_ideal_above_dimension_bound_exits_3(tmp_path):
+    # x^999999999 used to hang; a huge degree is refused before the Groebner
+    # basis, and a huge quotient while its staircase is walked
+    for gens, message in ((["x^999999999", "y^2", "z^2"], "generator of degree 999999999"),
+                          (["x^600", "y^600", "z^600"], "more than 200000 standard monomials")):
+        code, out, err = classify_ideal_file(tmp_path, {"generators": gens}, timeout=30)
+        assert code == 3 and out == "" and "Traceback" not in err, gens
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
+
 # ---- table ---------------------------------------------------------------------
 
 def test_table_csv_frozen(capsys):

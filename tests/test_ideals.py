@@ -19,7 +19,8 @@ from gtrim import (
     trimmed_ideal,
     variables,
 )
-from gtrim.errors import NonHomogeneousError, NotNPrimaryError
+from gtrim import ideals
+from gtrim.errors import NonHomogeneousError, NotNPrimaryError, QuotientTooLargeError
 from gtrim.ideals import _new_pairs, buchberger
 from gtrim.poly import mono_div, mono_divides, mono_key, mono_lcm, monomials_of_degree
 from helpers import (
@@ -242,6 +243,18 @@ def test_is_n_primary_cases():
     assert not Ideal([X * Y, Z]).is_n_primary()
     with pytest.raises(NotNPrimaryError):
         QuotientRing(Ideal([X, Y]))
+
+
+def test_dimension_bound(monkeypatch):
+    """dim R = MAX_DIM is accepted and one more standard monomial is refused,
+    as is a generator of degree above the bound, before any Groebner work."""
+    monkeypatch.setattr(ideals, "MAX_DIM", 8)
+    assert QuotientRing(Ideal([X * X, Y * Y, Z * Z])).dim() == 8
+    with pytest.raises(QuotientTooLargeError, match="more than 8 standard monomials"):
+        QuotientRing(Ideal([X ** 3, Y * Y, Z * Z]))
+    assert Ideal([X ** 8, Y, Z]).quotient_ring().dim() == 8
+    with pytest.raises(QuotientTooLargeError, match="degree 9 is above the bound 8"):
+        Ideal([X ** 9, Y, Z])
 
 
 def test_hilbert_functions_frozen():

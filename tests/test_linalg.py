@@ -46,14 +46,28 @@ def cases(rng, fld):
         yield random_matrix(rng, fld, rng.randint(1, 9), ncols), ncols
 
 
+def combination(fld, coeffs: dict, vectors: list, ncols: int) -> list:
+    """The dense vector sum over t of coeffs[t] * vectors[t]."""
+    out = [fld.zero] * ncols
+    for t, c in coeffs.items():
+        out = [fld.add(x, fld.mul(c, y)) for x, y in zip(out, vectors[t])]
+    return out
+
+
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f"char{f.char}")
 def test_echelon_matches_dense_oracle(fld):
+    """The rows give the rank; the columns, added in order with their index as
+    tag, leave the kernel as relations: one per dependent column, ascending,
+    exactly the dense oracle's basis."""
     rng = random.Random(helpers.SEED + fld.char)
     for rows, ncols in cases(rng, fld):
         ech = Echelon(fld)
-        grew = [ech.add(row) for row in rows]
+        grew = [ech.add(row) is None for row in rows]
         assert ech.rank == helpers.matrix_rank(rows, ncols, fld) == sum(grew)
-        kernel = [dense(v, ncols, fld) for v in ech.kernel(ncols)]
+        image = Echelon(fld)
+        relations = [image.add([row[j] for row in rows], tag=j) for j in range(ncols)]
+        assert image.rank == ech.rank
+        kernel = [dense(rel, ncols, fld) for rel in relations if rel is not None]
         assert kernel == helpers.kernel_basis(rows, ncols, fld)
         for v in kernel:
             for row in rows:
@@ -61,6 +75,47 @@ def test_echelon_matches_dense_oracle(fld):
                 for a, b in zip(row, v):
                     dot = fld.add(dot, fld.mul(a, b))
                 assert fld.is_zero(dot)
+
+
+def test_echelon_relations_lie_in_untagged_span():
+    """`add` returns None exactly when the rank grows.  Otherwise its relation
+    has coefficient 1 on vec's own tag, uses only the tagged vectors kept
+    before it, and its combination of tagged vectors, plus vec when vec is
+    untagged, lies in the span of the untagged vectors added before."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    ncols = 4
+    entry = st.tuples(st.booleans(), st.lists(st.integers(-2, 2), min_size=ncols,
+                                              max_size=ncols))
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.sampled_from(FIELDS), st.lists(entry, max_size=10))
+    def check(fld, entries):
+        ech = Echelon(fld)
+        untagged, tagged, kept = [], [], set()
+        for is_tagged, ints in entries:
+            v = [fld.of(n) for n in ints]
+            before = untagged + tagged
+            tag = len(tagged) if is_tagged else None
+            rel = ech.add(v, tag=tag)
+            grew = helpers.span_rank(before + [v], ncols, fld) > \
+                helpers.span_rank(before, ncols, fld)
+            assert (rel is None) == grew
+            if rel is not None:
+                assert set(rel) - {tag} <= kept
+                assert tag is None or rel[tag] == fld.one
+                # vec counts once, through its own tag or, untagged, added to the combination
+                member = combination(fld, {len(tagged): fld.one, **rel}, tagged + [v], ncols)
+                assert helpers.span_rank(untagged + [member], ncols, fld) == \
+                    helpers.span_rank(untagged, ncols, fld)
+            if is_tagged:
+                tagged.append(v)
+                if rel is None:
+                    kept.add(tag)
+            else:
+                untagged.append(v)
+
+    check()
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f"char{f.char}")
@@ -78,7 +133,7 @@ def test_echelon_solve_over_tagged_vectors(fld):
         for k, v in enumerate(tagged):
             rank = helpers.span_rank(basis, ncols, fld)
             independent = helpers.span_rank(basis + [v], ncols, fld) > rank
-            assert ech.add(v, tag=k) == independent
+            assert (ech.add(v, tag=k) is None) == independent
             if independent:
                 basis.append(v)
                 kept.append(k)

@@ -172,8 +172,11 @@ def test_exact_div():
     f = (X * Y - Z ** 2) * (X + Z)
     assert exact_div(f, X + Z) == X * Y - Z ** 2
     assert exact_div(f, X * Y - Z ** 2) == X + Z
+    assert exact_div(f * X * Z, X.scale(3) * Z) == f.scale(F.inv(F.of(3)))
     with pytest.raises(ValueError):
         exact_div(X * Y + Z, X + Z)
+    with pytest.raises(ValueError):  # a monomial divisor, too
+        exact_div(X * Y + Z, X.scale(3))
     with pytest.raises(ZeroDivisionError):
         exact_div(f, Polynomial.zero(F))
 
