@@ -22,13 +22,14 @@ from .koszul import KoszulComplex, TorClass, report_dict
 from .pfaffians import (
     PfaffianFamily,
     TrimChoice,
+    check_family_size,
     family_hilbert,
     gorenstein_ideal,
     selector_index,
     selector_labels,
     trimmed_ideal,
 )
-from .poly import ORDER_NAMES, parse_polynomial
+from .poly import parse_polynomial
 
 
 class CliError(Exception):
@@ -69,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--char", type=int, default=DEFAULT_CHAR,
                         help="coefficient field characteristic; 0 means the rationals "
                              f"(default {DEFAULT_CHAR})")
-    common.add_argument("--order", choices=ORDER_NAMES, default="grevlex",
-                        help="monomial order with x > y > z (default grevlex)")
     common.add_argument("--format", choices=("json", "csv", "text"), default="json",
                         dest="output_format", help="output format (default json)")
     common.add_argument("--out", help="write output to this path instead of stdout")
@@ -153,14 +152,11 @@ def _load_ideal(path: str, args) -> Ideal:
         field = field_of_characteristic(char) if char is not None else _field(args)
     except ValueError as exc:
         raise CliError(f"bad field in {path}: {exc}")
-    order = data.get("order", args.order)
-    if order not in ORDER_NAMES:
-        raise CliError(f"bad order in {path}: expected one of {ORDER_NAMES}, got {order!r}")
     gens = data["generators"]
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise CliError(f"bad generators in {path}: expected a list of strings, got {gens!r}")
     try:
-        return Ideal([parse_polynomial(s, field) for s in gens], order, field)
+        return Ideal([parse_polynomial(s, field) for s in gens], field)
     except PreconditionError:
         raise
     except ValueError as exc:
@@ -181,14 +177,14 @@ def _classify_target(args) -> Ideal:
             index = selector_index(args.trim, (count - 1) // 2)
         except ValueError as exc:
             raise CliError(str(exc))
-        return trim(list(ideal.generators), index, ideal.order)
+        return trim(list(ideal.generators), index)
     if args.trim is None:
-        return gorenstein_ideal(args.m, _field(args), args.order)
+        return gorenstein_ideal(args.m, _field(args))
     try:
         choice = TrimChoice(args.m, args.trim)
     except ValueError as exc:
         raise CliError(str(exc))
-    return trimmed_ideal(choice, _field(args), args.order)
+    return trimmed_ideal(choice, _field(args))
 
 
 def _display(report: dict) -> str:
@@ -210,11 +206,12 @@ def cmd_classify(args) -> str:
 def cmd_table(args) -> str:
     lo, hi = args.m
     field = _field(args)
+    check_family_size(hi)
     rows = []
     for m in range(lo, hi + 1):
         for label in selector_labels(m):
             choice = TrimChoice(m, label)
-            ideal = trimmed_ideal(choice, field, args.order)
+            ideal = trimmed_ideal(choice, field)
             report = report_dict(KoszulComplex(ideal.quotient_ring()))
             rows.append({"m": m, "g": choice.generator(field).to_text(),
                          **{k: report[k] for k in ("mu", "type", "p", "q", "r")},
@@ -232,7 +229,7 @@ def cmd_table(args) -> str:
 
 
 def cmd_hilbert(args) -> str:
-    ideal = gorenstein_ideal(args.m, _field(args), args.order)
+    ideal = gorenstein_ideal(args.m, _field(args))
     computed = list(ideal.hilbert_function().coefficients)
     closed = family_hilbert(args.m)
     data = {"m": args.m, "coefficients": computed, "closed_form": closed,

@@ -34,7 +34,6 @@ from .poly import (
 )
 
 _VAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_GREVLEX = mono_key("grevlex")  # basis(d) is grevlex descending, as monomials_of_degree
 # bound on dim R, checked on each generator's degree and while the staircase
 # is walked (about 6 us per monomial): a huge input fails in about a second
 MAX_DIM = 200_000
@@ -73,14 +72,13 @@ class _Reducers:
         return (hits & -hits).bit_length() - 1
 
 
-def _normal_form_terms(terms, reducers: _Reducers, field, order):
+def _normal_form_terms(terms, reducers: _Reducers, field):
     """Full normal form of a term dict.  Terms pop from a heap keyed by the
-    negated order key, largest first, and reduce by their first divisor; a
+    negated grevlex key, largest first, and reduce by their first divisor; a
     term cancelled and re-created is pushed again, its stale entry skipped."""
-    key = mono_key(order)
 
     def entry(m):
-        return (tuple(-k for k in key(m)), m)
+        return (tuple(-k for k in mono_key(m)), m)
 
     work = dict(terms)
     heap = [entry(m) for m in work]
@@ -137,7 +135,7 @@ def _new_pairs(lms, t) -> list:
     return pairs
 
 
-def buchberger(generators, order: str = "grevlex") -> list:
+def buchberger(generators) -> list:
     """The reduced Groebner basis of the given polynomials.
 
     A new element h gets its pairs from `_new_pairs` (M over the minimal lcms,
@@ -155,7 +153,7 @@ def buchberger(generators, order: str = "grevlex") -> list:
     basis, lms = reducers.polys, reducers.lms
 
     def add(h):
-        t = h.leading_monomial(order)
+        t = h.leading_monomial()
         pairs[:] = [p for p in pairs
                     if not (mono_divides(t, p[3]) and mono_lcm(lms[p[1]], t) != p[3]
                             and mono_lcm(lms[p[2]], t) != p[3])]  # criterion B
@@ -164,21 +162,21 @@ def buchberger(generators, order: str = "grevlex") -> list:
         reducers.append(t, h)
 
     for g in gens:
-        add(g.monic(order))
+        add(g.monic())
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)  # the S-polynomial of monic basis[i], basis[j]:
         s = (Polynomial.monomial(field, mono_div(lcm, lms[i])) * basis[i]
              - Polynomial.monomial(field, mono_div(lcm, lms[j])) * basis[j])
-        rem = _normal_form_terms(s.terms, reducers, field, order)
+        rem = _normal_form_terms(s.terms, reducers, field)
         if rem:
-            add(Polynomial(field, rem).monic(order))
+            add(Polynomial(field, rem).monic())
 
     minimal = _Reducers()
-    for lm, g in sorted(zip(lms, basis), key=lambda r: mono_key(order)(r[0])):
+    for lm, g in sorted(zip(lms, basis), key=lambda r: mono_key(r[0])):
         if minimal.first_divisor(lm) < 0:
             minimal.append(lm, g)
     return [Polynomial(field, {lm: g.terms[lm], **_normal_form_terms(
-                {m: c for m, c in g.terms.items() if m != lm}, minimal, field, order)})
+                {m: c for m, c in g.terms.items() if m != lm}, minimal, field)})
             for lm, g in zip(minimal.lms, minimal.polys)]
 
 
@@ -190,15 +188,14 @@ class Ideal:
     once, on first use.
     """
 
-    __slots__ = ("field", "order", "generators", "_gb", "_reducers", "_ring")
+    __slots__ = ("field", "generators", "_gb", "_reducers", "_ring")
 
-    def __init__(self, generators, order: str = "grevlex", field=None):
+    def __init__(self, generators, field=None):
         gens = list(generators)
         if field is None:
             if not gens:
                 raise ValueError("an empty ideal needs an explicit field")
             field = gens[0].field
-        mono_key(order)  # validate the order name
         kept = []
         for g in gens:
             if g.field != field:
@@ -213,7 +210,6 @@ class Ideal:
                     f"generator of degree {g.degree()} is above the bound {MAX_DIM} on dim R")
             kept.append(g)
         self.field = field
-        self.order = order
         self.generators = tuple(kept)
         self._gb = None
         self._reducers = None
@@ -223,19 +219,19 @@ class Ideal:
 
     def groebner_basis(self) -> tuple:
         if self._gb is None:
-            self._gb = tuple(buchberger(self.generators, self.order))
-            self._reducers = _Reducers((g.leading_monomial(self.order), g) for g in self._gb)
+            self._gb = tuple(buchberger(self.generators))
+            self._reducers = _Reducers((g.leading_monomial(), g) for g in self._gb)
         return self._gb
 
     def leading_monomials(self) -> tuple:
-        return tuple(g.leading_monomial(self.order) for g in self.groebner_basis())
+        return tuple(g.leading_monomial() for g in self.groebner_basis())
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.field != self.field:
             raise ValueError("mismatched coefficient fields")
         self.groebner_basis()  # builds self._reducers on first use
         return Polynomial(self.field,
-                          _normal_form_terms(f.terms, self._reducers, self.field, self.order))
+                          _normal_form_terms(f.terms, self._reducers, self.field))
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -243,17 +239,12 @@ class Ideal:
     def __add__(self, other: "Ideal") -> "Ideal":
         if not isinstance(other, Ideal):
             return NotImplemented
-        if other.field != self.field or other.order != self.order:
-            raise ValueError("ideal sum needs matching field and order")
-        return Ideal(self.generators + other.generators, self.order, self.field)
+        if other.field != self.field:
+            raise ValueError("ideal sum needs matching fields")
+        return Ideal(self.generators + other.generators, self.field)
 
     def equals(self, other: "Ideal") -> bool:
-        if self.field != other.field:
-            return False
-        if self.order == other.order:
-            return self.groebner_basis() == other.groebner_basis()
-        return (all(self.contains(g) for g in other.generators)
-                and all(other.contains(g) for g in self.generators))
+        return self.field == other.field and self.groebner_basis() == other.groebner_basis()
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -287,13 +278,13 @@ class Ideal:
         return self.quotient_ring().hilbert()
 
 
-def scale_by_maximal(g: Polynomial, order: str = "grevlex") -> Ideal:
+def scale_by_maximal(g: Polynomial) -> Ideal:
     """The ideal (x*g, y*g, z*g)."""
     x, y, z = variables(g.field)
-    return Ideal([x * g, y * g, z * g], order, g.field)
+    return Ideal([x * g, y * g, z * g], g.field)
 
 
-def trim(generators, index: int, order: str = "grevlex") -> Ideal:
+def trim(generators, index: int) -> Ideal:
     """Replace the index-th generator g by (x, y, z)*g."""
     gens = list(generators)
     if not 0 <= index < len(gens):
@@ -301,7 +292,7 @@ def trim(generators, index: int, order: str = "grevlex") -> Ideal:
     g = gens.pop(index)
     if g.is_zero():
         raise ValueError("cannot trim a zero generator")
-    return scale_by_maximal(g, order) + Ideal(gens, order, g.field)
+    return scale_by_maximal(g) + Ideal(gens, g.field)
 
 
 @dataclass(frozen=True)
@@ -336,7 +327,7 @@ class QuotientRing:
             if count > MAX_DIM:
                 raise QuotientTooLargeError(
                     f"quotient has more than {MAX_DIM} standard monomials (the bound on dim R)")
-            level.sort(key=_GREVLEX, reverse=True)
+            level.sort(key=mono_key, reverse=True)
             below = {m: i for i, m in enumerate(level)}
             std.append(tuple(level))
             index.append(below)
@@ -368,14 +359,14 @@ class QuotientRing:
         a standard t maps to itself, a leading monomial t of the reduced basis
         to t - g, and any other t through `_entry`."""
         if self._table is None:
-            f, order = self.field, self.ideal.order
-            reduced = {g.leading_monomial(order): g for g in self.ideal.groebner_basis()}
+            f = self.field
+            reduced = {g.leading_monomial(): g for g in self.ideal.groebner_basis()}
             self._table = table = {}
             for d, index in enumerate(self._index):
                 for t, j in index.items():
                     table[t] = {j: f.one}
                 border = {mono_mul(b, v) for b in self.basis(d - 1) for v in _VAR_MONOS}
-                for t in sorted(border - index.keys(), key=mono_key(order)):
+                for t in sorted(border - index.keys(), key=mono_key):
                     g = reduced.get(t)
                     if g is None:
                         self._entry(t)

@@ -15,8 +15,9 @@ import math
 import re
 from dataclasses import dataclass
 
+from .errors import QuotientTooLargeError
 from .fields import default_field
-from .ideals import Ideal, scale_by_maximal, trim
+from .ideals import MAX_DIM, Ideal, trim
 from .poly import Polynomial, PolyMatrix, variables
 
 _SELECTOR = re.compile(r"(x|y)(0|[1-9][0-9]*)|d")
@@ -149,6 +150,7 @@ def canonical_generators(m: int, field=None) -> list:
 
 
 def _generator_ladder(m: int, field) -> list:
+    check_family_size(m)
     x, y, z = variables(field)
     d = [d_poly(k, field) for k in range(m + 1)]
     left = [x ** (m - i) * d[i] for i in range(m)]
@@ -156,12 +158,26 @@ def _generator_ladder(m: int, field) -> list:
     return left + [d[m]] + right
 
 
-def gorenstein_ideal(m: int, field=None, order: str = "grevlex") -> Ideal:
+def gorenstein_ideal(m: int, field=None) -> Ideal:
     """The height-3 Gorenstein ideal of sub-Pfaffians of V_m (m = 1 gives (x, y, z))."""
     if m < 1:
         raise ValueError(f"family index must be >= 1, got {m}")
     field = field or default_field()
-    return Ideal(_generator_ladder(m, field), order, field)
+    return Ideal(_generator_ladder(m, field), field)
+
+
+def family_dim(m: int) -> int:
+    """dim Q/g_m in closed form, 2 C(m+1, 3) + C(m+1, 2): the sum of family_hilbert(m)."""
+    return 2 * math.comb(m + 1, 3) + math.comb(m + 1, 2)
+
+
+def check_family_size(m: int) -> None:
+    """Refuse, before any polynomial is built, an m whose trims (one more
+    than dim Q/g_m) would pass the bound MAX_DIM on dim R."""
+    if family_dim(m) + 1 > MAX_DIM:
+        raise QuotientTooLargeError(
+            f"m = {m} gives dim R = {family_dim(m)} (one more for a trim), "
+            f"above the bound {MAX_DIM}")
 
 
 def family_hilbert(m: int) -> list:
@@ -228,10 +244,10 @@ class TrimChoice:
         return _generator_ladder(self.m, field)[self.index]
 
 
-def trimmed_ideal(choice: TrimChoice, field=None, order: str = "grevlex") -> Ideal:
+def trimmed_ideal(choice: TrimChoice, field=None) -> Ideal:
     """Trim of the m-th Gorenstein ideal at the chosen generator."""
     field = field or default_field()
-    return trim(_generator_ladder(choice.m, field), choice.index, order)
+    return trim(_generator_ladder(choice.m, field), choice.index)
 
 
 @dataclass(frozen=True)
@@ -250,8 +266,8 @@ class PfaffianFamily:
         if m < 1:
             raise ValueError(f"family index must be >= 1, got {m}")
         field = field or default_field()
+        gens = _generator_ladder(m, field)  # first: it checks the size bound
         V = build_v(m, field)
-        gens = _generator_ladder(m, field)
         return cls(m=m, U=build_u(m, field), V=V,
                    d=d_poly(m, field),
                    pfaffians=tuple(all_sub_pfaffians(V)),
@@ -266,11 +282,3 @@ class PfaffianFamily:
             "pfaffians": [p.to_text() for p in self.pfaffians],
             "generators": [g.to_text() for g in self.generators],
         }
-
-
-__all__ = [
-    "build_u", "build_v", "d_poly", "pfaffian", "sub_pfaffian",
-    "all_sub_pfaffians", "canonical_generators", "gorenstein_ideal",
-    "family_hilbert", "selector_labels", "selector_index", "TrimChoice", "trimmed_ideal",
-    "PfaffianFamily", "scale_by_maximal",
-]

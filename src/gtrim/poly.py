@@ -1,8 +1,9 @@
 """Exact polynomial arithmetic in k[x, y, z].
 
 Monomials are exponent triples; a polynomial is a dict mapping monomials to
-nonzero field elements (the zero polynomial is the empty dict).  Three
-monomial orders with x > y > z are supported: grevlex (default), grlex, lex.
+nonzero field elements (the zero polynomial is the empty dict).  The one
+monomial order is grevlex with x > y > z: the Hilbert function, the Koszul
+homology and its products do not depend on the order they are computed in.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 VARS = ("x", "y", "z")
-ORDER_NAMES = ("grevlex", "grlex", "lex")
 
 Monomial = tuple  # (a, b, c) exponents of x, y, z
 
@@ -41,33 +41,15 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]))
 
 
-def _key_grevlex(m: Monomial):
+def mono_key(m: Monomial):
+    """Grevlex sort key under which larger monomials compare larger: a flat int tuple."""
     return (m[0] + m[1] + m[2], -m[2], -m[1])
-
-
-def _key_grlex(m: Monomial):
-    return (m[0] + m[1] + m[2],) + m
-
-
-def _key_lex(m: Monomial):
-    return m
-
-
-_KEYS = {"grevlex": _key_grevlex, "grlex": _key_grlex, "lex": _key_lex}
-
-
-def mono_key(order: str = "grevlex"):
-    """Sort key under which larger monomials compare larger: a flat int tuple."""
-    try:
-        return _KEYS[order]
-    except KeyError:
-        raise ValueError(f"unknown monomial order {order!r}; expected one of {ORDER_NAMES}")
 
 
 def monomials_of_degree(d: int) -> list:
     """All degree-d monomials, grevlex descending (deterministic basis order)."""
     out = [(i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)]
-    out.sort(key=_key_grevlex, reverse=True)
+    out.sort(key=mono_key, reverse=True)
     return out
 
 
@@ -133,23 +115,22 @@ class Polynomial:
         degrees = {mono_degree(m) for m in self.terms}
         return len(degrees) <= 1
 
-    def sorted_terms(self, order: str = "grevlex") -> list:
-        """(monomial, coefficient) pairs, strictly descending in the order."""
-        key = mono_key(order)
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=key, reverse=True)]
+    def sorted_terms(self) -> list:
+        """(monomial, coefficient) pairs, strictly descending in grevlex."""
+        return [(m, self.terms[m]) for m in sorted(self.terms, key=mono_key, reverse=True)]
 
-    def leading_monomial(self, order: str = "grevlex") -> Monomial:
+    def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=mono_key(order))
+        return max(self.terms, key=mono_key)
 
-    def leading_coeff(self, order: str = "grevlex"):
-        return self.terms[self.leading_monomial(order)]
+    def leading_coeff(self):
+        return self.terms[self.leading_monomial()]
 
-    def monic(self, order: str = "grevlex") -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        inv = self.field.inv(self.leading_coeff(order))
+        inv = self.field.inv(self.leading_coeff())
         f = self.field
         return Polynomial(f, {m: f.mul(c, inv) for m, c in self.terms.items()})
 
@@ -242,7 +223,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         pieces = []
-        for mono, coeff in self.sorted_terms("grevlex"):
+        for mono, coeff in self.sorted_terms():
             cs = self.field.coeff_str(coeff)
             neg = cs.startswith("-")
             mag = cs[1:] if neg else cs
@@ -273,14 +254,15 @@ def variables(field):
 
 # ---- parsing ---------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([+\-]|[xyz](?:\^\d+)?|\d+(?:/\d+)?|\*)")
+_TOKEN = re.compile(r"\s*([+\-]|[xyz](?:\^[0-9]+)?|[0-9]+(?:/[0-9]+)?|\*)")
 
 
 def parse_polynomial(text: str, field) -> Polynomial:
     """Parse the canonical text format, e.g. ``2*x*y*z - z^3``.
 
     Terms are joined with + or -, factors within a term with ``*``; powers use
-    ``^``; coefficients are integers (or rationals ``a/b``).  Whitespace is
+    ``^``; coefficients are integers (or rationals ``a/b``), all written in
+    ASCII digits, so ``x^\u0663`` is a bad character.  Whitespace is
     insignificant.  A factor must be followed by ``*``, ``+``, ``-`` or the
     end of the text: juxtaposition such as ``xy``, ``x^2y`` or ``2 x`` raises
     ValueError rather than being read as a sum or a product.

@@ -122,14 +122,14 @@ def random_poly(rng, fld, max_degree=3, max_terms=4):
     return out
 
 
-def random_artinian_ideal(rng, fld, order="grevlex"):
+def random_artinian_ideal(rng, fld):
     """Pure powers of x, y, z (exponents 2..4) plus up to three random forms of
     degree 1..3, shuffled; the quotient is artinian with dimension <= 64."""
     x, y, z = variables(fld)
     gens = [x ** rng.randint(2, 4), y ** rng.randint(2, 4), z ** rng.randint(2, 4)]
     gens += [random_form(rng, fld, rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
     rng.shuffle(gens)
-    return Ideal(gens, order, fld)
+    return Ideal(gens, fld)
 
 
 def random_element(rng, kz, i, max_degree=2, density=0.7):
@@ -232,31 +232,31 @@ def colon_oracle(ideal):
         for vec in kernel_basis(rows, len(monos), fld):
             terms = {mono: c for mono, c in zip(monos, vec) if not fld.is_zero(c)}
             gens.append(Polynomial(fld, terms))
-    return Ideal(gens, ideal.order, fld)
+    return Ideal(gens, fld)
 
 
 # ---- Groebner oracles ---------------------------------------------------------
 
-def naive_normal_form(f: Polynomial, basis, order: str) -> Polynomial:
+def naive_normal_form(f: Polynomial, basis) -> Polynomial:
     """The normal form of f against `basis`: the leading term of what is
     left is cancelled by the first element whose leading monomial divides
     it, or moved to the remainder."""
     fld = f.field
-    lms = [g.leading_monomial(order) for g in basis]
+    lms = [g.leading_monomial() for g in basis]
     rest, out = f, Polynomial.zero(fld)
     while not rest.is_zero():
-        lm, lc = rest.leading_monomial(order), rest.leading_coeff(order)
+        lm, lc = rest.leading_monomial(), rest.leading_coeff()
         j = next((j for j, m in enumerate(lms) if mono_divides(m, lm)), None)
         if j is None:
             term = Polynomial.monomial(fld, lm, lc)
             rest, out = rest - term, out + term
         else:
-            coeff = fld.mul(lc, fld.inv(basis[j].leading_coeff(order)))
+            coeff = fld.mul(lc, fld.inv(basis[j].leading_coeff()))
             rest = rest - Polynomial.monomial(fld, mono_div(lm, lms[j]), coeff) * basis[j]
     return out
 
 
-def naive_buchberger(generators, order: str = "grevlex") -> list:
+def naive_buchberger(generators) -> list:
     """The reduced Groebner basis by Buchberger's algorithm in its plainest
     form: every pair of elements is reduced, with no criterion, lowest lcm
     degree first, and each non-zero remainder joins made monic; then the
@@ -265,7 +265,7 @@ def naive_buchberger(generators, order: str = "grevlex") -> list:
     basis = [g for g in generators if not g.is_zero()]
 
     def pair(i, j):
-        lmf, lmg = basis[i].leading_monomial(order), basis[j].leading_monomial(order)
+        lmf, lmg = basis[i].leading_monomial(), basis[j].leading_monomial()
         lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
         return sum(lcm), i, j, mono_div(lcm, lmf), mono_div(lcm, lmg)
 
@@ -275,21 +275,20 @@ def naive_buchberger(generators, order: str = "grevlex") -> list:
         pairs.remove(chosen)
         _, i, j, shift_f, shift_g = chosen
         f, g, fld = basis[i], basis[j], basis[i].field
-        s = (Polynomial.monomial(fld, shift_f, fld.inv(f.leading_coeff(order))) * f
-             - Polynomial.monomial(fld, shift_g, fld.inv(g.leading_coeff(order))) * g)
-        rem = naive_normal_form(s, basis, order)
+        s = (Polynomial.monomial(fld, shift_f, fld.inv(f.leading_coeff())) * f
+             - Polynomial.monomial(fld, shift_g, fld.inv(g.leading_coeff())) * g)
+        rem = naive_normal_form(s, basis)
         if not rem.is_zero():
-            basis.append(rem.monic(order))
+            basis.append(rem.monic())
             pairs += [pair(k, len(basis) - 1) for k in range(len(basis) - 1)]
-    lms = [g.leading_monomial(order) for g in basis]
+    lms = [g.leading_monomial() for g in basis]
     minimal = [g for k, g in enumerate(basis)
                if not any(mono_divides(m, lms[k]) and (m != lms[k] or j < k)
                           for j, m in enumerate(lms) if j != k)]
-    minimal = [g.monic(order) for g in minimal]
-    reduced = [naive_normal_form(g, minimal[:k] + minimal[k + 1:], order)
+    minimal = [g.monic() for g in minimal]
+    reduced = [naive_normal_form(g, minimal[:k] + minimal[k + 1:])
                for k, g in enumerate(minimal)]
-    key = mono_key(order)
-    return sorted(reduced, key=lambda g: key(g.leading_monomial(order)))
+    return sorted(reduced, key=lambda g: mono_key(g.leading_monomial()))
 
 
 def new_pairs_oracle(lms, t) -> list:
@@ -363,9 +362,9 @@ def kernel_basis(rows, ncols: int, field) -> list:
 
 # ---- polynomial and ideal oracles ----------------------------------------------
 
-def mono_cmp(a: Monomial, b: Monomial, order: str = "grevlex") -> int:
-    """-1, 0 or 1 as a <, =, > b in the given order."""
-    ka, kb = mono_key(order)(a), mono_key(order)(b)
+def mono_cmp(a: Monomial, b: Monomial) -> int:
+    """-1, 0 or 1 as a <, =, > b in grevlex."""
+    ka, kb = mono_key(a), mono_key(b)
     return (ka > kb) - (ka < kb)
 
 
@@ -422,10 +421,6 @@ def det_bareiss(M: PolyMatrix) -> Polynomial:
         prev = a[k][k]
     result = a[n - 1][n - 1]
     return -result if sign < 0 else result
-
-
-def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    return a.equals(b)
 
 
 def component_basis(ideal: Ideal, d: int) -> list:
@@ -537,7 +532,7 @@ def socle_basis(ideal) -> SocleData:
 def colon_by_maximal(ideal) -> Ideal:
     """The ideal (I : (x, y, z)), computed as I plus socle lifts."""
     lifts = socle_basis(ideal).basis
-    return Ideal(ideal.generators + tuple(lifts), ideal.order, ideal.field)
+    return Ideal(ideal.generators + tuple(lifts), ideal.field)
 
 
 def is_interior(choice: TrimChoice) -> bool:

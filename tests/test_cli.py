@@ -200,14 +200,24 @@ def test_classify_ideal_zero_denominator_exits_2(tmp_path):
     assert len(err.splitlines()) == 1
 
 
-def test_classify_ideal_bad_order_exits_2(tmp_path):
-    # a list used to end in a TypeError traceback; 5 and "revlex" said "bad generators"
-    for order in (["x"], 5, "revlex"):
-        code, out, err = classify_ideal_file(
-            tmp_path, {"order": order, "generators": ["x^2", "y^2", "z^2"]})
-        assert code == 2 and out == "", order
-        assert err.startswith("error: bad order") and "Traceback" not in err
-        assert len(err.splitlines()) == 1
+def test_classify_ideal_order_key_is_ignored(capsys, tmp_path):
+    # grevlex is the one order: an "order" key is read no more than any other unknown key
+    path = tmp_path / "ideal.json"
+    gens = ["x^2", "x*z", "x*y - z^2", "y*z", "y^2"]
+    path.write_text(json.dumps({"generators": gens}))
+    expected = run_cli(["classify", "--ideal", str(path), "--trim", "d"], capsys)
+    assert expected[0] == 0
+    for order in ("lex", "grlex", "revlex", ["x"], 5, None):
+        path.write_text(json.dumps({"order": order, "generators": gens}))
+        assert run_cli(["classify", "--ideal", str(path), "--trim", "d"], capsys) == expected
+
+
+def test_classify_ideal_non_ascii_digit_exits_2(tmp_path):
+    # "x^\u0663" (Arabic-Indic three) used to classify as x^3 with exit 0
+    code, out, err = classify_ideal_file(tmp_path, {"generators": ["x^\u0663", "y^2", "z^2"]})
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad generators") and "bad character" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_classify_ideal_bad_generator_types_exit_2(tmp_path):
@@ -285,6 +295,18 @@ def test_classify_ideal_large_power_with_linear_generator_exits_3(tmp_path):
         tmp_path, {"generators": ["x^400", "x", "y", "z^2"]}, timeout=30)
     assert code == 3 and out == "" and "Traceback" not in err
     assert err.splitlines() == [LINEAR_GENERATOR]
+
+
+def test_family_above_dimension_bound_exits_3():
+    # each used to run for minutes, building the generator ladder (and for
+    # table the rows below the bound) before any bound was checked
+    for argv in (["classify", "--m", "5000", "--trim", "d"], ["classify", "--m", "84"],
+                 ["hilbert", "--m", "5000"], ["gen", "--m", "300"],
+                 ["table", "--m", "2..5000"], ["table", "--m", "84..84", "--format", "csv"]):
+        code, out, err = run_cli_process(argv, timeout=30)
+        assert code == 3 and out == "" and "Traceback" not in err, argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: m = "), argv
+        assert "above the bound 200000" in err, argv
 
 
 def test_classify_ideal_above_dimension_bound_exits_3(tmp_path):
@@ -390,7 +412,53 @@ def test_char_zero_and_order_flags(capsys):
                              "--char", "0"], capsys)
     assert code == 0
     assert at_p == at_0
-    code, lex_run, _ = run_cli(["classify", "--m", "2", "--trim", "x1",
-                                "--order", "lex"], capsys)
-    assert code == 0
-    assert json.loads(lex_run) == json.loads(at_p)
+    # grevlex is the one monomial order: there is no flag to choose another
+    for command in (["classify", "--m", "2", "--trim", "x1"], ["table", "--m", "2..2"],
+                    ["hilbert", "--m", "2"], ["gen", "--m", "2"]):
+        code, out, err = run_cli(command + ["--order", "lex"], capsys)
+        assert code == 2 and out == "" and "--order" in err, command
+
+
+def test_classify_ideal_contract_fuzzed(capsys, tmp_path):
+    """Every `--ideal` document ends with exit 0, 2 or 3 and no escaping
+    exception; a non-zero exit leaves exactly one line on stderr."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    form = st.integers(0, 4).flatmap(lambda d: st.lists(
+        st.builds(lambda c, i, j: f"{c}*x^{i}*y^{j}*z^{d - i - j}" if i + j <= d else "0",
+                  st.integers(-3, 3), st.integers(0, d), st.integers(0, d)),
+        min_size=1, max_size=3).map(" - ".join))
+    poly = st.lists(form, min_size=2, max_size=3).map(" + ".join)  # often inhomogeneous
+    odd = st.one_of(st.none(), st.booleans(), st.integers(-3, 40000), st.floats(),
+                    st.text(max_size=4), st.lists(st.integers(), max_size=2))
+    powers = st.tuples(*[st.integers(2, 4)] * 3).map(
+        lambda e: [f"x^{e[0]}", f"y^{e[1]}", f"z^{e[2]}"])
+    generators = st.one_of(
+        st.builds(lambda p, extra: p + extra, powers, st.lists(form, max_size=3)),  # artinian
+        st.lists(st.one_of(form, poly), max_size=6),
+        st.lists(st.text(max_size=8), max_size=4),
+        st.lists(odd, max_size=3),
+        odd,
+        st.dictionaries(st.text(max_size=3), odd, max_size=2))
+    field = st.one_of(st.sampled_from([{"char": 2}, {"char": 3}, {"char": 0}, {}]),
+                      st.dictionaries(st.sampled_from(["char", "p"]), odd, max_size=2), odd)
+    with_generators = st.fixed_dictionaries({"generators": generators},
+                                            optional={"field": field, "order": odd})
+    without = st.one_of(odd, st.dictionaries(st.sampled_from(["generator", "field"]), odd,
+                                             max_size=2))
+    document = st.integers(0, 9).flatmap(lambda k: with_generators if k else without)
+    path = tmp_path / "ideal.json"
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hyp.given(document)
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["classify", "--ideal", str(path)], capsys)
+        assert code in (0, 2, 3), (doc, code)
+        if code:
+            assert out == "" and len(err.splitlines()) == 1, (doc, err)
+            assert err.startswith("error: "), (doc, err)
+        else:
+            assert err == "" and json.loads(out)["class"], doc
+
+    check()

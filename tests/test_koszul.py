@@ -139,7 +139,7 @@ def redundant_generator_ideals(rng, char, count):
         ideal = helpers.random_artinian_ideal(rng, helpers.field(char))
         g = ideal.generators[rng.randrange(len(ideal.generators))]
         extra = variables(ideal.field)[rng.randrange(3)] * g
-        out.append(Ideal(ideal.generators + (extra,), ideal.order, ideal.field))
+        out.append(Ideal(ideal.generators + (extra,), ideal.field))
     return out
 
 

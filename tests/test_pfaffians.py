@@ -26,6 +26,8 @@ from gtrim import (
     trimmed_ideal,
     variables,
 )
+from gtrim.errors import QuotientTooLargeError
+from gtrim.pfaffians import check_family_size, family_dim
 from helpers import det_bareiss, is_interior
 
 F = helpers.field()
@@ -225,6 +227,23 @@ def test_family_hilbert_closed_form():
         assert h[m - 1] == math.comb(m + 1, 2)
     for m in range(2, 6):
         assert tuple(family_hilbert(m)) == helpers.family_ideal(m).hilbert_function().coefficients
+
+
+def test_family_size_bound():
+    for m in range(1, 41):
+        assert family_dim(m) == sum(family_hilbert(m))
+    assert (family_dim(8) + 1, family_dim(32) + 1) == (205, 11441)  # trims, as classified
+    assert (family_dim(83), family_dim(84)) == (194054, 201110)
+    check_family_size(83)  # a trim of g_83 has dim 194055, inside the bound 200000
+    for m in (84, 5000, 10 ** 9):
+        with pytest.raises(QuotientTooLargeError, match=f"m = {m} gives dim R"):
+            check_family_size(m)
+    # every family entry point refuses before it builds a polynomial
+    for build in (lambda: gorenstein_ideal(84), lambda: canonical_generators(10 ** 9),
+                  lambda: trimmed_ideal(TrimChoice(10 ** 9, "d")),
+                  lambda: TrimChoice(84, "x1").generator(), lambda: PfaffianFamily.build(10 ** 9)):
+        with pytest.raises(QuotientTooLargeError):
+            build()
 
 
 # ---- trim selectors -----------------------------------------------------------------
