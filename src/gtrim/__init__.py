@@ -37,16 +37,13 @@ from .koszul import (
 from .pfaffians import (
     PfaffianFamily,
     TrimChoice,
-    all_sub_pfaffians,
     build_u,
     build_v,
     canonical_generators,
     d_poly,
     family_hilbert,
     gorenstein_ideal,
-    pfaffian,
     selector_labels,
-    sub_pfaffian,
     trimmed_ideal,
 )
 from .poly import (
@@ -68,9 +65,8 @@ __all__ = [
     "scale_by_maximal", "trim", "KoszulComplex", "KoszulElement", "TorClass",
     "TorInvariants", "a1_annihilator_cycle", "a1_cycle_basis",
     "annihilates_a1", "classify_from_invariants", "report_dict",
-    "PfaffianFamily", "TrimChoice", "all_sub_pfaffians", "build_u", "build_v",
-    "canonical_generators", "d_poly", "family_hilbert", "gorenstein_ideal",
-    "pfaffian", "selector_labels", "sub_pfaffian", "trimmed_ideal",
+    "PfaffianFamily", "TrimChoice", "build_u", "build_v", "canonical_generators",
+    "d_poly", "family_hilbert", "gorenstein_ideal", "selector_labels", "trimmed_ideal",
     "Polynomial", "PolyMatrix",
     "mono_key", "monomials_of_degree", "parse_polynomial",
     "variables",

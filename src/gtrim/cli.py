@@ -137,8 +137,8 @@ def cmd_gen(args) -> str:
 
 def _load_ideal(path: str, args) -> Ideal:
     try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"bad JSON in {path}: {exc}")
@@ -261,7 +261,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

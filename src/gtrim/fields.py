@@ -157,7 +157,10 @@ class RationalField:
 
 
 def field_of_characteristic(char: int):
-    """PrimeField(char) for prime char, RationalField() for char 0."""
+    """PrimeField(char) for prime char, RationalField() for char 0; char must
+    be an int proper, so False and 0.0 are refused rather than read as 0."""
+    if not isinstance(char, int) or isinstance(char, bool):
+        raise ValueError(f"characteristic must be an integer, got {char!r}")
     if char == 0:
         return RationalField()
     return PrimeField(char)

@@ -4,9 +4,9 @@ U_m is the m x m symmetric band matrix with x, z, y along the three central
 anti-diagonals, d_m = det(U_m), and V_m is the (2m+1) x (2m+1) skew-symmetric
 matrix whose maximal sub-Pfaffians generate a height-3 Gorenstein ideal with
 2m+1 minimal generators of degree m.  Up to sign those sub-Pfaffians are
-x^(m-i) d_i, d_m and y^(m-i) d_i, so the ideals are built from d_poly's closed
-form alone; of the pipeline, only PfaffianFamily expands Pfaffians.  Trimming
-replaces one generator g by (x, y, z)*g.
+x^(m-i) d_i, d_m and y^(m-i) d_i, so the ideals and the sub-Pfaffians are
+built from d_poly's closed form alone; nothing here expands a Pfaffian.
+Trimming replaces one generator g by (x, y, z)*g.
 """
 
 from __future__ import annotations
@@ -84,62 +84,6 @@ def d_poly(m: int, field=None) -> Polynomial:
         sign = -1 if ((m - 2 * j) // 2) % 2 else 1
         terms[(j, j, m - 2 * j)] = field.of(sign * math.comb(m - j, j))
     return Polynomial(field, terms)
-
-
-def pfaffian(M: PolyMatrix) -> Polynomial:
-    """Pfaffian of an even skew-symmetric matrix by first-row expansion.
-
-    Each principal minor is expanded once: results are kept per tuple of
-    remaining rows, which turns the (n-1)!! expansion into at most 2^n minors.
-    """
-    if M.rows != M.cols:
-        raise ValueError("Pfaffian of a non-square matrix")
-    if M.rows % 2:
-        raise ValueError("Pfaffian needs an even-sized matrix")
-    if not M.is_skew_symmetric():
-        raise ValueError("Pfaffian of a non-skew-symmetric matrix")
-    if M.rows == 0:
-        raise ValueError("empty matrix has no coefficient field; use size >= 2")
-    field = M.entry(0, 1).field
-    memo = {(): Polynomial.constant(field, 1)}
-
-    def pf(active):
-        if active in memo:
-            return memo[active]
-        first = active[0]
-        rest = active[1:]
-        total = Polynomial.zero(field)
-        for pos, j in enumerate(rest):
-            e = M.entry(first, j)
-            if e.is_zero():
-                continue
-            term = e * pf(rest[:pos] + rest[pos + 1:])
-            # expansion signs alternate +, -, +, ... along the first row
-            if pos % 2:
-                term = -term
-            total = total + term
-        memo[active] = total
-        return total
-
-    return pf(tuple(range(M.rows)))
-
-
-def sub_pfaffian(V: PolyMatrix, i: int) -> Polynomial:
-    """Pfaffian of V with 1-based row and column i removed."""
-    if V.rows != V.cols:
-        raise ValueError("sub-Pfaffian of a non-square matrix")
-    if not V.is_skew_symmetric():
-        raise ValueError("sub-Pfaffian of a non-skew-symmetric matrix")
-    if not 1 <= i <= V.rows:
-        raise ValueError(f"index {i} out of range 1..{V.rows}")
-    minor = V.delete_row_col(i - 1)
-    if minor.rows % 2:
-        raise ValueError("deleting one row/column must leave an even size")
-    return pfaffian(minor)
-
-
-def all_sub_pfaffians(V: PolyMatrix) -> list:
-    return [sub_pfaffian(V, i) for i in range(1, V.rows + 1)]
 
 
 def canonical_generators(m: int, field=None) -> list:
@@ -263,15 +207,23 @@ class PfaffianFamily:
 
     @classmethod
     def build(cls, m: int, field=None) -> "PfaffianFamily":
+        """The m-th instance, its sub-Pfaffians read off the generator ladder.
+
+        Deleting 0-based row and column k of V_m leaves the Pfaffian
+        (-1)^floor(min(k, 2m-k)/2) times 0-based ladder entry 2m-k: the
+        ladder runs backwards, and the signs go +, +, -, -, ... from both
+        ends toward d_m.  The tests check this rule, signs included, against
+        a first-row Pfaffian expansion for m = 1..16 over F_32003 and
+        m = 1..10 over Q.
+        """
         if m < 1:
             raise ValueError(f"family index must be >= 1, got {m}")
         field = field or default_field()
         gens = _generator_ladder(m, field)  # first: it checks the size bound
-        V = build_v(m, field)
-        return cls(m=m, U=build_u(m, field), V=V,
-                   d=d_poly(m, field),
-                   pfaffians=tuple(all_sub_pfaffians(V)),
-                   generators=tuple(gens))
+        pfaffians = tuple(-g if min(k, 2 * m - k) // 2 % 2 else g
+                          for k, g in enumerate(reversed(gens)))
+        return cls(m=m, U=build_u(m, field), V=build_v(m, field),
+                   d=gens[m], pfaffians=pfaffians, generators=tuple(gens))
 
     def to_json_dict(self) -> dict:
         return {

@@ -344,19 +344,5 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i][j]
 
-    def is_skew_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(i, self.cols):
-                if self.entries[i][j] != -self.entries[j][i]:
-                    return False
-        return True
-
-    def delete_row_col(self, i: int) -> "PolyMatrix":
-        """Remove 0-based row i and column i."""
-        keep = [r for r in range(self.rows) if r != i]
-        return PolyMatrix(tuple(tuple(self.entries[r][c] for c in keep) for r in keep))
-
     def to_strings(self) -> list:
         return [[p.to_text() for p in row] for row in self.entries]

@@ -12,8 +12,10 @@ of `QuotientRing` is checked against them), Buchberger's algorithm over every
 pair with plain first-divisor reduction (`buchberger` is checked against it),
 the quadratic Gebauer-Moeller pair rule (`_new_pairs` is checked against it),
 standard monomials by filtering every monomial, Bareiss determinants with
-exact polynomial division, a monomial comparison, ideal equality and degree
-slices of an ideal.  `full_homology` runs the homology elimination in every
+exact polynomial division, Pfaffians by memoised first-row expansion (the
+sub-Pfaffians of `PfaffianFamily`, read off the generator ladder, are checked
+against it), a monomial comparison, ideal equality and degree slices of an
+ideal.  `full_homology` runs the homology elimination in every
 internal degree, the oracle for the degree-local build of `KoszulComplex`; it
 takes its cycles from the dense kernel oracle, and shares the differential
 columns, which `koszul_differential` checks, and the `Echelon` that holds
@@ -421,6 +423,75 @@ def det_bareiss(M: PolyMatrix) -> Polynomial:
         prev = a[k][k]
     result = a[n - 1][n - 1]
     return -result if sign < 0 else result
+
+
+def is_skew_symmetric(M: PolyMatrix) -> bool:
+    if M.rows != M.cols:
+        return False
+    return all(M.entry(i, j) == -M.entry(j, i)
+               for i in range(M.rows) for j in range(i, M.cols))
+
+
+def delete_row_col(M: PolyMatrix, i: int) -> PolyMatrix:
+    """Remove 0-based row i and column i."""
+    keep = [r for r in range(M.rows) if r != i]
+    return PolyMatrix(tuple(tuple(M.entry(r, c) for c in keep) for r in keep))
+
+
+def pfaffian(M: PolyMatrix) -> Polynomial:
+    """Pfaffian of an even skew-symmetric matrix by first-row expansion.
+
+    Each principal minor is expanded once: results are kept per tuple of
+    remaining rows, which turns the (n-1)!! expansion into at most 2^n minors.
+    """
+    if M.rows != M.cols:
+        raise ValueError("Pfaffian of a non-square matrix")
+    if M.rows % 2:
+        raise ValueError("Pfaffian needs an even-sized matrix")
+    if not is_skew_symmetric(M):
+        raise ValueError("Pfaffian of a non-skew-symmetric matrix")
+    if M.rows == 0:
+        raise ValueError("empty matrix has no coefficient field; use size >= 2")
+    field = M.entry(0, 1).field
+    memo = {(): Polynomial.constant(field, 1)}
+
+    def pf(active):
+        if active in memo:
+            return memo[active]
+        first = active[0]
+        rest = active[1:]
+        total = Polynomial.zero(field)
+        for pos, j in enumerate(rest):
+            e = M.entry(first, j)
+            if e.is_zero():
+                continue
+            term = e * pf(rest[:pos] + rest[pos + 1:])
+            # expansion signs alternate +, -, +, ... along the first row
+            if pos % 2:
+                term = -term
+            total = total + term
+        memo[active] = total
+        return total
+
+    return pf(tuple(range(M.rows)))
+
+
+def sub_pfaffian(V: PolyMatrix, i: int) -> Polynomial:
+    """Pfaffian of V with 1-based row and column i removed."""
+    if V.rows != V.cols:
+        raise ValueError("sub-Pfaffian of a non-square matrix")
+    if not is_skew_symmetric(V):
+        raise ValueError("sub-Pfaffian of a non-skew-symmetric matrix")
+    if not 1 <= i <= V.rows:
+        raise ValueError(f"index {i} out of range 1..{V.rows}")
+    minor = delete_row_col(V, i - 1)
+    if minor.rows % 2:
+        raise ValueError("deleting one row/column must leave an even size")
+    return pfaffian(minor)
+
+
+def all_sub_pfaffians(V: PolyMatrix) -> list:
+    return [sub_pfaffian(V, i) for i in range(1, V.rows + 1)]
 
 
 def component_basis(ideal: Ideal, d: int) -> list:

@@ -177,12 +177,21 @@ def test_classify_precondition_exit_codes(capsys, tmp_path):
 
 
 def test_classify_ideal_nonprime_characteristic_exits_2(tmp_path):
-    for char in (4, 7.0, "5"):
+    for char in (4, 7.0, "5", False, 0.0):
         code, out, err = classify_ideal_file(
             tmp_path, {"field": {"char": char}, "generators": ["x^2", "y^2", "z^2"]})
         assert code == 2 and out == "", char
         assert err.startswith("error: bad field") and "Traceback" not in err
         assert len(err.splitlines()) == 1
+
+
+def test_classify_ideal_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"generators": ["x^2"]}).encode("utf-16-le"))
+    code, out, err = run_cli_process(["classify", "--ideal", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_classify_ideal_field_not_an_object_exits_2(tmp_path):
@@ -403,6 +412,24 @@ def test_out_writes_same_bytes_as_stdout(capsys, tmp_path):
                                "--out", str(path)], capsys)
     assert code == 0 and silent == ""
     assert path.read_text() == out
+
+
+def assert_cannot_write(target):
+    code, out, err = run_cli_process(["classify", "--m", "2", "--trim", "x1",
+                                      "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_out_to_a_directory_exits_2(tmp_path):
+    assert_cannot_write(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_under_a_missing_directory_exits_2(tmp_path):
+    assert_cannot_write(tmp_path / "missing" / "report.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_char_zero_and_order_flags(capsys):

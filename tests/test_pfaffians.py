@@ -12,23 +12,28 @@ from gtrim import (
     PolyMatrix,
     PfaffianFamily,
     TrimChoice,
-    all_sub_pfaffians,
     build_u,
     build_v,
     canonical_generators,
     d_poly,
     family_hilbert,
     gorenstein_ideal,
-    pfaffian,
     selector_labels,
-    sub_pfaffian,
     trim,
     trimmed_ideal,
     variables,
 )
 from gtrim.errors import QuotientTooLargeError
 from gtrim.pfaffians import check_family_size, family_dim
-from helpers import det_bareiss, is_interior
+from helpers import (
+    all_sub_pfaffians,
+    delete_row_col,
+    det_bareiss,
+    is_interior,
+    is_skew_symmetric,
+    pfaffian,
+    sub_pfaffian,
+)
 
 F = helpers.field()
 X, Y, Z = variables(F)
@@ -78,7 +83,7 @@ def test_v_shape_and_skew_symmetry():
     for m in range(1, 7):
         V = build_v(m, F)
         assert (V.rows, V.cols) == (2 * m + 1, 2 * m + 1)
-        assert V.is_skew_symmetric()
+        assert is_skew_symmetric(V)
         # upper-right m x m corner is the symmetric band matrix
         U = build_u(m, F)
         for i in range(m):
@@ -167,7 +172,7 @@ def test_sub_pfaffian_squares_are_principal_minors():
         V = build_v(m, F)
         for i in range(1, 2 * m + 2):
             pf = sub_pfaffian(V, i)
-            assert pf * pf == det_bareiss(V.delete_row_col(i - 1))
+            assert pf * pf == det_bareiss(delete_row_col(V, i - 1))
 
 
 def test_pfaffian_lists_frozen():
@@ -179,18 +184,24 @@ def test_pfaffian_lists_frozen():
         "-x^2*y + x*z^2", "x^2*z", "x^3"]
 
 
-def test_pfaffians_match_closed_forms_up_to_sign():
-    for m in range(1, 17):
-        pfs = all_sub_pfaffians(build_v(m, F))
-        for i in range(1, 2 * m + 2):
-            if i <= m:
-                expected = Y ** (m - i + 1) * d_poly(i - 1, F)
-            elif i == m + 1:
-                expected = d_poly(m, F)
-            else:
-                expected = X ** (i - m - 1) * d_poly(2 * m + 1 - i, F)
-            got = pfs[i - 1]
-            assert got == expected or got == -expected
+def test_family_pfaffians_equal_expansion_with_signs():
+    # the ladder read backwards with signs (-1)^floor(min(k, 2m-k)/2) is
+    # exactly the first-row expansion of each sub-Pfaffian, signs included
+    for fld, top in ((F, 16), (helpers.field(0), 10)):
+        x, y, _ = variables(fld)
+        for m in range(1, top + 1):
+            pfs = all_sub_pfaffians(build_v(m, fld))
+            assert PfaffianFamily.build(m, fld).pfaffians == tuple(pfs), (fld, m)
+            for i in range(1, 2 * m + 2):
+                if i <= m:
+                    expected = y ** (m - i + 1) * d_poly(i - 1, fld)
+                elif i == m + 1:
+                    expected = d_poly(m, fld)
+                else:
+                    expected = x ** (i - m - 1) * d_poly(2 * m + 1 - i, fld)
+                if min(i - 1, 2 * m + 1 - i) // 2 % 2:
+                    expected = -expected
+                assert pfs[i - 1] == expected, (fld, m, i)
 
 
 # ---- the generator ladder ---------------------------------------------------------
