@@ -22,6 +22,7 @@ from .koszul import KoszulComplex, TorClass, report_dict
 from .pfaffians import (
     PfaffianFamily,
     TrimChoice,
+    canonical_generators,
     check_family_size,
     family_hilbert,
     gorenstein_ideal,
@@ -209,11 +210,11 @@ def cmd_table(args) -> str:
     check_family_size(hi)
     rows = []
     for m in range(lo, hi + 1):
+        gens = canonical_generators(m, field)
         for label in selector_labels(m):
-            choice = TrimChoice(m, label)
-            ideal = trimmed_ideal(choice, field)
-            report = report_dict(KoszulComplex(ideal.quotient_ring()))
-            rows.append({"m": m, "g": choice.generator(field).to_text(),
+            index = selector_index(label, m)
+            report = report_dict(KoszulComplex(trim(gens, index).quotient_ring()))
+            rows.append({"m": m, "g": gens[index].to_text(),
                          **{k: report[k] for k in ("mu", "type", "p", "q", "r")},
                          "class": _display(report)})
     if args.output_format == "json":
@@ -252,14 +253,21 @@ _COMMANDS = {"gen": cmd_gen, "classify": cmd_classify,
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    created = False  # an --out file made by the probe below is removed on failure
+    if args.out:
+        try:  # refuse an unwritable path before any work
+            created = not Path(args.out).exists()
+            open(args.out, "a").close()
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     try:
         text = _COMMANDS[args.command](args)
-    except CliError as exc:
+    except (CliError, PreconditionError) as exc:
+        if created:
+            Path(args.out).unlink()
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, CliError) else 3
     if args.out:
         try:
             Path(args.out).write_text(text)

@@ -351,6 +351,14 @@ class QuotientRing:
             return self.std[d]
         return ()
 
+    def corners(self, d: int) -> int:
+        """The number of corners in degree d: standard monomials b with x*b,
+        y*b and z*b all non-standard, a basis of the socle of Q/in(I)."""
+        if not 0 <= d <= self.top_degree:
+            return 0
+        above = self._index[d + 1] if d < self.top_degree else {}
+        return sum(all(mono_mul(b, v) not in above for v in _VAR_MONOS) for b in self.std[d])
+
     # ---- the normal-form table ---------------------------------------------
 
     def _nf_table(self) -> dict:

@@ -15,11 +15,15 @@ polynomial reduction against the Groebner basis.
 
 The homology is built only where it can be non-zero.  H_i(K^R)_d is
 Tor_i(R, k)_d, so H_0 is k in degree 0 and H_1 lives only in the degrees of
-the input generators.  H_3,d is the kernel of d_3 alone (nothing maps into
-K_3), and the Euler characteristic of each degree, read from the Hilbert
-function, then gives dim H_2,d in every other degree.  The eliminations of
-d_2, d_1 and d_0 run only in the degrees where these leave H_0, H_1 or H_2
-possibly non-zero; elsewhere A is zero and a cycle's class is zero.
+the input generators; the eliminations in degree d stop at the lowest H_i
+that can live.  H_3,d is the socle of R in degree d - 3.  Betti numbers
+only grow under Groebner degeneration, beta_3,d(Q/a) <= beta_3,d(Q/in(a))
+(Herzog-Hibi, Monomial Ideals, GTM 260, ch. 3), and the staircase corners
+span the socle of Q/in(a), so d_3 is eliminated only above a corner or
+where its image bounds a live H_2 (the Euler characteristic of the degree
+detects one).  Elsewhere A is zero and a cycle's class is zero.  A product
+[a][b] lies in internal degree deg a + deg b and is formed only when A_{i+j}
+has a representative there.
 
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
@@ -177,20 +181,24 @@ class KoszulComplex:
         return col
 
     def _build_homology(self):
-        """A_3 in every internal degree d, and A_0, A_1, A_2 where they can be
-        non-zero: in degree 0, in the degrees of the input generators (H_1 =
-        Tor_1(R, k) lives there), and where the Euler characteristic
-        chi_d - [d = 0] + dim H_3,d, which is dim H_2,d outside those degrees,
-        is non-zero.  Every other degree keeps no `_classes` entry for i <= 2.
-        The image of each d_{i+1} is the boundary span handed to H_{i,d}."""
+        """A_i only where it can be non-zero.  With no corner in degree d - 3,
+        H_3,d = 0 and d_3 runs only for its image.  The cascade ends at the
+        lowest i that can live: 0 at d = 0, 1 in the generator degrees, else 2,
+        and only when chi_d + dim H_3,d (dim H_2,d there) is non-zero.  A
+        skipped (i, d) keeps no `_classes` entry.  The image of each d_{i+1}
+        is the boundary span handed to H_{i,d}."""
         ring = self.ring
         gen_degrees = {g.degree() for g in ring.ideal.generators}
         for d in range(ring.top_degree + 4):
+            lowest = 0 if d == 0 else 1 if d in gen_degrees else 2
+            corner = ring.corners(d - 3) > 0
+            chi = sum((-1) ** i * self.component_size(i, d) for i in range(4))
+            if lowest == 2 and not corner and not chi:
+                continue
             image = self._homology(3, d, Echelon(self.field))
             h3 = self.component_size(3, d) - image.rank
-            chi = sum((-1) ** i * self.component_size(i, d) for i in range(4))
-            if d == 0 or d in gen_degrees or chi - (d == 0) + h3:
-                for i in (2, 1, 0):
+            if lowest < 2 or chi + h3:
+                for i in range(2, lowest - 1, -1):
                     image = self._homology(i, d, image)
 
     def _homology(self, i: int, d: int, space: Echelon) -> Echelon:
@@ -323,20 +331,28 @@ class KoszulComplex:
     # ---- invariants and classification ------------------------------------
 
     def invariants(self) -> TorInvariants:
+        """(p, q, r) from A_1 x A_1 -> A_2 and A_1 x A_2 -> A_3; a product into a
+        degree without classes is zero, not formed (zeros in the r matrix)."""
         if self._inv is None:
             f = self.field
-            a1 = self.homology_basis(1)
-            a2 = self.homology_basis(2)
+            a1, a2 = self.homology_basis(1), self.homology_basis(2)
+            deg1, deg2 = [d for d, _ in self._reps[1]], [d for d, _ in self._reps[2]]
+            live2, live3 = set(deg2), {d for d, _ in self._reps[3]}
+            zero3 = [f.zero] * len(self._reps[3])
             p_span, q_span, r_span = Echelon(f), Echelon(f), Echelon(f)
             for s in range(len(a1)):
                 for t in range(s + 1, len(a1)):
-                    p_span.add(self.class_coords(self.wedge(a1[s], a1[t])))
-            for g in a2:  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
+                    if deg1[s] + deg1[t] in live2:
+                        p_span.add(self.class_coords(self.wedge(a1[s], a1[t])))
+            for g, dg in zip(a2, deg2):  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
                 row = []
-                for e in a1:
-                    prod = self.class_coords(self.wedge(e, g))
-                    q_span.add(prod)
-                    row.extend(prod)
+                for e, de in zip(a1, deg1):
+                    if de + dg in live3:
+                        prod = self.class_coords(self.wedge(e, g))
+                        q_span.add(prod)
+                        row.extend(prod)
+                    else:
+                        row.extend(zero3)
                 r_span.add(row)
             self._inv = TorInvariants(p=p_span.rank, q=q_span.rank, r=r_span.rank,
                                       mu=len(a1), type_rank=len(self._reps[3]))

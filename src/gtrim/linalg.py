@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over a coefficient field: one echelon structure.
 
 Vectors are dicts ``{column: nonzero coefficient}``; dense sequences are
-accepted on input.  An `Echelon` keeps its rows in reduced row echelon form:
-each row is monic at its leftmost column (its pivot) and zero at every other
-pivot column, so one pass over a vector's entries clears every pivot column.
+accepted on input.  An `Echelon` keeps its rows in semi-echelon form: each
+row is monic at its leftmost column (its pivot), and rows are not cleared
+at later pivots.  A vector's pivot columns are cleared in ascending order;
+its residual, zero at every pivot, is the unique such vector in its coset
+of the span, the same as reduced row echelon form would leave.
 
 Kernels come from relations, not from a transposed elimination: add the
 columns of a matrix in order, each tagged with its index, and every column
@@ -14,6 +16,8 @@ basis of the kernel; the rows left behind span the image.
 """
 
 from __future__ import annotations
+
+import heapq
 
 
 def _sub_multiple(field, vec: dict, c, row: dict):
@@ -31,11 +35,13 @@ def _sub_multiple(field, vec: dict, c, row: dict):
 
 
 class Echelon:
-    """Growable span in reduced row echelon form, with tagged generators.
+    """Growable span in semi-echelon form, with tagged generators.
 
     A vector added with a tag is a named generator; each row records which
     combination of tagged vectors it equals modulo the untagged ones, so
-    `solve` can write a member of the span over the tagged vectors.
+    `solve` can write a member of the span over the tagged vectors.  The
+    kept vectors are independent, so that combination, each relation and
+    each solution is unique: none depends on the form of the rows.
     """
 
     __slots__ = ("field", "rows")
@@ -49,14 +55,23 @@ class Echelon:
         return len(self.rows)
 
     def _reduce(self, vec, combo: dict) -> dict:
-        """Residual of vec against the rows; combo tracks the tags subtracted."""
-        f = self.field
+        """Residual of vec against the rows; combo tracks the tags subtracted.
+        Pivot columns are cleared from a heap, lowest first: the row that
+        clears p is zero left of p, so no cleared column comes back."""
+        f, rows = self.field, self.rows
         v = dict(vec) if isinstance(vec, dict) else {
             j: c for j, c in enumerate(vec) if not f.is_zero(c)}
-        # rows vanish at each other's pivots, so one pass clears every pivot column
-        for p in [j for j in v if j in self.rows]:
-            c = v[p]
-            row, row_combo = self.rows[p]
+        heap = [j for j in v if j in rows]
+        heapq.heapify(heap)
+        while heap:
+            p = heapq.heappop(heap)
+            c = v.get(p)
+            if c is None:  # cancelled, or a second entry for a cleared column
+                continue
+            row, row_combo = rows[p]
+            for j in row:
+                if j not in v and j in rows:
+                    heapq.heappush(heap, j)
             _sub_multiple(f, v, c, row)
             _sub_multiple(f, combo, c, row_combo)
         return v
@@ -74,14 +89,8 @@ class Echelon:
             return combo
         pivot = min(v)
         inv = f.inv(v[pivot])
-        v = {j: f.mul(c, inv) for j, c in v.items()}
-        combo = {t: f.mul(c, inv) for t, c in combo.items()}
-        for row, row_combo in self.rows.values():
-            c = row.get(pivot)
-            if c is not None:
-                _sub_multiple(f, row, c, v)
-                _sub_multiple(f, row_combo, c, combo)
-        self.rows[pivot] = (v, combo)
+        self.rows[pivot] = ({j: f.mul(c, inv) for j, c in v.items()},
+                            {t: f.mul(c, inv) for t, c in combo.items()})
         return None
 
     def solve(self, vec):

@@ -19,7 +19,9 @@ ideal.  `full_homology` runs the homology elimination in every
 internal degree, the oracle for the degree-local build of `KoszulComplex`; it
 takes its cycles from the dense kernel oracle, and shares the differential
 columns, which `koszul_differential` checks, and the `Echelon` that holds
-boundaries and representatives.
+boundaries and representatives.  `all_products_invariants` forms every
+product of homology classes, none skipped by degree, the oracle for
+`KoszulComplex.invariants`.
 The routines that serve only as cross-checks (minimal generators, the socle,
 the colon by the maximal ideal, interior selectors, polynomials from
 coordinate vectors) live here, not in the package.
@@ -34,6 +36,7 @@ from gtrim import (
     KoszulElement,
     Polynomial,
     PolyMatrix,
+    TorInvariants,
     TrimChoice,
     field_of_characteristic,
     gorenstein_ideal,
@@ -195,6 +198,28 @@ def delta_rows(kz):
     a1 = kz.homology_basis(1)
     return [[c for e in a1 for c in kz.class_coords(kz.wedge(e, g))]
             for g in kz.homology_basis(2)]
+
+
+def all_products_invariants(kz):
+    """The invariants from every product of A_1 x A_1 and A_1 x A_2, each
+    formed with `wedge` and `class_coords`, none skipped by degree: the
+    oracle for the product skip in `KoszulComplex.invariants`."""
+    f = kz.field
+    a1 = kz.homology_basis(1)
+    a2 = kz.homology_basis(2)
+    p_span, q_span, r_span = Echelon(f), Echelon(f), Echelon(f)
+    for s in range(len(a1)):
+        for t in range(s + 1, len(a1)):
+            p_span.add(kz.class_coords(kz.wedge(a1[s], a1[t])))
+    for g in a2:  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
+        row = []
+        for e in a1:
+            prod = kz.class_coords(kz.wedge(e, g))
+            q_span.add(prod)
+            row.extend(prod)
+        r_span.add(row)
+    return TorInvariants(p=p_span.rank, q=q_span.rank, r=r_span.rank,
+                         mu=len(a1), type_rank=kz.ranks()[3])
 
 
 def standard_monomials(ideal, d):

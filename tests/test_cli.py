@@ -432,6 +432,31 @@ def test_out_under_a_missing_directory_exits_2(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unwritable_out_is_refused_before_any_homology(capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("KoszulComplex built before --out was checked")
+
+    monkeypatch.setattr(gtrim.cli, "KoszulComplex", refuse)
+    target = tmp_path / "missing" / "report.json"
+    for argv in (["classify", "--m", "2", "--trim", "x1"], ["table", "--m", "2..3"]):
+        code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and len(err.splitlines()) == 1
+
+
+def test_failed_command_leaves_no_out_file(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"generators": ["x^2 + y", "y^2", "z^2"]}))
+    for argv, expected in ((["classify"], 2), (["classify", "--ideal", str(bad)], 3)):
+        code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+        assert code == expected and out == "" and err.startswith("error: "), argv
+        assert not target.exists(), argv
+    target.write_text("kept")  # a file that was there before stays as it was
+    code, _, _ = run_cli(["classify", "--out", str(target)], capsys)
+    assert code == 2 and target.read_text() == "kept"
+
+
 def test_char_zero_and_order_flags(capsys):
     code, at_p, _ = run_cli(["classify", "--m", "2", "--trim", "x1"], capsys)
     assert code == 0

@@ -177,6 +177,59 @@ def test_degree_local_homology_matches_full_oracle():
     assert silent > 0
 
 
+def test_invariants_match_all_products_oracle():
+    """Skipping the products into degrees without classes changes no
+    invariant; some instances have p > 0 and some products are skipped."""
+    rng = random.Random(helpers.SEED + 13)
+    complexes = [(label, KoszulComplex(ideal.quotient_ring()))
+                 for label, ideal in helpers.small_instances()]
+    complexes += [((m, label, char), helpers.koszul(m, label, char))
+                  for char in (32003, 0) for m in range(2, 7) for label in selector_labels(m)]
+    complexes += [((char, str(ideal)), KoszulComplex(ideal.quotient_ring()))
+                  for char in (2, 3, 32003, 0)
+                  for ideal in redundant_generator_ideals(rng, char, 10)]
+    with_p = skipped = 0
+    for label, kz in complexes:
+        inv = kz.invariants()
+        assert inv == helpers.all_products_invariants(kz), label
+        with_p += inv.p > 0
+        deg = [[d for d, _ in reps] for reps in kz._reps]
+        skipped += sum(a + b not in deg[2] for s, a in enumerate(deg[1]) for b in deg[1][s + 1:])
+    assert with_p > 0 and skipped > 0
+
+
+def _corner_degrees(ring):
+    """Degrees holding a standard monomial b with x*b, y*b and z*b not standard."""
+    out = set()
+    for d in range(ring.top_degree + 1):
+        above = set(ring.basis(d + 1))
+        if any(all((b[0] + (v == 0), b[1] + (v == 1), b[2] + (v == 2)) not in above
+                   for v in range(3)) for b in ring.basis(d)):
+            out.add(d)
+    return out
+
+
+def test_homology_skips_follow_corners_and_generator_degrees():
+    """The `_classes` keys show what was eliminated: A_3 only above a corner,
+    H_0 only in degree 0, H_1 only in generator degrees."""
+    rng = random.Random(helpers.SEED + 14)
+    complexes = [helpers.koszul(m, label) for m in range(2, 7) for label in selector_labels(m)]
+    complexes += [helpers.koszul(m) for m in range(2, 7)]
+    complexes += [KoszulComplex(helpers.random_artinian_ideal(rng, helpers.field(char))
+                                .quotient_ring())
+                  for char in (2, 3, 32003, 0) for _ in range(10)]
+    for kz in complexes:
+        corners = _corner_degrees(kz.ring)
+        assert all(d - 3 in corners for d, _ in kz._reps[3]), kz.ring.ideal
+        gen_degrees = {g.degree() for g in kz.ring.ideal.generators}
+        for i, d in kz._classes:
+            assert i != 0 or d == 0, kz.ring.ideal
+            assert i != 1 or d in gen_degrees, kz.ring.ideal
+    # d_3 runs in fewer degrees than the top_degree + 1 where K_3 is non-zero
+    kz = helpers.koszul(8, "d")
+    assert len({d for i, d in kz._classes if i == 3}) < kz.ring.top_degree + 1
+
+
 def test_degree_without_homology_checks_cycles():
     kz = helpers.koszul(4, "d")
     for i in (1, 2):
