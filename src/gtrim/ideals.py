@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import comb
 
 from .errors import NonHomogeneousError, NotNPrimaryError, QuotientTooLargeError
 from .linalg import _sub_multiple
@@ -34,7 +35,7 @@ from .poly import (
 )
 
 _VAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-# bound on dim R, checked on each generator's degree and while the staircase
+# bound on dim R, checked on the generators' degrees, then while the staircase
 # is walked (about 6 us per monomial): a huge input fails in about a second
 MAX_DIM = 200_000
 
@@ -141,9 +142,10 @@ def buchberger(generators) -> list:
     A new element h gets its pairs from `_new_pairs` (M over the minimal lcms,
     and F); criterion B drops a pending pair (i, j) when lm(h) divides its lcm
     and lcm(i, h), lcm(j, h) both differ from it.  S-polynomials, by lcm
-    degree then index, reduce against all elements so far (first divisors from
-    `_Reducers`).  Interreduction keeps the elements whose lm no other divides
-    and reduces each tail against all of them (an lm divides no smaller term).
+    degree then index, are built as one term dict from the pair's stored lcm
+    and reduce against all elements so far (first divisors from `_Reducers`).
+    Interreduction keeps the elements whose lm no other divides and reduces
+    each tail against all of them (an lm divides no smaller term).
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -165,9 +167,11 @@ def buchberger(generators) -> list:
         add(g.monic())
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)  # the S-polynomial of monic basis[i], basis[j]:
-        s = (Polynomial.monomial(field, mono_div(lcm, lms[i])) * basis[i]
-             - Polynomial.monomial(field, mono_div(lcm, lms[j])) * basis[j])
-        rem = _normal_form_terms(s.terms, reducers, field)
+        (a, b, c), (p, q, r) = mono_div(lcm, lms[i]), mono_div(lcm, lms[j])
+        s = {(x + a, y + b, z + c): v for (x, y, z), v in basis[i].terms.items()}
+        _sub_multiple(field, s, field.one,
+                      {(x + p, y + q, z + r): v for (x, y, z), v in basis[j].terms.items()})
+        rem = _normal_form_terms(s, reducers, field)
         if rem:
             add(Polynomial(field, rem).monic())
 
@@ -314,6 +318,13 @@ class QuotientRing:
     __slots__ = ("ideal", "field", "std", "top_degree", "_index", "_table")
 
     def __init__(self, ideal: Ideal):
+        # every monomial below the least generator degree is standard, so
+        # dim R >= C(least + 2, 3): checked before is_n_primary runs Buchberger
+        least = min((g.degree() for g in ideal.generators), default=0)
+        if comb(least + 2, 3) > MAX_DIM:
+            raise QuotientTooLargeError(
+                f"quotient has more than {MAX_DIM} standard monomials (the bound on "
+                f"dim R): every monomial of degree below {least} is standard")
         if not ideal.is_n_primary():
             raise NotNPrimaryError(
                 "quotient is not artinian; some variable has no pure-power leading term")
@@ -428,9 +439,13 @@ class QuotientRing:
         vanishes are left out."""
         if f.field != self.field:
             raise ValueError("mismatched coefficient fields")
+        return self._coordinates(f.terms)
+
+    def _coordinates(self, terms: dict) -> dict:
+        """`coordinates` of the polynomial with terms {monomial: coefficient}."""
         fld = self.field
         out = {}
-        for mono, c in f.terms.items():
+        for mono, c in terms.items():
             entry = self._entry(mono)
             if entry:
                 _sub_multiple(fld, out.setdefault(mono_degree(mono), {}), fld.neg(c), entry)

@@ -9,21 +9,22 @@ from the quotient ring's sparse multiplication columns, and `differential`
 applies the columns in an element's support to its coordinates.  Each d_i
 is eliminated once per internal degree, column by column: the relations
 among its columns are the cycles in K_i, and the rows left behind span the
-boundaries in K_{i-1}.  Coefficients are reduced through the quotient
-ring's normal-form table, so products and class coordinates need no
-polynomial reduction against the Groebner basis.
+boundaries in K_{i-1}.  Products are taken on coordinates: the words of
+two elements multiply with their exterior sign, each product monomial
+reads one entry of the quotient ring's normal-form table, and the result
+is solved against the classes, with no Polynomial product or reduction.
 
 The homology is built only where it can be non-zero.  H_i(K^R)_d is
 Tor_i(R, k)_d, so H_0 is k in degree 0 and H_1 lives only in the degrees of
-the input generators; the eliminations in degree d stop at the lowest H_i
-that can live.  H_3,d is the socle of R in degree d - 3.  Betti numbers
-only grow under Groebner degeneration, beta_3,d(Q/a) <= beta_3,d(Q/in(a))
+the input generators; the eliminations in degree d end at the lowest H_i
+that can live, at its last class: the Euler characteristic of the degree
+counts them.  H_3,d is the socle of R in degree d - 3.  Betti numbers only
+grow under Groebner degeneration, beta_3,d(Q/a) <= beta_3,d(Q/in(a))
 (Herzog-Hibi, Monomial Ideals, GTM 260, ch. 3), and the staircase corners
-span the socle of Q/in(a), so d_3 is eliminated only above a corner or
-where its image bounds a live H_2 (the Euler characteristic of the degree
-detects one).  Elsewhere A is zero and a cycle's class is zero.  A product
-[a][b] lies in internal degree deg a + deg b and is formed only when A_{i+j}
-has a representative there.
+span the socle of Q/in(a), so d_3 is eliminated with tags only above a
+corner; elsewhere it runs only for the boundaries of a live H_2.  Where A
+is zero a cycle's class is zero.  A product [a][b] lies in internal degree
+deg a + deg b and is formed only when A_{i+j} has a representative there.
 
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
@@ -154,7 +155,6 @@ class KoszulComplex:
         self.field = ring.field
         self._reps = ([], [], [], [])  # per exterior degree: (internal degree, cycle)
         self._classes = {}  # (i, d) -> Echelon: boundaries untagged, representatives tagged
-        self._basis_elements = {}
         self._inv = None
         self._build_homology()
 
@@ -182,12 +182,13 @@ class KoszulComplex:
 
     def _build_homology(self):
         """A_i only where it can be non-zero.  With no corner in degree d - 3,
-        H_3,d = 0 and d_3 runs only for its image.  The cascade ends at the
-        lowest i that can live: 0 at d = 0, 1 in the generator degrees, else 2,
-        and only when chi_d + dim H_3,d (dim H_2,d there) is non-zero.  A
-        skipped (i, d) keeps no `_classes` entry.  The image of each d_{i+1}
-        is the boundary span handed to H_{i,d}."""
-        ring = self.ring
+        H_3,d = 0 and d_3 is eliminated untagged, for its image alone.  The
+        cascade ends at the lowest i that can live (0 at d = 0, 1 in the
+        generator degrees, else 2), whose class count the Euler characteristic
+        sum (-1)^i dim H_i,d = chi_d fixes from those above: its columns stop
+        at the last class, and none run (no `_classes` entry) when it is 0.
+        The image of each d_{i+1} is the boundary span for H_{i,d}."""
+        ring, f = self.ring, self.field
         gen_degrees = {g.degree() for g in ring.ideal.generators}
         for d in range(ring.top_degree + 4):
             lowest = 0 if d == 0 else 1 if d in gen_degrees else 2
@@ -195,28 +196,41 @@ class KoszulComplex:
             chi = sum((-1) ** i * self.component_size(i, d) for i in range(4))
             if lowest == 2 and not corner and not chi:
                 continue
-            image = self._homology(3, d, Echelon(self.field))
-            h3 = self.component_size(3, d) - image.rank
-            if lowest < 2 or chi + h3:
-                for i in range(2, lowest - 1, -1):
-                    image = self._homology(i, d, image)
+            if corner:
+                image = self._homology(3, d, Echelon(f))
+            else:
+                image = Echelon(f)
+                for c in range(self.component_size(3, d)):
+                    image.add(self._diff_column(3, d, c))
+            count = chi + self.component_size(3, d) - image.rank  # h_2 - h_1 + h_0
+            for i in range(2, lowest, -1):
+                found = len(self._reps[i])
+                image = self._homology(i, d, image)
+                count = len(self._reps[i]) - found - count  # h_{i-1} - h_{i-2} + ...
+            if count:
+                self._homology(lowest, d, image, count)
 
-    def _homology(self, i: int, d: int, space: Echelon) -> Echelon:
+    def _homology(self, i: int, d: int, space: Echelon, count=None) -> Echelon:
         """Representatives of H_{i,d}, appended to `_reps[i]`, from one
         elimination of the columns of d_i.  Each column that depends on the
         earlier ones leaves its relation, a cycle, and the cycle becomes a
         representative when it is independent of `space` (the boundaries, with
-        no tags) and of the representatives before it.  Returns the image of
-        d_i with its column tags dropped: the boundary span for H_{i-1,d}."""
+        no tags) and of the representatives before it.  Given the number of
+        classes, `count`, the columns stop at the last one: every later
+        relation lies in `space`.  Returns the image of d_i, partial if they
+        stopped, with its column tags dropped: the boundaries for H_{i-1,d}."""
         image = Echelon(self.field)
         n = self.component_size(i, d)
         if not n:
             return image
         reps = self._reps[i]
+        stop = None if count is None else len(reps) + count
         for c in range(n):
             cycle = image.add(self._diff_column(i, d, c), tag=c)
             if cycle is not None and space.add(cycle, tag=len(reps)) is None:
                 reps.append((d, cycle))
+                if len(reps) == stop:
+                    break
         self._classes[(i, d)] = space
         image.rows = {p: (row, {}) for p, (row, _) in image.rows.items()}
         return image
@@ -231,32 +245,40 @@ class KoszulComplex:
 
     def element_from_vector(self, i: int, vecs: dict) -> KoszulElement:
         """The element with sparse coordinates {internal degree d: {index:
-        coefficient} in K_{i,d}}; the inverse of `_element_vectors`."""
+        coefficient} in K_{i,d}}; the inverse of `_vectors`."""
+        return KoszulElement(i, {w: Polynomial(self.field, t)
+                                 for w, t in self._terms(i, vecs).items()})
+
+    def _terms(self, i: int, vecs: dict) -> dict:
+        """Coordinates {d: vec} in K_i as {word: {monomial: coefficient}}."""
         terms = {}
         for d, vec in vecs.items():
             basis = self.ring.basis(d - i)
             for k, c in vec.items():
                 terms.setdefault(WORDS[i][k // len(basis)], {})[basis[k % len(basis)]] = c
-        return KoszulElement(i, {w: Polynomial(self.field, t) for w, t in terms.items()})
+        return terms
 
-    def _element_vectors(self, el: KoszulElement) -> dict:
-        """Split an element, reduced on the way, into {internal degree:
-        sparse coordinates}."""
-        i, ring = el.exterior_degree, self.ring
+    def _split(self, el: KoszulElement) -> dict:
+        """{word: {monomial: coefficient}} of an element over this ring's field."""
+        if any(p.field != self.field for p in el.components.values()):
+            raise ValueError("mismatched coefficient fields")
+        return {w: p.terms for w, p in el.components.items()}
+
+    def _vectors(self, comps: dict) -> dict:
+        """{word: {monomial: coefficient}} reduced in R, one table entry per
+        monomial, as {internal degree: sparse coordinates}."""
+        ring = self.ring
         out = {}
-        for w, p in el.components.items():
-            wi = WORD_INDEX[i][w]
-            for e, vec in ring.coordinates(p).items():
-                base = wi * len(ring.basis(e))
+        for w, terms in comps.items():
+            i = len(w)
+            for e, vec in ring._coordinates(terms).items():
+                base = WORD_INDEX[i][w] * len(ring.basis(e))
                 out.setdefault(e + i, {}).update((base + j, c) for j, c in vec.items())
         return out
 
     def homology_basis(self, i: int) -> list:
         """Deterministic cycle representatives of a basis of A_i."""
-        if i not in self._basis_elements:
-            self._basis_elements[i] = [self.element_from_vector(i, {d: vec})
-                                       for d, vec in self._reps[i]]
-        return list(self._basis_elements[i])
+        return [self.element_from_vector(i, {d: vec}) for d, vec in self._reps[i]]
 
     def differential(self, el: KoszulElement) -> KoszulElement:
         """The boundary of el, with coefficients reduced in R: the columns of
@@ -266,7 +288,7 @@ class KoszulComplex:
             return KoszulElement(0, {})
         return self.element_from_vector(i - 1, {
             d: self._boundary_vector(i, d, vec)
-            for d, vec in self._element_vectors(el).items()})
+            for d, vec in self._vectors(self._split(el)).items()})
 
     def _boundary_vector(self, i: int, d: int, vec: dict) -> dict:
         """The differential applied to coordinates in K_{i,d}, one column per
@@ -280,32 +302,38 @@ class KoszulComplex:
     def is_cycle(self, el: KoszulElement) -> bool:
         return self.differential(el).is_zero()
 
-    def wedge(self, u: KoszulElement, v: KoszulElement) -> KoszulElement:
-        """Exterior product with coefficients reduced in R."""
-        i = u.exterior_degree + v.exterior_degree
-        if i > 3:
-            raise ValueError("product lands beyond exterior degree 3")
-        comps = {}
-        for w1, p1 in u.components.items():
-            for w2, p2 in v.components.items():
+    def _product(self, u: dict, v: dict) -> dict:
+        """Coordinates of u ^ v for {word: {monomial: coefficient}} elements:
+        word pairs signed by `wedge_words`, the product reduced by `_vectors`."""
+        f, comps = self.field, {}
+        for w1, t1 in u.items():
+            for w2, t2 in v.items():
                 hit = wedge_words(w1, w2)
                 if hit is None:
                     continue
                 sign, merged = hit
-                piece = p1 * p2
-                if sign < 0:
-                    piece = -piece
-                cur = comps.get(merged)
-                comps[merged] = piece if cur is None else cur + piece
-        return self.reduce_element(KoszulElement(i, comps))
+                terms = comps.setdefault(merged, {})
+                for (a, b, c), c1 in t1.items():
+                    _sub_multiple(f, terms, f.neg(c1) if sign > 0 else c1,
+                                  {(a + p, b + q, c + r): c2 for (p, q, r), c2 in t2.items()})
+        return self._vectors(comps)
+
+    def wedge(self, u: KoszulElement, v: KoszulElement) -> KoszulElement:
+        """Exterior product with coefficients reduced in R, from `_product`."""
+        i = u.exterior_degree + v.exterior_degree
+        if i > 3:
+            raise ValueError("product lands beyond exterior degree 3")
+        return self.element_from_vector(i, self._product(self._split(u), self._split(v)))
 
     def class_coords(self, el: KoszulElement) -> list:
-        """Coordinates of the homology class of a cycle over the A_i basis.
-        A degree without a `_classes` entry has H_{i,d} = 0, so a cycle there
-        adds nothing; only its boundary is checked to vanish."""
-        i = el.exterior_degree
+        """Coordinates of the homology class of a cycle over the A_i basis."""
+        return self._class_coords(el.exterior_degree, self._vectors(self._split(el)))
+
+    def _class_coords(self, i: int, vecs: dict) -> list:
+        """`class_coords` of coordinates {d: vec} in K_i.  Where (i, d) has no
+        `_classes` entry, H_{i,d} = 0: only the boundary is checked to vanish."""
         coords = [self.field.zero] * len(self._reps[i])
-        for d, vec in sorted(self._element_vectors(el).items()):
+        for d, vec in sorted(vecs.items()):
             space = self._classes.get((i, d))
             if space is not None:
                 sol = space.solve(vec)
@@ -321,34 +349,36 @@ class KoszulComplex:
         return all(self.field.is_zero(c) for c in self.class_coords(el))
 
     def multiply(self, u: KoszulElement, v: KoszulElement) -> list:
-        """Class coordinates of [u][v] over the A_{i+j} basis."""
-        if u.exterior_degree + v.exterior_degree > 3:
+        """Class coordinates of [u][v] over the A_{i+j} basis, from `_product`."""
+        i = u.exterior_degree + v.exterior_degree
+        if i > 3:
             raise ValueError("product lands beyond exterior degree 3")
         if not self.is_cycle(u) or not self.is_cycle(v):
             raise ValueError("multiply is defined on cycles only")
-        return self.class_coords(self.wedge(u, v))
+        return self._class_coords(i, self._product(self._split(u), self._split(v)))
 
     # ---- invariants and classification ------------------------------------
 
     def invariants(self) -> TorInvariants:
-        """(p, q, r) from A_1 x A_1 -> A_2 and A_1 x A_2 -> A_3; a product into a
+        """(p, q, r) from A_1 x A_1 -> A_2 and A_1 x A_2 -> A_3 by `_product`
+        on the representatives, each split once into words; a product into a
         degree without classes is zero, not formed (zeros in the r matrix)."""
         if self._inv is None:
             f = self.field
-            a1, a2 = self.homology_basis(1), self.homology_basis(2)
-            deg1, deg2 = [d for d, _ in self._reps[1]], [d for d, _ in self._reps[2]]
-            live2, live3 = set(deg2), {d for d, _ in self._reps[3]}
+            a1, a2 = ([(d, self._terms(i, {d: vec})) for d, vec in self._reps[i]]
+                      for i in (1, 2))
+            live2, live3 = {d for d, _ in a2}, {d for d, _ in self._reps[3]}
             zero3 = [f.zero] * len(self._reps[3])
             p_span, q_span, r_span = Echelon(f), Echelon(f), Echelon(f)
-            for s in range(len(a1)):
-                for t in range(s + 1, len(a1)):
-                    if deg1[s] + deg1[t] in live2:
-                        p_span.add(self.class_coords(self.wedge(a1[s], a1[t])))
-            for g, dg in zip(a2, deg2):  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
+            for s, (ds, u) in enumerate(a1):
+                for dt, v in a1[s + 1:]:
+                    if ds + dt in live2:
+                        p_span.add(self._class_coords(2, self._product(u, v)))
+            for dg, g in a2:  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
                 row = []
-                for e, de in zip(a1, deg1):
+                for de, e in a1:
                     if de + dg in live3:
-                        prod = self.class_coords(self.wedge(e, g))
+                        prod = self._class_coords(3, self._product(e, g))
                         q_span.add(prod)
                         row.extend(prod)
                     else:

@@ -19,9 +19,11 @@ ideal.  `full_homology` runs the homology elimination in every
 internal degree, the oracle for the degree-local build of `KoszulComplex`; it
 takes its cycles from the dense kernel oracle, and shares the differential
 columns, which `koszul_differential` checks, and the `Echelon` that holds
-boundaries and representatives.  `all_products_invariants` forms every
-product of homology classes, none skipped by degree, the oracle for
-`KoszulComplex.invariants`.
+boundaries and representatives.  `polynomial_wedge` multiplies Koszul
+elements through Polynomial products and normal forms, the oracle for the
+products on coordinates of `KoszulComplex`; `all_products_invariants` forms
+every product of homology classes with it, none skipped by degree, the
+oracle for `KoszulComplex.invariants`.
 The routines that serve only as cross-checks (minimal generators, the socle,
 the colon by the maximal ideal, interior selectors, polynomials from
 coordinate vectors) live here, not in the package.
@@ -46,6 +48,7 @@ from gtrim import (
     variables,
 )
 from gtrim.errors import UnitIdealError
+from gtrim.koszul import wedge_words
 from gtrim.linalg import Echelon
 from gtrim.poly import (
     Monomial,
@@ -192,29 +195,49 @@ def mult_matrix_oracle(ring, var, d):
     return mat
 
 
+def polynomial_wedge(kz, u, v):
+    """The exterior product u ^ v from Polynomial products, reduced in R by
+    `KoszulComplex.reduce_element`: the oracle for `KoszulComplex.wedge`,
+    which multiplies on coordinates."""
+    comps = {}
+    for w1, p1 in u.components.items():
+        for w2, p2 in v.components.items():
+            hit = wedge_words(w1, w2)
+            if hit is None:
+                continue
+            sign, merged = hit
+            piece = p1 * p2
+            if sign < 0:
+                piece = -piece
+            cur = comps.get(merged)
+            comps[merged] = piece if cur is None else cur + piece
+    return kz.reduce_element(KoszulElement(u.exterior_degree + v.exterior_degree, comps))
+
+
 def delta_rows(kz):
     """The matrix of A_2 -> Hom(A_1, A_3): one row per A_2 basis class, the
     concatenated A_3 coordinates of its products with each A_1 basis class."""
     a1 = kz.homology_basis(1)
-    return [[c for e in a1 for c in kz.class_coords(kz.wedge(e, g))]
+    return [[c for e in a1 for c in kz.class_coords(polynomial_wedge(kz, e, g))]
             for g in kz.homology_basis(2)]
 
 
 def all_products_invariants(kz):
     """The invariants from every product of A_1 x A_1 and A_1 x A_2, each
-    formed with `wedge` and `class_coords`, none skipped by degree: the
-    oracle for the product skip in `KoszulComplex.invariants`."""
+    formed with `polynomial_wedge` and `class_coords`, none skipped by
+    degree: the oracle for `KoszulComplex.invariants`, which multiplies on
+    coordinates and skips products into degrees without classes."""
     f = kz.field
     a1 = kz.homology_basis(1)
     a2 = kz.homology_basis(2)
     p_span, q_span, r_span = Echelon(f), Echelon(f), Echelon(f)
     for s in range(len(a1)):
         for t in range(s + 1, len(a1)):
-            p_span.add(kz.class_coords(kz.wedge(a1[s], a1[t])))
+            p_span.add(kz.class_coords(polynomial_wedge(kz, a1[s], a1[t])))
     for g in a2:  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
         row = []
         for e in a1:
-            prod = kz.class_coords(kz.wedge(e, g))
+            prod = kz.class_coords(polynomial_wedge(kz, e, g))
             q_span.add(prod)
             row.extend(prod)
         r_span.add(row)

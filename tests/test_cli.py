@@ -1,5 +1,6 @@
 """End-to-end command line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -319,8 +320,9 @@ def test_family_above_dimension_bound_exits_3():
 
 
 def test_classify_ideal_above_dimension_bound_exits_3(tmp_path):
-    # x^999999999 used to hang; a huge degree is refused before the Groebner
-    # basis, and a huge quotient while its staircase is walked
+    # x^999999999 used to hang; a huge degree is refused when the ideal is
+    # built, and a least generator degree of 106 or more (every monomial below
+    # it standard, so dim R >= C(108, 3)) before the Groebner basis
     for gens, message in ((["x^999999999", "y^2", "z^2"], "generator of degree 999999999"),
                           (["x^600", "y^600", "z^600"], "more than 200000 standard monomials")):
         code, out, err = classify_ideal_file(tmp_path, {"generators": gens}, timeout=30)
@@ -402,6 +404,22 @@ def test_byte_identical_reruns(capsys):
         second = run_cli(argv, capsys)
         assert first == second
         assert first[0] == 0
+
+
+def test_stdout_frozen_by_digest(capsys):
+    """The sha256 of the whole stdout of three larger runs, frozen before the
+    Koszul eliminations stopped at the Euler count and products moved to
+    coordinates: no class, rank, Hilbert function or rendered byte moves."""
+    for argv, digest in (
+            (["table", "--m", "2..8"],
+             "b564f3154460abade1875a989de277fd7507f16500cc67b862ce4c3dcbe42e19"),
+            (["classify", "--m", "14", "--trim", "d"],
+             "cea2df432a0b192e3294429f375a1028b2cf4ac8945fedb61f1250fb09281461"),
+            (["table", "--char", "0", "--m", "2..7"],
+             "b942a106d31440228f011c04c17ea489c62ea36f8a3b0f2bc6c33bbde731f260")):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == "", argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_out_writes_same_bytes_as_stdout(capsys, tmp_path):

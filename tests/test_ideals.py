@@ -239,6 +239,22 @@ def test_dimension_bound(monkeypatch):
         Ideal([X ** 9, Y, Z])
 
 
+def test_dimension_bound_before_groebner(monkeypatch):
+    """Every monomial below the least generator degree is standard, so dim R
+    >= C(least + 2, 3): least 106 is refused before Buchberger, 105 is not."""
+    def refuse(generators):
+        raise AssertionError("Buchberger ran")
+
+    monkeypatch.setattr(ideals, "buchberger", refuse)
+    with pytest.raises(QuotientTooLargeError, match="more than 200000 standard monomials"):
+        QuotientRing(Ideal([X ** 106, Y ** 107, Z ** 200]))
+    with pytest.raises(AssertionError, match="Buchberger ran"):
+        QuotientRing(Ideal([X ** 105, Y ** 107, Z ** 200]))
+    monkeypatch.setattr(ideals, "MAX_DIM", 9)  # C(3 + 2, 3) = 10 > 9
+    with pytest.raises(QuotientTooLargeError, match="more than 9 standard monomials"):
+        QuotientRing(Ideal([X ** 3, Y ** 3, Z ** 3]))
+
+
 def test_hilbert_functions_frozen():
     assert helpers.family_ideal(2).hilbert_function().coefficients == (1, 3, 1)
     assert helpers.family_ideal(3).hilbert_function().coefficients == (1, 3, 6, 3, 1)

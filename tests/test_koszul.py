@@ -1,5 +1,6 @@
 """Koszul homology, its multiplication, and the classification table."""
 
+import itertools
 import random
 
 import pytest
@@ -198,6 +199,84 @@ def test_invariants_match_all_products_oracle():
     assert with_p > 0 and skipped > 0
 
 
+def test_products_on_coordinates_match_polynomial_oracle():
+    """`wedge` and `multiply` multiply on coordinates; they agree with
+    Polynomial products reduced in R on every pair of basis classes (in one
+    order; the other differs by the graded sign) and on random cycles."""
+    rng = random.Random(helpers.SEED + 15)
+    complexes = [(label, KoszulComplex(ideal.quotient_ring()))
+                 for label, ideal in helpers.small_instances()]  # the family to m = 5 over F_p
+    complexes += [((m, label, char), helpers.koszul(m, label, char))
+                  for char, low in ((32003, 6), (0, 2)) for m in range(low, 7)
+                  for label in (None, *selector_labels(m))]
+    complexes += [((char, str(ideal)), KoszulComplex(ideal.quotient_ring()))
+                  for char in (2, 3, 32003, 0)
+                  for ideal in redundant_generator_ideals(rng, char, 10)]
+    for label, kz in complexes:
+        basis = [b for i in range(4) for b in kz.homology_basis(i)]
+        pairs = [(u, v) for u, v in itertools.combinations(basis, 2)
+                 if u.exterior_degree + v.exterior_degree <= 3]
+        pairs += [(helpers.random_cycle(rng, kz, i), helpers.random_cycle(rng, kz, j))
+                  for i, j in ((1, 1), (1, 2), (2, 1), (0, 3))]
+        for u, v in pairs:
+            oracle = helpers.polynomial_wedge(kz, u, v)
+            product = kz.wedge(u, v)
+            assert product == oracle and str(product) == str(oracle), label
+            assert kz.multiply(u, v) == kz.class_coords(oracle), label
+
+
+def test_invariants_make_no_polynomial_product(monkeypatch):
+    """`invariants` reads the representatives as coordinates: it forms no
+    Polynomial product and no homology_basis element."""
+    complexes = {sel: KoszulComplex(trimmed_ideal(TrimChoice(6, sel), F).quotient_ring())
+                 for sel in ("d", "x2")}
+    expected = {sel: helpers.all_products_invariants(kz) for sel, kz in complexes.items()}
+
+    def refuse(*args):
+        raise AssertionError("called on the invariants path")
+
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    monkeypatch.setattr(Polynomial, "__rmul__", refuse)
+    monkeypatch.setattr(KoszulComplex, "homology_basis", refuse)
+    for sel, kz in complexes.items():
+        assert kz.invariants() == expected[sel], sel
+    assert [kz.classify().display() for kz in complexes.values()] == ["G(10)", "G(9)"]
+
+
+def test_lowest_homology_stops_at_euler_count(monkeypatch):
+    """The lowest live H_i stops at its last class, counted from the Euler
+    characteristic: the trims of the family eliminate fewer d_1 columns than
+    their generator degrees hold, and a generator degree that carries no A_1 class
+    eliminates none."""
+    calls = []
+    column = KoszulComplex._diff_column
+
+    def counted(self, i, d, k):
+        calls.append((i, d))
+        return column(self, i, d, k)
+
+    monkeypatch.setattr(KoszulComplex, "_diff_column", counted)
+    eliminated = held = 0
+    for m in range(2, 7):
+        for label in selector_labels(m):
+            calls.clear()
+            kz = KoszulComplex(helpers.trim_ideal(m, label).quotient_ring())
+            for d in {g.degree() for g in kz.ring.ideal.generators}:
+                eliminated += calls.count((1, d))
+                held += kz.component_size(1, d)
+    assert eliminated < held
+    rng = random.Random(helpers.SEED + 16)
+    silent = 0
+    for char in (2, 3, 32003, 0):
+        for ideal in redundant_generator_ideals(rng, char, 10):
+            calls.clear()
+            kz = KoszulComplex(ideal.quotient_ring())
+            quiet = {g.degree() for g in ideal.generators} - {d for d, _ in kz._reps[1]}
+            assert not any((1, d) in calls for d in quiet), (char, str(ideal))
+            silent += len(quiet)
+    assert silent > 0
+
+
 def _corner_degrees(ring):
     """Degrees holding a standard monomial b with x*b, y*b and z*b not standard."""
     out = set()
@@ -210,8 +289,8 @@ def _corner_degrees(ring):
 
 
 def test_homology_skips_follow_corners_and_generator_degrees():
-    """The `_classes` keys show what was eliminated: A_3 only above a corner,
-    H_0 only in degree 0, H_1 only in generator degrees."""
+    """The `_classes` keys show what was eliminated with tags: d_3 only
+    above a corner, H_0 only in degree 0, H_1 only in generator degrees."""
     rng = random.Random(helpers.SEED + 14)
     complexes = [helpers.koszul(m, label) for m in range(2, 7) for label in selector_labels(m)]
     complexes += [helpers.koszul(m) for m in range(2, 7)]
@@ -221,6 +300,7 @@ def test_homology_skips_follow_corners_and_generator_degrees():
     for kz in complexes:
         corners = _corner_degrees(kz.ring)
         assert all(d - 3 in corners for d, _ in kz._reps[3]), kz.ring.ideal
+        assert all(d - 3 in corners for i, d in kz._classes if i == 3), kz.ring.ideal
         gen_degrees = {g.degree() for g in kz.ring.ideal.generators}
         for i, d in kz._classes:
             assert i != 0 or d == 0, kz.ring.ideal
