@@ -12,7 +12,9 @@ each parent t / x_v is standard, so the cost follows dim R.  The Hilbert
 function is read off those bases.  The quotient's normal forms and
 multiplication maps come from one table over the border (standard monomials
 times a variable), built on first use in increasing term order from the
-reduced basis alone (FGLM), with no polynomial reduction.
+reduced basis alone (FGLM), with no polynomial reduction.  Before any of
+this, a lower bound on dim R read off the generator degrees refuses inputs
+above the size bound without a Groebner basis.
 """
 
 from __future__ import annotations
@@ -318,13 +320,21 @@ class QuotientRing:
     __slots__ = ("ideal", "field", "std", "top_degree", "_index", "_table")
 
     def __init__(self, ideal: Ideal):
-        # every monomial below the least generator degree is standard, so
-        # dim R >= C(least + 2, 3): checked before is_n_primary runs Buchberger
-        least = min((g.degree() for g in ideal.generators), default=0)
-        if comb(least + 2, 3) > MAX_DIM:
+        # I_d is spanned by the m * g, so dim R_d >= C(d+2, 2) - sum_g C(d - deg g + 2, 2):
+        # summed before is_n_primary runs Buchberger, until the sum passes the
+        # bound or, past the least degree, the summand is <= 0 and not rising
+        # (it is concave there, so no later one is positive)
+        degrees = [g.degree() for g in ideal.generators]
+        least, bound, last, d = min(degrees, default=0), 0, 0, 0
+        while bound <= MAX_DIM:
+            here = comb(d + 2, 2) - sum(comb(d - e + 2, 2) for e in degrees if e <= d)
+            if d > least and here <= min(last, 0):
+                break
+            bound, last, d = bound + max(here, 0), here, d + 1
+        if bound > MAX_DIM:
             raise QuotientTooLargeError(
                 f"quotient has more than {MAX_DIM} standard monomials (the bound on "
-                f"dim R): every monomial of degree below {least} is standard")
+                f"dim R): the generator degrees leave at least {bound}")
         if not ideal.is_n_primary():
             raise NotNPrimaryError(
                 "quotient is not artinian; some variable has no pure-power leading term")
@@ -450,10 +460,3 @@ class QuotientRing:
             if entry:
                 _sub_multiple(fld, out.setdefault(mono_degree(mono), {}), fld.neg(c), entry)
         return {d: vec for d, vec in out.items() if vec}
-
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        """The normal form of f modulo the ideal, from the table alone: the
-        same polynomial as `Ideal.normal_form`, without heap reduction."""
-        return Polynomial(self.field, {self.std[d][j]: c
-                                       for d, vec in self.coordinates(f).items()
-                                       for j, c in vec.items()})

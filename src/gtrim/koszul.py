@@ -9,10 +9,12 @@ from the quotient ring's sparse multiplication columns, and `differential`
 applies the columns in an element's support to its coordinates.  Each d_i
 is eliminated once per internal degree, column by column: the relations
 among its columns are the cycles in K_i, and the rows left behind span the
-boundaries in K_{i-1}.  Products are taken on coordinates: the words of
-two elements multiply with their exterior sign, each product monomial
-reads one entry of the quotient ring's normal-form table, and the result
-is solved against the classes, with no Polynomial product or reduction.
+boundaries in K_{i-1}.  An element enters coordinates one way, `_coords`,
+one entry of the quotient ring's normal-form table per monomial; reduction,
+the differential, cycle checks and classes all read them.  Products too:
+the words of two elements multiply with their exterior sign, each product
+monomial reads one table entry, and the result is solved against the
+classes, with no Polynomial product or reduction.
 
 The homology is built only where it can be non-zero.  H_i(K^R)_d is
 Tor_i(R, k)_d, so H_0 is k in degree 0 and H_1 lives only in the degrees of
@@ -64,14 +66,6 @@ class KoszulElement:
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.components.values())
-
-    def map_coefficients(self, fn) -> "KoszulElement":
-        out = {}
-        for w, p in self.components.items():
-            q = fn(p)
-            if not q.is_zero():
-                out[w] = q
-        return KoszulElement(self.exterior_degree, out)
 
     def __add__(self, other: "KoszulElement") -> "KoszulElement":
         if self.exterior_degree != other.exterior_degree:
@@ -241,7 +235,7 @@ class KoszulComplex:
     # ---- elements ----------------------------------------------------------
 
     def reduce_element(self, el: KoszulElement) -> KoszulElement:
-        return el.map_coefficients(self.ring.normal_form)
+        return self.element_from_vector(el.exterior_degree, self._coords(el))
 
     def element_from_vector(self, i: int, vecs: dict) -> KoszulElement:
         """The element with sparse coordinates {internal degree d: {index:
@@ -262,6 +256,8 @@ class KoszulComplex:
         """{word: {monomial: coefficient}} of an element over this ring's field."""
         if any(p.field != self.field for p in el.components.values()):
             raise ValueError("mismatched coefficient fields")
+        if any(w not in _WORD_STR or len(w) != el.exterior_degree for w in el.components):
+            raise ValueError(f"a word is not one of exterior degree {el.exterior_degree}")
         return {w: p.terms for w, p in el.components.items()}
 
     def _vectors(self, comps: dict) -> dict:
@@ -276,6 +272,11 @@ class KoszulComplex:
                 out.setdefault(e + i, {}).update((base + j, c) for j, c in vec.items())
         return out
 
+    def _coords(self, el: KoszulElement) -> dict:
+        """The coordinates {internal degree: sparse vector} of el reduced in R:
+        the one way from an element into coordinates."""
+        return self._vectors(self._split(el))
+
     def homology_basis(self, i: int) -> list:
         """Deterministic cycle representatives of a basis of A_i."""
         return [self.element_from_vector(i, {d: vec}) for d, vec in self._reps[i]]
@@ -287,8 +288,7 @@ class KoszulComplex:
         if i == 0:
             return KoszulElement(0, {})
         return self.element_from_vector(i - 1, {
-            d: self._boundary_vector(i, d, vec)
-            for d, vec in self._vectors(self._split(el)).items()})
+            d: self._boundary_vector(i, d, vec) for d, vec in self._coords(el).items()})
 
     def _boundary_vector(self, i: int, d: int, vec: dict) -> dict:
         """The differential applied to coordinates in K_{i,d}, one column per
@@ -299,8 +299,12 @@ class KoszulComplex:
             _sub_multiple(f, image, f.neg(c), self._diff_column(i, d, k))
         return image
 
+    def _closed(self, i: int, vecs: dict) -> bool:
+        """True when the coordinates {d: vec} in K_i are a cycle."""
+        return not any(self._boundary_vector(i, d, vec) for d, vec in vecs.items())
+
     def is_cycle(self, el: KoszulElement) -> bool:
-        return self.differential(el).is_zero()
+        return self._closed(el.exterior_degree, self._coords(el))
 
     def _product(self, u: dict, v: dict) -> dict:
         """Coordinates of u ^ v for {word: {monomial: coefficient}} elements:
@@ -327,7 +331,7 @@ class KoszulComplex:
 
     def class_coords(self, el: KoszulElement) -> list:
         """Coordinates of the homology class of a cycle over the A_i basis."""
-        return self._class_coords(el.exterior_degree, self._vectors(self._split(el)))
+        return self._class_coords(el.exterior_degree, self._coords(el))
 
     def _class_coords(self, i: int, vecs: dict) -> list:
         """`class_coords` of coordinates {d: vec} in K_i.  Where (i, d) has no
@@ -465,13 +469,7 @@ def a1_cycle_basis(choice: TrimChoice, kz: KoszulComplex) -> list:
     else:
         cycles = y_side(skip=int(sel[1:])) + x_side() + [bridge_y]
 
-    out = []
-    for c in cycles:
-        c = kz.reduce_element(c)
-        if not kz.is_cycle(c):
-            raise ValueError(f"constructed element is not a cycle: {c}")
-        out.append(c)
-    return out
+    return [kz.element_from_vector(1, _checked_cycle(kz, c)) for c in cycles]
 
 
 def a1_annihilator_cycle(choice: TrimChoice, kz: KoszulComplex) -> KoszulElement:
@@ -506,16 +504,25 @@ def a1_annihilator_cycle(choice: TrimChoice, kz: KoszulComplex) -> KoszulElement
         el = KoszulElement(2, {e_xy: x ** (m - i) * d[i - 1],
                                e_xz: x ** (m - i - 1) * d[i] * sign})
 
-    el = kz.reduce_element(el)
-    if not kz.is_cycle(el):
-        raise ValueError(f"constructed element is not a cycle: {el}")
-    return el
+    return kz.element_from_vector(2, _checked_cycle(kz, el))
+
+
+def _checked_cycle(kz: KoszulComplex, el: KoszulElement) -> dict:
+    """The coordinates of el reduced in R, verified on them to be a cycle."""
+    vecs = kz._coords(el)
+    if not kz._closed(el.exterior_degree, vecs):
+        raise ValueError(f"element is not a cycle: {el}")
+    return vecs
 
 
 def annihilates_a1(kz: KoszulComplex, f: KoszulElement) -> bool:
-    """True when [f] multiplies every A_1 basis class to zero."""
-    field = kz.field
-    for e in kz.homology_basis(1):
-        if any(not field.is_zero(c) for c in kz.multiply(e, f)):
-            return False
-    return True
+    """True when [f] multiplies every A_1 basis class to zero: f is reduced
+    and checked once, then multiplied by each representative as in
+    `invariants`."""
+    i = f.exterior_degree + 1
+    if i > 3:
+        raise ValueError("product lands beyond exterior degree 3")
+    g = kz._terms(i - 1, _checked_cycle(kz, f))
+    zero = kz.field.is_zero
+    return all(zero(c) for d, vec in kz._reps[1]
+               for c in kz._class_coords(i, kz._product(kz._terms(1, {d: vec}), g)))

@@ -1,9 +1,12 @@
 """Exact polynomial arithmetic in k[x, y, z].
 
 Monomials are exponent triples; a polynomial is a dict mapping monomials to
-nonzero field elements (the zero polynomial is the empty dict).  The one
-monomial order is grevlex with x > y > z: the Hilbert function, the Koszul
-homology and its products do not depend on the order they are computed in.
+nonzero field elements (the zero polynomial is the empty dict).  Arithmetic
+and the text reader accumulate terms with `linalg._sub_multiple`, the one
+sparse sum; the reader adds every term into one dict, linear in the text.
+The one monomial order is grevlex with x > y > z: the Hilbert function, the
+Koszul homology and its products do not depend on the order they are
+computed in.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .linalg import _sub_multiple
 
 VARS = ("x", "y", "z")
 
@@ -140,33 +145,31 @@ class Polynomial:
         if self.field != other.field:
             raise ValueError("mismatched coefficient fields")
 
+    def _with(self, terms: dict) -> "Polynomial":
+        """The polynomial over this field with the given terms, none zero."""
+        p = Polynomial.__new__(Polynomial)
+        p.field, p.terms = self.field, terms
+        return p
+
+    def _minus(self, c, other: "Polynomial") -> "Polynomial":
+        """self - c * other, summed by `_sub_multiple`."""
+        self._check_field(other)
+        out = dict(self.terms)
+        _sub_multiple(self.field, out, c, other.terms)
+        return self._with(out)
+
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_field(other)
-        f = self.field
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = f.add(out.get(mono, f.zero), coeff)
-            if f.is_zero(s):
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        p = Polynomial.__new__(Polynomial)
-        p.field, p.terms = f, out
-        return p
+        return self._minus(self.field.neg(self.field.one), other)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return self._minus(self.field.one, other)
 
     def __neg__(self):
-        f = self.field
-        p = Polynomial.__new__(Polynomial)
-        p.field = f
-        p.terms = {m: f.neg(c) for m, c in self.terms.items()}
-        return p
+        return Polynomial(self.field)._minus(self.field.one, self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -174,19 +177,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_field(other)
-        f = self.field
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                s = f.add(out.get(mono, f.zero), f.mul(c1, c2))
-                if f.is_zero(s):
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        p = Polynomial.__new__(Polynomial)
-        p.field, p.terms = f, out
-        return p
+        f, out = self.field, {}
+        for (a, b, c), coeff in self.terms.items():
+            _sub_multiple(f, out, f.neg(coeff),
+                          {(a + p, b + q, c + r): v for (p, q, r), v in other.terms.items()})
+        return self._with(out)
 
     __rmul__ = __mul__
 
@@ -195,10 +190,7 @@ class Polynomial:
         c = f.of(value)
         if f.is_zero(c):
             return Polynomial(f)
-        p = Polynomial.__new__(Polynomial)
-        p.field = f
-        p.terms = {m: f.mul(cc, c) for m, cc in self.terms.items()}
-        return p
+        return self._with({m: f.mul(cc, c) for m, cc in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -278,7 +270,7 @@ def parse_polynomial(text: str, field) -> Polynomial:
             raise ValueError(f"bad character in polynomial at {s[pos:pos + 10]!r}")
         tokens.append(m.group(1))
         pos = m.end()
-    result = Polynomial.zero(field)
+    terms = {}  # a zero coefficient may linger here; Polynomial drops it
     i = 0
     n = len(tokens)
     while i < n:
@@ -314,8 +306,8 @@ def parse_polynomial(text: str, field) -> Polynomial:
                 raise ValueError(f"missing operator before {tokens[i]!r} in {text!r}")
             else:
                 break
-        result = result + Polynomial.monomial(field, tuple(expo), coeff)
-    return result
+        _sub_multiple(field, terms, field.neg(field.of(coeff)), {tuple(expo): field.one})
+    return Polynomial(field, terms)
 
 
 # ---- matrices ----------------------------------------------------------------

@@ -23,7 +23,9 @@ boundaries and representatives.  `polynomial_wedge` multiplies Koszul
 elements through Polynomial products and normal forms, the oracle for the
 products on coordinates of `KoszulComplex`; `all_products_invariants` forms
 every product of homology classes with it, none skipped by degree, the
-oracle for `KoszulComplex.invariants`.
+oracle for `KoszulComplex.invariants`.  `pd_padding` is no oracle: it
+reads the paper's structure of A (a Poincare duality algebra with a trivial
+padding) through the public `homology_basis` and `multiply`.
 The routines that serve only as cross-checks (minimal generators, the socle,
 the colon by the maximal ideal, interior selectors, polynomials from
 coordinate vectors) live here, not in the package.
@@ -159,7 +161,7 @@ def random_cycle(rng, kz, i):
     for b in kz.homology_basis(i):
         c = rng.randint(-5, 5)
         if c:
-            el = el + b.map_coefficients(lambda p, c=c: p * c)
+            el = el + KoszulElement(i, {w: p * c for w, p in b.components.items()})
     if i < 3:
         el = el + kz.differential(random_element(rng, kz, i + 1))
     return kz.reduce_element(el)
@@ -243,6 +245,39 @@ def all_products_invariants(kz):
         r_span.add(row)
     return TorInvariants(p=p_span.rank, q=q_span.rank, r=r_span.rank,
                          mu=len(a1), type_rank=kz.ranks()[3])
+
+
+def pd_padding(kz):
+    """The abstract's structure of A = H(K^R), read through the public
+    `homology_basis` and `multiply`: a Poincare duality algebra P padded with
+    a graded space V on which A_1 acts trivially.  Returns (the numbers of
+    the conditions that fail, rank P_1, (dim V_1, dim V_2, dim V_3)):
+    1. A_1 A_2 is one-dimensional; it is P_3, and V_3 is a complement;
+    2. the pairing A_1 x A_2 -> A_3 has left radical V_1 and right radical
+       V_2 whose complements P_1, P_2 have one dimension, so that
+       P_1 x P_2 -> P_3 is perfect;
+    3. V_1 A_1 = 0;
+    4. A_1 A_1 meets V_2 only in 0, so P_2 can hold P_1 P_1, which is A_1 A_1
+       by 3."""
+    f = kz.field
+    a1, a2 = kz.homology_basis(1), kz.homology_basis(2)
+    n1, n2, n3 = len(a1), len(a2), kz.ranks()[3]
+    left11 = [[c for v in a1 for c in kz.multiply(u, v)] for u in a1]  # A_1 -> Hom(A_1, A_2)
+    left12 = [[c for v in a2 for c in kz.multiply(u, v)] for u in a1]  # A_1 -> Hom(A_2, A_3)
+    products = [left11[s][t * n2:(t + 1) * n2] for s in range(n1) for t in range(n1)]
+    q = span_rank([row[t * n3:(t + 1) * n3] for row in left12 for t in range(n2)], n3, f)
+    v1 = kernel_basis([list(col) for col in zip(*left12)], n1, f)
+    v2 = kernel_basis([[row[t * n3 + k] for t in range(n2)] for row in left12
+                       for k in range(n3)], n2, f)
+    failed = [k for k, holds in (
+        (1, q == 1),
+        (2, n1 - len(v1) == n2 - len(v2)),
+        # V_1 = ker(left12) lies in ker(left11): stacking left11 keeps the rank
+        (3, matrix_rank([a + b for a, b in zip(left12, left11)], n2 * n3 + n1 * n2, f)
+            == n1 - len(v1)),
+        (4, span_rank(products + v2, n2, f) == span_rank(products, n2, f) + len(v2)),
+    ) if not holds]
+    return failed, n1 - len(v1), (len(v1), len(v2), n3 - q)
 
 
 def standard_monomials(ideal, d):

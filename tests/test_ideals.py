@@ -240,16 +240,24 @@ def test_dimension_bound(monkeypatch):
 
 
 def test_dimension_bound_before_groebner(monkeypatch):
-    """Every monomial below the least generator degree is standard, so dim R
-    >= C(least + 2, 3): least 106 is refused before Buchberger, 105 is not."""
+    """dim R_d >= C(d + 2, 2) - sum_g C(d - deg g + 2, 2), read off the degrees
+    before Buchberger: x^105, y^107, z^200 (sum 204,155 by degree 105) and
+    three dense forms of degree 60 (201,548) are refused at once, three
+    forms of degree 58 (182,056) are not."""
     def refuse(generators):
         raise AssertionError("Buchberger ran")
 
     monkeypatch.setattr(ideals, "buchberger", refuse)
-    with pytest.raises(QuotientTooLargeError, match="more than 200000 standard monomials"):
-        QuotientRing(Ideal([X ** 106, Y ** 107, Z ** 200]))
+    rng = random.Random(helpers.SEED + 14)
+    for gens in ([X ** 106, Y ** 107, Z ** 200], [X ** 105, Y ** 107, Z ** 200],
+                 [Polynomial(F, {m: F.of(rng.randint(1, 9)) for m in monomials_of_degree(60)})
+                  for _ in range(3)]):
+        with pytest.raises(QuotientTooLargeError, match="more than 200000 standard monomials"):
+            QuotientRing(Ideal(gens))
     with pytest.raises(AssertionError, match="Buchberger ran"):
-        QuotientRing(Ideal([X ** 105, Y ** 107, Z ** 200]))
+        QuotientRing(Ideal([X ** 58, Y ** 58, Z ** 58]))
+    with pytest.raises(QuotientTooLargeError, match="more than 200000 standard monomials"):
+        QuotientRing(Ideal([X * Y]))  # a lone generator: the summand grows without end
     monkeypatch.setattr(ideals, "MAX_DIM", 9)  # C(3 + 2, 3) = 10 > 9
     with pytest.raises(QuotientTooLargeError, match="more than 9 standard monomials"):
         QuotientRing(Ideal([X ** 3, Y ** 3, Z ** 3]))
@@ -285,8 +293,6 @@ def test_quotient_ring_bases_and_coords():
     assert ring.basis(1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert ring.basis(2) == ((0, 0, 2),)
     assert ring.basis(3) == ()
-    nf = ring.normal_form(X * Y + Z ** 2)
-    assert nf.terms == {(0, 0, 2): F.of(2)}
     assert ring.coordinates(X * Y + Z ** 2) == {2: {0: F.of(2)}}
     assert helpers.from_vector(ring, 2, {0: F.of(2)}) == 2 * Z ** 2
     assert ring.coordinates(X * Y) == {2: {0: F.one}}  # x*y is not standard: it reads as z^2
@@ -294,8 +300,12 @@ def test_quotient_ring_bases_and_coords():
 
 
 def test_normal_form_table_matches_heap_reduction():
-    """`QuotientRing.normal_form` and `mult_matrix` read the border table; the
+    """`QuotientRing.coordinates` and `mult_matrix` read the border table; the
     heap reduction of `Ideal.normal_form` is the independent reference."""
+    def table_form(ring, f):
+        return sum((helpers.from_vector(ring, d, vec) for d, vec in ring.coordinates(f).items()),
+                   Polynomial.zero(ring.field))
+
     rng = random.Random(helpers.SEED + 13)
     corpus = [Ideal([ONE]), Ideal([X, Y, Z])]
     for char, top_m in ((32003, 6), (0, 4)):
@@ -309,15 +319,15 @@ def test_normal_form_table_matches_heap_reduction():
         for d in range(ring.top_degree + 2):
             for mono in monomials_of_degree(d):
                 f = Polynomial.monomial(fld, mono)
-                assert ring.normal_form(f) == I.normal_form(f), (I, mono)
+                assert table_form(ring, f) == I.normal_form(f), (I, mono)
         for _ in range(20):  # inhomogeneous, with terms above the top degree
             f = helpers.random_poly(rng, fld, max_degree=ring.top_degree + 2, max_terms=6)
-            assert ring.normal_form(f) == I.normal_form(f), (I, f)
+            assert table_form(ring, f) == I.normal_form(f), (I, f)
         for d in range(-1, ring.top_degree + 2):
             for v in range(3):
                 assert ring.mult_matrix(v, d) == helpers.mult_matrix_oracle(ring, v, d), (I, v, d)
         with pytest.raises(ValueError):
-            ring.normal_form(Polynomial.variable(helpers.field(3 if fld.char != 3 else 2), "x"))
+            ring.coordinates(Polynomial.variable(helpers.field(3 if fld.char != 3 else 2), "x"))
 
 
 def test_component_basis_matches_hilbert():

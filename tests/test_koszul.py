@@ -387,6 +387,20 @@ def test_multiply_rejects_bad_input():
         kz.class_coords(not_cycle)
 
 
+def test_elements_with_foreign_words_are_rejected():
+    """A word that is not sorted distinct letters of the element's exterior
+    degree is refused on the way into coordinates, not read as another
+    element."""
+    kz = helpers.koszul(3, "d")
+    cycle = kz.homology_basis(1)[0]
+    for word in (E_XY, (1, 0), (0, 0)):
+        bad = KoszulElement(1, {word: X})
+        for call in (kz.is_cycle, kz.reduce_element, kz.class_coords,
+                     lambda el: kz.multiply(el, cycle)):
+            with pytest.raises(ValueError, match="not one of exterior degree 1"):
+                call(bad)
+
+
 def test_graded_commutativity_random():
     rng = random.Random(helpers.SEED + 8)
     complexes = [helpers.koszul(2), helpers.koszul(2, "d"), helpers.koszul(3, "x1")]
@@ -518,6 +532,54 @@ def test_annihilator_cycle_properties():
         assert kz.is_cycle(f)
         assert not kz.is_boundary(f)
         assert annihilates_a1(kz, f)
+
+
+def test_cycle_checks_and_products_stay_on_coordinates(monkeypatch):
+    """`is_cycle`, `multiply` and `annihilates_a1` reduce and check their
+    factors on table coordinates: with `Polynomial.__init__` and
+    `element_from_vector` refusing to run, they give the answers they gave
+    before, and a non-cycle is still rejected."""
+    kz = helpers.koszul(4, "d")
+    a1, a2 = kz.homology_basis(1), kz.homology_basis(2)
+    f = a1_annihilator_cycle(TrimChoice(4, "d"), kz)
+    not_cycle = KoszulElement(1, {E_X: Polynomial.constant(F, 1)})
+    products = [kz.multiply(u, v) for u in a1 for v in a1 + a2]
+    annihilated = [not any(any(kz.multiply(u, v)) for u in a1) for v in a1 + a2]
+    assert False in annihilated
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("left the coordinates")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    monkeypatch.setattr(KoszulComplex, "element_from_vector", refuse)
+    assert all(kz.is_cycle(b) for b in a1 + a2 + [f]) and not kz.is_cycle(not_cycle)
+    assert [kz.multiply(u, v) for u in a1 for v in a1 + a2] == products
+    with pytest.raises(ValueError, match="cycles only"):
+        kz.multiply(not_cycle, a2[0])
+    assert annihilates_a1(kz, f)
+    assert [annihilates_a1(kz, v) for v in a1 + a2] == annihilated
+    with pytest.raises(ValueError, match="not a cycle"):
+        annihilates_a1(kz, not_cycle)
+
+
+def test_a_is_poincare_duality_algebra_with_trivial_padding():
+    """The abstract's structure, checked by `helpers.pd_padding`: for m = 3..6
+    every trim has rank P_1 = r for its class G(r) and padding (V_1, V_2, V_3)
+    = (3, 4, 1).  At m = 2 the B trims fail only condition 4: with p = 1,
+    (e e')e'' = e(e'e'') lies in e(k e e') = 0, so the product of A_1 lies in
+    the radical V_2, which no P_2 meets.  The H(3,2) trims have q = 2 and fail
+    all four."""
+    for m in range(3, 7):
+        for label in selector_labels(m):
+            kz = helpers.koszul(m, label)
+            assert helpers.pd_padding(kz) == ([], kz.classify().params["r"], (3, 4, 1)), \
+                (m, label)
+    for label in ("x0", "d", "y0"):
+        assert helpers.pd_padding(helpers.koszul(2, label)) == ([4], 2, (3, 4, 1)), label
+    for label in ("x1", "y1"):
+        kz = helpers.koszul(2, label)
+        assert kz.invariants().q == 2
+        assert helpers.pd_padding(kz) == ([1, 2, 3, 4], 1, (3, 3, 0)), label
 
 
 def test_hand_built_cycles_need_m_at_least_three():

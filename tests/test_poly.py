@@ -16,7 +16,7 @@ from gtrim import (
     variables,
 )
 from gtrim.errors import NonHomogeneousError
-from gtrim.poly import mono_key, monomials_of_degree
+from gtrim.poly import mono_key, mono_str, monomials_of_degree
 from helpers import delete_row_col, det_bareiss, exact_div, is_skew_symmetric, mono_cmp
 
 F = helpers.field()
@@ -147,6 +147,20 @@ def test_parse_rejects_juxtaposition():
         with pytest.raises(ValueError, match="missing operator"):
             parse_polynomial(bad, F)
     assert parse_polynomial("x * y - - z", F) == X * Y + Z
+
+
+def test_parse_sums_terms_in_one_dict(monkeypatch):
+    """The reader adds each term into one dict, with no Polynomial sum per
+    term: 4,950 terms parse with `Polynomial.__add__` refusing to run, and
+    a term that cancels an earlier one leaves nothing behind."""
+    def refuse(self, other):
+        raise AssertionError("Polynomial.__add__ ran")
+
+    monos = monomials_of_degree(98)
+    text = " + ".join(f"{k % 5 + 1}*{mono_str(m)}" for k, m in enumerate(monos)) + " - x^98"
+    expected = {m: F.of(k % 5 + 1) for k, m in enumerate(monos) if m != (98, 0, 0)}
+    monkeypatch.setattr(Polynomial, "__add__", refuse)
+    assert parse_polynomial(text, F).terms == expected
 
 
 def test_parse_round_trip_random():
