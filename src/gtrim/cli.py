@@ -3,13 +3,14 @@
 Exit codes: 0 success, 2 argument or validation problems, 3 violated
 mathematical preconditions (non-homogeneous generators, non-artinian
 quotients, ideals with a degree-1 minimal generator).  Identical invocations
-produce byte-identical output.
+produce byte-identical output.  The Koszul layer is imported only by the
+commands that classify (classify, table), and csv only for CSV output, so
+gen and hilbert never load them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -18,7 +19,6 @@ from pathlib import Path
 from .errors import PreconditionError
 from .fields import DEFAULT_CHAR, field_of_characteristic
 from .ideals import Ideal, trim
-from .koszul import KoszulComplex, TorClass, report_dict
 from .pfaffians import (
     PfaffianFamily,
     TrimChoice,
@@ -114,6 +114,8 @@ def _kv_text(pairs) -> str:
 
 
 def _csv_text(header, rows) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -189,10 +191,14 @@ def _classify_target(args) -> Ideal:
 
 
 def _display(report: dict) -> str:
+    from .koszul import TorClass
+
     return TorClass(report["class"], report["class_params"]).display()
 
 
 def cmd_classify(args) -> str:
+    from .koszul import KoszulComplex, report_dict
+
     report = report_dict(KoszulComplex(_classify_target(args).quotient_ring()))
     if args.output_format == "json":
         return _json_block(report)
@@ -205,6 +211,8 @@ def cmd_classify(args) -> str:
 
 
 def cmd_table(args) -> str:
+    from .koszul import KoszulComplex, report_dict
+
     lo, hi = args.m
     field = _field(args)
     check_family_size(hi)

@@ -7,13 +7,6 @@ field object so the same code runs modulo a prime and over the rationals.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover - gmpy2 is a speedup, not a requirement
-    _RAT = Fraction
-
 DEFAULT_CHAR = 32003
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -66,6 +59,7 @@ class PrimeField:
         if isinstance(value, int):
             return value % self.char
         if isinstance(value, str):
+            from fractions import Fraction
             value = Fraction(value)
         num, den = value.numerator, value.denominator
         return num % self.char * pow(den, -1, self.char) % self.char
@@ -104,6 +98,20 @@ class PrimeField:
         return f"PrimeField({self.char})"
 
 
+_RAT = None  # the rational type, imported by `_rat` on first use
+
+
+def _rat():
+    """gmpy2.mpq when available, Fraction otherwise; a run over F_p imports neither."""
+    global _RAT
+    if _RAT is None:
+        try:
+            from gmpy2 import mpq as _RAT
+        except ImportError:  # pragma: no cover - gmpy2 is a speedup, not a requirement
+            from fractions import Fraction as _RAT
+    return _RAT
+
+
 class RationalField:
     """Exact rationals; gmpy2.mpq when available, Fraction otherwise."""
 
@@ -112,16 +120,17 @@ class RationalField:
 
     @property
     def zero(self):
-        return _RAT(0)
+        return _rat()(0)
 
     @property
     def one(self):
-        return _RAT(1)
+        return _rat()(1)
 
     def of(self, value):
         if isinstance(value, str):
-            return _RAT(Fraction(value))
-        return _RAT(value)
+            from fractions import Fraction
+            return _rat()(Fraction(value))
+        return _rat()(value)
 
     def add(self, a, b):
         return a + b
@@ -138,7 +147,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / _RAT(a)
+        return 1 / _rat()(a)
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -20,7 +20,7 @@ above the size bound without a Groebner basis.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import NonHomogeneousError, NotNPrimaryError, QuotientTooLargeError
@@ -301,11 +301,10 @@ def trim(generators, index: int) -> Ideal:
     return scale_by_maximal(g) + Ideal(gens, g.field)
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(namedtuple("HilbertData", "coefficients")):
     """Hilbert function of an artinian quotient as a coefficient tuple."""
 
-    coefficients: tuple
+    __slots__ = ()
 
 
 class QuotientRing:

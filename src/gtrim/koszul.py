@@ -35,7 +35,7 @@ on A give the invariants (p, q, r) of the Tor-algebra classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ClassificationScopeError, UnitIdealError
 from .ideals import QuotientRing
@@ -57,12 +57,22 @@ def wedge_words(a: tuple, b: tuple):
     return (-1 if inversions % 2 else 1, tuple(sorted(a + b)))
 
 
-@dataclass
 class KoszulElement:
     """Element of the Koszul complex: word -> polynomial coefficient."""
 
-    exterior_degree: int
-    components: dict
+    __slots__ = ("exterior_degree", "components")
+
+    def __init__(self, exterior_degree: int, components: dict):
+        self.exterior_degree, self.components = exterior_degree, components
+
+    def __eq__(self, other):
+        if not isinstance(other, KoszulElement):
+            return NotImplemented
+        return (self.exterior_degree, self.components) == (other.exterior_degree, other.components)
+
+    def __repr__(self):
+        return (f"KoszulElement(exterior_degree={self.exterior_degree!r}, "
+                f"components={self.components!r})")
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.components.values())
@@ -91,23 +101,16 @@ class KoszulElement:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class TorInvariants:
+class TorInvariants(namedtuple("TorInvariants", "p q r mu type_rank")):
     """Multiplication invariants of A = H(K^R) plus mu and the type."""
 
-    p: int
-    q: int
-    r: int
-    mu: int
-    type_rank: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TorClass:
+class TorClass(namedtuple("TorClass", "tag params")):
     """Classification tag with its numeric parameters."""
 
-    tag: str
-    params: dict
+    __slots__ = ()
 
     def display(self) -> str:
         if self.tag == "Gorenstein":
@@ -353,13 +356,18 @@ class KoszulComplex:
         return all(self.field.is_zero(c) for c in self.class_coords(el))
 
     def multiply(self, u: KoszulElement, v: KoszulElement) -> list:
-        """Class coordinates of [u][v] over the A_{i+j} basis, from `_product`."""
+        """Class coordinates of [u][v] over the A_{i+j} basis: each factor is
+        reduced once, checked on its coordinates and multiplied by `_product`."""
         i = u.exterior_degree + v.exterior_degree
         if i > 3:
             raise ValueError("product lands beyond exterior degree 3")
-        if not self.is_cycle(u) or not self.is_cycle(v):
-            raise ValueError("multiply is defined on cycles only")
-        return self._class_coords(i, self._product(self._split(u), self._split(v)))
+        factors = []
+        for el in (u, v):
+            vecs = self._coords(el)
+            if not self._closed(el.exterior_degree, vecs):
+                raise ValueError("multiply is defined on cycles only")
+            factors.append(self._terms(el.exterior_degree, vecs))
+        return self._class_coords(i, self._product(*factors))
 
     # ---- invariants and classification ------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import QuotientTooLargeError
 from .fields import default_field
@@ -165,18 +165,17 @@ def selector_index(selector: str, m: int) -> int:
     return 2 * m - i if i else 2 * m
 
 
-@dataclass(frozen=True)
-class TrimChoice:
+class TrimChoice(namedtuple("TrimChoice", "m selector")):
     """A generator choice for trimming: selectors x0 (x^m), y0 (y^m), d (d_m),
     xi (x^(m-i) d_i) and yi (y^(m-i) d_i) for 1 <= i <= m-1."""
 
-    m: int
-    selector: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"trimming is defined for m >= 2, got m={self.m}")
-        selector_index(self.selector, self.m)
+    def __new__(cls, m: int, selector: str):
+        if m < 2:
+            raise ValueError(f"trimming is defined for m >= 2, got m={m}")
+        selector_index(selector, m)
+        return super().__new__(cls, m, selector)
 
     @property
     def index(self) -> int:
@@ -194,16 +193,10 @@ def trimmed_ideal(choice: TrimChoice, field=None) -> Ideal:
     return trim(_generator_ladder(choice.m, field), choice.index)
 
 
-@dataclass(frozen=True)
-class PfaffianFamily:
+class PfaffianFamily(namedtuple("PfaffianFamily", "m U V d pfaffians generators")):
     """The m-th instance: matrices, sub-Pfaffians and canonical generators."""
 
-    m: int
-    U: PolyMatrix
-    V: PolyMatrix
-    d: Polynomial
-    pfaffians: tuple
-    generators: tuple
+    __slots__ = ()
 
     @classmethod
     def build(cls, m: int, field=None) -> "PfaffianFamily":

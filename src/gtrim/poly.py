@@ -12,8 +12,7 @@ computed in.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .linalg import _sub_multiple
 
@@ -172,10 +171,11 @@ class Polynomial:
         return Polynomial(self.field)._minus(self.field.one, self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if isinstance(other, int):
+                return self.scale(other)
+            from fractions import Fraction  # only a rational scalar needs the type
+            return self.scale(other) if isinstance(other, Fraction) else NotImplemented
         self._check_field(other)
         f, out = self.field, {}
         for (a, b, c), coeff in self.terms.items():
@@ -259,6 +259,8 @@ def parse_polynomial(text: str, field) -> Polynomial:
     end of the text: juxtaposition such as ``xy``, ``x^2y`` or ``2 x`` raises
     ValueError rather than being read as a sum or a product.
     """
+    from fractions import Fraction
+
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
@@ -312,11 +314,10 @@ def parse_polynomial(text: str, field) -> Polynomial:
 
 # ---- matrices ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(namedtuple("PolyMatrix", "entries")):
     """Rectangular matrix of polynomials (row-major tuples)."""
 
-    entries: tuple
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows) -> "PolyMatrix":

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-import gtrim
+import gtrim.koszul
 from gtrim import report_dict
 from gtrim.cli import main
 
@@ -454,7 +454,7 @@ def test_unwritable_out_is_refused_before_any_homology(capsys, tmp_path, monkeyp
     def refuse(*args):
         raise AssertionError("KoszulComplex built before --out was checked")
 
-    monkeypatch.setattr(gtrim.cli, "KoszulComplex", refuse)
+    monkeypatch.setattr(gtrim.koszul, "KoszulComplex", refuse)
     target = tmp_path / "missing" / "report.json"
     for argv in (["classify", "--m", "2", "--trim", "x1"], ["table", "--m", "2..3"]):
         code, out, err = run_cli(argv + ["--out", str(target)], capsys)
