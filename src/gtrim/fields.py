@@ -9,12 +9,13 @@ from __future__ import annotations
 
 DEFAULT_CHAR = 32003
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to all 13 bases
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for every n below 3.3e24."""
-    if n < 2:
+    """Deterministic Miller-Rabin: True exactly for the primes below _PSI_13 (3.3e24)."""
+    if not 2 <= n < _PSI_13:
         return False
     for p in _MR_BASES:
         if n % p == 0:

@@ -13,8 +13,8 @@ boundaries in K_{i-1}.  An element enters coordinates one way, `_coords`,
 one entry of the quotient ring's normal-form table per monomial; reduction,
 the differential, cycle checks and classes all read them.  Products too:
 the words of two elements multiply with their exterior sign, each product
-monomial reads one table entry, and the result is solved against the
-classes, with no Polynomial product or reduction.
+monomial reads one table entry, with no Polynomial product; products of
+classes have one route, `class_product`, and `multiply` is bilinear over it.
 
 The homology is built only where it can be non-zero.  H_i(K^R)_d is
 Tor_i(R, k)_d, so H_0 is k in degree 0 and H_1 lives only in the degrees of
@@ -26,7 +26,7 @@ grow under Groebner degeneration, beta_3,d(Q/a) <= beta_3,d(Q/in(a))
 span the socle of Q/in(a), so d_3 is eliminated with tags only above a
 corner; elsewhere it runs only for the boundaries of a live H_2.  Where A
 is zero a cycle's class is zero.  A product [a][b] lies in internal degree
-deg a + deg b and is formed only when A_{i+j} has a representative there.
+deg a + deg b and is formed only when A_{i+j} has a class there.
 
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
@@ -152,7 +152,7 @@ class KoszulComplex:
         self.field = ring.field
         self._reps = ([], [], [], [])  # per exterior degree: (internal degree, cycle)
         self._classes = {}  # (i, d) -> Echelon: boundaries untagged, representatives tagged
-        self._inv = None
+        self._inv = self._words = None  # words: per class, (internal degree, split words)
         self._build_homology()
 
     # ---- chain-level structure -------------------------------------------
@@ -302,12 +302,9 @@ class KoszulComplex:
             _sub_multiple(f, image, f.neg(c), self._diff_column(i, d, k))
         return image
 
-    def _closed(self, i: int, vecs: dict) -> bool:
-        """True when the coordinates {d: vec} in K_i are a cycle."""
-        return not any(self._boundary_vector(i, d, vec) for d, vec in vecs.items())
-
     def is_cycle(self, el: KoszulElement) -> bool:
-        return self._closed(el.exterior_degree, self._coords(el))
+        i = el.exterior_degree
+        return not any(self._boundary_vector(i, d, vec) for d, vec in self._coords(el).items())
 
     def _product(self, u: dict, v: dict) -> dict:
         """Coordinates of u ^ v for {word: {monomial: coefficient}} elements:
@@ -355,49 +352,57 @@ class KoszulComplex:
     def is_boundary(self, el: KoszulElement) -> bool:
         return all(self.field.is_zero(c) for c in self.class_coords(el))
 
-    def multiply(self, u: KoszulElement, v: KoszulElement) -> list:
-        """Class coordinates of [u][v] over the A_{i+j} basis: each factor is
-        reduced once, checked on its coordinates and multiplied by `_product`."""
-        i = u.exterior_degree + v.exterior_degree
-        if i > 3:
+    def class_product(self, i: int, s: int, j: int, t: int) -> list:
+        """Class coordinates of basis class s of A_i times basis class t of A_j,
+        by `_product`; zero, not formed, where A_{i+j} has no class in its degree."""
+        if self._words is None:
+            self._words = [[(d, self._terms(k, {d: vec})) for d, vec in reps]
+                           for k, reps in enumerate(self._reps)]
+            self._live = [{d for d, _ in reps} for reps in self._reps]
+        (du, u), (dv, v) = self._words[i][s], self._words[j][t]
+        if du + dv not in self._live[i + j]:
+            return [self.field.zero] * len(self._reps[i + j])
+        return self._class_coords(i + j, self._product(u, v))
+
+    def _class_sum(self, i: int, a: list, j: int, b: list) -> list:
+        """Sum of a_s b_t class_product(i, s, j, t) for class coordinates a, b."""
+        if i + j > 3:
             raise ValueError("product lands beyond exterior degree 3")
-        factors = []
-        for el in (u, v):
-            vecs = self._coords(el)
-            if not self._closed(el.exterior_degree, vecs):
-                raise ValueError("multiply is defined on cycles only")
-            factors.append(self._terms(el.exterior_degree, vecs))
-        return self._class_coords(i, self._product(*factors))
+        f, out = self.field, [self.field.zero] * len(self._reps[i + j])
+        for s, x in enumerate(a):
+            for t, y in enumerate(b):
+                if not (f.is_zero(x) or f.is_zero(y)):
+                    c, prod = f.mul(x, y), self.class_product(i, s, j, t)
+                    out = [f.add(o, f.mul(c, p)) for o, p in zip(out, prod)]
+        return out
+
+    def multiply(self, u: KoszulElement, v: KoszulElement) -> list:
+        """Class coordinates of [u][v], bilinear over `class_product`; cycles only."""
+        vecs = self._coords(u), self._coords(v)
+        try:
+            a, b = (self._class_coords(el.exterior_degree, vec) for el, vec in zip((u, v), vecs))
+        except ValueError:
+            raise ValueError("multiply is defined on cycles only") from None
+        return self._class_sum(u.exterior_degree, a, v.exterior_degree, b)
 
     # ---- invariants and classification ------------------------------------
 
     def invariants(self) -> TorInvariants:
-        """(p, q, r) from A_1 x A_1 -> A_2 and A_1 x A_2 -> A_3 by `_product`
-        on the representatives, each split once into words; a product into a
-        degree without classes is zero, not formed (zeros in the r matrix)."""
+        """(p, q, r) from A_1 x A_1 -> A_2 and A_1 x A_2 -> A_3, one
+        `class_product` per pair of basis classes."""
         if self._inv is None:
-            f = self.field
-            a1, a2 = ([(d, self._terms(i, {d: vec})) for d, vec in self._reps[i]]
-                      for i in (1, 2))
-            live2, live3 = {d for d, _ in a2}, {d for d, _ in self._reps[3]}
-            zero3 = [f.zero] * len(self._reps[3])
-            p_span, q_span, r_span = Echelon(f), Echelon(f), Echelon(f)
-            for s, (ds, u) in enumerate(a1):
-                for dt, v in a1[s + 1:]:
-                    if ds + dt in live2:
-                        p_span.add(self._class_coords(2, self._product(u, v)))
-            for dg, g in a2:  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
-                row = []
-                for de, e in a1:
-                    if de + dg in live3:
-                        prod = self._class_coords(3, self._product(e, g))
-                        q_span.add(prod)
-                        row.extend(prod)
-                    else:
-                        row.extend(zero3)
-                r_span.add(row)
+            _, n1, n2, n3 = self.ranks()
+            p_span, q_span, r_span = (Echelon(self.field) for _ in range(3))
+            pairs = [self.class_product(1, s, 1, t) for s in range(n1) for t in range(s + 1, n1)]
+            for prod in filter(any, pairs):  # a zero product adds nothing to a span
+                p_span.add(prod)
+            for g in range(n2):  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
+                prods = [self.class_product(1, e, 2, g) for e in range(n1)]
+                for prod in filter(any, prods):
+                    q_span.add(prod)
+                r_span.add([c for prod in prods for c in prod])
             self._inv = TorInvariants(p=p_span.rank, q=q_span.rank, r=r_span.rank,
-                                      mu=len(a1), type_rank=len(self._reps[3]))
+                                      mu=n1, type_rank=n3)
         return self._inv
 
     def classify(self) -> TorClass:
@@ -477,7 +482,7 @@ def a1_cycle_basis(choice: TrimChoice, kz: KoszulComplex) -> list:
     else:
         cycles = y_side(skip=int(sel[1:])) + x_side() + [bridge_y]
 
-    return [kz.element_from_vector(1, _checked_cycle(kz, c)) for c in cycles]
+    return [_checked_cycle(kz, c) for c in cycles]
 
 
 def a1_annihilator_cycle(choice: TrimChoice, kz: KoszulComplex) -> KoszulElement:
@@ -512,25 +517,19 @@ def a1_annihilator_cycle(choice: TrimChoice, kz: KoszulComplex) -> KoszulElement
         el = KoszulElement(2, {e_xy: x ** (m - i) * d[i - 1],
                                e_xz: x ** (m - i - 1) * d[i] * sign})
 
-    return kz.element_from_vector(2, _checked_cycle(kz, el))
+    return _checked_cycle(kz, el)
 
 
-def _checked_cycle(kz: KoszulComplex, el: KoszulElement) -> dict:
-    """The coordinates of el reduced in R, verified on them to be a cycle."""
-    vecs = kz._coords(el)
-    if not kz._closed(el.exterior_degree, vecs):
+def _checked_cycle(kz: KoszulComplex, el: KoszulElement) -> KoszulElement:
+    """el reduced in R, verified to be a cycle."""
+    if not kz.is_cycle(el):
         raise ValueError(f"element is not a cycle: {el}")
-    return vecs
+    return kz.reduce_element(el)
 
 
 def annihilates_a1(kz: KoszulComplex, f: KoszulElement) -> bool:
-    """True when [f] multiplies every A_1 basis class to zero: f is reduced
-    and checked once, then multiplied by each representative as in
-    `invariants`."""
-    i = f.exterior_degree + 1
-    if i > 3:
-        raise ValueError("product lands beyond exterior degree 3")
-    g = kz._terms(i - 1, _checked_cycle(kz, f))
-    zero = kz.field.is_zero
-    return all(zero(c) for d, vec in kz._reps[1]
-               for c in kz._class_coords(i, kz._product(kz._terms(1, {d: vec}), g)))
+    """True when [f] multiplies every A_1 basis class to zero: each [e_s][f]
+    is the sum that `multiply` forms, over the class coordinates of f."""
+    b, n1, fld = kz.class_coords(f), kz.ranks()[1], kz.field
+    units = ([fld.one if k == s else fld.zero for k in range(n1)] for s in range(n1))
+    return all(fld.is_zero(c) for a in units for c in kz._class_sum(1, a, f.exterior_degree, b))

@@ -25,12 +25,14 @@ products on coordinates of `KoszulComplex`; `all_products_invariants` forms
 every product of homology classes with it, none skipped by degree, the
 oracle for `KoszulComplex.invariants`.  `pd_padding` is no oracle: it
 reads the paper's structure of A (a Poincare duality algebra with a trivial
-padding) through the public `homology_basis` and `multiply`.
+padding) through the public `class_product`, the one route for products of
+basis classes.
 The routines that serve only as cross-checks (minimal generators, the socle,
 the colon by the maximal ideal, interior selectors, polynomials from
 coordinate vectors) live here, not in the package.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -142,6 +144,23 @@ def random_artinian_ideal(rng, fld):
     return Ideal(gens, fld)
 
 
+def random_pfaffian_ideal(rng, fld, n):
+    """(ideal, re-draws): the 2n+1 submaximal Pfaffians of a random skew
+    (2n+1)-matrix of linear forms, by `all_sub_pfaffians`, re-drawn until none
+    is zero and the quotient is artinian, with the number of matrices
+    re-drawn.  Such an ideal is Gorenstein of codimension 3 (Buchsbaum-
+    Eisenbud), like the family `g_m`, but with no band structure."""
+    size, zero, xyz = 2 * n + 1, Polynomial.zero(fld), variables(fld)
+    for redraws in itertools.count():
+        upper = {(i, j): sum((v * rng.randint(-2, 2) for v in xyz), zero)
+                 for i in range(size) for j in range(i + 1, size)}
+        rows = [[upper[i, j] if i < j else -upper[j, i] if i > j else zero
+                 for j in range(size)] for i in range(size)]
+        ideal = Ideal(all_sub_pfaffians(PolyMatrix.from_rows(rows)), fld)
+        if len(ideal.generators) == size and ideal.is_n_primary():
+            return ideal, redraws
+
+
 def random_element(rng, kz, i, max_degree=2, density=0.7):
     """Random reduced element of exterior degree i (not necessarily a cycle)."""
     from gtrim.koszul import WORDS
@@ -249,9 +268,9 @@ def all_products_invariants(kz):
 
 def pd_padding(kz):
     """The abstract's structure of A = H(K^R), read through the public
-    `homology_basis` and `multiply`: a Poincare duality algebra P padded with
-    a graded space V on which A_1 acts trivially.  Returns (the numbers of
-    the conditions that fail, rank P_1, (dim V_1, dim V_2, dim V_3)):
+    `class_product` of basis classes: a Poincare duality algebra P padded
+    with a graded space V on which A_1 acts trivially.  Returns (the numbers
+    of the conditions that fail, rank P_1, (dim V_1, dim V_2, dim V_3)):
     1. A_1 A_2 is one-dimensional; it is P_3, and V_3 is a complement;
     2. the pairing A_1 x A_2 -> A_3 has left radical V_1 and right radical
        V_2 whose complements P_1, P_2 have one dimension, so that
@@ -260,10 +279,11 @@ def pd_padding(kz):
     4. A_1 A_1 meets V_2 only in 0, so P_2 can hold P_1 P_1, which is A_1 A_1
        by 3."""
     f = kz.field
-    a1, a2 = kz.homology_basis(1), kz.homology_basis(2)
-    n1, n2, n3 = len(a1), len(a2), kz.ranks()[3]
-    left11 = [[c for v in a1 for c in kz.multiply(u, v)] for u in a1]  # A_1 -> Hom(A_1, A_2)
-    left12 = [[c for v in a2 for c in kz.multiply(u, v)] for u in a1]  # A_1 -> Hom(A_2, A_3)
+    _, n1, n2, n3 = kz.ranks()
+    left11 = [[c for t in range(n1) for c in kz.class_product(1, s, 1, t)]
+              for s in range(n1)]  # A_1 -> Hom(A_1, A_2)
+    left12 = [[c for t in range(n2) for c in kz.class_product(1, s, 2, t)]
+              for s in range(n1)]  # A_1 -> Hom(A_2, A_3)
     products = [left11[s][t * n2:(t + 1) * n2] for s in range(n1) for t in range(n1)]
     q = span_rank([row[t * n3:(t + 1) * n3] for row in left12 for t in range(n2)], n3, f)
     v1 = kernel_basis([list(col) for col in zip(*left12)], n1, f)

@@ -186,6 +186,23 @@ def test_classify_ideal_nonprime_characteristic_exits_2(tmp_path):
         assert len(err.splitlines()) == 1
 
 
+def test_characteristic_beyond_certified_primality_exits_2(capsys, tmp_path):
+    """psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to the bases
+    2..37 and psi_13 to 2..41; neither is accepted as a prime field, from
+    --char or from a file, while the prime 2^61 - 1 is."""
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    for char in (psi12, psi13):
+        code, out, err = run_cli(["classify", "--m", "2", "--trim", "d", "--char", str(char)],
+                                 capsys)
+        assert code == 2 and out == "" and "characteristic must be prime" in err, char
+        code, out, err = classify_ideal_file(
+            tmp_path, {"field": {"char": char}, "generators": ["x^2", "y^2", "z^2"]})
+        assert code == 2 and out == "" and err.startswith("error: bad field"), char
+    code, out, _ = run_cli(["classify", "--m", "2", "--trim", "d", "--char", str(2 ** 61 - 1)],
+                           capsys)
+    assert code == 0 and json.loads(out)["class"] == "B"
+
+
 def test_classify_ideal_not_utf8_exits_2(tmp_path):
     path = tmp_path / "ideal.json"
     path.write_bytes(b"\xff\xfe" + json.dumps({"generators": ["x^2"]}).encode("utf-16-le"))

@@ -225,6 +225,20 @@ def test_products_on_coordinates_match_polynomial_oracle():
             assert kz.multiply(u, v) == kz.class_coords(oracle), label
 
 
+def test_class_product_matches_polynomial_oracle():
+    """`class_product(i, s, j, t)` is the class of the Polynomial product of
+    basis representatives s of A_i and t of A_j, in either order; it is zero
+    where A_{i+j} has no class in the product's degree."""
+    complexes = [KoszulComplex(ideal.quotient_ring()) for _, ideal in helpers.small_instances()]
+    complexes += [helpers.koszul(3, "d", 0), helpers.koszul(4, "x1", 0)]
+    for kz in complexes:
+        basis = [kz.homology_basis(i) for i in range(4)]
+        for i, j in ((0, 0), (0, 2), (1, 1), (1, 2), (2, 1), (3, 0)):
+            for (s, u), (t, v) in itertools.product(enumerate(basis[i]), enumerate(basis[j])):
+                oracle = kz.class_coords(helpers.polynomial_wedge(kz, u, v))
+                assert kz.class_product(i, s, j, t) == oracle, (kz.ring.ideal, i, s, j, t)
+
+
 def test_invariants_make_no_polynomial_product(monkeypatch):
     """`invariants` reads the representatives as coordinates: it forms no
     Polynomial product and no homology_basis element."""
@@ -563,23 +577,60 @@ def test_cycle_checks_and_products_stay_on_coordinates(monkeypatch):
 
 
 def test_a_is_poincare_duality_algebra_with_trivial_padding():
-    """The abstract's structure, checked by `helpers.pd_padding`: for m = 3..6
-    every trim has rank P_1 = r for its class G(r) and padding (V_1, V_2, V_3)
-    = (3, 4, 1).  At m = 2 the B trims fail only condition 4: with p = 1,
+    """The abstract's structure, checked by `helpers.pd_padding`: for m = 3..8
+    over F_32003, m = 7 over Q and the d trim at m = 12 and 16, every trim has
+    rank P_1 = r for its class G(r) and padding (V_1, V_2, V_3) = (3, 4, 1).
+    At m = 2 the B trims fail only condition 4: with p = 1,
     (e e')e'' = e(e'e'') lies in e(k e e') = 0, so the product of A_1 lies in
     the radical V_2, which no P_2 meets.  The H(3,2) trims have q = 2 and fail
     all four."""
-    for m in range(3, 7):
-        for label in selector_labels(m):
-            kz = helpers.koszul(m, label)
-            assert helpers.pd_padding(kz) == ([], kz.classify().params["r"], (3, 4, 1)), \
-                (m, label)
+    cases = [(m, label, 32003) for m in range(3, 9) for label in selector_labels(m)]
+    cases += [(7, label, 0) for label in selector_labels(7)]
+    cases += [(12, "d", 32003), (16, "d", 32003)]
+    for case in cases:
+        kz = helpers.koszul(*case)
+        assert helpers.pd_padding(kz) == ([], kz.classify().params["r"], (3, 4, 1)), case
     for label in ("x0", "d", "y0"):
         assert helpers.pd_padding(helpers.koszul(2, label)) == ([4], 2, (3, 4, 1)), label
     for label in ("x1", "y1"):
         kz = helpers.koszul(2, label)
         assert kz.invariants().q == 2
         assert helpers.pd_padding(kz) == ([1, 2, 3, 4], 1, (3, 3, 0)), label
+
+
+def test_random_pfaffian_trims_have_the_abstract_structure():
+    """Beyond the band family: the Pfaffians of two seeded random linear skew
+    (2n+1)-matrices per field.  For n = 3, 4 every trim passes `pd_padding`
+    with padding (3, 4, 1) and class G(r), r = rank P_1; over F_32003 the
+    ranks are (1, 2n, 2n+1, 2), while over F_3 a trim can have a larger A_1
+    (one at n = 3 has ranks (1, 7, 8, 2) and class G(4)).  At n = 2, where
+    mu(g) = 5, the trims over F_32003 have the H(3,2) pattern of the m = 2
+    family."""
+    for char, n in [(32003, 2)] + [(c, n) for c in (32003, 3, 0) for n in (3, 4)]:
+        for draw in range(2):
+            rng = random.Random(helpers.SEED + 100 * n + draw)
+            ideal, _ = helpers.random_pfaffian_ideal(rng, helpers.field(char), n)
+            for k in range(2 * n + 1):
+                kz = KoszulComplex(ideals.trim(ideal.generators, k).quotient_ring())
+                case = (char, n, draw, k)
+                failed, rank_p1, padding = helpers.pd_padding(kz)
+                if n == 2:
+                    assert (failed, rank_p1, padding) == ([1, 2, 3, 4], 2 * n - 3, (3, 3, 0)), case
+                    assert kz.classify().display() == "H(3,2)", case
+                else:
+                    assert (failed, padding) == ([], (3, 4, 1)), case
+                    assert kz.classify().display() == f"G({rank_p1})", case
+                if char == 32003:
+                    assert kz.ranks() == (1, 2 * n, 2 * n + 1, 2), case
+
+
+@pytest.mark.slow
+def test_abstract_structure_at_scale():
+    """Opt-in (`pytest -m slow`): every trim at m = 16 and the d trim at m = 32
+    pass `pd_padding` with rank P_1 = r and padding (3, 4, 1)."""
+    for m, label in [(16, label) for label in selector_labels(16)] + [(32, "d")]:
+        kz = KoszulComplex(trimmed_ideal(TrimChoice(m, label), F).quotient_ring())
+        assert helpers.pd_padding(kz) == ([], kz.classify().params["r"], (3, 4, 1)), (m, label)
 
 
 def test_hand_built_cycles_need_m_at_least_three():

@@ -16,6 +16,7 @@ from gtrim import (
     KoszulElement,
     PfaffianFamily,
     PolyMatrix,
+    PrimeField,
     RationalField,
     TorClass,
     TorInvariants,
@@ -97,6 +98,19 @@ def test_koszul_element_equality():
     assert a != KoszulElement(1, {(0,): x})
     a.components = {}  # an element is mutable, as before
     assert a == KoszulElement(1, {})
+
+
+def test_prime_field_accepts_only_certified_primes():
+    """Miller-Rabin over the bases 2..41 is deterministic below psi_13; the
+    strong pseudoprimes psi_12 (to 2..37) and psi_13 (to 2..41), and any n
+    from psi_13 on, are refused."""
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441
+    for char in (psi12, psi13, psi13 + 2, 4, 1, 0, -7):
+        with pytest.raises(ValueError, match="characteristic must be prime"):
+            PrimeField(char)
+    for char in (2, 3, 32003, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert PrimeField(char).char == char
 
 
 def test_rational_field_uses_gmpy2_when_installed():
