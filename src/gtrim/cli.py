@@ -138,7 +138,8 @@ def cmd_gen(args) -> str:
     raise CliError("gen emits matrices; use --format json or text")
 
 
-def _load_ideal(path: str, args) -> Ideal:
+def _load_ideal(path: str, args) -> tuple:
+    """The ideal a JSON file bears, and its generators as listed, zeros kept."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
@@ -159,7 +160,8 @@ def _load_ideal(path: str, args) -> Ideal:
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise CliError(f"bad generators in {path}: expected a list of strings, got {gens!r}")
     try:
-        return Ideal([parse_polynomial(s, field) for s in gens], field)
+        listed = [parse_polynomial(s, field) for s in gens]
+        return Ideal(listed, field), listed
     except PreconditionError:
         raise
     except ValueError as exc:
@@ -170,17 +172,18 @@ def _classify_target(args) -> Ideal:
     if (args.ideal is None) == (args.m is None):
         raise CliError("classify needs exactly one of --m or --ideal")
     if args.ideal is not None:
-        ideal = _load_ideal(args.ideal, args)
+        ideal, listed = _load_ideal(args.ideal, args)
         if args.trim is None:
             return ideal
-        count = len(ideal.generators)
+        count = len(listed)  # as the file lists them: a selector may land on a zero
         if count < 3 or count % 2 == 0:
             raise CliError(f"--trim needs an odd generator count >= 3, found {count}")
         try:
-            index = selector_index(args.trim, (count - 1) // 2)
+            return trim(listed, selector_index(args.trim, (count - 1) // 2))
+        except PreconditionError:
+            raise
         except ValueError as exc:
             raise CliError(str(exc))
-        return trim(list(ideal.generators), index)
     if args.trim is None:
         return gorenstein_ideal(args.m, _field(args))
     try:

@@ -31,6 +31,8 @@ deg a + deg b and is formed only when A_{i+j} has a class there.
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
 on A give the invariants (p, q, r) of the Tor-algebra classification.
+A_1 = a/ma: `_generator_cycle` sends a generator to its cycle, which gives the
+explicit A_1 bases of the trims; only their annihilator cycle is hand-built.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from collections import namedtuple
 from .errors import ClassificationScopeError, UnitIdealError
 from .ideals import QuotientRing
 from .linalg import Echelon, _sub_multiple
-from .pfaffians import TrimChoice, d_poly
+from .pfaffians import TrimChoice, canonical_generators, d_poly
 from .poly import Polynomial, variables
 
 WORDS = (((),), ((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),))
@@ -435,54 +437,39 @@ def report_dict(kz: KoszulComplex) -> dict:
     }
 
 
-# ---- hand-built cycles for the trimmed family ------------------------------
+# ---- explicit cycles for the trims: A_1 = a/ma from `_generator_cycle` of the
+# minimal generators; only the annihilator cycle is hand-built, from syzygies.
 
 def _check_choice(choice: TrimChoice):
     if choice.m < 3:
         raise ValueError("hand-built cycle bases are provided for m >= 3")
 
 
-def a1_cycle_basis(choice: TrimChoice, kz: KoszulComplex) -> list:
-    """The explicit mu(a) cycles spanning A_1 for a trimmed family ideal.
+def _generator_cycle(g: Polynomial) -> KoszulElement:
+    """f_x e_x + f_y e_y + f_z e_z for g = x f_x + y f_y + z f_z with no
+    constant term, each term of g split at its first variable (x, else y,
+    else z).  Its boundary is g, so it is a cycle whenever g lies in the ideal."""
+    parts = ({}, {}, {})
+    for mono, c in g.terms.items():
+        v = 0 if mono[0] else 1 if mono[1] else 2
+        parts[v][mono[:v] + (mono[v] - 1,) + mono[v + 1:]] = c
+    return KoszulElement(1, {(v,): Polynomial(g.field, t) for v, t in enumerate(parts) if t})
 
-    For the x-side generators: x^(m-j-1) d_j e_x for the surviving columns,
-    their y-side mirrors, plus either the replaced pure power times e_x
-    (x0/y0), d_m e_z (selector d), or the degree-(m-1) cycle whose boundary
-    is d_m via the d-recurrence.  Every element is verified to be a cycle.
+
+def a1_cycle_basis(choice: TrimChoice, kz: KoszulComplex) -> list:
+    """The mu(a) cycles spanning A_1 for a trimmed family ideal: the
+    `_generator_cycle` of each minimal generator of the trim, in ladder order.
+    Those are the canonical generators with g_(choice.index) replaced in place
+    by x*g (x0), y*g (y0) or z*g (d), or removed (interior xI, yI).  Every
+    element is reduced in R and verified to be a cycle.
     """
     _check_choice(choice)
-    m = choice.m
-    field = kz.ring.field
-    x, y, z = variables(field)
-    d = [d_poly(k, field) for k in range(m + 1)]
-    sel = choice.selector
-    e_x, e_y, e_z = (0,), (1,), (2,)
-
-    def on(word, coeff):
-        return KoszulElement(1, {word: coeff})
-
-    def x_side(skip=None):
-        return [on(e_x, x ** (m - j - 1) * d[j]) for j in range(m) if j != skip]
-
-    def y_side(skip=None):
-        return [on(e_y, y ** (m - j - 1) * d[j]) for j in range(m) if j != skip]
-
-    sign = 1 if (m - 1) % 2 == 0 else -1
-    bridge_x = KoszulElement(1, {e_z: d[m - 1] * sign, e_y: x * d[m - 2]})
-    bridge_y = KoszulElement(1, {e_z: d[m - 1] * sign, e_x: y * d[m - 2]})
-
-    if sel == "x0":
-        cycles = [on(e_x, x ** m)] + x_side(skip=0) + y_side() + [bridge_x]
-    elif sel == "y0":
-        cycles = [on(e_y, y ** m)] + y_side(skip=0) + x_side() + [bridge_y]
-    elif sel == "d":
-        cycles = x_side() + y_side() + [on(e_z, d[m])]
-    elif sel[0] == "x":
-        cycles = x_side(skip=int(sel[1:])) + y_side() + [bridge_x]
-    else:
-        cycles = y_side(skip=int(sel[1:])) + x_side() + [bridge_y]
-
-    return [_checked_cycle(kz, c) for c in cycles]
+    m, k = choice.m, choice.index
+    gens = canonical_generators(m, kz.field)
+    x, y, z = variables(kz.field)
+    scale = {0: x, m: z, 2 * m: y}.get(k)
+    gens[k:k + 1] = [scale * gens[k]] if scale is not None else []
+    return [_checked_cycle(kz, _generator_cycle(g)) for g in gens]
 
 
 def a1_annihilator_cycle(choice: TrimChoice, kz: KoszulComplex) -> KoszulElement:

@@ -163,6 +163,30 @@ def test_classify_argument_validation(capsys, tmp_path):
     assert code == 2 and "odd generator count" in err
 
 
+def test_classify_trim_counts_generators_as_listed(capsys, tmp_path):
+    """--trim on a file counts and indexes the generators as the file lists
+    them, zeros included; a selector on a zero generator exits 2, and a
+    non-homogeneous file still exits 3."""
+    def trim_file(generators, selector):
+        path = tmp_path / "listed.json"
+        path.write_text(json.dumps({"generators": generators}))
+        return run_cli(["classify", "--ideal", str(path), "--trim", selector], capsys)
+
+    code, out, err = trim_file(["x^2", "y^2", "0", "z^2"], "y0")
+    assert (code, out) == (2, "") and "odd generator count" in err and "found 4" in err
+    assert len(err.splitlines()) == 1
+    code, out, err = trim_file(["x^2", "y^2", "0", "z^2", "x*y*z"], "d")
+    assert (code, out, err) == (2, "", "error: cannot trim a zero generator\n")
+    code, out, err = trim_file(["x^2 + x", "y^2", "z^2"], "x0")
+    assert (code, out) == (3, "") and len(err.splitlines()) == 1
+    code, trimmed, _ = trim_file(["x^2", "0", "y^2", "z^2", "x*y*z"], "y0")
+    assert code == 0
+    path = tmp_path / "expected.json"
+    path.write_text(json.dumps({"generators": ["x^2", "y^2", "z^2", "x^2*y*z",
+                                               "x*y^2*z", "x*y*z^2"]}))
+    assert run_cli(["classify", "--ideal", str(path)], capsys) == (0, trimmed, "")
+
+
 def test_classify_precondition_exit_codes(capsys, tmp_path):
     cases = {
         "not-primary.json": {"generators": ["x^2", "y^2"]},

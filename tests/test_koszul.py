@@ -24,7 +24,7 @@ from gtrim import (
 )
 from gtrim import ideals
 from gtrim.errors import ClassificationScopeError, UnitIdealError
-from gtrim.koszul import wedge_words
+from gtrim.koszul import _generator_cycle, wedge_words
 from helpers import is_interior, matrix_rank, minimal_generators, socle_basis, span_rank
 
 F = helpers.field()
@@ -117,6 +117,11 @@ def test_a1_representative_degrees_are_minimal_generator_degrees():
                 for b in kz.homology_basis(1)]
         kept, _ = minimal_generators(I)
         assert sorted(reps) == sorted(g.degree() for g in kept), (I.field, I)
+        # A_1 = a/ma: the cycles of the input generators, redundant ones too, span it
+        cycles = [_generator_cycle(g) for g in I.generators]
+        assert all(kz.is_cycle(c) for c in cycles), (I.field, I)
+        mu = kz.ranks()[1]
+        assert span_rank([kz.class_coords(c) for c in cycles], mu, I.field) == mu, (I.field, I)
 
 
 def test_ranks_cross_checked_against_ideal_invariants():
@@ -527,7 +532,7 @@ def test_classify_requires_ideal_inside_square_of_maximal():
         unit.classify()
 
 
-# ---- hand-built cycles ---------------------------------------------------------------
+# ---- explicit cycles for the trims ------------------------------------------------
 
 def test_cycle_basis_spans_degree_one_homology():
     for m, sel in ((3, "x0"), (3, "x1"), (3, "d"), (3, "y0"), (4, "x2")):
@@ -602,11 +607,13 @@ def test_random_pfaffian_trims_have_the_abstract_structure():
     """Beyond the band family: the Pfaffians of two seeded random linear skew
     (2n+1)-matrices per field.  For n = 3, 4 every trim passes `pd_padding`
     with padding (3, 4, 1) and class G(r), r = rank P_1; over F_32003 the
-    ranks are (1, 2n, 2n+1, 2), while over F_3 a trim can have a larger A_1
-    (one at n = 3 has ranks (1, 7, 8, 2) and class G(4)).  At n = 2, where
-    mu(g) = 5, the trims over F_32003 have the H(3,2) pattern of the m = 2
-    family."""
-    for char, n in [(32003, 2)] + [(c, n) for c in (32003, 3, 0) for n in (3, 4)]:
+    ranks are (1, 2n, 2n+1, 2), while over F_3 and F_2 a trim can have a
+    larger A_1 (over F_2, 2 of the 14 trims at n = 3 have ranks (1, 7, 8, 2)
+    and class G(4), and 1 of the 18 at n = 4 has (1, 9, 10, 2) and G(6)).  At
+    n = 2, where mu(g) = 5, the trims over F_32003 have the H(3,2) pattern of
+    the m = 2 family; over F_2 and F_3 some are B instead, so n = 2 is
+    checked over F_32003 only."""
+    for char, n in [(32003, 2)] + [(c, n) for c in (32003, 3, 0, 2) for n in (3, 4)]:
         for draw in range(2):
             rng = random.Random(helpers.SEED + 100 * n + draw)
             ideal, _ = helpers.random_pfaffian_ideal(rng, helpers.field(char), n)
@@ -627,10 +634,15 @@ def test_random_pfaffian_trims_have_the_abstract_structure():
 @pytest.mark.slow
 def test_abstract_structure_at_scale():
     """Opt-in (`pytest -m slow`): every trim at m = 16 and the d trim at m = 32
-    pass `pd_padding` with rank P_1 = r and padding (3, 4, 1)."""
+    pass `pd_padding` with rank P_1 = r and padding (3, 4, 1), and
+    `a1_cycle_basis` gives mu cycles spanning A_1."""
     for m, label in [(16, label) for label in selector_labels(16)] + [(32, "d")]:
-        kz = KoszulComplex(trimmed_ideal(TrimChoice(m, label), F).quotient_ring())
+        choice = TrimChoice(m, label)
+        kz = KoszulComplex(trimmed_ideal(choice, F).quotient_ring())
         assert helpers.pd_padding(kz) == ([], kz.classify().params["r"], (3, 4, 1)), (m, label)
+        mu, cycles = kz.ranks()[1], a1_cycle_basis(choice, kz)
+        assert len(cycles) == mu, (m, label)
+        assert span_rank([kz.class_coords(c) for c in cycles], mu, F) == mu, (m, label)
 
 
 def test_hand_built_cycles_need_m_at_least_three():
