@@ -3,6 +3,9 @@
 Field objects carry the arithmetic; elements are plain ints (reduced to
 ``[0, p)``) or exact rationals.  Everything downstream is parameterized by a
 field object so the same code runs modulo a prime and over the rationals.
+Each field also carries the package's one sparse accumulate, `sub_multiple`
+(``vec -= c * row`` on ``{key: nonzero coefficient}`` dicts), with its
+arithmetic inlined: polynomial sums, normal forms and eliminations all run on it.
 """
 
 from __future__ import annotations
@@ -85,6 +88,17 @@ class PrimeField:
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def sub_multiple(self, vec: dict, c, row: dict):
+        """vec -= c * row in place, dropping entries that cancel; c = 0 is a no-op."""
+        if c:
+            p = self.char
+            for j, a in row.items():
+                s = (vec.get(j, 0) - c * a) % p
+                if s:
+                    vec[j] = s
+                else:
+                    vec.pop(j, None)
+
     def coeff_str(self, a) -> str:
         # symmetric representative, so x*y - z^2 prints the same mod p and over Q
         return str(a if a <= self.char // 2 else a - self.char)
@@ -152,6 +166,16 @@ class RationalField:
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    def sub_multiple(self, vec: dict, c, row: dict):
+        """vec -= c * row in place, dropping entries that cancel; c = 0 is a no-op."""
+        if c:
+            for j, a in row.items():
+                s = vec.get(j, 0) - c * a
+                if s:
+                    vec[j] = s
+                else:
+                    vec.pop(j, None)
 
     def coeff_str(self, a) -> str:
         return str(a)

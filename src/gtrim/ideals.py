@@ -24,7 +24,6 @@ from collections import namedtuple
 from math import comb
 
 from .errors import NonHomogeneousError, NotNPrimaryError, QuotientTooLargeError
-from .linalg import _sub_multiple
 from .poly import (
     Polynomial,
     mono_degree,
@@ -171,8 +170,8 @@ def buchberger(generators) -> list:
         _, i, j, lcm = heapq.heappop(pairs)  # the S-polynomial of monic basis[i], basis[j]:
         (a, b, c), (p, q, r) = mono_div(lcm, lms[i]), mono_div(lcm, lms[j])
         s = {(x + a, y + b, z + c): v for (x, y, z), v in basis[i].terms.items()}
-        _sub_multiple(field, s, field.one,
-                      {(x + p, y + q, z + r): v for (x, y, z), v in basis[j].terms.items()})
+        field.sub_multiple(s, field.one,
+                           {(x + p, y + q, z + r): v for (x, y, z), v in basis[j].terms.items()})
         rem = _normal_form_terms(s, reducers, field)
         if rem:
             add(Polynomial(field, rem).monic())
@@ -408,20 +407,23 @@ class QuotientRing:
         entry is x_w * t' with t' non-standard, and NF(t) is the sum of
         c * NF(x_w * b) over NF(t') = sum of c * b; each x_w * b is standard or
         on the border and smaller than t, so the table has it.  Off the border
-        t' may lack an entry too, so the rule descends until one exists, then
-        climbs back, keeping every entry made on the way."""
+        t' may lack an entry too, so the rule descends, through a non-standard
+        parent that has an entry if one does, else through the first, until
+        an entry exists, then climbs back, keeping every entry made on the way.
+        The normal form does not depend on the path; the entries made do."""
         if mono_degree(t) > self.top_degree:
             return {}
         f, table = self.field, self._nf_table()
         letters = []
         while t not in table:
-            w, t = next((w, p) for w, p in _parents(t) if p not in self._index[mono_degree(p)])
+            up = [q for q in _parents(t) if q[1] not in self._index[mono_degree(q[1])]]
+            w, t = next((q for q in up if q[1] in table), up[0])
             letters.append(w)
         for w in reversed(letters):
             basis, var = self.std[mono_degree(t)], _VAR_MONOS[w]
             vec = {}
             for j, c in table[t].items():
-                _sub_multiple(f, vec, f.neg(c), table[mono_mul(basis[j], var)])
+                f.sub_multiple(vec, f.neg(c), table[mono_mul(basis[j], var)])
             t = mono_mul(t, var)
             table[t] = vec
         return table[t]
@@ -457,5 +459,5 @@ class QuotientRing:
         for mono, c in terms.items():
             entry = self._entry(mono)
             if entry:
-                _sub_multiple(fld, out.setdefault(mono_degree(mono), {}), fld.neg(c), entry)
+                fld.sub_multiple(out.setdefault(mono_degree(mono), {}), fld.neg(c), entry)
         return {d: vec for d, vec in out.items() if vec}

@@ -6,10 +6,10 @@ differential e_x -> x (and so on), so H_i lives in internal degrees
 The differential and its sign rule are written once, as one sparse column
 per basis element of K_{i,d} over the standard-monomial coordinates, read
 from the quotient ring's sparse multiplication columns, and `differential`
-applies the columns in an element's support to its coordinates.  Each d_i
-is eliminated once per internal degree, column by column: the relations
-among its columns are the cycles in K_i, and the rows left behind span the
-boundaries in K_{i-1}.  An element enters coordinates one way, `_coords`,
+applies the columns in an element's support to its coordinates.  d_2 and d_3
+are eliminated at most once per internal degree, column by column: the
+relations among the columns are the cycles, and the rows left behind span
+the boundaries below; d_1 never is.  An element enters coordinates one way, `_coords`,
 one entry of the quotient ring's normal-form table per monomial; reduction,
 the differential, cycle checks and classes all read them.  Products too:
 the words of two elements multiply with their exterior sign, each product
@@ -17,10 +17,12 @@ monomial reads one table entry, with no Polynomial product; products of
 classes have one route, `class_product`, and `multiply` is bilinear over it.
 
 The homology is built only where it can be non-zero.  H_i(K^R)_d is
-Tor_i(R, k)_d, so H_0 is k in degree 0 and H_1 lives only in the degrees of
-the input generators; the eliminations in degree d end at the lowest H_i
-that can live, at its last class: the Euler characteristic of the degree
-counts them.  H_3,d is the socle of R in degree d - 3.  Betti numbers only
+Tor_i(R, k)_d, so H_0 is k in degree 0, and H_1 = a/ma lives only in the
+degrees of the input generators and is read off them: `_generator_cycle`
+sends g = x f_x + y f_y + z f_z to the cycle f_x e_x + f_y e_y + f_z e_z,
+and these cycles span H_1.  The work in degree d ends at the lowest H_i that
+can live, at its last class: the Euler characteristic of the degree counts
+them.  H_3,d is the socle of R in degree d - 3.  Betti numbers only
 grow under Groebner degeneration, beta_3,d(Q/a) <= beta_3,d(Q/in(a))
 (Herzog-Hibi, Monomial Ideals, GTM 260, ch. 3), and the staircase corners
 span the socle of Q/in(a), so d_3 is eliminated with tags only above a
@@ -30,9 +32,9 @@ deg a + deg b and is formed only when A_{i+j} has a class there.
 
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
-on A give the invariants (p, q, r) of the Tor-algebra classification.
-A_1 = a/ma: `_generator_cycle` sends a generator to its cycle, which gives the
-explicit A_1 bases of the trims; only their annihilator cycle is hand-built.
+on A give the invariants (p, q, r) of the Tor-algebra classification.  The
+explicit A_1 bases of the trims are `_generator_cycle`s too; only their
+annihilator cycle is hand-built.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from collections import namedtuple
 
 from .errors import ClassificationScopeError, UnitIdealError
 from .ideals import QuotientRing
-from .linalg import Echelon, _sub_multiple
+from .linalg import Echelon
 from .pfaffians import TrimChoice, canonical_generators, d_poly
 from .poly import Polynomial, variables
 
@@ -146,6 +148,17 @@ def classify_from_invariants(inv: TorInvariants) -> TorClass:
                     {"p": p, "q": q, "r": r, "mu": inv.mu, "type": inv.type_rank})
 
 
+def _generator_cycle(g: Polynomial) -> KoszulElement:
+    """f_x e_x + f_y e_y + f_z e_z for g = x f_x + y f_y + z f_z with no
+    constant term, each term of g split at its first variable (x, else y,
+    else z).  Its boundary is g, so it is a cycle whenever g lies in the ideal."""
+    parts = ({}, {}, {})
+    for mono, c in g.terms.items():
+        v = 0 if mono[0] else 1 if mono[1] else 2
+        parts[v][mono[:v] + (mono[v] - 1,) + mono[v + 1:]] = c
+    return KoszulElement(1, {(v,): Polynomial(g.field, t) for v, t in enumerate(parts) if t})
+
+
 class KoszulComplex:
     """Homology of the Koszul complex of a quotient ring, with multiplication."""
 
@@ -184,11 +197,15 @@ class KoszulComplex:
         H_3,d = 0 and d_3 is eliminated untagged, for its image alone.  The
         cascade ends at the lowest i that can live (0 at d = 0, 1 in the
         generator degrees, else 2), whose class count the Euler characteristic
-        sum (-1)^i dim H_i,d = chi_d fixes from those above: its columns stop
-        at the last class, and none run (no `_classes` entry) when it is 0.
-        The image of each d_{i+1} is the boundary span for H_{i,d}."""
+        sum (-1)^i dim H_i,d = chi_d fixes from those above: it stops at the
+        last class, and nothing runs (no `_classes` entry) when it is 0.  The
+        image of each d_{i+1} is the boundary span for H_{i,d}.  H_1 is read
+        off the generators, with no d_1 column: A_1 = a/ma, so the
+        `_generator_cycle`s of the input generators of degree d, in input
+        order, span H_1,d, and the independent ones are kept."""
         ring, f = self.ring, self.field
-        gen_degrees = {g.degree() for g in ring.ideal.generators}
+        gens = ring.ideal.generators
+        gen_degrees = {g.degree() for g in gens}
         for d in range(ring.top_degree + 4):
             lowest = 0 if d == 0 else 1 if d in gen_degrees else 2
             corner = ring.corners(d - 3) > 0
@@ -206,15 +223,17 @@ class KoszulComplex:
                 found = len(self._reps[i])
                 image = self._homology(i, d, image)
                 count = len(self._reps[i]) - found - count  # h_{i-1} - h_{i-2} + ...
-            if count:
+            if count and lowest == 1:
+                cycles = (self._coords(_generator_cycle(g)).get(d, {})
+                          for g in gens if g.degree() == d)
+                self._keep(1, d, image, cycles, count)
+            elif count:
                 self._homology(lowest, d, image, count)
 
     def _homology(self, i: int, d: int, space: Echelon, count=None) -> Echelon:
-        """Representatives of H_{i,d}, appended to `_reps[i]`, from one
-        elimination of the columns of d_i.  Each column that depends on the
-        earlier ones leaves its relation, a cycle, and the cycle becomes a
-        representative when it is independent of `space` (the boundaries, with
-        no tags) and of the representatives before it.  Given the number of
+        """Representatives of H_{i,d}, appended to `_reps[i]` by `_keep`, from
+        one elimination of the columns of d_i: each column that depends on the
+        earlier ones leaves its relation, a cycle.  Given the number of
         classes, `count`, the columns stop at the last one: every later
         relation lies in `space`.  Returns the image of d_i, partial if they
         stopped, with its column tags dropped: the boundaries for H_{i-1,d}."""
@@ -222,17 +241,29 @@ class KoszulComplex:
         n = self.component_size(i, d)
         if not n:
             return image
+        relations = (rel for c in range(n)
+                     if (rel := image.add(self._diff_column(i, d, c), tag=c)) is not None)
+        self._keep(i, d, space, relations, count)
+        image.rows = {p: (row, {}) for p, (row, _) in image.rows.items()}
+        return image
+
+    def _keep(self, i: int, d: int, space: Echelon, cycles, count=None):
+        """Append to `_reps[i]` each cycle (coordinates in K_{i,d}) that is
+        independent of `space`, the boundaries with no tags, and of the
+        representatives before it, tagged by its class index; `space` becomes
+        `_classes[(i, d)]`.  Given `count`, stop at that many classes; the
+        Euler characteristic guarantees them, so running out first raises."""
         reps = self._reps[i]
         stop = None if count is None else len(reps) + count
-        for c in range(n):
-            cycle = image.add(self._diff_column(i, d, c), tag=c)
-            if cycle is not None and space.add(cycle, tag=len(reps)) is None:
+        for cycle in cycles:
+            if space.add(cycle, tag=len(reps)) is None:
                 reps.append((d, cycle))
                 if len(reps) == stop:
                     break
+        else:
+            if stop is not None:
+                raise RuntimeError(f"H_{i},{d}: the cycles span fewer than {count} classes")
         self._classes[(i, d)] = space
-        image.rows = {p: (row, {}) for p, (row, _) in image.rows.items()}
-        return image
 
     def ranks(self) -> tuple:
         return tuple(len(reps) for reps in self._reps)
@@ -301,7 +332,7 @@ class KoszulComplex:
         f = self.field
         image = {}
         for k, c in vec.items():
-            _sub_multiple(f, image, f.neg(c), self._diff_column(i, d, k))
+            f.sub_multiple(image, f.neg(c), self._diff_column(i, d, k))
         return image
 
     def is_cycle(self, el: KoszulElement) -> bool:
@@ -320,8 +351,8 @@ class KoszulComplex:
                 sign, merged = hit
                 terms = comps.setdefault(merged, {})
                 for (a, b, c), c1 in t1.items():
-                    _sub_multiple(f, terms, f.neg(c1) if sign > 0 else c1,
-                                  {(a + p, b + q, c + r): c2 for (p, q, r), c2 in t2.items()})
+                    f.sub_multiple(terms, f.neg(c1) if sign > 0 else c1,
+                                   {(a + p, b + q, c + r): c2 for (p, q, r), c2 in t2.items()})
         return self._vectors(comps)
 
     def wedge(self, u: KoszulElement, v: KoszulElement) -> KoszulElement:
@@ -442,18 +473,7 @@ def report_dict(kz: KoszulComplex) -> dict:
 
 def _check_choice(choice: TrimChoice):
     if choice.m < 3:
-        raise ValueError("hand-built cycle bases are provided for m >= 3")
-
-
-def _generator_cycle(g: Polynomial) -> KoszulElement:
-    """f_x e_x + f_y e_y + f_z e_z for g = x f_x + y f_y + z f_z with no
-    constant term, each term of g split at its first variable (x, else y,
-    else z).  Its boundary is g, so it is a cycle whenever g lies in the ideal."""
-    parts = ({}, {}, {})
-    for mono, c in g.terms.items():
-        v = 0 if mono[0] else 1 if mono[1] else 2
-        parts[v][mono[:v] + (mono[v] - 1,) + mono[v + 1:]] = c
-    return KoszulElement(1, {(v,): Polynomial(g.field, t) for v, t in enumerate(parts) if t})
+        raise ValueError("the annihilator cycle is provided for m >= 3")
 
 
 def a1_cycle_basis(choice: TrimChoice, kz: KoszulComplex) -> list:
@@ -463,7 +483,6 @@ def a1_cycle_basis(choice: TrimChoice, kz: KoszulComplex) -> list:
     by x*g (x0), y*g (y0) or z*g (d), or removed (interior xI, yI).  Every
     element is reduced in R and verified to be a cycle.
     """
-    _check_choice(choice)
     m, k = choice.m, choice.index
     gens = canonical_generators(m, kz.field)
     x, y, z = variables(kz.field)

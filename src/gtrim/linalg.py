@@ -1,11 +1,13 @@
 """Exact sparse linear algebra over a coefficient field: one echelon structure.
 
 Vectors are dicts ``{column: nonzero coefficient}``; dense sequences are
-accepted on input.  An `Echelon` keeps its rows in semi-echelon form: each
-row is monic at its leftmost column (its pivot), and rows are not cleared
-at later pivots.  A vector's pivot columns are cleared in ascending order;
-its residual, zero at every pivot, is the unique such vector in its coset
-of the span, the same as reduced row echelon form would leave.
+accepted on input, their zeros (falsy in every field) dropped.  Row updates
+are the field's own sparse accumulate, `sub_multiple`.  An `Echelon` keeps
+its rows in semi-echelon form: each row is monic at its leftmost column (its
+pivot), and rows are not cleared at later pivots.  A vector's pivot columns
+are cleared in ascending order; its residual, zero at every pivot, is the
+unique such vector in its coset of the span, the same as reduced row echelon
+form would leave.
 
 Kernels come from relations, not from a transposed elimination: add the
 columns of a matrix in order, each tagged with its index, and every column
@@ -18,20 +20,6 @@ basis of the kernel; the rows left behind span the image.
 from __future__ import annotations
 
 import heapq
-
-
-def _sub_multiple(field, vec: dict, c, row: dict):
-    """vec -= c * row in place, dropping entries that cancel."""
-    for j, a in row.items():
-        s = field.mul(c, a)
-        if j in vec:
-            s = field.sub(vec[j], s)
-            if field.is_zero(s):
-                del vec[j]
-            else:
-                vec[j] = s
-        else:
-            vec[j] = field.neg(s)
 
 
 class Echelon:
@@ -59,8 +47,7 @@ class Echelon:
         Pivot columns are cleared from a heap, lowest first: the row that
         clears p is zero left of p, so no cleared column comes back."""
         f, rows = self.field, self.rows
-        v = dict(vec) if isinstance(vec, dict) else {
-            j: c for j, c in enumerate(vec) if not f.is_zero(c)}
+        v = dict(vec) if isinstance(vec, dict) else {j: c for j, c in enumerate(vec) if c}
         heap = [j for j in v if j in rows]
         heapq.heapify(heap)
         while heap:
@@ -72,8 +59,8 @@ class Echelon:
             for j in row:
                 if j not in v and j in rows:
                     heapq.heappush(heap, j)
-            _sub_multiple(f, v, c, row)
-            _sub_multiple(f, combo, c, row_combo)
+            f.sub_multiple(v, c, row)
+            f.sub_multiple(combo, c, row_combo)
         return v
 
     def add(self, vec, tag=None):

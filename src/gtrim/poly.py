@@ -2,7 +2,7 @@
 
 Monomials are exponent triples; a polynomial is a dict mapping monomials to
 nonzero field elements (the zero polynomial is the empty dict).  Arithmetic
-and the text reader accumulate terms with `linalg._sub_multiple`, the one
+and the text reader accumulate terms with the field's `sub_multiple`, the one
 sparse sum; the reader adds every term into one dict, linear in the text.
 The one monomial order is grevlex with x > y > z: the Hilbert function, the
 Koszul homology and its products do not depend on the order they are
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-
-from .linalg import _sub_multiple
 
 VARS = ("x", "y", "z")
 
@@ -151,10 +149,10 @@ class Polynomial:
         return p
 
     def _minus(self, c, other: "Polynomial") -> "Polynomial":
-        """self - c * other, summed by `_sub_multiple`."""
+        """self - c * other, summed by the field's `sub_multiple`."""
         self._check_field(other)
         out = dict(self.terms)
-        _sub_multiple(self.field, out, c, other.terms)
+        self.field.sub_multiple(out, c, other.terms)
         return self._with(out)
 
     def __add__(self, other):
@@ -179,8 +177,8 @@ class Polynomial:
         self._check_field(other)
         f, out = self.field, {}
         for (a, b, c), coeff in self.terms.items():
-            _sub_multiple(f, out, f.neg(coeff),
-                          {(a + p, b + q, c + r): v for (p, q, r), v in other.terms.items()})
+            f.sub_multiple(out, f.neg(coeff),
+                           {(a + p, b + q, c + r): v for (p, q, r), v in other.terms.items()})
         return self._with(out)
 
     __rmul__ = __mul__
@@ -308,7 +306,7 @@ def parse_polynomial(text: str, field) -> Polynomial:
                 raise ValueError(f"missing operator before {tokens[i]!r} in {text!r}")
             else:
                 break
-        _sub_multiple(field, terms, field.neg(field.of(coeff)), {tuple(expo): field.one})
+        field.sub_multiple(terms, field.neg(field.of(coeff)), {tuple(expo): field.one})
     return Polynomial(field, terms)
 
 

@@ -1,5 +1,6 @@
 """Koszul homology, its multiplication, and the classification table."""
 
+import functools
 import itertools
 import random
 
@@ -22,7 +23,7 @@ from gtrim import (
     trimmed_ideal,
     variables,
 )
-from gtrim import ideals
+from gtrim import ideals, koszul
 from gtrim.errors import ClassificationScopeError, UnitIdealError
 from gtrim.koszul import _generator_cycle, wedge_words
 from helpers import is_interior, matrix_rank, minimal_generators, socle_basis, span_rank
@@ -151,17 +152,27 @@ def redundant_generator_ideals(rng, char, count):
 
 def assert_matches_full_homology(kz, rng, label):
     """Ranks, representatives and class coordinates agree with the homology
-    built in every internal degree."""
-    ref = helpers.full_homology(kz.ring)
+    built in every internal degree.  The A_1 representatives are the
+    generators' cycles, not the oracle's kernel vectors, so for i = 1 they are
+    cycles whose oracle class coordinates form an invertible matrix B, and a
+    degree-1 cycle's oracle coordinates are its coordinates times B."""
+    f, ref = kz.field, helpers.full_homology(kz.ring)
     assert kz.ranks() == ref.ranks(), label
-    for i in range(4):
+    for i in (0, 2, 3):
         assert [str(b) for b in kz.homology_basis(i)] == \
             [str(b) for b in ref.homology_basis(i)], (label, i)
     a1, a2 = kz.homology_basis(1), kz.homology_basis(2)
+    assert all(helpers.koszul_differential(kz.ring.ideal, b).is_zero() for b in a1), label
+    change = [ref.class_coords(b) for b in a1]
+    assert matrix_rank(change, len(a1), f) == len(a1), label
     products = [kz.wedge(a1[s], a1[t]) for s in range(len(a1)) for t in range(s + 1, len(a1))]
     products += [kz.wedge(e, g) for e in a1 for g in a2]
     for el in products + [helpers.random_cycle(rng, kz, i) for i in range(4)]:
-        assert kz.class_coords(el) == ref.class_coords(el), (label, str(el))
+        coords = kz.class_coords(el)
+        if el.exterior_degree == 1:
+            coords = [functools.reduce(f.add, (f.mul(a, row[t]) for a, row in zip(coords, change)),
+                                       f.zero) for t in range(len(a1))]
+        assert coords == ref.class_coords(el), (label, str(el))
 
 
 def test_degree_local_homology_matches_full_oracle():
@@ -264,9 +275,11 @@ def test_invariants_make_no_polynomial_product(monkeypatch):
 
 def test_lowest_homology_stops_at_euler_count(monkeypatch):
     """The lowest live H_i stops at its last class, counted from the Euler
-    characteristic: the trims of the family eliminate fewer d_1 columns than
-    their generator degrees hold, and a generator degree that carries no A_1 class
-    eliminates none."""
+    characteristic: outside the generator degrees, where it is H_2, the trims
+    of the family eliminate fewer d_2 columns than those degrees hold.  H_1 is
+    read off the generators: no d_1 column is built for any trim at m = 2..6,
+    nor for an ideal with redundant generators, whose generator degrees can
+    carry no A_1 class."""
     calls = []
     column = KoszulComplex._diff_column
 
@@ -280,9 +293,11 @@ def test_lowest_homology_stops_at_euler_count(monkeypatch):
         for label in selector_labels(m):
             calls.clear()
             kz = KoszulComplex(helpers.trim_ideal(m, label).quotient_ring())
-            for d in {g.degree() for g in kz.ring.ideal.generators}:
-                eliminated += calls.count((1, d))
-                held += kz.component_size(1, d)
+            assert not any(i == 1 for i, _ in calls), (m, label)
+            gen_degrees = {g.degree() for g in kz.ring.ideal.generators}
+            for d in {d for i, d in calls if i == 2} - gen_degrees:
+                eliminated += calls.count((2, d))
+                held += kz.component_size(2, d)
     assert eliminated < held
     rng = random.Random(helpers.SEED + 16)
     silent = 0
@@ -290,10 +305,48 @@ def test_lowest_homology_stops_at_euler_count(monkeypatch):
         for ideal in redundant_generator_ideals(rng, char, 10):
             calls.clear()
             kz = KoszulComplex(ideal.quotient_ring())
-            quiet = {g.degree() for g in ideal.generators} - {d for d, _ in kz._reps[1]}
-            assert not any((1, d) in calls for d in quiet), (char, str(ideal))
-            silent += len(quiet)
+            assert not any(i == 1 for i, _ in calls), (char, str(ideal))
+            silent += len({g.degree() for g in ideal.generators} - {d for d, _ in kz._reps[1]})
     assert silent > 0
+
+
+def test_a1_representatives_are_generator_cycles():
+    """Every A_1 representative is the `_generator_cycle` of an input
+    generator of its degree, in coordinates: H_1 = a/ma is read off the
+    generators, redundant ones included."""
+    rng = random.Random(helpers.SEED + 17)
+    corpus = [ideal for _, ideal in helpers.small_instances()]
+    corpus += [ideal for char in (2, 3, 32003, 0)
+               for ideal in redundant_generator_ideals(rng, char, 10)]
+    for ideal in corpus:
+        kz = KoszulComplex(ideal.quotient_ring())
+        cycles = [(g.degree(), kz._coords(_generator_cycle(g))) for g in ideal.generators]
+        for d, vec in kz._reps[1]:
+            assert (d, {d: vec}) in cycles, (ideal.field, str(ideal), d)
+
+
+def test_generator_cycles_short_of_the_euler_count_raise(monkeypatch):
+    """The Euler count of A_1 is a guarantee, not a cap: cycles that span
+    fewer classes (here none, each generator's cycle replaced by zero) make
+    the build raise instead of returning fewer classes."""
+    monkeypatch.setattr(koszul, "_generator_cycle", lambda g: KoszulElement(1, {}))
+    with pytest.raises(RuntimeError, match="fewer than"):
+        KoszulComplex(helpers.trim_ideal(3, "d").quotient_ring())
+
+
+def test_invariants_fill_few_table_entries():
+    """A product monomial off the border reaches the table through a parent
+    that already has an entry where one does: over the 77 trims of
+    `table --m 2..8`, `invariants` adds at most 6,534 normal-form entries
+    (8,378 when it always took the first non-standard parent)."""
+    made = 0
+    for m in range(2, 9):
+        for label in selector_labels(m):
+            kz = KoszulComplex(trimmed_ideal(TrimChoice(m, label), F).quotient_ring())
+            before = len(kz.ring._table)
+            kz.invariants()
+            made += len(kz.ring._table) - before
+    assert made <= 6534
 
 
 def _corner_degrees(ring):
@@ -646,8 +699,12 @@ def test_abstract_structure_at_scale():
 
 
 def test_hand_built_cycles_need_m_at_least_three():
-    kz = helpers.koszul(2, "d")
-    with pytest.raises(ValueError):
-        a1_cycle_basis(TrimChoice(2, "d"), kz)
-    with pytest.raises(ValueError):
-        a1_annihilator_cycle(TrimChoice(2, "d"), kz)
+    """`a1_cycle_basis` is built from the generators, so it covers m = 2 too
+    (mu = 5, 4, 5, 4, 5); only the annihilator cycle's formulas need m >= 3."""
+    for label in selector_labels(2):
+        kz = helpers.koszul(2, label)
+        cycles, mu = a1_cycle_basis(TrimChoice(2, label), kz), kz.ranks()[1]
+        assert len(cycles) == mu, label
+        assert span_rank([kz.class_coords(c) for c in cycles], mu, F) == mu, label
+    with pytest.raises(ValueError, match="annihilator cycle"):
+        a1_annihilator_cycle(TrimChoice(2, "d"), helpers.koszul(2, "d"))

@@ -1,6 +1,8 @@
-"""The sparse echelon engine against the dense elimination oracle in helpers."""
+"""The sparse echelon engine against the dense elimination oracle in helpers,
+and the fields' sparse accumulate against a naive sum."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -154,3 +156,75 @@ def test_echelon_solve_over_tagged_vectors(fld):
         rank = helpers.span_rank(basis, ncols, fld)
         inside = helpers.span_rank(basis + [probe], ncols, fld) == rank
         assert (ech.solve(probe) is not None) == inside
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f"char{f.char}")
+def test_dense_zero_vector_is_dropped(fld):
+    """An all-zero dense vector reduces to nothing: untagged it leaves the
+    falsy {}, tagged it leaves its own tag relation, and the rank stays."""
+    for rows in ([], [[fld.one, fld.zero, fld.of(2)]]):
+        ech = Echelon(fld)
+        for row in rows:
+            ech.add(row)
+        assert ech.add([fld.zero] * 3) == {}
+        assert ech.add([fld.zero] * 3, tag=5) == {5: fld.one}
+        assert ech.solve([fld.zero] * 3) == {}
+        assert ech.rank == len(rows)
+
+
+@pytest.mark.parametrize("fld", [helpers.field(3), helpers.field(32003), helpers.field(0)],
+                         ids=lambda f: f"char{f.char}")
+def test_dense_and_sparse_input_agree(fld):
+    """The same vectors, dense or sparse, leave the same relations, rows and
+    solutions."""
+    rng = random.Random(helpers.SEED + 9 + fld.char)
+    for rows, ncols in cases(rng, fld):
+        dense_ech, sparse_ech = Echelon(fld), Echelon(fld)
+        for k, row in enumerate(rows):
+            tag = k if k % 3 else None
+            sparse = {j: c for j, c in enumerate(row) if not fld.is_zero(c)}
+            assert dense_ech.add(row, tag=tag) == sparse_ech.add(sparse, tag=tag)
+        assert dense_ech.rows == sparse_ech.rows
+        for row in rows:
+            sparse = {j: c for j, c in enumerate(row) if not fld.is_zero(c)}
+            assert dense_ech.solve(row) == sparse_ech.solve(sparse)
+
+
+@pytest.mark.parametrize("kind", ["char3", "char32003", "fraction", "mpq"])
+def test_sub_multiple_matches_naive_sum(kind):
+    """`field.sub_multiple(vec, c, row)` is vec - c * row as a dict with no
+    zero entries, F_p values in [0, p); c = 0 leaves vec unchanged."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    if kind.startswith("char"):
+        fld = helpers.field(int(kind[4:]))
+        value = st.integers(-40000, 40000).map(fld.of)
+    else:
+        fld = helpers.field(0)
+        rat = pytest.importorskip("gmpy2").mpq if kind == "mpq" else Fraction
+        value = st.builds(rat, st.integers(-4, 4), st.integers(1, 3))
+    sparse = st.dictionaries(st.integers(0, 7), value, max_size=8).map(
+        lambda d: {j: c for j, c in d.items() if c})
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hyp.given(sparse, value, sparse, st.booleans())
+    def check(vec, c, row, cancel):
+        if cancel and c:  # vec lies on the row's line, so every entry cancels
+            vec = {j: fld.mul(c, a) for j, a in row.items()}
+        naive = {}
+        for j in set(vec) | set(row):
+            s = fld.sub(vec.get(j, fld.zero), fld.mul(c, row.get(j, fld.zero)))
+            if not fld.is_zero(s):
+                naive[j] = s
+        out = dict(vec)
+        fld.sub_multiple(out, c, row)
+        assert out == naive
+        assert all(out.values())
+        if fld.char:
+            assert all(0 <= v < fld.char for v in out.values())
+        if not c:
+            assert out == vec
+        if cancel and c:
+            assert out == {}
+
+    check()
