@@ -27,7 +27,6 @@ from .pfaffians import (
     family_hilbert,
     gorenstein_ideal,
     selector_index,
-    selector_labels,
     trimmed_ideal,
 )
 from .poly import parse_polynomial
@@ -193,41 +192,38 @@ def _classify_target(args) -> Ideal:
     return trimmed_ideal(choice, _field(args))
 
 
-def _display(report: dict) -> str:
-    from .koszul import TorClass
+def _classified(ideal: Ideal) -> tuple:
+    """The classify record of Q/ideal and its displayed class; the complex is freed on return."""
+    from .koszul import KoszulComplex, report_dict
 
-    return TorClass(report["class"], report["class_params"]).display()
+    kz = KoszulComplex(ideal.quotient_ring())
+    return report_dict(kz), kz.classify().display()
 
 
 def cmd_classify(args) -> str:
-    from .koszul import KoszulComplex, report_dict
-
-    report = report_dict(KoszulComplex(_classify_target(args).quotient_ring()))
+    report, display = _classified(_classify_target(args))
     if args.output_format == "json":
         return _json_block(report)
     shown = {k: " ".join(map(str, v)) if isinstance(v, list) else v
              for k, v in report.items() if k != "class_params"}
-    shown["class"] = _display(report)
+    shown["class"] = display
     if args.output_format == "text":
         return _kv_text(shown.items())
     return _csv_text(list(shown), [list(shown.values())])
 
 
 def cmd_table(args) -> str:
-    from .koszul import KoszulComplex, report_dict
-
     lo, hi = args.m
     field = _field(args)
     check_family_size(hi)
     rows = []
     for m in range(lo, hi + 1):
         gens = canonical_generators(m, field)
-        for label in selector_labels(m):
-            index = selector_index(label, m)
-            report = report_dict(KoszulComplex(trim(gens, index).quotient_ring()))
+        for index in range(2 * m + 1):
+            report, display = _classified(trim(gens, index))
             rows.append({"m": m, "g": gens[index].to_text(),
                          **{k: report[k] for k in ("mu", "type", "p", "q", "r")},
-                         "class": _display(report)})
+                         "class": display})
     if args.output_format == "json":
         return _json_block(rows)
     header = ["m", "g", "mu", "type", "p", "q", "r", "class"]

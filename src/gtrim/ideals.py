@@ -189,8 +189,8 @@ class Ideal:
     """Homogeneous ideal with a cached reduced Groebner basis.
 
     Construction rejects non-homogeneous generators; zero generators are
-    dropped.  The Groebner basis and its indexed reducers are computed
-    once, on first use.
+    dropped.  The Groebner basis is computed once, on first use, and its
+    indexed reducers on the first normal form.
     """
 
     __slots__ = ("field", "generators", "_gb", "_reducers", "_ring")
@@ -225,7 +225,6 @@ class Ideal:
     def groebner_basis(self) -> tuple:
         if self._gb is None:
             self._gb = tuple(buchberger(self.generators))
-            self._reducers = _Reducers((g.leading_monomial(), g) for g in self._gb)
         return self._gb
 
     def leading_monomials(self) -> tuple:
@@ -234,7 +233,8 @@ class Ideal:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.field != self.field:
             raise ValueError("mismatched coefficient fields")
-        self.groebner_basis()  # builds self._reducers on first use
+        if self._reducers is None:  # only normal forms read the divisor index
+            self._reducers = _Reducers((g.leading_monomial(), g) for g in self.groebner_basis())
         return Polynomial(self.field,
                           _normal_form_terms(f.terms, self._reducers, self.field))
 

@@ -471,11 +471,6 @@ def report_dict(kz: KoszulComplex) -> dict:
 # ---- explicit cycles for the trims: A_1 = a/ma from `_generator_cycle` of the
 # minimal generators; only the annihilator cycle is hand-built, from syzygies.
 
-def _check_choice(choice: TrimChoice):
-    if choice.m < 3:
-        raise ValueError("the annihilator cycle is provided for m >= 3")
-
-
 def a1_cycle_basis(choice: TrimChoice, kz: KoszulComplex) -> list:
     """The mu(a) cycles spanning A_1 for a trimmed family ideal: the
     `_generator_cycle` of each minimal generator of the trim, in ladder order.
@@ -492,37 +487,25 @@ def a1_cycle_basis(choice: TrimChoice, kz: KoszulComplex) -> list:
 
 
 def a1_annihilator_cycle(choice: TrimChoice, kz: KoszulComplex) -> KoszulElement:
-    """A degree-2 cycle whose homology class multiplies A_1 to zero.
-
-    Selector x0: y^(m-1) e_yz; selector d: d_(m-1) e_xy; interior xi:
-    y^(m-i) d_(i-1) e_xy + (-1)^(i-1) y^(m-i-1) d_i e_yz; y-side selectors by
-    the x <-> y swap.  The element is verified to be a cycle.
+    """A degree-2 cycle whose class multiplies A_1 to zero, for m >= 3, from
+    the ladder position k of the trimmed generator: d_(m-1) e_xy at k = m,
+    else u^(m-i) d_(i-1) e_xy + s u^(m-i-1) d_i e_uz with (i, u, e_uz, s) =
+    (k, y, e_yz, (-1)^(i-1)) on the x-side and (2m-k, x, e_xz, (-1)^i) on the
+    y-side, its x <-> y image up to sign.  d_(-1) = 0, so the pure powers are
+    the i = 0 cases, -y^(m-1) e_yz and x^(m-1) e_xz.  Verified to be a cycle.
     """
-    _check_choice(choice)
-    m = choice.m
-    field = kz.ring.field
-    x, y, z = variables(field)
-    d = [d_poly(k, field) for k in range(m + 1)]
-    sel = choice.selector
-    e_xy, e_xz, e_yz = (0, 1), (0, 2), (1, 2)
-
-    if sel == "x0":
-        el = KoszulElement(2, {e_yz: y ** (m - 1)})
-    elif sel == "y0":
-        el = KoszulElement(2, {e_xz: x ** (m - 1)})
-    elif sel == "d":
-        el = KoszulElement(2, {e_xy: d[m - 1]})
-    elif sel[0] == "x":
-        i = int(sel[1:])
-        sign = 1 if (i - 1) % 2 == 0 else -1
-        el = KoszulElement(2, {e_xy: y ** (m - i) * d[i - 1],
-                               e_yz: y ** (m - i - 1) * d[i] * sign})
-    else:
-        i = int(sel[1:])
-        sign = 1 if i % 2 == 0 else -1
-        el = KoszulElement(2, {e_xy: x ** (m - i) * d[i - 1],
-                               e_xz: x ** (m - i - 1) * d[i] * sign})
-
+    m, k = choice.m, choice.index
+    if m < 3:
+        raise ValueError("the annihilator cycle is provided for m >= 3")
+    if k == m:
+        return _checked_cycle(kz, KoszulElement(2, {(0, 1): d_poly(m - 1, kz.field)}))
+    x, y, _ = variables(kz.field)
+    x_side = k < m
+    i = k if x_side else 2 * m - k
+    u, e_uz = (y, (1, 2)) if x_side else (x, (0, 2))
+    s = -1 if (i - x_side) % 2 else 1
+    el = KoszulElement(2, {(0, 1): u ** (m - i) * d_poly(i - 1, kz.field),
+                           e_uz: u ** (m - i - 1) * d_poly(i, kz.field) * s})
     return _checked_cycle(kz, el)
 
 

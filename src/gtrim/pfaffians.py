@@ -87,14 +87,13 @@ def d_poly(m: int, field=None) -> Polynomial:
 
 
 def canonical_generators(m: int, field=None) -> list:
-    """[x^m, x^(m-1) d_1, ..., x d_(m-1), d_m, y d_(m-1), ..., y^m] for m >= 2."""
-    if m < 2:
-        raise ValueError(f"canonical generators need m >= 2, got {m}")
-    return _generator_ladder(m, field or default_field())
-
-
-def _generator_ladder(m: int, field) -> list:
+    """The ladder of g_m: position k of 0..2m is x^(m-k) d_k for k <= m, else
+    y^(k-m) d_(2m-k); m = 1 gives [x, z, y].  Refuses m < 1 and, before any
+    polynomial is built, an m above the size bound."""
+    if m < 1:
+        raise ValueError(f"family index must be >= 1, got {m}")
     check_family_size(m)
+    field = field or default_field()
     x, y, z = variables(field)
     d = [d_poly(k, field) for k in range(m + 1)]
     left = [x ** (m - i) * d[i] for i in range(m)]
@@ -104,10 +103,7 @@ def _generator_ladder(m: int, field) -> list:
 
 def gorenstein_ideal(m: int, field=None) -> Ideal:
     """The height-3 Gorenstein ideal of sub-Pfaffians of V_m (m = 1 gives (x, y, z))."""
-    if m < 1:
-        raise ValueError(f"family index must be >= 1, got {m}")
-    field = field or default_field()
-    return Ideal(_generator_ladder(m, field), field)
+    return Ideal(canonical_generators(m, field))
 
 
 def family_dim(m: int) -> int:
@@ -138,9 +134,10 @@ def family_hilbert(m: int) -> list:
 
 
 def selector_labels(m: int) -> list:
-    """All 2m+1 trim selectors in canonical generator order."""
-    if m < 2:
-        raise ValueError(f"trim selectors need m >= 2, got {m}")
+    """The 2m+1 trim selectors, label k naming ladder position k (the inverse
+    of `selector_index`); m = 1 gives [x0, d, y0]."""
+    if m < 1:
+        raise ValueError(f"family index must be >= 1, got {m}")
     left = ["x0"] + [f"x{i}" for i in range(1, m)]
     right = [f"y{i}" for i in range(m - 1, 0, -1)] + ["y0"]
     return left + ["d"] + right
@@ -160,9 +157,7 @@ def selector_index(selector: str, m: int) -> int:
     i = int(match.group(2))
     if i > m - 1:
         raise ValueError(f"selector {selector!r} needs 0 <= I <= {m - 1} for m={m}")
-    if match.group(1) == "x":
-        return i
-    return 2 * m - i if i else 2 * m
+    return i if match.group(1) == "x" else 2 * m - i
 
 
 class TrimChoice(namedtuple("TrimChoice", "m selector")):
@@ -183,14 +178,12 @@ class TrimChoice(namedtuple("TrimChoice", "m selector")):
         return selector_index(self.selector, self.m)
 
     def generator(self, field=None) -> Polynomial:
-        field = field or default_field()
-        return _generator_ladder(self.m, field)[self.index]
+        return canonical_generators(self.m, field)[self.index]
 
 
 def trimmed_ideal(choice: TrimChoice, field=None) -> Ideal:
     """Trim of the m-th Gorenstein ideal at the chosen generator."""
-    field = field or default_field()
-    return trim(_generator_ladder(choice.m, field), choice.index)
+    return trim(canonical_generators(choice.m, field), choice.index)
 
 
 class PfaffianFamily(namedtuple("PfaffianFamily", "m U V d pfaffians generators")):
@@ -209,10 +202,7 @@ class PfaffianFamily(namedtuple("PfaffianFamily", "m U V d pfaffians generators"
         a first-row Pfaffian expansion for m = 1..16 over F_32003 and
         m = 1..10 over Q.
         """
-        if m < 1:
-            raise ValueError(f"family index must be >= 1, got {m}")
-        field = field or default_field()
-        gens = _generator_ladder(m, field)  # first: it checks the size bound
+        gens = canonical_generators(m, field)  # first: it checks m and the size bound
         pfaffians = tuple(-g if min(k, 2 * m - k) // 2 % 2 else g
                           for k, g in enumerate(reversed(gens)))
         return cls(m=m, U=build_u(m, field), V=build_v(m, field),

@@ -1,7 +1,7 @@
 """Exact polynomial arithmetic in k[x, y, z].
 
 Monomials are exponent triples; a polynomial is a dict mapping monomials to
-nonzero field elements (the zero polynomial is the empty dict).  Arithmetic
+nonzero field elements, coerced by `field.of` (zero is the empty dict).  Arithmetic
 and the text reader accumulate terms with the field's `sub_multiple`, the one
 sparse sum; the reader adds every term into one dict, linear in the text.
 The one monomial order is grevlex with x > y > z: the Hilbert function, the
@@ -71,13 +71,9 @@ class Polynomial:
     __slots__ = ("field", "terms")
 
     def __init__(self, field, terms=None):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not field.is_zero(coeff):
-                    clean[mono] = coeff
         self.field = field
-        self.terms = clean
+        self.terms = {mono: c for mono, coeff in (terms or {}).items()
+                      if not field.is_zero(c := field.of(coeff))}
 
     # ---- constructors -------------------------------------------------
 

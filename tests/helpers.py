@@ -711,4 +711,4 @@ def colon_by_maximal(ideal) -> Ideal:
 
 def is_interior(choice: TrimChoice) -> bool:
     """True for xi/yi with 1 <= i <= m-1 (neither a pure power nor d_m)."""
-    return choice.selector != "d" and int(choice.selector[1:]) > 0
+    return choice.index not in (0, choice.m, 2 * choice.m)

@@ -363,9 +363,13 @@ def test_family_above_dimension_bound_exits_3():
 def test_classify_ideal_above_dimension_bound_exits_3(tmp_path):
     # x^999999999 used to hang; a huge degree is refused when the ideal is
     # built, and a least generator degree of 106 or more (every monomial below
-    # it standard, so dim R >= C(108, 3)) before the Groebner basis
+    # it standard, so dim R >= C(108, 3)) before the Groebner basis; the
+    # degrees of (x, y^2, z^150000) leave only 6, so the staircase walk finds
+    # dim R = 300,000 and refuses it
     for gens, message in ((["x^999999999", "y^2", "z^2"], "generator of degree 999999999"),
-                          (["x^600", "y^600", "z^600"], "more than 200000 standard monomials")):
+                          (["x^600", "y^600", "z^600"], "more than 200000 standard monomials"),
+                          (["x", "y^2", "z^150000"],
+                           "more than 200000 standard monomials (the bound on dim R)\n")):
         code, out, err = classify_ideal_file(tmp_path, {"generators": gens}, timeout=30)
         assert code == 3 and out == "" and "Traceback" not in err, gens
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
@@ -448,12 +452,22 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_stdout_frozen_by_digest(capsys):
-    """The sha256 of the whole stdout of three larger runs, frozen before the
-    Koszul eliminations stopped at the Euler count and products moved to
-    coordinates: no class, rank, Hilbert function or rendered byte moves."""
+    """The sha256 of the whole stdout of larger runs: the JSON ones frozen
+    before the Koszul eliminations stopped at the Euler count and products
+    moved to coordinates, the text and CSV ones before `classify` and
+    `table` shared one route to the displayed class.  No class, rank,
+    Hilbert function or rendered byte moves."""
     for argv, digest in (
             (["table", "--m", "2..8"],
              "b564f3154460abade1875a989de277fd7507f16500cc67b862ce4c3dcbe42e19"),
+            (["table", "--m", "2..8", "--format", "text"],
+             "d7fafa7a06403302a5b94f6857005709f2b4fd5c437390af5d599760e4e84499"),
+            (["table", "--m", "2..8", "--format", "csv"],
+             "89618ea41a2ec22fa6abcfa3f43f36775ab99189013f9f8cb00bba2ea58c8d5b"),
+            (["classify", "--m", "14", "--trim", "d", "--format", "text"],
+             "7ef77acf4eaf04788d10032d5f2895ac44a928b47bff5e0d2e44d9cbb0c73d9a"),
+            (["classify", "--char", "0", "--m", "9", "--trim", "y4", "--format", "csv"],
+             "95c0e41a94c7c4e033ee852318dadb5cede89e346f151dd17128b0e7d4dab6aa"),
             (["classify", "--m", "14", "--trim", "d"],
              "cea2df432a0b192e3294429f375a1028b2cf4ac8945fedb61f1250fb09281461"),
             (["table", "--char", "0", "--m", "2..7"],

@@ -229,7 +229,13 @@ def test_is_n_primary_cases():
 
 def test_dimension_bound(monkeypatch):
     """dim R = MAX_DIM is accepted and one more standard monomial is refused,
-    as is a generator of degree above the bound, before any Groebner work."""
+    as is a generator of degree above the bound, before any Groebner work.
+    (x, y^2, z^150000) passes the generator-degree check and the bound before
+    Buchberger (the degrees leave 6), but dim R is 300,000: the staircase
+    walk refuses it as it counts past the bound."""
+    with pytest.raises(QuotientTooLargeError,
+                       match=r"more than 200000 standard monomials \(the bound on dim R\)$"):
+        QuotientRing(Ideal([X, Y ** 2, Polynomial.monomial(F, (0, 0, 150000))]))
     monkeypatch.setattr(ideals, "MAX_DIM", 8)
     assert QuotientRing(Ideal([X * X, Y * Y, Z * Z])).dim() == 8
     with pytest.raises(QuotientTooLargeError, match="more than 8 standard monomials"):

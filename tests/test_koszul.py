@@ -416,7 +416,9 @@ def test_classify_path_makes_no_heap_reduction(monkeypatch):
     kz.invariants()
     assert kz.classify().display() == "G(10)"
     assert len(calls) == 0
+    assert ideal._reducers is None  # the divisor index is built for normal forms only
     assert ideal.normal_form(X ** 6).is_zero() and len(calls) == 1  # the wrapper counts
+    assert ideal._reducers is not None
 
 
 def test_homology_basis_elements_are_cycles_not_boundaries():
@@ -604,6 +606,26 @@ def test_annihilator_cycle_properties():
         assert kz.is_cycle(f)
         assert not kz.is_boundary(f)
         assert annihilates_a1(kz, f)
+
+
+def test_annihilator_cycles_frozen():
+    """One formula in the ladder position k for both sides: frozen over
+    F_32003 at m = 4; x0 gives -y^(m-1) e_yz, the i = 0 case of the x-side."""
+    expected = {
+        "x0": "(-y^3)*e_yz",
+        "x1": "(y^3)*e_xy + (y^2*z)*e_yz",
+        "x2": "(y^2*z)*e_xy + (-x*y^2 + y*z^2)*e_yz",
+        "x3": "(x*y^2 - y*z^2)*e_xy + (2*x*y*z - z^3)*e_yz",
+        "d": "(2*x*y*z - z^3)*e_xy",
+        "y3": "(x^2*y - x*z^2)*e_xy + (-2*x*y*z + z^3)*e_xz",
+        "y2": "(x^2*z)*e_xy + (x^2*y - x*z^2)*e_xz",
+        "y1": "(x^3)*e_xy + (-x^2*z)*e_xz",
+        "y0": "(x^3)*e_xz",
+    }
+    assert list(expected) == selector_labels(4)
+    for sel, text in expected.items():
+        choice = TrimChoice(4, sel)
+        assert str(a1_annihilator_cycle(choice, helpers.koszul(4, sel))) == text, sel
 
 
 def test_cycle_checks_and_products_stay_on_coordinates(monkeypatch):

@@ -24,7 +24,7 @@ from gtrim import (
     variables,
 )
 from gtrim.errors import QuotientTooLargeError
-from gtrim.pfaffians import check_family_size, family_dim
+from gtrim.pfaffians import check_family_size, family_dim, selector_index
 from helpers import (
     all_sub_pfaffians,
     delete_row_col,
@@ -212,8 +212,9 @@ def test_canonical_generators_frozen():
     assert [g.to_text() for g in canonical_generators(3, F)] == [
         "x^3", "x^2*z", "x^2*y - x*z^2", "2*x*y*z - z^3",
         "x*y^2 - y*z^2", "y^2*z", "y^3"]
+    assert [g.to_text() for g in canonical_generators(1, F)] == ["x", "z", "y"]
     with pytest.raises(ValueError):
-        canonical_generators(1, F)
+        canonical_generators(0, F)
 
 
 def test_generators_span_the_pfaffian_ideal():
@@ -262,6 +263,24 @@ def test_family_size_bound():
 def test_selector_labels_frozen():
     assert selector_labels(2) == ["x0", "x1", "d", "y1", "y0"]
     assert selector_labels(3) == ["x0", "x1", "x2", "d", "y2", "y1", "y0"]
+    assert selector_labels(1) == ["x0", "d", "y0"]
+
+
+def test_selector_index_inverts_selector_labels():
+    """Label k names ladder position k: the one text <-> position mapping."""
+    for m in range(1, 13):
+        labels = selector_labels(m)
+        assert len(labels) == 2 * m + 1
+        for k, label in enumerate(labels):
+            assert selector_index(label, m) == k
+            assert labels[selector_index(label, m)] == label
+
+
+def test_m_below_one_carries_the_ladder_message():
+    for build in (lambda: canonical_generators(0, F), lambda: gorenstein_ideal(0, F),
+                  lambda: PfaffianFamily.build(-1, F), lambda: selector_labels(0)):
+        with pytest.raises(ValueError, match="family index must be >= 1"):
+            build()
 
 
 def test_trim_choice_index_map():

@@ -100,6 +100,19 @@ def test_ring_axioms_random():
         assert (f * g).is_zero() == (f.is_zero() or g.is_zero())
 
 
+def test_constructor_keeps_coefficients_canonical():
+    """Coefficients go through `field.of`: reduced mod p, zeros dropped, and
+    an int over Q becomes the rational type, however the polynomial is made."""
+    f7 = helpers.field(7)
+    x, y, _ = variables(f7)
+    p = Polynomial(f7, {(1, 0, 0): 7, (0, 1, 0): 9})
+    assert p.terms == {(0, 1, 0): 2} and p.to_text() == "2*y" and p == y + y
+    assert Polynomial(f7, {(1, 0, 0): 7}).is_zero()
+    assert Polynomial(f7, {(0, 1, 0): -1}).terms == {(0, 1, 0): 6} == (-y).terms
+    z_q = Polynomial(Q, {(0, 0, 1): 1})
+    assert type(z_q.terms[(0, 0, 1)]) is type(Q.one) and z_q == variables(Q)[2]
+
+
 def test_field_mismatch_rejected():
     with pytest.raises(ValueError):
         Polynomial.variable(F, "x") + Polynomial.variable(Q, "x")
