@@ -19,8 +19,7 @@ _HOMES = {
                "PreconditionError", "UnitIdealError"),
     "fields": ("DEFAULT_CHAR", "PrimeField", "RationalField", "default_field",
                "field_of_characteristic"),
-    "ideals": ("HilbertData", "Ideal", "QuotientRing", "buchberger", "scale_by_maximal",
-               "trim"),
+    "ideals": ("HilbertData", "Ideal", "QuotientRing", "buchberger", "trim"),
     "koszul": ("KoszulComplex", "KoszulElement", "TorClass", "TorInvariants",
                "a1_annihilator_cycle", "a1_cycle_basis", "annihilates_a1",
                "classify_from_invariants", "report_dict"),

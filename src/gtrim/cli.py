@@ -238,7 +238,7 @@ def cmd_table(args) -> str:
 
 def cmd_hilbert(args) -> str:
     ideal = gorenstein_ideal(args.m, _field(args))
-    computed = list(ideal.hilbert_function().coefficients)
+    computed = list(ideal.quotient_ring().hilbert().coefficients)
     closed = family_hilbert(args.m)
     data = {"m": args.m, "coefficients": computed, "closed_form": closed,
             "match": computed == closed}

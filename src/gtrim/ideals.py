@@ -241,20 +241,10 @@ class Ideal:
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
 
-    def __add__(self, other: "Ideal") -> "Ideal":
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        if other.field != self.field:
-            raise ValueError("ideal sum needs matching fields")
-        return Ideal(self.generators + other.generators, self.field)
-
-    def equals(self, other: "Ideal") -> bool:
-        return self.field == other.field and self.groebner_basis() == other.groebner_basis()
-
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
-        return self.equals(other)
+        return self.field == other.field and self.groebner_basis() == other.groebner_basis()
 
     __hash__ = None
 
@@ -279,15 +269,6 @@ class Ideal:
             self._ring = QuotientRing(self)
         return self._ring
 
-    def hilbert_function(self) -> "HilbertData":
-        return self.quotient_ring().hilbert()
-
-
-def scale_by_maximal(g: Polynomial) -> Ideal:
-    """The ideal (x*g, y*g, z*g)."""
-    x, y, z = variables(g.field)
-    return Ideal([x * g, y * g, z * g], g.field)
-
 
 def trim(generators, index: int) -> Ideal:
     """Replace the index-th generator g by (x, y, z)*g."""
@@ -297,7 +278,8 @@ def trim(generators, index: int) -> Ideal:
     g = gens.pop(index)
     if g.is_zero():
         raise ValueError("cannot trim a zero generator")
-    return scale_by_maximal(g) + Ideal(gens, g.field)
+    x, y, z = variables(g.field)
+    return Ideal([x * g, y * g, z * g] + gens, g.field)
 
 
 class HilbertData(namedtuple("HilbertData", "coefficients")):

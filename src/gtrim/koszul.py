@@ -25,10 +25,11 @@ can live, at its last class: the Euler characteristic of the degree counts
 them.  H_3,d is the socle of R in degree d - 3.  Betti numbers only
 grow under Groebner degeneration, beta_3,d(Q/a) <= beta_3,d(Q/in(a))
 (Herzog-Hibi, Monomial Ideals, GTM 260, ch. 3), and the staircase corners
-span the socle of Q/in(a), so d_3 is eliminated with tags only above a
-corner; elsewhere it runs only for the boundaries of a live H_2.  Where A
-is zero a cycle's class is zero.  A product [a][b] lies in internal degree
-deg a + deg b and is formed only when A_{i+j} has a class there.
+span the socle of Q/in(a), so off a corner d_3 runs only for the
+boundaries of a live H_2, H_1 or H_0; wherever it runs, it is one tagged
+elimination.  Where A is zero a cycle's class is zero.  A product [a][b]
+lies in internal degree deg a + deg b and is formed only when A_{i+j} has a
+class there.
 
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
@@ -193,8 +194,10 @@ class KoszulComplex:
         return col
 
     def _build_homology(self):
-        """A_i only where it can be non-zero.  With no corner in degree d - 3,
-        H_3,d = 0 and d_3 is eliminated untagged, for its image alone.  The
+        """A_i only where it can be non-zero.  A degree is skipped when only
+        H_2 could live there and neither H_3 (no corner in degree d - 3) nor
+        the Euler characteristic leaves room for a class.  Elsewhere d_3 is
+        eliminated one way, with tags; with no corner it finds no cycle.  The
         cascade ends at the lowest i that can live (0 at d = 0, 1 in the
         generator degrees, else 2), whose class count the Euler characteristic
         sum (-1)^i dim H_i,d = chi_d fixes from those above: it stops at the
@@ -208,16 +211,10 @@ class KoszulComplex:
         gen_degrees = {g.degree() for g in gens}
         for d in range(ring.top_degree + 4):
             lowest = 0 if d == 0 else 1 if d in gen_degrees else 2
-            corner = ring.corners(d - 3) > 0
             chi = sum((-1) ** i * self.component_size(i, d) for i in range(4))
-            if lowest == 2 and not corner and not chi:
+            if lowest == 2 and not chi and not ring.corners(d - 3):
                 continue
-            if corner:
-                image = self._homology(3, d, Echelon(f))
-            else:
-                image = Echelon(f)
-                for c in range(self.component_size(3, d)):
-                    image.add(self._diff_column(3, d, c))
+            image = self._homology(3, d, Echelon(f))
             count = chi + self.component_size(3, d) - image.rank  # h_2 - h_1 + h_0
             for i in range(2, lowest, -1):
                 found = len(self._reps[i])

@@ -177,9 +177,6 @@ class TrimChoice(namedtuple("TrimChoice", "m selector")):
         """Position of the chosen generator in the canonical ordering."""
         return selector_index(self.selector, self.m)
 
-    def generator(self, field=None) -> Polynomial:
-        return canonical_generators(self.m, field)[self.index]
-
 
 def trimmed_ideal(choice: TrimChoice, field=None) -> Ideal:
     """Trim of the m-th Gorenstein ideal at the chosen generator."""

@@ -165,11 +165,8 @@ class Polynomial:
         return Polynomial(self.field)._minus(self.field.one, self)
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            if isinstance(other, int):
-                return self.scale(other)
-            from fractions import Fraction  # only a rational scalar needs the type
-            return self.scale(other) if isinstance(other, Fraction) else NotImplemented
+        if not isinstance(other, Polynomial):  # a rational scalar: int, Fraction or mpq
+            return self.scale(other) if hasattr(other, "denominator") else NotImplemented
         self._check_field(other)
         f, out = self.field, {}
         for (a, b, c), coeff in self.terms.items():
@@ -187,11 +184,19 @@ class Polynomial:
         return self._with({m: f.mul(cc, c) for m, cc in self.terms.items()})
 
     def __pow__(self, n: int):
+        """Square and multiply for at most one term, O(log n) products; else
+        n products, which beat squaring a base of several terms."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Polynomial.constant(self.field, 1)
-        for _ in range(n):
-            out = out * self
+        out, base = Polynomial.constant(self.field, 1), self
+        if len(self.terms) > 1:
+            for _ in range(n):
+                out = out * base
+            return out
+        while n:
+            if n & 1:
+                out = out * base
+            n, base = n >> 1, base * base
         return out
 
     def __eq__(self, other):

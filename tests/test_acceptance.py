@@ -20,6 +20,7 @@ from gtrim import (
     annihilates_a1,
     build_u,
     build_v,
+    canonical_generators,
     d_poly,
     family_hilbert,
     report_dict,
@@ -78,7 +79,7 @@ def check_family(char):
         ideal = helpers.family_ideal(m, char)
         _, mu = minimal_generators(ideal)
         assert mu == 2 * m + 1, (m, mu)
-        hilbert = list(ideal.hilbert_function().coefficients)
+        hilbert = list(ideal.quotient_ring().hilbert().coefficients)
         assert hilbert == hilbert_oracle(m), (m, hilbert)
         assert family_hilbert(m) == hilbert
         socle = socle_basis(ideal)
@@ -239,7 +240,7 @@ def test_08_explicit_cycles_span_and_annihilate():
             special = a1_annihilator_cycle(choice, kz)
             assert not kz.is_boundary(special), (m, label)
             assert annihilates_a1(kz, special), (m, label)
-            g = choice.generator(kz.field)
+            g = canonical_generators(m, kz.field)[choice.index]
             multiples = [kz.reduce_element(KoszulElement(2, {w: g}))
                          for w in ((0, 1), (0, 2), (1, 2))]
             g_coords = []
@@ -284,7 +285,7 @@ def test_09_property_suites():
         assert not ideal.contains(h + outside)
 
     # homology products: representative independence under boundary shifts
-    complexes = [helpers.koszul(2), helpers.koszul(2, "x1"),
+    complexes = [helpers.koszul(2), helpers.koszul(2, "x1"), helpers.koszul(2, "d"),
                  helpers.koszul(3, "d"), helpers.koszul(3, "x1")]
     for _ in range(500):
         kz = complexes[rng.randrange(len(complexes))]
@@ -313,7 +314,7 @@ def test_09_property_suites():
     instances = helpers.small_instances()
     for label, ideal in instances:
         assert ideal.quotient_ring().dim() <= 100, label
-        assert helpers.colon_oracle(ideal).equals(colon_by_maximal(ideal)), label
+        assert helpers.colon_oracle(ideal) == colon_by_maximal(ideal), label
     randomized = 0
     for _ in range(500):
         gens = [x ** rng.randint(1, 3), y ** rng.randint(1, 3), z ** rng.randint(1, 3)]
@@ -321,7 +322,7 @@ def test_09_property_suites():
             gens.append(helpers.random_form(rng, fld, rng.randint(2, 3)))
         ideal = Ideal(gens)
         assert ideal.quotient_ring().dim() <= 100
-        assert helpers.colon_oracle(ideal).equals(colon_by_maximal(ideal))
+        assert helpers.colon_oracle(ideal) == colon_by_maximal(ideal)
         randomized += 1
     passed(9, "property suites, seed "
               f"{helpers.SEED}: normal-form idempotence (500), membership "

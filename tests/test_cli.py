@@ -455,8 +455,9 @@ def test_stdout_frozen_by_digest(capsys):
     """The sha256 of the whole stdout of larger runs: the JSON ones frozen
     before the Koszul eliminations stopped at the Euler count and products
     moved to coordinates, the text and CSV ones before `classify` and
-    `table` shared one route to the displayed class.  No class, rank,
-    Hilbert function or rendered byte moves."""
+    `table` shared one route to the displayed class, the `hilbert` ones
+    before it read the Hilbert function off `quotient_ring()`.  No class,
+    rank, Hilbert function or rendered byte moves."""
     for argv, digest in (
             (["table", "--m", "2..8"],
              "b564f3154460abade1875a989de277fd7507f16500cc67b862ce4c3dcbe42e19"),
@@ -471,7 +472,11 @@ def test_stdout_frozen_by_digest(capsys):
             (["classify", "--m", "14", "--trim", "d"],
              "cea2df432a0b192e3294429f375a1028b2cf4ac8945fedb61f1250fb09281461"),
             (["table", "--char", "0", "--m", "2..7"],
-             "b942a106d31440228f011c04c17ea489c62ea36f8a3b0f2bc6c33bbde731f260")):
+             "b942a106d31440228f011c04c17ea489c62ea36f8a3b0f2bc6c33bbde731f260"),
+            (["hilbert", "--m", "17"],
+             "31ef7906b3e0a412f96927885c9485cb4f9c854b424f9d4489714df2b74a36a9"),
+            (["hilbert", "--m", "16", "--format", "csv"],
+             "720ff9d1f548c6ac7c7f21f44e58f9ef4bb23039448611e30a3ed253551dcbbd")):
         code, out, err = run_cli(argv, capsys)
         assert code == 0 and err == "", argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -12,8 +12,7 @@ from gtrim import (
     Polynomial,
     QuotientRing,
     TrimChoice,
-    d_poly,
-    scale_by_maximal,
+    canonical_generators,
     selector_labels,
     trim,
     trimmed_ideal,
@@ -158,11 +157,11 @@ def test_ideal_pickle_round_trip():
     for char in (32003, 0):
         ideal = trimmed_ideal(TrimChoice(5, "d"), helpers.field(char))
         cold = pickle.loads(pickle.dumps(ideal))  # before the basis is cached
-        gb, hilbert = ideal.groebner_basis(), ideal.hilbert_function()
+        gb, hilbert = ideal.groebner_basis(), ideal.quotient_ring().hilbert()
         warm = pickle.loads(pickle.dumps(ideal))  # with basis, reducers and ring
         for copy in (cold, warm):
             assert copy.groebner_basis() == gb
-            assert copy.hilbert_function() == hilbert
+            assert copy.quotient_ring().hilbert() == hilbert
             assert all(copy.contains(g) for g in ideal.generators)
 
 
@@ -199,8 +198,6 @@ def test_ideal_sum_and_empty():
     assert empty.groebner_basis() == ()
     assert not empty.is_n_primary()
     I = helpers.family_ideal(2)
-    assert (empty + I).equals(I)
-    assert Ideal([X]) + Ideal([Y]) == Ideal([X, Y])
     with pytest.raises(ValueError):
         Ideal([])  # empty generators need an explicit field
 
@@ -270,13 +267,13 @@ def test_dimension_bound_before_groebner(monkeypatch):
 
 
 def test_hilbert_functions_frozen():
-    assert helpers.family_ideal(2).hilbert_function().coefficients == (1, 3, 1)
-    assert helpers.family_ideal(3).hilbert_function().coefficients == (1, 3, 6, 3, 1)
-    assert Ideal([X, Y, Z]).hilbert_function().coefficients == (1,)
-    assert Ideal([X * X, Y * Y, Z * Z]).hilbert_function().coefficients == (1, 3, 3, 1)
+    assert helpers.family_ideal(2).quotient_ring().hilbert().coefficients == (1, 3, 1)
+    assert helpers.family_ideal(3).quotient_ring().hilbert().coefficients == (1, 3, 6, 3, 1)
+    assert Ideal([X, Y, Z]).quotient_ring().hilbert().coefficients == (1,)
+    assert Ideal([X * X, Y * Y, Z * Z]).quotient_ring().hilbert().coefficients == (1, 3, 3, 1)
     for sel in ("x0", "x1", "d", "y1", "y0"):
-        assert helpers.trim_ideal(2, sel).hilbert_function().coefficients == (1, 3, 2)
-    h = helpers.family_ideal(3).hilbert_function().coefficients
+        assert helpers.trim_ideal(2, sel).quotient_ring().hilbert().coefficients == (1, 3, 2)
+    h = helpers.family_ideal(3).quotient_ring().hilbert().coefficients
     assert (sum(h), h[2], len(h)) == (14, 6, 5)
 
 
@@ -338,7 +335,7 @@ def test_normal_form_table_matches_heap_reduction():
 
 def test_component_basis_matches_hilbert():
     I = helpers.family_ideal(2)
-    h = I.hilbert_function().coefficients + (0, 0)
+    h = I.quotient_ring().hilbert().coefficients + (0, 0)
     for d in range(5):
         rows = component_basis(I, d)
         total = len(monomials_of_degree(d))
@@ -392,34 +389,36 @@ def test_socle_members_annihilate_maximal_ideal():
 
 def test_colon_frozen_cases():
     g2 = helpers.family_ideal(2)
-    assert colon_by_maximal(g2).equals(g2 + Ideal([X * Y]))
+    assert colon_by_maximal(g2) == Ideal(g2.generators + (X * Y,))
     n = Ideal([X, Y, Z])
-    assert colon_by_maximal(n).equals(Ideal([ONE]))
+    assert colon_by_maximal(n) == Ideal([ONE])
     ci = Ideal([X * X, Y * Y, Z * Z])
-    assert colon_by_maximal(ci).equals(ci + Ideal([X * Y * Z]))
+    assert colon_by_maximal(ci) == Ideal(ci.generators + (X * Y * Z,))
 
 
 def test_colon_matches_bruteforce_oracle_spot():
     for label, I in helpers.small_instances()[:10]:
-        assert helpers.colon_oracle(I).equals(colon_by_maximal(I)), label
+        assert helpers.colon_oracle(I) == colon_by_maximal(I), label
 
 
 # ---- trimming ---------------------------------------------------------------------
 
-def test_scale_by_maximal_frozen():
-    d2 = d_poly(2, F)
-    J = scale_by_maximal(d2)
-    assert [g.to_text() for g in J.generators] == [
+def test_trim_generators_frozen():
+    gens = canonical_generators(2, F)
+    d2 = gens[2]
+    T = trim(gens, 2)
+    assert [g.to_text() for g in T.generators[:3]] == [
         "x^2*y - x*z^2", "x*y^2 - y*z^2", "x*y*z - z^3"]
-    assert all(J.contains(v * d2) for v in (X, Y, Z))
-    assert not J.contains(d2)
+    assert T.generators[3:] == tuple(gens[:2] + gens[3:])
+    assert all(T.contains(v * d2) for v in (X, Y, Z))
+    assert not T.contains(d2)
 
 
 def test_trim_replaces_one_generator():
     gens = list(helpers.family_ideal(2).generators)
     T = trim(gens, 0)
-    assert T.equals(helpers.trim_ideal(2, "x0"))
-    assert T.equals(Ideal([X ** 3, X * Z, X * Y - Z * Z, Y * Z, Y * Y]))
+    assert T == helpers.trim_ideal(2, "x0")
+    assert T == Ideal([X ** 3, X * Z, X * Y - Z * Z, Y * Z, Y * Y])
     assert not T.contains(X * X)
     assert all(T.contains(v * X * X) for v in (X, Y, Z))
 
@@ -436,5 +435,5 @@ def test_trimmed_ideal_is_strictly_smaller():
         I = helpers.family_ideal(m)
         T = helpers.trim_ideal(m, sel)
         assert all(I.contains(g) for g in T.generators)
-        assert not T.equals(I)
+        assert T != I
         assert T.quotient_ring().dim() == I.quotient_ring().dim() + 1

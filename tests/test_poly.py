@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -111,6 +112,36 @@ def test_constructor_keeps_coefficients_canonical():
     assert Polynomial(f7, {(0, 1, 0): -1}).terms == {(0, 1, 0): 6} == (-y).terms
     z_q = Polynomial(Q, {(0, 0, 1): 1})
     assert type(z_q.terms[(0, 0, 1)]) is type(Q.one) and z_q == variables(Q)[2]
+
+
+def test_rational_scalars_scale_and_floats_do_not():
+    """Every scalar with a denominator scales: int, Fraction and, with gmpy2
+    installed, the mpq that `Q.of` returns, which is no Fraction."""
+    xq, yq, _ = variables(Q)
+    p = xq * yq - 3 * xq
+    half = Q.of("1/2")
+    assert p * half == p.scale("1/2") == half * p
+    assert p * Fraction(1, 2) == p.scale("1/2")
+    assert p * 2 == p.scale(2)
+    with pytest.raises(TypeError):
+        p * 1.5
+    with pytest.raises(TypeError):
+        1.5 * p
+
+
+def test_power_of_one_term_squares(monkeypatch):
+    """A one-term base takes O(log n) products; a base of several terms is
+    multiplied n times.  Both equal the repeated product."""
+    cases = [(2 * Z, 20), (X + 2 * Y - Z, 7), (variables(Q)[0].scale("1/2"), 13)]
+    for base, n in cases:
+        power = Polynomial.constant(base.field, 1)
+        for _ in range(n):
+            power = power * base
+        assert base ** n == power
+    calls, mul = [], Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert Z ** 150000 == Polynomial.monomial(F, (0, 0, 150000))
+    assert len(calls) <= 40
 
 
 def test_field_mismatch_rejected():
