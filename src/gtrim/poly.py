@@ -184,15 +184,10 @@ class Polynomial:
         return self._with({m: f.mul(cc, c) for m, cc in self.terms.items()})
 
     def __pow__(self, n: int):
-        """Square and multiply for at most one term, O(log n) products; else
-        n products, which beat squaring a base of several terms."""
+        """Square and multiply: O(log n) products."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
         out, base = Polynomial.constant(self.field, 1), self
-        if len(self.terms) > 1:
-            for _ in range(n):
-                out = out * base
-            return out
         while n:
             if n & 1:
                 out = out * base

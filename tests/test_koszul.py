@@ -372,9 +372,6 @@ def test_homology_skips_follow_corners_and_generator_degrees():
     for kz in complexes:
         corners = _corner_degrees(kz.ring)
         assert all(d - 3 in corners for d, _ in kz._reps[3]), kz.ring.ideal
-        for (i, d), space in kz._classes.items():
-            if i == 3 and d - 3 not in corners:  # d_3 ran, tagged, and found no class
-                assert space.rank == 0, kz.ring.ideal
         gen_degrees = {g.degree() for g in kz.ring.ideal.generators}
         for i, d in kz._classes:
             assert i != 0 or d == 0, kz.ring.ideal

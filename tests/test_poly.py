@@ -129,9 +129,8 @@ def test_rational_scalars_scale_and_floats_do_not():
         1.5 * p
 
 
-def test_power_of_one_term_squares(monkeypatch):
-    """A one-term base takes O(log n) products; a base of several terms is
-    multiplied n times.  Both equal the repeated product."""
+def test_power_squares(monkeypatch):
+    """A power takes O(log n) products and equals the repeated product."""
     cases = [(2 * Z, 20), (X + 2 * Y - Z, 7), (variables(Q)[0].scale("1/2"), 13)]
     for base, n in cases:
         power = Polynomial.constant(base.field, 1)
