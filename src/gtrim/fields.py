@@ -46,6 +46,9 @@ class PrimeField:
     __slots__ = ("char",)
 
     def __init__(self, char: int):
+        if isinstance(char, int) and char >= _PSI_13:
+            raise ValueError(f"characteristic must be prime and below {_PSI_13} (the limit "
+                             f"of its primality test), got {char}")
         if not isinstance(char, int) or not _is_prime(char):
             raise ValueError(f"characteristic must be prime, got {char!r}")
         self.char = char

@@ -352,13 +352,38 @@ class QuotientRing:
             return self.std[d]
         return ()
 
-    def corners(self, d: int) -> int:
-        """The number of corners in degree d: standard monomials b with x*b,
-        y*b and z*b all non-standard, a basis of the socle of Q/in(I)."""
-        if not 0 <= d <= self.top_degree:
-            return 0
-        above = self._index[d + 1] if d < self.top_degree else {}
-        return sum(all(mono_mul(b, v) not in above for v in _VAR_MONOS) for b in self.std[d])
+    def socle(self, e: int) -> list:
+        """A basis of the socle of R in degree e, as sparse coordinates over
+        basis(e).  Under grevlex with z last, in(I : z) = in(I) : z (Bayer-
+        Stillman), so z divides NF(z*b) for a standard b with z*b not standard,
+        and the f_b = b - NF(z*b)/z span ker(z: R_e -> R_e+1).  The socle is
+        the relations among the columns (x*f_b, y*f_b), one tagged elimination."""
+        from .linalg import Echelon
+
+        if not 0 <= e <= self.top_degree:
+            return []
+        f, basis, index, z = self.field, self.std[e], self._index[e], _VAR_MONOS[2]
+        above, standard = self.basis(e + 1), self._index[e + 1] if e < self.top_degree else {}
+        kernel = []
+        for j, b in enumerate(basis):
+            zb = mono_mul(b, z)
+            if zb not in standard:
+                kernel.append({j: f.one, **{index[mono_div(above[k], z)]: f.neg(c)
+                                            for k, c in self._entry(zb).items()}})
+        span, out = Echelon(f), []
+        for t, vec in enumerate(kernel):
+            xf, yf = {}, {}
+            for k, c in vec.items():
+                f.sub_multiple(xf, f.neg(c), self.mult_column(0, basis[k]))
+                f.sub_multiple(yf, f.neg(c), self.mult_column(1, basis[k]))
+            xf.update((len(above) + r, a) for r, a in yf.items())
+            rel = span.add(xf, tag=t)
+            if rel is not None:
+                soc = {}
+                for s, c in rel.items():
+                    f.sub_multiple(soc, f.neg(c), kernel[s])
+                out.append(soc)
+        return out
 
     # ---- the normal-form table ---------------------------------------------
 

@@ -6,11 +6,12 @@ differential e_x -> x (and so on), so H_i lives in internal degrees
 The differential and its sign rule are written once, as one sparse column
 per basis element of K_{i,d} over the standard-monomial coordinates, read
 from the quotient ring's sparse multiplication columns, and `differential`
-applies the columns in an element's support to its coordinates.  d_2 and d_3
-are eliminated at most once per internal degree, column by column: the
-relations among the columns are the cycles, and the rows left behind span
-the boundaries below; d_1 never is.  An element enters coordinates one way, `_coords`,
-one entry of the quotient ring's normal-form table per monomial; reduction,
+applies the columns in an element's support to its coordinates.  d_2 is
+eliminated at most once per internal degree, column by column, with tags:
+the relations among its columns are the cycles, and the rows left behind
+span the boundaries below; d_3 is eliminated only for its image, d_1
+never.  An element enters coordinates one way, `_coords`, one entry of the
+quotient ring's normal-form table per monomial; reduction,
 the differential, cycle checks and classes all read them.  Products too:
 the words of two elements multiply with their exterior sign, each product
 monomial reads one table entry, with no Polynomial product; products of
@@ -20,15 +21,13 @@ The homology is built only where it can be non-zero.  H_i(K^R)_d is
 Tor_i(R, k)_d, so H_0 is k in degree 0, and H_1 = a/ma lives only in the
 degrees of the input generators and is read off them: `_generator_cycle`
 sends g = x f_x + y f_y + z f_z to the cycle f_x e_x + f_y e_y + f_z e_z,
-and these cycles span H_1.  The work in degree d ends at the lowest H_i that
-can live, at its last class: the Euler characteristic of the degree counts
-them.  H_3,d is the socle of R in degree d - 3.  Betti numbers only
-grow under Groebner degeneration, beta_3,d(Q/a) <= beta_3,d(Q/in(a))
-(Herzog-Hibi, Monomial Ideals, GTM 260, ch. 3), and the staircase corners
-span the socle of Q/in(a), so off a corner d_3 runs only for the
-boundaries of a live H_2, H_1 or H_0; wherever it runs, it is one tagged
-elimination.  Where A is zero a cycle's class is zero.  A product [a][b]
-lies in internal degree deg a + deg b and is formed only when A_{i+j} has a
+and these cycles span H_1.  H_3,d is the socle of R in degree d - 3, read
+exactly off the normal-form table (`QuotientRing.socle`, after Bayer-
+Stillman); its vectors are the A_3 representatives.  The Euler
+characteristic of the degree then counts the one H_i left to find, so d_2
+runs only where H_2 lives or H_1 can, and d_3 only for the boundaries of a
+live H_2.  Where A is zero a cycle's class is zero.  A product [a][b] lies
+in internal degree deg a + deg b and is formed only when A_{i+j} has a
 class there.
 
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
@@ -194,72 +193,72 @@ class KoszulComplex:
         return col
 
     def _build_homology(self):
-        """A_i only where it can be non-zero.  A degree is skipped when only
-        H_2 could live there and neither H_3 (no corner in degree d - 3) nor
-        the Euler characteristic leaves room for a class.  Elsewhere d_3 is
-        eliminated one way, with tags; with no corner it finds no cycle.  The
-        cascade ends at the lowest i that can live (0 at d = 0, 1 in the
-        generator degrees, else 2), whose class count the Euler characteristic
-        sum (-1)^i dim H_i,d = chi_d fixes from those above: it stops at the
-        last class, and nothing runs (no `_classes` entry) when it is 0.  The
-        image of each d_{i+1} is the boundary span for H_{i,d}.  H_1 is read
-        off the generators, with no d_1 column: A_1 = a/ma, so the
-        `_generator_cycle`s of the input generators of degree d, in input
-        order, span H_1,d, and the independent ones are kept."""
+        """A_i only where it can be non-zero, each H_i,d counted before the
+        elimination that finds it.  H_3,d is `socle(d - 3)`, its vectors the
+        A_3 representatives (K_3 = R e_xyz).  H_0 lives only at d = 0 and H_1
+        only in the generator degrees, so elsewhere the Euler characteristic
+        sum (-1)^i dim H_i,d = chi_d gives h_2 = chi_d + h_3, and d_2 stops at
+        the last class.  In a generator degree the whole d_2 runs: h_2 is its
+        nullity less rank d_3 = dim K_3,d - h_3, and h_1 follows from chi_d;
+        the `_generator_cycle`s of the degree-d input generators, in input
+        order, span H_1.  The image of d_3, the boundaries for H_2, is built
+        only when h_2 > 0.  Nothing runs, and no `_classes` entry is made,
+        for an H_i,d that is 0."""
         ring, f = self.ring, self.field
         gens = ring.ideal.generators
         gen_degrees = {g.degree() for g in gens}
         for d in range(ring.top_degree + 4):
-            lowest = 0 if d == 0 else 1 if d in gen_degrees else 2
             chi = sum((-1) ** i * self.component_size(i, d) for i in range(4))
-            if lowest == 2 and not chi and not ring.corners(d - 3):
-                continue
-            image = self._homology(3, d, Echelon(f))
-            count = chi + self.component_size(3, d) - image.rank  # h_2 - h_1 + h_0
-            for i in range(2, lowest, -1):
-                found = len(self._reps[i])
-                image = self._homology(i, d, image)
-                count = len(self._reps[i]) - found - count  # h_{i-1} - h_{i-2} + ...
-            if count and lowest == 1:
-                cycles = (self._coords(_generator_cycle(g)).get(d, {})
-                          for g in gens if g.degree() == d)
-                self._keep(1, d, image, cycles, count)
-            elif count:
-                self._homology(lowest, d, image, count)
+            socle = ring.socle(d - 3)
+            h3 = len(socle)
+            if h3:
+                self._keep(3, d, Echelon(f), socle, h3)
+            if d == 0 and chi:  # H_0 = k = K_0,0; with R = 0 nothing below runs
+                self._keep(0, d, Echelon(f), [{0: f.one}], 1)
+            elif d not in gen_degrees:
+                if chi + h3:
+                    self._keep(2, d, self._boundaries(d), self._cycles(d, Echelon(f)), chi + h3)
+            else:
+                image = Echelon(f)
+                cycles = list(self._cycles(d, image))
+                h2 = len(cycles) - (self.component_size(3, d) - h3)
+                if h2:
+                    self._keep(2, d, self._boundaries(d), cycles, h2)
+                h1 = h2 - h3 - chi  # chi_d = -h_1 + h_2 - h_3 here
+                if h1:
+                    image.rows = {p: (row, {}) for p, (row, _) in image.rows.items()}
+                    self._keep(1, d, image, (self._coords(_generator_cycle(g)).get(d, {})
+                                             for g in gens if g.degree() == d), h1)
 
-    def _homology(self, i: int, d: int, space: Echelon, count=None) -> Echelon:
-        """Representatives of H_{i,d}, appended to `_reps[i]` by `_keep`, from
-        one elimination of the columns of d_i: each column that depends on the
-        earlier ones leaves its relation, a cycle.  Given the number of
-        classes, `count`, the columns stop at the last one: every later
-        relation lies in `space`.  Returns the image of d_i, partial if they
-        stopped, with its column tags dropped: the boundaries for H_{i-1,d}."""
+    def _boundaries(self, d: int) -> Echelon:
+        """The image of d_3 in internal degree d, eliminated with no tags."""
         image = Echelon(self.field)
-        n = self.component_size(i, d)
-        if not n:
-            return image
-        relations = (rel for c in range(n)
-                     if (rel := image.add(self._diff_column(i, d, c), tag=c)) is not None)
-        self._keep(i, d, space, relations, count)
-        image.rows = {p: (row, {}) for p, (row, _) in image.rows.items()}
+        for c in range(self.component_size(3, d)):
+            image.add(self._diff_column(3, d, c))
         return image
 
-    def _keep(self, i: int, d: int, space: Echelon, cycles, count=None):
+    def _cycles(self, d: int, image: Echelon):
+        """The cycles of K_2,d, lazily, from one elimination of the columns of
+        d_2 into `image`, each tagged by its index: every column that depends
+        on the earlier ones yields its relation.  Together they span the kernel."""
+        return (rel for c in range(self.component_size(2, d))
+                if (rel := image.add(self._diff_column(2, d, c), tag=c)) is not None)
+
+    def _keep(self, i: int, d: int, space: Echelon, cycles, count: int):
         """Append to `_reps[i]` each cycle (coordinates in K_{i,d}) that is
         independent of `space`, the boundaries with no tags, and of the
-        representatives before it, tagged by its class index; `space` becomes
-        `_classes[(i, d)]`.  Given `count`, stop at that many classes; the
-        Euler characteristic guarantees them, so running out first raises."""
+        representatives before it, tagged by its class index, until `count`
+        classes are kept; `space` becomes `_classes[(i, d)]`.  The count is
+        exact (the socle, or the Euler characteristic), so running out raises."""
         reps = self._reps[i]
-        stop = None if count is None else len(reps) + count
+        stop = len(reps) + count
         for cycle in cycles:
             if space.add(cycle, tag=len(reps)) is None:
                 reps.append((d, cycle))
                 if len(reps) == stop:
                     break
         else:
-            if stop is not None:
-                raise RuntimeError(f"H_{i},{d}: the cycles span fewer than {count} classes")
+            raise RuntimeError(f"H_{i},{d}: the cycles span fewer than {count} classes")
         self._classes[(i, d)] = space
 
     def ranks(self) -> tuple:

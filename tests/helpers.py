@@ -27,9 +27,10 @@ oracle for `KoszulComplex.invariants`.  `pd_padding` is no oracle: it
 reads the paper's structure of A (a Poincare duality algebra with a trivial
 padding) through the public `class_product`, the one route for products of
 basis classes.
-The routines that serve only as cross-checks (minimal generators, the socle,
-the colon by the maximal ideal, interior selectors, polynomials from
-coordinate vectors) live here, not in the package.
+The routines that serve only as cross-checks (minimal generators, the dense
+socle that checks `QuotientRing.socle`, the colon by the maximal ideal,
+interior selectors, polynomials from coordinate vectors) live here, not in
+the package.
 """
 
 import itertools

@@ -213,7 +213,8 @@ def test_classify_ideal_nonprime_characteristic_exits_2(tmp_path):
 def test_characteristic_beyond_certified_primality_exits_2(capsys, tmp_path):
     """psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to the bases
     2..37 and psi_13 to 2..41; neither is accepted as a prime field, from
-    --char or from a file, while the prime 2^61 - 1 is."""
+    --char or from a file, while the prime 2^61 - 1 is.  The prime 2^89 - 1
+    is refused too, by a message that names the limit of the test."""
     psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
     for char in (psi12, psi13):
         code, out, err = run_cli(["classify", "--m", "2", "--trim", "d", "--char", str(char)],
@@ -225,6 +226,12 @@ def test_characteristic_beyond_certified_primality_exits_2(capsys, tmp_path):
     code, out, _ = run_cli(["classify", "--m", "2", "--trim", "d", "--char", str(2 ** 61 - 1)],
                            capsys)
     assert code == 0 and json.loads(out)["class"] == "B"
+    # the prime 2^89 - 1 lies beyond the test's limit, and the message says so
+    code, out, err = run_cli(["classify", "--m", "2", "--trim", "d", "--char", str(2 ** 89 - 1)],
+                             capsys)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert (f"characteristic must be prime and below {psi13} (the limit of its primality "
+            f"test), got {2 ** 89 - 1}") in err
 
 
 def test_classify_ideal_not_utf8_exits_2(tmp_path):
@@ -456,8 +463,9 @@ def test_stdout_frozen_by_digest(capsys):
     before the Koszul eliminations stopped at the Euler count and products
     moved to coordinates, the text and CSV ones before `classify` and
     `table` shared one route to the displayed class, the `hilbert` ones
-    before it read the Hilbert function off `quotient_ring()`.  No class,
-    rank, Hilbert function or rendered byte moves."""
+    before it read the Hilbert function off `quotient_ring()`, the interior
+    trims (A_3 in two degrees) before H_3 was read off the exact socle.  No
+    class, rank, Hilbert function or rendered byte moves."""
     for argv, digest in (
             (["table", "--m", "2..8"],
              "b564f3154460abade1875a989de277fd7507f16500cc67b862ce4c3dcbe42e19"),
@@ -476,7 +484,11 @@ def test_stdout_frozen_by_digest(capsys):
             (["hilbert", "--m", "17"],
              "31ef7906b3e0a412f96927885c9485cb4f9c854b424f9d4489714df2b74a36a9"),
             (["hilbert", "--m", "16", "--format", "csv"],
-             "720ff9d1f548c6ac7c7f21f44e58f9ef4bb23039448611e30a3ed253551dcbbd")):
+             "720ff9d1f548c6ac7c7f21f44e58f9ef4bb23039448611e30a3ed253551dcbbd"),
+            (["classify", "--m", "14", "--trim", "x5"],
+             "2cfea05770ebd12b36b8bc7cb930eb572493f4db076b38ea8025b809248800f6"),
+            (["classify", "--char", "0", "--m", "9", "--trim", "x4"],
+             "0870838b28ae15a7403a58e12c89cd1bde74774553285daf089241c4e6ff7d1f")):
         code, out, err = run_cli(argv, capsys)
         assert code == 0 and err == "", argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

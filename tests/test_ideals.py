@@ -387,6 +387,37 @@ def test_socle_members_annihilate_maximal_ideal():
                 assert I.contains(v * s)
 
 
+def test_exact_socle_matches_homology_and_oracle():
+    """`QuotientRing.socle(e)` in every degree e, top_degree included: as many
+    vectors as H_3 has classes in internal degree e + 3 (built in every
+    degree by `full_homology`), each killed by x, y and z through
+    `mult_column`, spanning what `socle_basis` spans in degree e."""
+    rng = random.Random(helpers.SEED + 21)
+    corpus = [helpers.random_artinian_ideal(rng, helpers.field(char))
+              for char in (2, 3, 32003, 0) for _ in range(10)]
+    corpus += [helpers.family_ideal(m) for m in range(1, 7)]
+    corpus += [helpers.trim_ideal(m, label) for m in range(2, 7) for label in selector_labels(m)]
+    for I in corpus:
+        ring, f = I.quotient_ring(), I.field
+        h3 = [d - 3 for d, _ in helpers.full_homology(ring)._reps[3]]
+        oracle = socle_basis(I).basis
+        assert ring.socle(-1) == [] and ring.socle(ring.top_degree + 1) == [], I
+        for e in range(ring.top_degree + 1):
+            basis, soc = ring.basis(e), ring.socle(e)
+            assert len(soc) == h3.count(e), (I, e)
+            for vec in soc:
+                for v in range(3):
+                    image = {}
+                    for k, c in vec.items():
+                        f.sub_multiple(image, f.neg(c), ring.mult_column(v, basis[k]))
+                    assert not image, (I, e, v)
+            dense = [[vec.get(k, f.zero) for k in range(len(basis))] for vec in soc]
+            dense_ref = [[p.terms.get(b, f.zero) for b in basis]
+                         for p in oracle if p.degree() == e]
+            assert span_rank(dense, len(basis), f) == len(soc) == len(dense_ref), (I, e)
+            assert span_rank(dense + dense_ref, len(basis), f) == len(soc), (I, e)
+
+
 def test_colon_frozen_cases():
     g2 = helpers.family_ideal(2)
     assert colon_by_maximal(g2) == Ideal(g2.generators + (X * Y,))

@@ -153,25 +153,30 @@ def redundant_generator_ideals(rng, char, count):
 def assert_matches_full_homology(kz, rng, label):
     """Ranks, representatives and class coordinates agree with the homology
     built in every internal degree.  The A_1 representatives are the
-    generators' cycles, not the oracle's kernel vectors, so for i = 1 they are
-    cycles whose oracle class coordinates form an invertible matrix B, and a
-    degree-1 cycle's oracle coordinates are its coordinates times B."""
+    generators' cycles and the A_3 ones the socle vectors of
+    `QuotientRing.socle`, not the oracle's kernel vectors, so for i = 1 and 3
+    they are cycles whose oracle class coordinates form an invertible matrix
+    B_i, and a cycle's oracle coordinates are its coordinates times B_i."""
     f, ref = kz.field, helpers.full_homology(kz.ring)
     assert kz.ranks() == ref.ranks(), label
-    for i in (0, 2, 3):
+    for i in (0, 2):
         assert [str(b) for b in kz.homology_basis(i)] == \
             [str(b) for b in ref.homology_basis(i)], (label, i)
     a1, a2 = kz.homology_basis(1), kz.homology_basis(2)
-    assert all(helpers.koszul_differential(kz.ring.ideal, b).is_zero() for b in a1), label
-    change = [ref.class_coords(b) for b in a1]
-    assert matrix_rank(change, len(a1), f) == len(a1), label
+    change = {}
+    for i in (1, 3):
+        basis = kz.homology_basis(i)
+        assert all(helpers.koszul_differential(kz.ring.ideal, b).is_zero() for b in basis), label
+        change[i] = [ref.class_coords(b) for b in basis]
+        assert matrix_rank(change[i], len(basis), f) == len(basis), (label, i)
     products = [kz.wedge(a1[s], a1[t]) for s in range(len(a1)) for t in range(s + 1, len(a1))]
     products += [kz.wedge(e, g) for e in a1 for g in a2]
     for el in products + [helpers.random_cycle(rng, kz, i) for i in range(4)]:
         coords = kz.class_coords(el)
-        if el.exterior_degree == 1:
-            coords = [functools.reduce(f.add, (f.mul(a, row[t]) for a, row in zip(coords, change)),
-                                       f.zero) for t in range(len(a1))]
+        rows = change.get(el.exterior_degree)
+        if rows is not None:
+            coords = [functools.reduce(f.add, (f.mul(a, row[t]) for a, row in zip(coords, rows)),
+                                       f.zero) for t in range(len(coords))]
         assert coords == ref.class_coords(el), (label, str(el))
 
 
@@ -349,36 +354,51 @@ def test_invariants_fill_few_table_entries():
     assert made <= 6534
 
 
-def _corner_degrees(ring):
-    """Degrees holding a standard monomial b with x*b, y*b and z*b not standard."""
-    out = set()
-    for d in range(ring.top_degree + 1):
-        above = set(ring.basis(d + 1))
-        if any(all((b[0] + (v == 0), b[1] + (v == 1), b[2] + (v == 2)) not in above
-                   for v in range(3)) for b in ring.basis(d)):
-            out.add(d)
-    return out
+def _built_with_d3_count(ring, monkeypatch):
+    """(KoszulComplex of ring, {internal degree d: d_3 columns built while
+    the homology was built})."""
+    columns, build = {}, KoszulComplex._diff_column
+
+    def counted(kz, i, d, k):
+        if i == 3:
+            columns[d] = columns.get(d, 0) + 1
+        return build(kz, i, d, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(KoszulComplex, "_diff_column", counted)
+        kz = KoszulComplex(ring)
+    return kz, columns
 
 
-def test_homology_skips_follow_corners_and_generator_degrees():
-    """The `_classes` keys show what was eliminated: H_3 classes only above
-    a corner, H_0 only in degree 0, H_1 only in generator degrees."""
+def test_homology_skips_follow_socle_and_generator_degrees(monkeypatch):
+    """What the build eliminated: d_3 only in the degrees where A_2 has a
+    class, H_0 only in degree 0, H_1 only in generator degrees, and the H_3
+    entries hold the socle representatives alone, no d_3 column."""
     rng = random.Random(helpers.SEED + 14)
-    complexes = [helpers.koszul(m, label) for m in range(2, 7) for label in selector_labels(m)]
-    complexes += [helpers.koszul(m) for m in range(2, 7)]
-    complexes += [KoszulComplex(helpers.random_artinian_ideal(rng, helpers.field(char))
-                                .quotient_ring())
-                  for char in (2, 3, 32003, 0) for _ in range(10)]
-    for kz in complexes:
-        corners = _corner_degrees(kz.ring)
-        assert all(d - 3 in corners for d, _ in kz._reps[3]), kz.ring.ideal
-        gen_degrees = {g.degree() for g in kz.ring.ideal.generators}
-        for i, d in kz._classes:
-            assert i != 0 or d == 0, kz.ring.ideal
-            assert i != 1 or d in gen_degrees, kz.ring.ideal
-    # d_3 runs in fewer degrees than the top_degree + 1 where K_3 is non-zero
-    kz = helpers.koszul(8, "d")
-    assert len({d for i, d in kz._classes if i == 3}) < kz.ring.top_degree + 1
+    rings = [helpers.trim_ideal(m, label).quotient_ring()
+             for m in range(2, 7) for label in selector_labels(m)]
+    rings += [helpers.family_ideal(m).quotient_ring() for m in range(2, 7)]
+    rings += [helpers.random_artinian_ideal(rng, helpers.field(char)).quotient_ring()
+              for char in (2, 3, 32003, 0) for _ in range(10)]
+    for ring in rings:
+        kz, columns = _built_with_d3_count(ring, monkeypatch)
+        a2_degrees = {d for d, _ in kz._reps[2]}
+        assert set(columns) == {d for d in a2_degrees if kz.component_size(3, d)}, ring.ideal
+        assert all(n == kz.component_size(3, d) for d, n in columns.items()), ring.ideal
+        gen_degrees = {g.degree() for g in ring.ideal.generators}
+        for (i, d), space in kz._classes.items():
+            assert i != 0 or d == 0, ring.ideal
+            assert i != 1 or d in gen_degrees, ring.ideal
+            if i == 3:
+                assert space.rank == len(ring.socle(d - 3)), ring.ideal
+                assert all(tags for _, tags in space.rows.values()), ring.ideal
+
+
+def test_d3_columns_only_under_a_live_h2(monkeypatch):
+    """At m = 14 the d trim builds 196 d_3 columns, all in degrees where A_2
+    has a class; with d_3 run wherever the staircase had a corner it built 730."""
+    _, columns = _built_with_d3_count(helpers.trim_ideal(14, "d").quotient_ring(), monkeypatch)
+    assert sum(columns.values()) <= 196
 
 
 def test_degree_without_homology_checks_cycles():
@@ -678,9 +698,9 @@ def test_random_pfaffian_trims_have_the_abstract_structure():
 @pytest.mark.slow
 def test_abstract_structure_at_scale():
     """Opt-in (`pytest -m slow`): every trim at m = 16 and the d trim at m = 32
-    pass `pd_padding` with rank P_1 = r and padding (3, 4, 1), and
+    and 48 pass `pd_padding` with rank P_1 = r and padding (3, 4, 1), and
     `a1_cycle_basis` gives mu cycles spanning A_1."""
-    for m, label in [(16, label) for label in selector_labels(16)] + [(32, "d")]:
+    for m, label in [(16, label) for label in selector_labels(16)] + [(32, "d"), (48, "d")]:
         choice = TrimChoice(m, label)
         kz = KoszulComplex(trimmed_ideal(choice, F).quotient_ring())
         assert helpers.pd_padding(kz) == ([], kz.classify().params["r"], (3, 4, 1)), (m, label)
