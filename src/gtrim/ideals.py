@@ -2,8 +2,10 @@
 
 The engine is Buchberger's algorithm with the Gebauer-Moeller pair criteria
 (M, F, B and coprime leading terms) and S-pair selection by lcm degree,
-followed by interreduction to the unique reduced Groebner basis.  Criterion
-M tests each new lcm only against the minimal lcms of lower degree.  Normal
+followed by interreduction to the unique reduced Groebner basis.  A new
+element reads only the earlier ones in the box that its nearest neighbours
+along each axis bound (criterion M drops every other), and criterion M
+tests each new lcm only against the minimal lcms of lower degree.  Normal
 forms take terms from a heap and reduce each by its first divisor among the
 reducers, read off bit sets of their exponents rather than found by a scan;
 Buchberger, membership and equality use them.  The quotient ring walks the
@@ -22,6 +24,7 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 from math import comb
+from operator import itemgetter
 
 from .errors import NonHomogeneousError, NotNPrimaryError, QuotientTooLargeError
 from .poly import (
@@ -37,7 +40,7 @@ from .poly import (
 
 _VAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # bound on dim R, checked on the generators' degrees, then while the staircase
-# is walked (about 6 us per monomial): a huge input fails in about a second
+# is walked (about 1 us per monomial): a huge input fails in under a second
 MAX_DIM = 200_000
 
 
@@ -79,15 +82,12 @@ def _normal_form_terms(terms, reducers: _Reducers, field):
     negated grevlex key, largest first, and reduce by their first divisor; a
     term cancelled and re-created is pushed again, its stale entry skipped."""
 
-    def entry(m):
-        return (tuple(-k for k in mono_key(m)), m)
-
     work = dict(terms)
-    heap = [entry(m) for m in work]
+    heap = [(-a - b - c, c, b, (a, b, c)) for a, b, c in work]
     heapq.heapify(heap)
     out = {}
     while heap:
-        mono = heapq.heappop(heap)[1]
+        mono = heapq.heappop(heap)[3]
         coeff = work.pop(mono, None)
         if coeff is None:
             continue
@@ -106,24 +106,46 @@ def _normal_form_terms(terms, reducers: _Reducers, field):
                 work.pop(t, None)
             else:
                 if t not in work:
-                    heapq.heappush(heap, entry(t))
+                    heapq.heappush(heap, (-t[0] - t[1] - t[2], t[2], t[1], t))
                 work[t] = s
     return out
 
 
-def _new_pairs(lms, t) -> list:
-    """The pairs (lcm degree, i, k, lcm) that element k = len(lms) with lm t
-    adds: one per lcm, with its first index (F), none for an lcm with a coprime
-    pair or one another properly divides (M).  Proper divisors have lower
-    degree, so lcms taken by degree are tested only against minimal ones."""
+def _new_pairs(reducers: _Reducers, t) -> list:
+    """The pairs (lcm degree, i, k, lcm) that element k = len(reducers.lms)
+    with lm t adds: one per lcm, with its first index (F), none for an lcm
+    with a coprime pair or one another properly divides (M).  Only a box is
+    read: for each v, e_v is the least x_v-exponent >= t_v among the elements
+    whose other two exponents are at most t's (none: no bound).  Outside the
+    box an lcm with t is a proper multiple of such a neighbour's, so M drops
+    it.  Proper divisors have lower degree, so lcms taken by degree are
+    tested only against minimal ones."""
+    lms, masks, k = reducers.lms, reducers.masks, len(reducers.lms)
+
+    def le(v, e):  # the elements with x_v-exponent at most e
+        col = masks[v]
+        return col[min(e, len(col) - 1)]
+
+    box = (1 << k) - 1
+    for v, (u, w) in enumerate(((1, 2), (0, 2), (0, 1))):
+        axis = le(u, t[u]) & le(w, t[w])
+        if axis:
+            e = t[v]
+            while not le(v, e) & axis:
+                e += 1
+            box &= le(v, e)
     a, b, c = t
     groups = {}  # lcm -> [first index, any pair coprime]
-    for i, (p, q, r) in enumerate(lms):
+    while box:
+        low = box & -box
+        box ^= low
+        i = low.bit_length() - 1
+        p, q, r = lms[i]
         group = groups.setdefault((p if p > a else a, q if q > b else b, r if r > c else c),
                                   [i, False])
         if not (p and a or q and b or r and c):
             group[1] = True
-    k, minimal, pairs = len(lms), [], []
+    minimal, pairs = [], []
     for lcm in sorted(groups, key=sum):
         x, y, z = lcm
         for m in minimal:
@@ -160,7 +182,7 @@ def buchberger(generators) -> list:
         pairs[:] = [p for p in pairs
                     if not (mono_divides(t, p[3]) and mono_lcm(lms[p[1]], t) != p[3]
                             and mono_lcm(lms[p[2]], t) != p[3])]  # criterion B
-        pairs.extend(_new_pairs(lms, t))
+        pairs.extend(_new_pairs(reducers, t))
         heapq.heapify(pairs)
         reducers.append(t, h)
 
@@ -328,14 +350,25 @@ class QuotientRing:
             if count > MAX_DIM:
                 raise QuotientTooLargeError(
                     f"quotient has more than {MAX_DIM} standard monomials (the bound on dim R)")
-            level.sort(key=mono_key, reverse=True)
             below = {m: i for i, m in enumerate(level)}
             std.append(tuple(level))
             index.append(below)
-            # a candidate t is standard iff it is no leading monomial and
-            # every t / x_v is standard
-            level = [t for t in {mono_mul(m, v) for m in level for v in _VAR_MONOS}
-                     if t not in lms and all(p in below for _, p in _parents(t))]
+            # a candidate t = m * x_v, x_v the first variable dividing t (so
+            # each is made once), is standard iff it is no leading monomial
+            # and every t / x_u is standard
+            level = []
+            for a, b, c in std[-1]:
+                t = (a + 1, b, c)
+                if t not in lms and (not b or (a + 1, b - 1, c) in below) and (
+                        not c or (a + 1, b, c - 1) in below):
+                    level.append(t)
+                if not a:
+                    t = (0, b + 1, c)
+                    if t not in lms and (not c or (0, b + 1, c - 1) in below):
+                        level.append(t)
+                    if not b and (0, 0, c + 1) not in lms:
+                        level.append((0, 0, c + 1))
+            level.sort(key=itemgetter(2, 1))  # grevlex descending within a degree
         self.std = tuple(std)
         self.top_degree = len(std) - 1
         self._index = index

@@ -3,11 +3,12 @@
 Vectors are dicts ``{column: nonzero coefficient}``; dense sequences are
 accepted on input, their zeros (falsy in every field) dropped.  Row updates
 are the field's own sparse accumulate, `sub_multiple`.  An `Echelon` keeps
-its rows in semi-echelon form: each row is monic at its leftmost column (its
-pivot), and rows are not cleared at later pivots.  A vector's pivot columns
-are cleared in ascending order; its residual, zero at every pivot, is the
+its rows in semi-echelon form: each row is monic at its rightmost column (its
+pivot), and rows are not cleared at other pivots.  A vector's pivot columns
+are cleared in descending order; its residual, zero at every pivot, is the
 unique such vector in its coset of the span, the same as reduced row echelon
-form would leave.
+form would leave.  The pivot changes only the rows, and on the Koszul
+differentials the last column leaves much less fill than the first.
 
 Kernels come from relations, not from a transposed elimination: add the
 columns of a matrix in order, each tagged with its index, and every column
@@ -44,21 +45,22 @@ class Echelon:
 
     def _reduce(self, vec, combo: dict) -> dict:
         """Residual of vec against the rows; combo tracks the tags subtracted.
-        Pivot columns are cleared from a heap, lowest first: the row that
-        clears p is zero left of p, so no cleared column comes back."""
+        Pivot columns are cleared from a heap of negated indices, highest
+        first: the row that clears p is zero right of p, so no cleared column
+        comes back."""
         f, rows = self.field, self.rows
         v = dict(vec) if isinstance(vec, dict) else {j: c for j, c in enumerate(vec) if c}
-        heap = [j for j in v if j in rows]
+        heap = [-j for j in v if j in rows]
         heapq.heapify(heap)
         while heap:
-            p = heapq.heappop(heap)
+            p = -heapq.heappop(heap)
             c = v.get(p)
             if c is None:  # cancelled, or a second entry for a cleared column
                 continue
             row, row_combo = rows[p]
             for j in row:
                 if j not in v and j in rows:
-                    heapq.heappush(heap, j)
+                    heapq.heappush(heap, -j)
             f.sub_multiple(v, c, row)
             f.sub_multiple(combo, c, row_combo)
         return v
@@ -74,7 +76,7 @@ class Echelon:
         v = self._reduce(vec, combo)
         if not v:
             return combo
-        pivot = min(v)
+        pivot = max(v)
         inv = f.inv(v[pivot])
         self.rows[pivot] = ({j: f.mul(c, inv) for j, c in v.items()},
                             {t: f.mul(c, inv) for t, c in combo.items()})

@@ -20,7 +20,7 @@ from gtrim import (
 )
 from gtrim import ideals
 from gtrim.errors import NonHomogeneousError, NotNPrimaryError, QuotientTooLargeError
-from gtrim.ideals import _new_pairs, buchberger
+from gtrim.ideals import _new_pairs, _Reducers, buchberger
 from gtrim.poly import mono_div, mono_divides, mono_lcm, monomials_of_degree
 from helpers import (
     colon_by_maximal,
@@ -136,6 +136,12 @@ def test_groebner_bases_frozen_by_digest():
         assert (hashlib.sha256(text.encode()).hexdigest(), len(gb)) == (digest, size), (m, sel)
 
 
+def assert_pairs_match_oracle(lms, t):
+    got = _new_pairs(_Reducers((lm, None) for lm in lms), t)
+    assert len(got) == len(set(got)), (lms, t)
+    assert set(got) == set(helpers.new_pairs_oracle(lms, t)), (lms, t)
+
+
 def test_new_pairs_match_quadratic_rule():
     """Criterion M over the minimal lcms, taken by degree, keeps the same
     pairs as testing every lcm group against every other."""
@@ -146,11 +152,73 @@ def test_new_pairs_match_quadratic_rule():
     @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @hyp.given(st.lists(mono, max_size=14), mono)
     def check(lms, t):
-        got = _new_pairs(lms, t)
-        assert len(got) == len(set(got))
-        assert set(got) == set(helpers.new_pairs_oracle(lms, t))
+        assert_pairs_match_oracle(lms, t)
 
     check()
+
+
+def test_new_pairs_match_quadratic_rule_random():
+    """The box of the axis neighbours keeps the oracle's pairs on larger
+    inputs than hypothesis reaches: up to 40 leading monomials with exponents
+    up to 30, and t sometimes divisible by one of them."""
+    rng = random.Random(helpers.SEED + 22)
+    for _ in range(3000):
+        top = rng.choice((2, 4, 10, 30))
+        lms = [tuple(rng.randint(0, top) for _ in range(3)) for _ in range(rng.randint(0, 40))]
+        t = tuple(rng.randint(0, top) for _ in range(3))
+        if lms and rng.random() < 0.2:
+            t = tuple(e + rng.randint(0, 2) for e in rng.choice(lms))
+        assert_pairs_match_oracle(lms, t)
+
+
+def recorded_pair_calls(monkeypatch, ideal) -> list:
+    """(leading monomials so far, new lm) of every `_new_pairs` call that
+    Buchberger makes on the ideal."""
+    calls, new_pairs = [], ideals._new_pairs
+
+    def record(reducers, t):
+        calls.append((list(reducers.lms), t))
+        return new_pairs(reducers, t)
+
+    monkeypatch.setattr(ideals, "_new_pairs", record)
+    buchberger(ideal.generators)
+    monkeypatch.undo()
+    return calls
+
+
+def test_new_pairs_match_quadratic_rule_in_buchberger(monkeypatch):
+    """Every `_new_pairs` call made on the way to the bases of the family and
+    every trim for m <= 6, and of random artinian ideals over F_2, F_3,
+    F_32003 and Q, keeps the oracle's pairs."""
+    corpus = [ideal for label, ideal in groebner_corpus(max_m=6) if not label.startswith("random")]
+    rng = random.Random(helpers.SEED + 23)
+    corpus += [helpers.random_artinian_ideal(rng, helpers.field(char))
+               for char in (2, 3, 32003, 0) for _ in range(15)]
+    for ideal in corpus:
+        for lms, t in recorded_pair_calls(monkeypatch, ideal):
+            assert_pairs_match_oracle(lms, t)
+
+
+class CountingList(list):
+    """A list that counts the items read by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_new_pairs_reads_few_earlier_elements(monkeypatch):
+    """Building g_16 reads at most 600 earlier leading monomials in
+    `_new_pairs` (11,628 when every earlier one was visited)."""
+    reads = 0
+    for lms, t in recorded_pair_calls(monkeypatch, helpers.family_ideal(16)):
+        reducers = _Reducers((lm, None) for lm in lms)
+        reducers.lms = CountingList(reducers.lms)
+        _new_pairs(reducers, t)
+        reads += reducers.lms.reads
+    assert reads <= 600
 
 
 def test_ideal_pickle_round_trip():

@@ -1,6 +1,7 @@
 """Koszul homology, its multiplication, and the classification table."""
 
 import functools
+import hashlib
 import itertools
 import random
 
@@ -399,6 +400,24 @@ def test_d3_columns_only_under_a_live_h2(monkeypatch):
     has a class; with d_3 run wherever the staircase had a corner it built 730."""
     _, columns = _built_with_d3_count(helpers.trim_ideal(14, "d").quotient_ring(), monkeypatch)
     assert sum(columns.values()) <= 196
+
+
+def test_pivot_at_last_column_keeps_bases_with_less_fill():
+    """Rows pivot at their last column: the A_1 space of the m = 14 d trim in
+    internal degree 15 holds at most 640 row entries (1,070 when rows pivoted
+    at their first column), and the representatives are the same strings,
+    frozen by sha256 over every `homology_basis(i)`, one per line."""
+    frozen = {
+        (3, "d"): "4391476bc6421157645eef272cf616cce42b3ac0f708363693738b1008a4bdca",
+        (4, "x2"): "56dfa6da66eb66e8a7e54e4bb33a5c2a1e89c2abcdaed749fa5b137375877a7c",
+        (14, "d"): "ebb3e851a190de3460f2985790cfa60c1e6e684d7d974e9874f2651898752f83",
+    }
+    for (m, sel), digest in frozen.items():
+        kz = helpers.koszul(m, sel)
+        text = "\n".join(str(b) for i in range(4) for b in kz.homology_basis(i))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (m, sel)
+    rows = kz._classes[(1, 15)].rows.values()
+    assert sum(len(row) for row, _ in rows) <= 640
 
 
 def test_degree_without_homology_checks_cycles():

@@ -56,6 +56,12 @@ def combination(fld, coeffs: dict, vectors: list, ncols: int) -> list:
     return out
 
 
+def assert_monic_at_last_column(ech):
+    """Every stored row is monic at its pivot, and the pivot is its last column."""
+    for p, (row, _) in ech.rows.items():
+        assert max(row) == p and row[p] == ech.field.one
+
+
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f"char{f.char}")
 def test_echelon_matches_dense_oracle(fld):
     """The rows give the rank; the columns, added in order with their index as
@@ -69,6 +75,8 @@ def test_echelon_matches_dense_oracle(fld):
         image = Echelon(fld)
         relations = [image.add([row[j] for row in rows], tag=j) for j in range(ncols)]
         assert image.rank == ech.rank
+        assert_monic_at_last_column(ech)
+        assert_monic_at_last_column(image)
         kernel = [dense(rel, ncols, fld) for rel in relations if rel is not None]
         assert kernel == helpers.kernel_basis(rows, ncols, fld)
         for v in kernel:
