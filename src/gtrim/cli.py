@@ -22,7 +22,6 @@ from .ideals import Ideal, trim
 from .pfaffians import (
     PfaffianFamily,
     TrimChoice,
-    canonical_generators,
     check_family_size,
     family_hilbert,
     gorenstein_ideal,
@@ -178,11 +177,12 @@ def _classify_target(args) -> Ideal:
         if count < 3 or count % 2 == 0:
             raise CliError(f"--trim needs an odd generator count >= 3, found {count}")
         try:
-            return trim(listed, selector_index(args.trim, (count - 1) // 2))
-        except PreconditionError:
-            raise
+            k = selector_index(args.trim, (count - 1) // 2)
         except ValueError as exc:
             raise CliError(str(exc))
+        if listed[k].is_zero():
+            raise CliError("cannot trim a zero generator")
+        return trim(ideal, sum(not g.is_zero() for g in listed[:k]))
     if args.trim is None:
         return gorenstein_ideal(args.m, _field(args))
     try:
@@ -218,10 +218,10 @@ def cmd_table(args) -> str:
     check_family_size(hi)
     rows = []
     for m in range(lo, hi + 1):
-        gens = canonical_generators(m, field)
-        for index in range(2 * m + 1):
-            report, display = _classified(trim(gens, index))
-            rows.append({"m": m, "g": gens[index].to_text(),
+        family = gorenstein_ideal(m, field)  # every trim's ring is derived from its ring
+        for index, g in enumerate(family.generators):
+            report, display = _classified(trim(family, index))
+            rows.append({"m": m, "g": g.to_text(),
                          **{k: report[k] for k in ("mu", "type", "p", "q", "r")},
                          "class": display})
     if args.output_format == "json":

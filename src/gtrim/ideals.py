@@ -14,9 +14,11 @@ each parent t / x_v is standard, so the cost follows dim R.  The Hilbert
 function is read off those bases.  The quotient's normal forms and
 multiplication maps come from one table over the border (standard monomials
 times a variable), built on first use in increasing term order from the
-reduced basis alone (FGLM), with no polynomial reduction.  Before any of
-this, a lower bound on dim R read off the generator degrees refuses inputs
-above the size bound without a Groebner basis.
+reduced basis alone (FGLM), with no polynomial reduction.  A trim a' =
+(x, y, z)*g + (the others) of a has a'_d = a_d for every d != deg g, so its
+ring is a's with degree deg g eliminated again, and a' needs no Groebner
+basis.  Before any of this, a lower bound on dim R read off the generator
+degrees refuses inputs above the size bound without a Groebner basis.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .poly import (
     mono_key,
     mono_lcm,
     mono_mul,
+    monomials_of_degree,
     variables,
 )
 
@@ -42,6 +45,12 @@ _VAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # bound on dim R, checked on the generators' degrees, then while the staircase
 # is walked (about 1 us per monomial): a huge input fails in under a second
 MAX_DIM = 200_000
+_NOT_ARTINIAN = "quotient is not artinian; some variable has no pure-power leading term"
+
+
+def _too_large() -> QuotientTooLargeError:
+    return QuotientTooLargeError(
+        f"quotient has more than {MAX_DIM} standard monomials (the bound on dim R)")
 
 
 def _parents(t):
@@ -215,7 +224,7 @@ class Ideal:
     indexed reducers on the first normal form.
     """
 
-    __slots__ = ("field", "generators", "_gb", "_reducers", "_ring")
+    __slots__ = ("field", "generators", "_gb", "_reducers", "_ring", "_parent")
 
     def __init__(self, generators, field=None):
         gens = list(generators)
@@ -241,6 +250,7 @@ class Ideal:
         self._gb = None
         self._reducers = None
         self._ring = None
+        self._parent = None  # a trim's (parent ideal, g), until its ring is derived
 
     # ---- Groebner machinery ---------------------------------------------
 
@@ -289,19 +299,52 @@ class Ideal:
     def quotient_ring(self) -> "QuotientRing":
         if self._ring is None:
             self._ring = QuotientRing(self)
+            self._parent = None  # a derived ring holds no reference to its parent's
         return self._ring
 
 
-def trim(generators, index: int) -> Ideal:
-    """Replace the index-th generator g by (x, y, z)*g."""
-    gens = list(generators)
+def trim(ideal: Ideal, index: int) -> Ideal:
+    """The trim of ideal at its index-th generator g: x*g, y*g, z*g, then the
+    other generators in order.  It keeps ideal and g, and its quotient ring is
+    derived from ideal's (a'_d = a_d for d != deg g), never by Buchberger."""
+    gens = list(ideal.generators)
     if not 0 <= index < len(gens):
         raise ValueError(f"trim index {index} out of range for {len(gens)} generators")
     g = gens.pop(index)
-    if g.is_zero():
-        raise ValueError("cannot trim a zero generator")
-    x, y, z = variables(g.field)
-    return Ideal([x * g, y * g, z * g] + gens, g.field)
+    x, y, z = variables(ideal.field)
+    out = Ideal([x * g, y * g, z * g] + gens, ideal.field)
+    out._parent = (ideal, g)
+    return out
+
+
+def _staircase(lms) -> tuple:
+    """(std, index): the monomials outside (lms) per degree, and their positions."""
+    std, index, count = [], [], 0
+    level = [] if (0, 0, 0) in lms else [(0, 0, 0)]
+    while level:  # standard monomials are closed under division: walk the staircase
+        count += len(level)
+        if count > MAX_DIM:
+            raise _too_large()
+        below = {m: i for i, m in enumerate(level)}
+        std.append(tuple(level))
+        index.append(below)
+        # a candidate t = m * x_v, x_v the first variable dividing t (so
+        # each is made once), is standard iff it is no leading monomial
+        # and every t / x_u is standard
+        level = []
+        for a, b, c in std[-1]:
+            t = (a + 1, b, c)
+            if t not in lms and (not b or (a + 1, b - 1, c) in below) and (
+                    not c or (a + 1, b, c - 1) in below):
+                level.append(t)
+            if not a:
+                t = (0, b + 1, c)
+                if t not in lms and (not c or (0, b + 1, c - 1) in below):
+                    level.append(t)
+                if not b and (0, 0, c + 1) not in lms:
+                    level.append((0, 0, c + 1))
+        level.sort(key=itemgetter(2, 1))  # grevlex descending within a degree
+    return std, index
 
 
 class HilbertData(namedtuple("HilbertData", "coefficients")):
@@ -317,13 +360,15 @@ class QuotientRing:
     function never pays for it): NF(t) as sparse coordinates {index:
     coefficient} over basis(deg t), for every standard monomial and every
     border monomial x_v * b (b standard) of degree at most top_degree.
+    A trim a' of a at g is a in every degree but e = deg g, so its ring is
+    derived from a's (`_derive`), with no Groebner basis of a'.
     """
 
     __slots__ = ("ideal", "field", "std", "top_degree", "_index", "_table")
 
     def __init__(self, ideal: Ideal):
         # I_d is spanned by the m * g, so dim R_d >= C(d+2, 2) - sum_g C(d - deg g + 2, 2):
-        # summed before is_n_primary runs Buchberger, until the sum passes the
+        # summed before any Groebner basis is built, until the sum passes the
         # bound or, past the least degree, the summand is <= 0 and not rising
         # (it is concave there, so no later one is positive)
         degrees = [g.degree() for g in ideal.generators]
@@ -337,42 +382,60 @@ class QuotientRing:
             raise QuotientTooLargeError(
                 f"quotient has more than {MAX_DIM} standard monomials (the bound on "
                 f"dim R): the generator degrees leave at least {bound}")
-        if not ideal.is_n_primary():
-            raise NotNPrimaryError(
-                "quotient is not artinian; some variable has no pure-power leading term")
         self.ideal = ideal
         self.field = ideal.field
-        lms = set(ideal.leading_monomials())
-        std, index, count = [], [], 0
-        level = [] if (0, 0, 0) in lms else [(0, 0, 0)]
-        while level:  # standard monomials are closed under division: walk the staircase
-            count += len(level)
-            if count > MAX_DIM:
-                raise QuotientTooLargeError(
-                    f"quotient has more than {MAX_DIM} standard monomials (the bound on dim R)")
-            below = {m: i for i, m in enumerate(level)}
-            std.append(tuple(level))
-            index.append(below)
-            # a candidate t = m * x_v, x_v the first variable dividing t (so
-            # each is made once), is standard iff it is no leading monomial
-            # and every t / x_u is standard
-            level = []
-            for a, b, c in std[-1]:
-                t = (a + 1, b, c)
-                if t not in lms and (not b or (a + 1, b - 1, c) in below) and (
-                        not c or (a + 1, b, c - 1) in below):
-                    level.append(t)
-                if not a:
-                    t = (0, b + 1, c)
-                    if t not in lms and (not c or (0, b + 1, c - 1) in below):
-                        level.append(t)
-                    if not b and (0, 0, c + 1) not in lms:
-                        level.append((0, 0, c + 1))
-            level.sort(key=itemgetter(2, 1))  # grevlex descending within a degree
+        if ideal._parent is None:
+            if not ideal.is_n_primary():
+                raise NotNPrimaryError(_NOT_ARTINIAN)
+            std, self._index = _staircase(set(ideal.leading_monomials()))
+            self._table = None
+        else:
+            std, self._index, self._table = self._derive(*ideal._parent)
         self.std = tuple(std)
         self.top_degree = len(std) - 1
-        self._index = index
-        self._table = None
+
+    def _derive(self, parent: Ideal, g) -> tuple:
+        """(std, index, table) of R' = Q/a' from R = Q/a, a' = m*g + (the
+        others): a'_d = a_d for d != e = deg g, so R' keeps R's bases and a
+        shallow copy of its table (entries shared, read-only) but in degree e.
+        There a'_e, spanned by the multiples of the others, is eliminated with
+        pivots at leading monomials: the free columns are std'_e, residues give
+        the border entries, and R has x_v * u for the new u (a_e = a'_e + kg).
+        Past top_degree + 1, a'_e = Q_e = a_e."""
+        from .linalg import Echelon
+
+        try:
+            ring = parent.quotient_ring()
+        except QuotientTooLargeError:  # then so is R', which maps onto R
+            if not parent.is_n_primary():  # R' is artinian iff R is
+                raise NotNPrimaryError(_NOT_ARTINIAN)
+            raise _too_large()
+        f, e = self.field, g.degree()
+        std, index, table = list(ring.std), list(ring._index), dict(ring._nf_table())
+        if e > ring.top_degree + 1:
+            return std, index, table
+        monos = monomials_of_degree(e)[::-1]  # ascending term order
+        col = {t: j for j, t in enumerate(monos)}
+        span = Echelon(f)
+        for h in self.ideal.generators[3:]:  # after x*g, y*g, z*g
+            for s in monomials_of_degree(e - h.degree()):
+                span.add({col[mono_mul(t, s)]: c for t, c in h.terms.items()})
+        level = tuple(t for t in reversed(monos) if col[t] not in span.rows)
+        if not level:  # e = top_degree + 1, and g is not minimal
+            return std, index, table
+        std[e:e + 1], index[e:e + 1] = [level], [{t: j for j, t in enumerate(level)}]
+        if sum(map(len, std)) > MAX_DIM:
+            raise _too_large()
+        for t in monos:  # R's entries in degree e are over its own basis(e)
+            table.pop(t, None)
+        for t, j in index[e].items():
+            table[t] = {j: f.one}
+        for t in {mono_mul(b, v) for b in ring.basis(e - 1) for v in _VAR_MONOS} - index[e].keys():
+            table[t] = {index[e][monos[c]]: a for c, a in span.residue({col[t]: f.one}).items()}
+        if e < ring.top_degree:  # x_v * u, u new in std'_e, is on the border below the top
+            for t in [mono_mul(u, v) for u in level if u not in ring._index[e] for v in _VAR_MONOS]:
+                table[t] = ring._entry(t)
+        return std, index, table
 
     def dim(self) -> int:
         return sum(len(level) for level in self.std)

@@ -82,6 +82,11 @@ class Echelon:
                             {t: f.mul(c, inv) for t, c in combo.items()})
         return None
 
+    def residue(self, vec) -> dict:
+        """vec less a member of the span: the one such vector that is zero at
+        every pivot (the tags are ignored)."""
+        return self._reduce(vec, {})
+
     def solve(self, vec):
         """{tag: coefficient} writing vec over the tagged vectors modulo the
         untagged span, or None when vec is not in the span."""

@@ -180,7 +180,7 @@ class TrimChoice(namedtuple("TrimChoice", "m selector")):
 
 def trimmed_ideal(choice: TrimChoice, field=None) -> Ideal:
     """Trim of the m-th Gorenstein ideal at the chosen generator."""
-    return trim(canonical_generators(choice.m, field), choice.index)
+    return trim(gorenstein_ideal(choice.m, field), choice.index)
 
 
 class PfaffianFamily(namedtuple("PfaffianFamily", "m U V d pfaffians generators")):

@@ -95,7 +95,7 @@ def koszul(m, selector=None, char=32003):
 def trimmed_power_ci(char=32003):
     """The quotient obtained by trimming x^2 out of (x^2, y^2, z^2)."""
     x, y, z = variables(field(char))
-    return trim([x * x, y * y, z * z], 0)
+    return trim(Ideal([x * x, y * y, z * z]), 0)
 
 
 def small_instances(char=32003):

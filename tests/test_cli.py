@@ -11,8 +11,9 @@ import pytest
 
 import helpers
 import gtrim.koszul
-from gtrim import report_dict
+from gtrim import canonical_generators, ideals, report_dict
 from gtrim.cli import main
+from gtrim.ideals import buchberger
 
 V2_STRINGS = [
     ["0", "0", "0", "x", "z"],
@@ -380,6 +381,57 @@ def test_classify_ideal_above_dimension_bound_exits_3(tmp_path):
         code, out, err = classify_ideal_file(tmp_path, {"generators": gens}, timeout=30)
         assert code == 3 and out == "" and "Traceback" not in err, gens
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
+
+def test_trim_error_paths_frozen(capsys, tmp_path, monkeypatch):
+    """`--ideal F --trim SEL` fails with the exit code and message it gave
+    when every trim ran its own Groebner basis, whichever of the parent's
+    checks fire first: the trim's own degree bounds, then artinian, then
+    dim R.  The parent (x, y^5, z^5) has dim 25 and degree bound 20; its x0
+    trim has dim 26 and degree bound 8.  (x, y^5, y*z^4) is not artinian,
+    and its degree bound is 20 too."""
+    walk = "quotient has more than {} standard monomials (the bound on dim R)"
+    not_artinian = "quotient is not artinian; some variable has no pure-power leading term"
+    for gens, selector, bound, code, message in (
+            (["x^2", "y^2", "x*y"], "x0", None, 3, not_artinian),
+            (["x", "y^5", "y*z^4"], "x0", 10, 3, not_artinian),
+            (["x^2", "y^2", "0", "z^2", "x*y*z"], "d", None, 2, "cannot trim a zero generator"),
+            (["x^2", "y^2", "z^2"], "x0", 2, 3, "generator of degree 3 is above the bound 2 on dim R"),
+            (["x^2", "y^2", "z^2"], "x0", 5, 3,
+             walk.format(5) + ": the generator degrees leave at least 8"),
+            (["x", "y^5", "z^5"], "x0", 10, 3, walk.format(10)),  # the parent's bound fires
+            (["x", "y^5", "z^5"], "x0", 24, 3, walk.format(24)),  # the parent's walk fires
+            (["x", "y^5", "z^5"], "x0", 25, 3, walk.format(25)),  # one more than the parent's
+            (["x", "y^5", "z^5"], "x0", 26, 0, None)):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"generators": gens}))
+        with monkeypatch.context() as patch:
+            if bound is not None:
+                patch.setattr(ideals, "MAX_DIM", bound)
+            got = run_cli(["classify", "--ideal", str(path), "--trim", selector], capsys)
+        if message is None:
+            assert got[0] == 0 and got[2] == "" and sum(json.loads(got[1])["hilbert"]) == 26
+            assert hashlib.sha256(got[1].encode()).hexdigest() == (
+                "3cd07b5a09ddf2ab263459034ce33bd078823694d024cd4c3231c56f3ba32962")
+        else:
+            assert got == (code, "", f"error: {message}\n"), (gens, bound)
+
+
+def test_buchberger_runs_once_per_family(capsys, monkeypatch):
+    """Trims derive their rings from their parent's: `table --m 2..8` runs
+    Buchberger 7 times, on each g_m, and `classify --m 14 --trim d` once."""
+    calls = []
+
+    def spy(generators):
+        calls.append(tuple(generators))
+        return buchberger(generators)
+
+    monkeypatch.setattr(ideals, "buchberger", spy)
+    assert run_cli(["table", "--m", "2..8", "--format", "csv"], capsys)[0] == 0
+    assert calls == [tuple(canonical_generators(m, helpers.field())) for m in range(2, 9)]
+    calls.clear()
+    assert run_cli(["classify", "--m", "14", "--trim", "d"], capsys)[0] == 0
+    assert calls == [tuple(canonical_generators(14, helpers.field()))]
 
 
 # ---- table ---------------------------------------------------------------------

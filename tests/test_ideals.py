@@ -13,6 +13,7 @@ from gtrim import (
     QuotientRing,
     TrimChoice,
     canonical_generators,
+    gorenstein_ideal,
     selector_labels,
     trim,
     trimmed_ideal,
@@ -505,7 +506,7 @@ def test_colon_matches_bruteforce_oracle_spot():
 def test_trim_generators_frozen():
     gens = canonical_generators(2, F)
     d2 = gens[2]
-    T = trim(gens, 2)
+    T = trim(Ideal(gens), 2)
     assert [g.to_text() for g in T.generators[:3]] == [
         "x^2*y - x*z^2", "x*y^2 - y*z^2", "x*y*z - z^3"]
     assert T.generators[3:] == tuple(gens[:2] + gens[3:])
@@ -514,8 +515,7 @@ def test_trim_generators_frozen():
 
 
 def test_trim_replaces_one_generator():
-    gens = list(helpers.family_ideal(2).generators)
-    T = trim(gens, 0)
+    T = trim(helpers.family_ideal(2), 0)
     assert T == helpers.trim_ideal(2, "x0")
     assert T == Ideal([X ** 3, X * Z, X * Y - Z * Z, Y * Z, Y * Y])
     assert not T.contains(X * X)
@@ -524,9 +524,39 @@ def test_trim_replaces_one_generator():
 
 def test_trim_validation():
     with pytest.raises(ValueError):
-        trim([X, Y], 5)
-    with pytest.raises(ValueError):
-        trim([X, Polynomial.zero(F)], 1)
+        trim(Ideal([X, Y]), 5)
+    with pytest.raises(ValueError):  # the ideal drops its zero generator
+        trim(Ideal([X, Polynomial.zero(F)]), 1)
+
+
+def test_derived_trim_ring_matches_walked_ring():
+    """A trim's ring, derived from its parent's, equals the ring walked from
+    its own Groebner basis (an `Ideal` of the same generators has no parent):
+    std, top_degree, hilbert and `_entry` at every monomial up to top + 1.
+    Every trim of g_m, m = 2..8, and of 60 random artinian ideals (seed 7),
+    over F_2, F_3, F_32003 and Q.  The random ones bring each edge case: g
+    not minimal (R' = R), deg g = top + 1 (top grows or not) and deg g above
+    top + 1."""
+    cases = set()
+    for char in (2, 3, 32003, 0):
+        fld, rng = helpers.field(char), random.Random(7)
+        parents = [gorenstein_ideal(m, fld) for m in range(2, 9)]
+        parents += [helpers.random_artinian_ideal(rng, fld) for _ in range(60)]
+        for parent in parents:
+            ring = parent.quotient_ring()
+            for k, g in enumerate(parent.generators):
+                T = trim(parent, k)
+                derived, walked = T.quotient_ring(), QuotientRing(Ideal(T.generators))
+                case = (char, parent, k)
+                assert derived.ideal is T and derived is not ring, case
+                assert derived.std == walked.std, case
+                assert derived.top_degree == walked.top_degree, case
+                assert derived.hilbert() == walked.hilbert(), case
+                for t in (t for d in range(walked.top_degree + 2) for t in monomials_of_degree(d)):
+                    assert derived._entry(t) == walked._entry(t), (case, t)
+                cases.add((min(max(g.degree() - ring.top_degree, 0), 2),
+                           derived.dim() - ring.dim()))
+    assert cases == {(0, 1), (0, 0), (1, 1), (1, 0), (2, 0)}
 
 
 def test_trimmed_ideal_is_strictly_smaller():

@@ -311,7 +311,7 @@ def test_trimmed_ideal_matches_generic_trim():
         gens = canonical_generators(m, F)
         for label in selector_labels(m):
             choice = TrimChoice(m, label)
-            assert trimmed_ideal(choice, F) == trim(gens, choice.index)
+            assert trimmed_ideal(choice, F) == trim(Ideal(gens), choice.index)
 
 
 def test_interior_generators_become_superfluous():
