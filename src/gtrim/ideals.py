@@ -16,8 +16,8 @@ multiplication maps come from one table over the border (standard monomials
 times a variable), built on first use in increasing term order from the
 reduced basis alone (FGLM), with no polynomial reduction.  A trim a' =
 (x, y, z)*g + (the others) of a has a'_d = a_d for every d != deg g, so its
-ring is a's with degree deg g eliminated again, and a' needs no Groebner
-basis.  Before any of this, a lower bound on dim R read off the generator
+ring and table are a's (filled then) with degree deg g eliminated again,
+and a' needs no Groebner basis.  Before any of this, a lower bound on dim R read off the generator
 degrees refuses inputs above the size bound without a Groebner basis.
 """
 
@@ -356,12 +356,13 @@ class HilbertData(namedtuple("HilbertData", "coefficients")):
 class QuotientRing:
     """Artinian graded quotient Q/I with standard-monomial bases per degree.
 
-    Normal forms are read from one table, built on first use (so the Hilbert
-    function never pays for it): NF(t) as sparse coordinates {index:
-    coefficient} over basis(deg t), for every standard monomial and every
-    border monomial x_v * b (b standard) of degree at most top_degree.
-    A trim a' of a at g is a in every degree but e = deg g, so its ring is
-    derived from a's (`_derive`), with no Groebner basis of a'.
+    Normal forms are read from one table: NF(t) as sparse coordinates
+    {index: coefficient} over basis(deg t), for every standard monomial and
+    every border monomial x_v * b (b standard) of degree at most top_degree.
+    An untrimmed ideal's table is built on first use (so its Hilbert function
+    never pays for it).  A trim a' of a at g is a in every degree but
+    e = deg g, so its ring and table are derived together from a's
+    (`_derive`, which fills a's table), with no Groebner basis of a'.
     """
 
     __slots__ = ("ideal", "field", "std", "top_degree", "_index", "_table")
@@ -401,7 +402,8 @@ class QuotientRing:
         There a'_e, spanned by the multiples of the others, is eliminated with
         pivots at leading monomials: the free columns are std'_e, residues give
         the border entries, and R has x_v * u for the new u (a_e = a'_e + kg).
-        Past top_degree + 1, a'_e = Q_e = a_e."""
+        Past top_degree + 1, a'_e = Q_e = a_e; where g is not minimal, a'_e =
+        a_e too, and R' = R."""
         from .linalg import Echelon
 
         try:
@@ -421,7 +423,7 @@ class QuotientRing:
             for s in monomials_of_degree(e - h.degree()):
                 span.add({col[mono_mul(t, s)]: c for t, c in h.terms.items()})
         level = tuple(t for t in reversed(monos) if col[t] not in span.rows)
-        if not level:  # e = top_degree + 1, and g is not minimal
+        if level == ring.basis(e):  # a'_e = a_e: g is not minimal, and R' = R
             return std, index, table
         std[e:e + 1], index[e:e + 1] = [level], [{t: j for j, t in enumerate(level)}]
         if sum(map(len, std)) > MAX_DIM:

@@ -438,11 +438,11 @@ def test_degree_without_homology_checks_cycles():
 
 
 def test_classify_path_makes_no_heap_reduction(monkeypatch):
-    """Homology, products and the class read normal forms from the quotient
-    ring's table; the heap reduction against the Groebner basis is not called."""
+    """The quotient ring (derived from the family's), homology, products and
+    the class read normal forms from tables; the heap reduction against the
+    Groebner basis is not called."""
     ideal = trimmed_ideal(TrimChoice(6, "d"), F)
-    ideal.groebner_basis()
-    ring = ideal.quotient_ring()  # derived from the family's, whose Buchberger reduces
+    ideal._parent[0].groebner_basis()  # the family's Buchberger reduces S-polynomials
     calls = []
     heap = ideals._normal_form_terms
 
@@ -451,11 +451,13 @@ def test_classify_path_makes_no_heap_reduction(monkeypatch):
         return heap(*args)
 
     monkeypatch.setattr(ideals, "_normal_form_terms", counted)
-    kz = KoszulComplex(ring)
+    kz = KoszulComplex(ideal.quotient_ring())
     kz.invariants()
     assert kz.classify().display() == "G(10)"
     assert len(calls) == 0
     assert ideal._reducers is None  # the divisor index is built for normal forms only
+    ideal.groebner_basis()  # the trim's own, built for normal forms only, by Buchberger
+    calls.clear()
     assert ideal.normal_form(X ** 6).is_zero() and len(calls) == 1  # the wrapper counts
     assert ideal._reducers is not None
 
