@@ -42,11 +42,19 @@ def _field(args):
         raise CliError(str(exc))
 
 
+def _integer(text: str, message: str) -> int:
+    """int(text) in ASCII digits: int() alone also takes non-ASCII digits and
+    `_` separators, which the selectors and the polynomial reader refuse."""
+    if text.strip().isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(message)
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    value = _integer(text, f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"m must be >= 1, got {value}")
     return value
@@ -54,11 +62,9 @@ def _positive_int(text: str) -> int:
 
 def _m_range(text: str) -> tuple:
     lo, sep, hi = text.partition("..")
-    try:
-        a = int(lo)
-        b = int(hi) if sep else a
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}; expected N or A..B")
+    bad = f"bad range {text!r}; expected N or A..B"
+    a = _integer(lo, bad)
+    b = _integer(hi, bad) if sep else a
     if a < 2 or b < a:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; need 2 <= A <= B")
     return (a, b)
@@ -66,7 +72,8 @@ def _m_range(text: str) -> tuple:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--char", type=int, default=DEFAULT_CHAR,
+    common.add_argument("--char", default=DEFAULT_CHAR,
+                        type=lambda text: _integer(text, f"invalid int value: {text!r}"),
                         help="coefficient field characteristic; 0 means the rationals "
                              f"(default {DEFAULT_CHAR})")
     common.add_argument("--format", choices=("json", "csv", "text"), default="json",

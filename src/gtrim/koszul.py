@@ -12,10 +12,10 @@ the relations among its columns are the cycles, and the rows left behind
 span the boundaries below; d_3 is eliminated only for its image, d_1
 never.  An element enters coordinates one way, `_coords`, one entry of the
 quotient ring's normal-form table per monomial; reduction,
-the differential, cycle checks and classes all read them.  Products too:
-the words of two elements multiply with their exterior sign, each product
-monomial reads one table entry, with no Polynomial product; products of
-classes have one route, `class_product`, and `multiply` is bilinear over it.
+the differential, cycle checks and classes all read them.  Products have
+one route, `_product`, for `wedge`, `multiply`, `class_product` and
+`annihilates_a1`: the words of two factors multiply with their exterior
+sign, each product monomial reads one table entry, with no Polynomial product.
 
 The homology is built only where it can be non-zero.  H_i(K^R)_d is
 Tor_i(R, k)_d, so H_0 is k in degree 0, and H_1 = a/ma lives only in the
@@ -27,8 +27,8 @@ Stillman); its vectors are the A_3 representatives.  The Euler
 characteristic of the degree then counts the one H_i left to find, so d_2
 runs only where H_2 lives or H_1 can, and d_3 only for the boundaries of a
 live H_2.  Where A is zero a cycle's class is zero.  A product [a][b] lies
-in internal degree deg a + deg b and is formed only when A_{i+j} has a
-class there.
+in internal degree deg a + deg b, and `class_product` forms it only where
+`_classes`, the one record of where A lives, holds A_{i+j} in that degree.
 
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
@@ -167,8 +167,11 @@ class KoszulComplex:
         self.field = ring.field
         self._reps = ([], [], [], [])  # per exterior degree: (internal degree, cycle)
         self._classes = {}  # (i, d) -> Echelon: boundaries untagged, representatives tagged
-        self._inv = self._words = None  # words: per class, (internal degree, split words)
+        self._inv = None
         self._build_homology()
+        # per class of A_i: (internal degree, {word: {monomial: coefficient}})
+        self._words = [[(d, self._terms(i, {d: vec})) for d, vec in reps]
+                       for i, reps in enumerate(self._reps)]
 
     # ---- chain-level structure -------------------------------------------
 
@@ -384,35 +387,21 @@ class KoszulComplex:
     def class_product(self, i: int, s: int, j: int, t: int) -> list:
         """Class coordinates of basis class s of A_i times basis class t of A_j,
         by `_product`; zero, not formed, where A_{i+j} has no class in its degree."""
-        if self._words is None:
-            self._words = [[(d, self._terms(k, {d: vec})) for d, vec in reps]
-                           for k, reps in enumerate(self._reps)]
-            self._live = [{d for d, _ in reps} for reps in self._reps]
         (du, u), (dv, v) = self._words[i][s], self._words[j][t]
-        if du + dv not in self._live[i + j]:
+        if (i + j, du + dv) not in self._classes:
             return [self.field.zero] * len(self._reps[i + j])
         return self._class_coords(i + j, self._product(u, v))
 
-    def _class_sum(self, i: int, a: list, j: int, b: list) -> list:
-        """Sum of a_s b_t class_product(i, s, j, t) for class coordinates a, b."""
-        if i + j > 3:
-            raise ValueError("product lands beyond exterior degree 3")
-        f, out = self.field, [self.field.zero] * len(self._reps[i + j])
-        for s, x in enumerate(a):
-            for t, y in enumerate(b):
-                if not (f.is_zero(x) or f.is_zero(y)):
-                    c, prod = f.mul(x, y), self.class_product(i, s, j, t)
-                    out = [f.add(o, f.mul(c, p)) for o, p in zip(out, prod)]
-        return out
-
     def multiply(self, u: KoszulElement, v: KoszulElement) -> list:
-        """Class coordinates of [u][v], bilinear over `class_product`; cycles only."""
-        vecs = self._coords(u), self._coords(v)
+        """Class coordinates of [u][v], the class of u ^ v by `_product`; cycles only."""
+        words = self._split(u), self._split(v)  # a foreign word keeps its own error
         try:
-            a, b = (self._class_coords(el.exterior_degree, vec) for el, vec in zip((u, v), vecs))
+            self.class_coords(u), self.class_coords(v)
         except ValueError:
             raise ValueError("multiply is defined on cycles only") from None
-        return self._class_sum(u.exterior_degree, a, v.exterior_degree, b)
+        if (i := u.exterior_degree + v.exterior_degree) > 3:
+            raise ValueError("product lands beyond exterior degree 3")
+        return self._class_coords(i, self._product(*words))
 
     # ---- invariants and classification ------------------------------------
 
@@ -506,15 +495,18 @@ def a1_annihilator_cycle(choice: TrimChoice, kz: KoszulComplex) -> KoszulElement
 
 
 def _checked_cycle(kz: KoszulComplex, el: KoszulElement) -> KoszulElement:
-    """el reduced in R, verified to be a cycle."""
-    if not kz.is_cycle(el):
+    """el reduced in R, verified to be a cycle, from one pass into coordinates."""
+    i, vecs = el.exterior_degree, kz._coords(el)
+    if any(kz._boundary_vector(i, d, vec) for d, vec in vecs.items()):
         raise ValueError(f"element is not a cycle: {el}")
-    return kz.reduce_element(el)
+    return kz.element_from_vector(i, vecs)
 
 
 def annihilates_a1(kz: KoszulComplex, f: KoszulElement) -> bool:
-    """True when [f] multiplies every A_1 basis class to zero: each [e_s][f]
-    is the sum that `multiply` forms, over the class coordinates of f."""
-    b, n1, fld = kz.class_coords(f), kz.ranks()[1], kz.field
-    units = ([fld.one if k == s else fld.zero for k in range(n1)] for s in range(n1))
-    return all(fld.is_zero(c) for a in units for c in kz._class_sum(1, a, f.exterior_degree, b))
+    """True when [f] multiplies every A_1 basis class to zero: the class of
+    each A_1 representative's words times f, by `_product`."""
+    kz.class_coords(f)  # raises unless f is a cycle
+    if (i := 1 + f.exterior_degree) > 3:
+        raise ValueError("product lands beyond exterior degree 3")
+    words = kz._split(f)
+    return not any(any(kz._class_coords(i, kz._product(u, words))) for _, u in kz._words[1])

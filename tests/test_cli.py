@@ -318,6 +318,28 @@ def test_selectors_match_in_full_ascii(capsys, tmp_path):
             assert err.startswith("error: bad trim selector") and len(err.splitlines()) == 1
 
 
+def test_integer_arguments_match_in_full_ascii(capsys):
+    # int() takes non-ASCII digits and `_` separators, so --m \u0663 classified
+    # m = 3, --m 1_0 m = 10 and --char \u0667 picked F_7 before
+    refused = [(["classify", "--m", text], f"argument --m: not an integer: {text!r}")
+               for text in ("\u0663", "1_0", "\uff13", " \u0663 ")]
+    refused += [(["table", "--m", text], f"argument --m: bad range {text!r}; expected N or A..B")
+                for text in ("\u0662..\u0663", "2..\u0663", "\u0662", "2..1_0", "2_0..21")]
+    refused += [(["classify", "--m", "3", "--char", text],
+                 f"argument --char: invalid int value: {text!r}") for text in ("\u0667", "3_2003")]
+    for argv, message in refused:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert err.splitlines()[-1].endswith(message), argv
+    # what int() read in ASCII reads the same: spaces, a newline and a sign
+    for argv, same in ((["classify", "--m", " 3\n"], ["classify", "--m", "3"]),
+                       (["classify", "--m", "+3", "--char", " 7 "],
+                        ["classify", "--m", "3", "--char", "7"]),
+                       (["table", "--m", " 2..+3"], ["table", "--m", "2..3"])):
+        expected = run_cli(same, capsys)
+        assert expected[0] == 0 and run_cli(argv, capsys) == expected, argv
+
+
 def test_classify_unit_ideal_exits_3(tmp_path):
     code, out, err = classify_ideal_file(tmp_path, {"generators": ["1"]}, timeout=30)
     assert code == 3 and out == "" and "Traceback" not in err
@@ -540,7 +562,9 @@ def test_stdout_frozen_by_digest(capsys):
             (["classify", "--m", "14", "--trim", "x5"],
              "2cfea05770ebd12b36b8bc7cb930eb572493f4db076b38ea8025b809248800f6"),
             (["classify", "--char", "0", "--m", "9", "--trim", "x4"],
-             "0870838b28ae15a7403a58e12c89cd1bde74774553285daf089241c4e6ff7d1f")):
+             "0870838b28ae15a7403a58e12c89cd1bde74774553285daf089241c4e6ff7d1f"),
+            (["classify", "--char", "0", "--m", "9", "--trim", "d"],
+             "1c2c9d9f6a676d4e778c99f7655f1b3c1918bbc82fc90311e40fd6e462a09dcc")):
         code, out, err = run_cli(argv, capsys)
         assert code == 0 and err == "", argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

@@ -261,6 +261,43 @@ def test_class_product_matches_polynomial_oracle():
                 assert kz.class_product(i, s, j, t) == oracle, (kz.ring.ideal, i, s, j, t)
 
 
+def test_classes_record_where_a_lives_and_products_take_one_route(monkeypatch):
+    """`_classes` has an entry exactly at the (i, d) of each kept
+    representative, so `class_product` reads where A lives from it alone.
+    `multiply` of two cycles, basis classes or not, is the class of their
+    `wedge`, from one `_product`; `annihilates_a1` forms at most one per A_1
+    class."""
+    rng = random.Random(helpers.SEED + 24)
+    corpus = [ideal for _, ideal in helpers.small_instances()]
+    corpus += [helpers.random_artinian_ideal(rng, helpers.field(char))
+               for char in (2, 3, 32003, 0) for _ in range(20)]
+    calls = []
+    product = KoszulComplex._product
+
+    def counted(self, u, v):
+        calls.append(1)
+        return product(self, u, v)
+
+    monkeypatch.setattr(KoszulComplex, "_product", counted)
+    for ideal in corpus:
+        kz = KoszulComplex(ideal.quotient_ring())
+        label = (ideal.field, ideal)
+        assert set(kz._classes) == {(i, d) for i, reps in enumerate(kz._reps)
+                                    for d, _ in reps}, label
+        for i, j in ((0, 2), (1, 1), (1, 2), (2, 1), (0, 3)):
+            u, v = helpers.random_cycle(rng, kz, i), helpers.random_cycle(rng, kz, j)
+            expected = kz.class_coords(kz.wedge(u, v))
+            calls.clear()
+            assert kz.multiply(u, v) == expected, label
+            assert len(calls) == 1, label
+        f = helpers.random_cycle(rng, kz, 2)
+        calls.clear()
+        if annihilates_a1(kz, f):
+            assert len(calls) == kz.ranks()[1], label
+        else:  # it stops at the first A_1 class that [f] does not kill
+            assert 1 <= len(calls) <= kz.ranks()[1], label
+
+
 def test_invariants_make_no_polynomial_product(monkeypatch):
     """`invariants` reads the representatives as coordinates: it forms no
     Polynomial product and no homology_basis element."""
