@@ -68,8 +68,10 @@ class PrimeField:
         if isinstance(value, str):
             from fractions import Fraction
             value = Fraction(value)
-        num, den = value.numerator, value.denominator
-        return num % self.char * pow(den, -1, self.char) % self.char
+        num, den, p = value.numerator, value.denominator, self.char
+        if den % p == 0:
+            raise ValueError(f"{value} has no value in F_{p}: its denominator is divisible by {p}")
+        return num % p * pow(den, -1, p) % p
 
     def add(self, a, b):
         return (a + b) % self.char

@@ -12,13 +12,14 @@ Buchberger, membership and equality use them.  The quotient ring walks the
 staircase: t of degree d+1 is standard when it is no leading monomial and
 each parent t / x_v is standard, so the cost follows dim R.  The Hilbert
 function is read off those bases.  The quotient's normal forms and
-multiplication maps come from one table over the border (standard monomials
-times a variable), built on first use in increasing term order from the
-reduced basis alone (FGLM), with no polynomial reduction.  A trim a' =
+multiplication maps come from one table per degree over the border (standard
+monomials times a variable), built on first use in increasing term order from
+the reduced basis alone (FGLM), with no polynomial reduction.  A trim a' =
 (x, y, z)*g + (the others) of a has a'_d = a_d for every d != deg g, so its
-ring and table are a's (filled then) with degree deg g eliminated again,
-and a' needs no Groebner basis.  Before any of this, a lower bound on dim R read off the generator
-degrees refuses inputs above the size bound without a Groebner basis.
+ring shares a's bases and tables (filled then) in every degree but deg g,
+eliminated again, and a' needs no Groebner basis.  Before any of this, a
+lower bound on dim R read off the generator degrees refuses inputs above
+the size bound without a Groebner basis.
 """
 
 from __future__ import annotations
@@ -104,19 +105,12 @@ def _normal_form_terms(terms, reducers: _Reducers, field):
         if j < 0:
             out[mono] = coeff
             continue
-        lm = reducers.lms[j]
-        shift = mono_div(mono, lm)
-        for rm, rc in reducers.polys[j].terms.items():
-            if rm == lm:
-                continue
-            t = mono_mul(rm, shift)
-            s = field.sub(work.get(t, field.zero), field.mul(coeff, rc))
-            if field.is_zero(s):
-                work.pop(t, None)
-            else:
-                if t not in work:
-                    heapq.heappush(heap, (-t[0] - t[1] - t[2], t[2], t[1], t))
-                work[t] = s
+        a, b, c = mono_div(mono, reducers.lms[j])
+        tail = {(p + a, q + b, r + c): v for (p, q, r), v in reducers.polys[j].terms.items()}
+        del tail[mono]  # the monic leading term, which coeff cancels
+        for t in tail.keys() - work.keys():  # new terms: coeff and tail[t] are nonzero
+            heapq.heappush(heap, (-t[0] - t[1] - t[2], t[2], t[1], t))
+        field.sub_multiple(work, coeff, tail)
     return out
 
 
@@ -356,13 +350,12 @@ class HilbertData(namedtuple("HilbertData", "coefficients")):
 class QuotientRing:
     """Artinian graded quotient Q/I with standard-monomial bases per degree.
 
-    Normal forms are read from one table: NF(t) as sparse coordinates
-    {index: coefficient} over basis(deg t), for every standard monomial and
-    every border monomial x_v * b (b standard) of degree at most top_degree.
-    An untrimmed ideal's table is built on first use (so its Hilbert function
-    never pays for it).  A trim a' of a at g is a in every degree but
-    e = deg g, so its ring and table are derived together from a's
-    (`_derive`, which fills a's table), with no Groebner basis of a'.
+    Normal forms are read from one table per degree d: NF(t) as sparse
+    coordinates {index: coefficient} over basis(d), for every standard and
+    every border monomial x_v * b (b standard) of degree d, built on first use
+    (so the Hilbert function never pays for them).  A trim a' of a at g is a
+    in every degree but e = deg g, so its ring is derived from a's (`_derive`),
+    with no Groebner basis of a', and holds a's tables but in degree e.
     """
 
     __slots__ = ("ideal", "field", "std", "top_degree", "_index", "_table")
@@ -396,14 +389,14 @@ class QuotientRing:
         self.top_degree = len(std) - 1
 
     def _derive(self, parent: Ideal, g) -> tuple:
-        """(std, index, table) of R' = Q/a' from R = Q/a, a' = m*g + (the
-        others): a'_d = a_d for d != e = deg g, so R' keeps R's bases and a
-        shallow copy of its table (entries shared, read-only) but in degree e.
-        There a'_e, spanned by the multiples of the others, is eliminated with
-        pivots at leading monomials: the free columns are std'_e, residues give
-        the border entries, and R has x_v * u for the new u (a_e = a'_e + kg).
-        Past top_degree + 1, a'_e = Q_e = a_e; where g is not minimal, a'_e =
-        a_e too, and R' = R."""
+        """(std, index, tables) of R' = Q/a' from R = Q/a, a' = m*g + (the
+        others): a'_d = a_d for d != e = deg g, so R' keeps R's bases and
+        table objects but in degree e (an entry any ring of the family makes
+        in them is right for all).  There a'_e, spanned by the multiples of
+        the others, is eliminated with pivots at leading monomials: the free
+        columns are std'_e, residues give the border entries, and R makes
+        x_v * u for the new u (a_e = a'_e + kg).  Past top_degree + 1,
+        a'_e = Q_e = a_e; where g is not minimal, a'_e = a_e too, and R' = R."""
         from .linalg import Echelon
 
         try:
@@ -413,9 +406,9 @@ class QuotientRing:
                 raise NotNPrimaryError(_NOT_ARTINIAN)
             raise _too_large()
         f, e = self.field, g.degree()
-        std, index, table = list(ring.std), list(ring._index), dict(ring._nf_table())
+        std, index, tables = list(ring.std), list(ring._index), list(ring._nf_table())
         if e > ring.top_degree + 1:
-            return std, index, table
+            return std, index, tables
         monos = monomials_of_degree(e)[::-1]  # ascending term order
         col = {t: j for j, t in enumerate(monos)}
         span = Echelon(f)
@@ -424,20 +417,18 @@ class QuotientRing:
                 span.add({col[mono_mul(t, s)]: c for t, c in h.terms.items()})
         level = tuple(t for t in reversed(monos) if col[t] not in span.rows)
         if level == ring.basis(e):  # a'_e = a_e: g is not minimal, and R' = R
-            return std, index, table
+            return std, index, tables
         std[e:e + 1], index[e:e + 1] = [level], [{t: j for j, t in enumerate(level)}]
         if sum(map(len, std)) > MAX_DIM:
             raise _too_large()
-        for t in monos:  # R's entries in degree e are over its own basis(e)
-            table.pop(t, None)
-        for t, j in index[e].items():
-            table[t] = {j: f.one}
+        table = {t: {j: f.one} for t, j in index[e].items()}
         for t in {mono_mul(b, v) for b in ring.basis(e - 1) for v in _VAR_MONOS} - index[e].keys():
             table[t] = {index[e][monos[c]]: a for c, a in span.residue({col[t]: f.one}).items()}
+        tables[e:e + 1] = [table]
         if e < ring.top_degree:  # x_v * u, u new in std'_e, is on the border below the top
             for t in [mono_mul(u, v) for u in level if u not in ring._index[e] for v in _VAR_MONOS]:
-                table[t] = ring._entry(t)
-        return std, index, table
+                ring._entry(t)  # R makes it in the degree-(e + 1) table that R' shares
+        return std, index, tables
 
     def dim(self) -> int:
         return sum(len(level) for level in self.std)
@@ -485,18 +476,17 @@ class QuotientRing:
 
     # ---- the normal-form table ---------------------------------------------
 
-    def _nf_table(self) -> dict:
-        """The table of NF(t), filled on first use over the standard and the
-        border monomials (FGLM), degree by degree in increasing term order:
-        a standard t maps to itself, a leading monomial t of the reduced basis
-        to t - g, and any other t through `_entry`."""
+    def _nf_table(self) -> list:
+        """The tables of NF(t), one dict per degree, filled on first use over
+        the standard and the border monomials (FGLM), degree by degree in
+        increasing term order: a standard t maps to itself, a leading monomial
+        t of the reduced basis to t - g, and any other t through `_entry`."""
         if self._table is None:
             f = self.field
             reduced = {g.leading_monomial(): g for g in self.ideal.groebner_basis()}
-            self._table = table = {}
+            self._table = []
             for d, index in enumerate(self._index):
-                for t, j in index.items():
-                    table[t] = {j: f.one}
+                self._table.append(table := {t: {j: f.one} for t, j in index.items()})
                 border = {mono_mul(b, v) for b in self.basis(d - 1) for v in _VAR_MONOS}
                 for t in sorted(border - index.keys(), key=mono_key):
                     g = reduced.get(t)
@@ -507,7 +497,7 @@ class QuotientRing:
         return self._table
 
     def _entry(self, t) -> dict:
-        """NF(t) over basis(deg t), shared with the table: read it, never
+        """NF(t) over basis(deg t), shared with the tables: read it, never
         change it.  Above top_degree every monomial is zero.  A t without an
         entry is x_w * t' with t' non-standard, and NF(t) is the sum of
         c * NF(x_w * b) over NF(t') = sum of c * b; each x_w * b is standard or
@@ -516,22 +506,24 @@ class QuotientRing:
         parent that has an entry if one does, else through the first, until
         an entry exists, then climbs back, keeping every entry made on the way.
         The normal form does not depend on the path; the entries made do."""
-        if mono_degree(t) > self.top_degree:
+        d = mono_degree(t)
+        if d > self.top_degree:
             return {}
-        f, table = self.field, self._nf_table()
+        f, tables = self.field, self._nf_table()
         letters = []
-        while t not in table:
-            up = [q for q in _parents(t) if q[1] not in self._index[mono_degree(q[1])]]
-            w, t = next((q for q in up if q[1] in table), up[0])
+        while t not in tables[d]:
+            up = [q for q in _parents(t) if q[1] not in self._index[d - 1]]
+            w, t = next((q for q in up if q[1] in tables[d - 1]), up[0])
             letters.append(w)
+            d -= 1
+        vec = tables[d][t]
         for w in reversed(letters):
-            basis, var = self.std[mono_degree(t)], _VAR_MONOS[w]
-            vec = {}
-            for j, c in table[t].items():
-                f.sub_multiple(vec, f.neg(c), table[mono_mul(basis[j], var)])
-            t = mono_mul(t, var)
-            table[t] = vec
-        return table[t]
+            basis, var, row, vec = self.std[d], _VAR_MONOS[w], vec, {}
+            d, t = d + 1, mono_mul(t, var)
+            for j, c in row.items():
+                f.sub_multiple(vec, f.neg(c), tables[d][mono_mul(basis[j], var)])
+            tables[d][t] = vec
+        return vec
 
     def mult_column(self, var: int, mono) -> dict:
         """NF(x_var * mono) as sparse coordinates {index: coefficient} over

@@ -386,7 +386,13 @@ class KoszulComplex:
 
     def class_product(self, i: int, s: int, j: int, t: int) -> list:
         """Class coordinates of basis class s of A_i times basis class t of A_j,
-        by `_product`; zero, not formed, where A_{i+j} has no class in its degree."""
+        by `_product`; zero, not formed, where A_{i+j} has no class in its degree.
+        Degrees outside 0..3 or past 3 in sum, and class indices out of range, are refused."""
+        if min(i, j) < 0 or i + j > 3:
+            raise ValueError(f"exterior degrees {i} and {j} are not in 0..3" if min(i, j) < 0
+                             else "product lands beyond exterior degree 3")
+        if not (0 <= s < len(self._words[i]) and 0 <= t < len(self._words[j])):
+            raise IndexError(f"A_{i} x A_{j} has no class pair ({s}, {t})")
         (du, u), (dv, v) = self._words[i][s], self._words[j][t]
         if (i + j, du + dv) not in self._classes:
             return [self.field.zero] * len(self._reps[i + j])

@@ -252,6 +252,15 @@ def test_classify_ideal_field_not_an_object_exits_2(tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_classify_ideal_denominator_divisible_by_p_exits_2(tmp_path):
+    # 1/2 has no value mod 2: said in the field's terms, not in pow's
+    code, out, err = classify_ideal_file(
+        tmp_path, {"field": {"char": 2}, "generators": ["1/2*x^2", "y^2", "z^2"]})
+    assert code == 2 and out == ""
+    assert err == (f"error: bad generators in {tmp_path / 'ideal.json'}: "
+                   "1/2 has no value in F_2: its denominator is divisible by 2\n")
+
+
 def test_classify_ideal_zero_denominator_exits_2(tmp_path):
     code, out, err = classify_ideal_file(tmp_path, {"generators": ["3/0*x^2", "y^2", "z^2"]})
     assert code == 2 and out == ""

@@ -532,8 +532,10 @@ def test_trim_validation():
 def test_derived_trim_ring_matches_walked_ring():
     """A trim's ring, derived from its parent's, equals the ring walked from
     its own Groebner basis (an `Ideal` of the same generators has no parent):
-    std, top_degree, hilbert and `_entry` at every monomial up to top + 1.
-    Every trim of g_m, m = 2..8, and of 60 random artinian ideals (seed 7),
+    std, top_degree, hilbert and `_entry` at every monomial up to top + 1,
+    each trim in turn after its earlier siblings have written into the
+    tables it shares with them: its family's own dict in every degree but
+    deg g.  Every trim of g_m, m = 2..8, and of 60 random artinian ideals (seed 7),
     over F_2, F_3, F_32003 and Q.  The random ones bring each edge case: g
     not minimal (R' = R), deg g = top + 1 (top grows or not) and deg g above
     top + 1."""
@@ -552,6 +554,8 @@ def test_derived_trim_ring_matches_walked_ring():
                 assert derived.std == walked.std, case
                 assert derived.top_degree == walked.top_degree, case
                 assert derived.hilbert() == walked.hilbert(), case
+                assert all(derived._table[d] is ring._table[d]
+                           for d in range(ring.top_degree + 1) if d != g.degree()), case
                 for t in (t for d in range(walked.top_degree + 2) for t in monomials_of_degree(d)):
                     assert derived._entry(t) == walked._entry(t), (case, t)
                 cases.add((min(max(g.degree() - ring.top_degree, 0), 2),

@@ -19,6 +19,7 @@ from gtrim import (
     a1_cycle_basis,
     annihilates_a1,
     classify_from_invariants,
+    gorenstein_ideal,
     report_dict,
     selector_labels,
     trimmed_ideal,
@@ -380,16 +381,26 @@ def test_generator_cycles_short_of_the_euler_count_raise(monkeypatch):
 def test_invariants_fill_few_table_entries():
     """A product monomial off the border reaches the table through a parent
     that already has an entry where one does: over the 77 trims of
-    `table --m 2..8`, `invariants` adds at most 6,534 normal-form entries
-    (8,378 when it always took the first non-standard parent)."""
-    made = 0
-    for m in range(2, 9):
-        for label in selector_labels(m):
-            kz = KoszulComplex(trimmed_ideal(TrimChoice(m, label), F).quotient_ring())
-            before = len(kz.ring._table)
+    `table --m 2..8`, each from a fresh g_m, `invariants` adds at most 6,534
+    normal-form entries (8,378 when it always took the first non-standard
+    parent).  Trimmed as `table` trims, 2m + 1 times from one g_m per m, a
+    trim holds its family's tables in every degree but that of g, so an entry
+    made for one trim serves its siblings: at most 503 (6,503 when each trim
+    copied its family's table)."""
+
+    def made(trims):
+        count = 0
+        for T in trims:
+            kz = KoszulComplex(T.quotient_ring())
+            before = sum(map(len, kz.ring._table))
             kz.invariants()
-            made += len(kz.ring._table) - before
-    assert made <= 6534
+            count += sum(map(len, kz.ring._table)) - before
+        return count
+
+    assert made(trimmed_ideal(TrimChoice(m, label), F)
+                for m in range(2, 9) for label in selector_labels(m)) <= 6534
+    families = [gorenstein_ideal(m, F) for m in range(2, 9)]
+    assert made(ideals.trim(I, k) for I in families for k in range(len(I.generators))) <= 503
 
 
 def _built_with_d3_count(ring, monkeypatch):
@@ -537,6 +548,23 @@ def test_multiply_rejects_bad_input():
         kz.multiply(cycle2, cycle2)  # lands beyond the top exterior degree
     with pytest.raises(ValueError):
         kz.class_coords(not_cycle)
+
+
+def test_class_product_rejects_bad_indices():
+    """Exterior degrees outside 0..3, or past 3 in sum, are a ValueError (the
+    sum with `wedge`'s and `multiply`'s message); a class index outside
+    0..n-1, negatives included, is an IndexError, never another class."""
+    kz = helpers.koszul(3, "d")
+    n = kz.ranks()
+    for i, j in ((1, 3), (4, 0), (0, 4), (2, 2)):
+        with pytest.raises(ValueError, match="^product lands beyond exterior degree 3$"):
+            kz.class_product(i, 0, j, 0)
+    for i, j in ((-1, 1), (1, -1), (-1, 4)):
+        with pytest.raises(ValueError, match="not in 0..3"):
+            kz.class_product(i, 0, j, 0)
+    for s, t in ((-1, 0), (0, -1), (n[1], 0), (0, n[2])):
+        with pytest.raises(IndexError):
+            kz.class_product(1, s, 2, t)
 
 
 def test_elements_with_foreign_words_are_rejected():
@@ -756,12 +784,16 @@ def test_random_pfaffian_trims_have_the_abstract_structure():
 
 @pytest.mark.slow
 def test_abstract_structure_at_scale():
-    """Opt-in (`pytest -m slow`): every trim at m = 16 and the d trim at m = 32
-    and 48 pass `pd_padding` with rank P_1 = r and padding (3, 4, 1), and
-    `a1_cycle_basis` gives mu cycles spanning A_1."""
-    for m, label in [(16, label) for label in selector_labels(16)] + [(32, "d"), (48, "d")]:
+    """Opt-in (`pytest -m slow`): every trim at m = 16 and 24 and the d trim
+    at m = 32 and 48 pass `pd_padding` with rank P_1 = r and padding
+    (3, 4, 1), and `a1_cycle_basis` gives mu cycles spanning A_1.  The 49
+    trims at m = 24 are made as `table` makes them, from one g_24."""
+    g24 = gorenstein_ideal(24, F)
+    for m, label in ([(m, label) for m in (16, 24) for label in selector_labels(m)]
+                     + [(32, "d"), (48, "d")]):
         choice = TrimChoice(m, label)
-        kz = KoszulComplex(trimmed_ideal(choice, F).quotient_ring())
+        ideal = ideals.trim(g24, choice.index) if m == 24 else trimmed_ideal(choice, F)
+        kz = KoszulComplex(ideal.quotient_ring())
         assert helpers.pd_padding(kz) == ([], kz.classify().params["r"], (3, 4, 1)), (m, label)
         mu, cycles = kz.ranks()[1], a1_cycle_basis(choice, kz)
         assert len(cycles) == mu, (m, label)

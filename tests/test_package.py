@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
@@ -111,6 +112,15 @@ def test_prime_field_accepts_only_certified_primes():
             PrimeField(char)
     for char in (2, 3, 32003, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59):
         assert PrimeField(char).char == char
+
+
+def test_prime_field_refuses_a_denominator_divisible_by_p():
+    with pytest.raises(ValueError, match="^1/2 has no value in F_2: its denominator is "
+                                         "divisible by 2$"):
+        PrimeField(2).of(Fraction(1, 2))
+    with pytest.raises(ValueError, match="no value in F_3"):
+        PrimeField(3).of("5/6")
+    assert PrimeField(5).of(Fraction(3, 2)) == 4 and PrimeField(3).of("6/3") == 2
 
 
 def test_rational_field_uses_gmpy2_when_installed():
