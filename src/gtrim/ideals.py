@@ -393,10 +393,11 @@ class QuotientRing:
         others): a'_d = a_d for d != e = deg g, so R' keeps R's bases and
         table objects but in degree e (an entry any ring of the family makes
         in them is right for all).  There a'_e, spanned by the multiples of
-        the others, is eliminated with pivots at leading monomials: the free
-        columns are std'_e, residues give the border entries, and R makes
-        x_v * u for the new u (a_e = a'_e + kg).  Past top_degree + 1,
-        a'_e = Q_e = a_e; where g is not minimal, a'_e = a_e too, and R' = R."""
+        the others (m*g starts in degree e + 1), is eliminated with pivots at
+        leading monomials: the free columns are std'_e, residues give the
+        border entries, and R makes x_v * u for the new u (a_e = a'_e + kg).
+        Past top_degree + 1, a'_e = Q_e = a_e; where g is not minimal,
+        a'_e = a_e too, and R' = R."""
         from .linalg import Echelon
 
         try:
@@ -412,7 +413,7 @@ class QuotientRing:
         monos = monomials_of_degree(e)[::-1]  # ascending term order
         col = {t: j for j, t in enumerate(monos)}
         span = Echelon(f)
-        for h in self.ideal.generators[3:]:  # after x*g, y*g, z*g
+        for h in self.ideal.generators:
             for s in monomials_of_degree(e - h.degree()):
                 span.add({col[mono_mul(t, s)]: c for t, c in h.terms.items()})
         level = tuple(t for t in reversed(monos) if col[t] not in span.rows)
@@ -528,6 +529,8 @@ class QuotientRing:
     def mult_column(self, var: int, mono) -> dict:
         """NF(x_var * mono) as sparse coordinates {index: coefficient} over
         basis(deg mono + 1); the dict is the table's, read-only."""
+        if not 0 <= var <= 2:
+            raise ValueError(f"variable index {var} is not in 0..2")
         return self._entry(mono_mul(mono, _VAR_MONOS[var]))
 
     def mult_matrix(self, var: int, d: int) -> list:

@@ -53,6 +53,11 @@ _WORD_STR = {(): "1", (0,): "e_x", (1,): "e_y", (2,): "e_z",
              (0, 1): "e_xy", (0, 2): "e_xz", (1, 2): "e_yz", (0, 1, 2): "e_xyz"}
 
 
+def _check_degree(i: int) -> None:
+    if not 0 <= i <= 3:
+        raise ValueError(f"exterior degree {i} is not in 0..3")
+
+
 def wedge_words(a: tuple, b: tuple):
     """(sign, merged word) for e_a ^ e_b, or None when a letter repeats."""
     if set(a) & set(b):
@@ -275,6 +280,7 @@ class KoszulComplex:
     def element_from_vector(self, i: int, vecs: dict) -> KoszulElement:
         """The element with sparse coordinates {internal degree d: {index:
         coefficient} in K_{i,d}}; the inverse of `_vectors`."""
+        _check_degree(i)
         return KoszulElement(i, {w: Polynomial(self.field, t)
                                  for w, t in self._terms(i, vecs).items()})
 
@@ -288,7 +294,9 @@ class KoszulComplex:
         return terms
 
     def _split(self, el: KoszulElement) -> dict:
-        """{word: {monomial: coefficient}} of an element over this ring's field."""
+        """{word: {monomial: coefficient}} of an element over this ring's
+        field; every element enters through here, so its degree is checked here."""
+        _check_degree(el.exterior_degree)
         if any(p.field != self.field for p in el.components.values()):
             raise ValueError("mismatched coefficient fields")
         if any(w not in _WORD_STR or len(w) != el.exterior_degree for w in el.components):
@@ -314,6 +322,7 @@ class KoszulComplex:
 
     def homology_basis(self, i: int) -> list:
         """Deterministic cycle representatives of a basis of A_i."""
+        _check_degree(i)
         return [self.element_from_vector(i, {d: vec}) for d, vec in self._reps[i]]
 
     def differential(self, el: KoszulElement) -> KoszulElement:
@@ -356,10 +365,10 @@ class KoszulComplex:
 
     def wedge(self, u: KoszulElement, v: KoszulElement) -> KoszulElement:
         """Exterior product with coefficients reduced in R, from `_product`."""
-        i = u.exterior_degree + v.exterior_degree
-        if i > 3:
+        words = self._split(u), self._split(v)
+        if (i := u.exterior_degree + v.exterior_degree) > 3:
             raise ValueError("product lands beyond exterior degree 3")
-        return self.element_from_vector(i, self._product(self._split(u), self._split(v)))
+        return self.element_from_vector(i, self._product(*words))
 
     def class_coords(self, el: KoszulElement) -> list:
         """Coordinates of the homology class of a cycle over the A_i basis."""

@@ -1,9 +1,11 @@
 """The skew-symmetric matrix family V_m and its trimmed Gorenstein ideals.
 
-U_m is the m x m symmetric band matrix with x, z, y along the three central
-anti-diagonals, d_m = det(U_m), and V_m is the (2m+1) x (2m+1) skew-symmetric
-matrix whose maximal sub-Pfaffians generate a height-3 Gorenstein ideal with
-2m+1 minimal generators of degree m.  Up to sign those sub-Pfaffians are
+One band rule builds both matrices: x, z, y on the three central
+anti-diagonals i + j = n-2, n-1, n (0-based) of an n x n matrix, 0 elsewhere.
+U_m is that Hankel matrix with n = m, and d_m = det(U_m).  V_m takes it with
+n = 2m+1, keeping the entries above the diagonal and their negatives below;
+its maximal sub-Pfaffians generate a height-3 Gorenstein ideal with 2m+1
+minimal generators of degree m.  Up to sign those sub-Pfaffians are
 x^(m-i) d_i, d_m and y^(m-i) d_i, so the ideals and the sub-Pfaffians are
 built from d_poly's closed form alone; nothing here expands a Pfaffian.
 Trimming replaces one generator g by (x, y, z)*g.
@@ -23,51 +25,34 @@ from .poly import Polynomial, PolyMatrix, variables
 _SELECTOR = re.compile(r"(x|y)(0|[1-9][0-9]*)|d")
 
 
-def build_u(m: int, field=None) -> PolyMatrix:
-    """The m x m band matrix: row i has x, z, y in columns m-i, m-i+1, m-i+2."""
-    if m < 1:
-        raise ValueError(f"matrix size must be positive, got {m}")
-    field = field or default_field()
+def _band(n: int, field) -> PolyMatrix:
+    """The n x n matrix with x, z, y on the anti-diagonals i + j = n-2, n-1, n
+    (0-based) and 0 elsewhere."""
     x, y, z = variables(field)
     zero = Polynomial.zero(field)
+    diagonals = {n - 2: x, n - 1: z, n: y}
+    return PolyMatrix.from_rows([[diagonals.get(i + j, zero) for j in range(n)]
+                                 for i in range(n)])
 
-    def entry(i: int, j: int) -> Polynomial:
-        if j == m - i:
-            return x
-        if j == m - i + 1:
-            return z
-        if j == m - i + 2:
-            return y
-        return zero
 
-    return PolyMatrix.from_rows(
-        [[entry(i, j) for j in range(1, m + 1)] for i in range(1, m + 1)])
+def build_u(m: int, field=None) -> PolyMatrix:
+    """U_m, the m x m Hankel band: x, z, y on the anti-diagonals i + j = m-2,
+    m-1, m (0-based)."""
+    if m < 1:
+        raise ValueError(f"matrix size must be positive, got {m}")
+    return _band(m, field or default_field())
 
 
 def build_v(m: int, field=None) -> PolyMatrix:
-    """The (2m+1) x (2m+1) skew-symmetric matrix built from U_m.
-
-    Block form with row/column blocks of sizes m, 1, m: zero block, a column
-    with x in its last entry, U_m on the first block row; the middle row has
-    y in its first entry past the center; the lower-left block is -U_m.
-    """
+    """V_m, the (2m+1) x (2m+1) skew-symmetric band: above the diagonal x, z, y
+    on the anti-diagonals i + j = 2m-1, 2m, 2m+1 (0-based), their negatives
+    below, and a zero diagonal."""
     if m < 1:
         raise ValueError(f"matrix size must be positive, got {m}")
-    field = field or default_field()
-    x, y, z = variables(field)
-    zero = Polynomial.zero(field)
-    u = build_u(m, field)
-    n = 2 * m + 1
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            rows[i][m + 1 + j] = u.entry(i, j)
-            rows[m + 1 + i][j] = -u.entry(i, j)
-    rows[m - 1][m] = x
-    rows[m][m - 1] = -x
-    rows[m][m + 1] = y
-    rows[m + 1][m] = -y
-    return PolyMatrix.from_rows(rows)
+    field, n = field or default_field(), 2 * m + 1
+    band, zero = _band(n, field).entries, Polynomial.zero(field)
+    return PolyMatrix.from_rows([[band[i][j] if i < j else -band[j][i] if i > j else zero
+                                  for j in range(n)] for i in range(n)])
 
 
 def d_poly(m: int, field=None) -> Polynomial:
@@ -121,16 +106,11 @@ def check_family_size(m: int) -> None:
 
 
 def family_hilbert(m: int) -> list:
-    """Closed-form Hilbert function of Q/g_m: binomials mirrored around degree m-1."""
+    """Closed-form Hilbert function of Q/g_m: h_d = C(min(d, 2m-2-d) + 2, 2)
+    for d = 0..2m-2, binomials mirrored around degree m-1."""
     if m < 1:
         raise ValueError(f"family index must be >= 1, got {m}")
-    coeffs = [0] * (2 * m - 1)
-    for i in range(m - 1):
-        value = math.comb(i + 2, 2)
-        coeffs[i] += value
-        coeffs[2 * m - 2 - i] += value
-    coeffs[m - 1] += math.comb(m + 1, 2)
-    return coeffs
+    return [math.comb(min(d, 2 * m - 2 - d) + 2, 2) for d in range(2 * m - 1)]
 
 
 def selector_labels(m: int) -> list:

@@ -547,8 +547,9 @@ def test_stdout_frozen_by_digest(capsys):
     moved to coordinates, the text and CSV ones before `classify` and
     `table` shared one route to the displayed class, the `hilbert` ones
     before it read the Hilbert function off `quotient_ring()`, the interior
-    trims (A_3 in two degrees) before H_3 was read off the exact socle.  No
-    class, rank, Hilbert function or rendered byte moves."""
+    trims (A_3 in two degrees) before H_3 was read off the exact socle, the
+    `gen` ones before U_m and V_m came from one band rule.  No class, rank,
+    Hilbert function, matrix or rendered byte moves."""
     for argv, digest in (
             (["table", "--m", "2..8"],
              "b564f3154460abade1875a989de277fd7507f16500cc67b862ce4c3dcbe42e19"),
@@ -573,7 +574,15 @@ def test_stdout_frozen_by_digest(capsys):
             (["classify", "--char", "0", "--m", "9", "--trim", "x4"],
              "0870838b28ae15a7403a58e12c89cd1bde74774553285daf089241c4e6ff7d1f"),
             (["classify", "--char", "0", "--m", "9", "--trim", "d"],
-             "1c2c9d9f6a676d4e778c99f7655f1b3c1918bbc82fc90311e40fd6e462a09dcc")):
+             "1c2c9d9f6a676d4e778c99f7655f1b3c1918bbc82fc90311e40fd6e462a09dcc"),
+            (["gen", "--m", "12"],
+             "b8221c8d3925cbdf9674a904c2924a34dbd1ff67eb6aeb084f6e52d3b24489d2"),
+            (["gen", "--char", "0", "--m", "12"],
+             "b8221c8d3925cbdf9674a904c2924a34dbd1ff67eb6aeb084f6e52d3b24489d2"),
+            (["gen", "--m", "7", "--format", "text"],
+             "e3751b5bfe6be6a0e5346a765ad9ca64f7328a786c3f9e3b2cce14781cff3126"),
+            (["gen", "--char", "0", "--m", "7", "--format", "text"],
+             "e3751b5bfe6be6a0e5346a765ad9ca64f7328a786c3f9e3b2cce14781cff3126")):
         code, out, err = run_cli(argv, capsys)
         assert code == 0 and err == "", argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

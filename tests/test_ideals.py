@@ -402,6 +402,18 @@ def test_normal_form_table_matches_heap_reduction():
             ring.coordinates(Polynomial.variable(helpers.field(3 if fld.char != 3 else 2), "x"))
 
 
+def test_multiplication_refuses_a_variable_index_outside_0_to_2():
+    """`mult_column` and `mult_matrix` take x, y, z as 0, 1, 2: a negative
+    index is refused, not read as z from the end, and 3 is a ValueError too."""
+    ring = helpers.family_ideal(3).quotient_ring()
+    b = ring.basis(1)[0]
+    for var in (-1, -3, 3):
+        with pytest.raises(ValueError, match=f"^variable index {var} is not in 0..2$"):
+            ring.mult_column(var, b)
+        with pytest.raises(ValueError, match=f"^variable index {var} is not in 0..2$"):
+            ring.mult_matrix(var, 1)
+
+
 def test_component_basis_matches_hilbert():
     I = helpers.family_ideal(2)
     h = I.quotient_ring().hilbert().coefficients + (0, 0)

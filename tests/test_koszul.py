@@ -567,6 +567,26 @@ def test_class_product_rejects_bad_indices():
             kz.class_product(1, s, 2, t)
 
 
+def test_exterior_degrees_outside_0_to_3_are_rejected():
+    """Every public entry point refuses an exterior degree of -1 or 4 with
+    one ValueError, empty elements included: none reads a neighbouring A_i
+    by negative indexing, answers as if the element were a cycle or ends in
+    another error."""
+    kz = helpers.koszul(3, "d")
+    b = kz.homology_basis(3)[0]
+    for i in (-1, 4):
+        bad = KoszulElement(i, {})
+        calls = [lambda: kz.element_from_vector(i, {}), lambda: kz.homology_basis(i)]
+        calls += [functools.partial(call, bad) for call in (
+            kz.reduce_element, kz.differential, kz.is_cycle, kz.class_coords,
+            kz.is_boundary, lambda el: annihilates_a1(kz, el))]
+        calls += [functools.partial(call, *args) for call in (kz.wedge, kz.multiply)
+                  for args in ((bad, b), (b, bad))]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^exterior degree {i} is not in 0..3$"):
+                call()
+
+
 def test_elements_with_foreign_words_are_rejected():
     """A word that is not sorted distinct letters of the element's exterior
     degree is refused on the way into coordinates, not read as another
