@@ -108,7 +108,8 @@ def _normal_form_terms(terms, reducers: _Reducers, field):
         a, b, c = mono_div(mono, reducers.lms[j])
         tail = {(p + a, q + b, r + c): v for (p, q, r), v in reducers.polys[j].terms.items()}
         del tail[mono]  # the monic leading term, which coeff cancels
-        for t in tail.keys() - work.keys():  # new terms: coeff and tail[t] are nonzero
+        # new terms (coeff and tail[t] are nonzero); a keys() view difference would walk all of work
+        for t in set(tail).difference(work):
             heapq.heappush(heap, (-t[0] - t[1] - t[2], t[2], t[1], t))
         field.sub_multiple(work, coeff, tail)
     return out
@@ -356,9 +357,13 @@ class QuotientRing:
     (so the Hilbert function never pays for them).  A trim a' of a at g is a
     in every degree but e = deg g, so its ring is derived from a's (`_derive`),
     with no Groebner basis of a', and holds a's tables but in degree e.
+    The Koszul layer reads R by level s: R_s, R_s+1 and the multiplication
+    between them.  A trim changes levels e - 1 and e alone, and its ring holds
+    its family's memo dict (`level`) at every other level; on those two it
+    keeps nothing, as only the cycle collector frees it (its ideal holds it).
     """
 
-    __slots__ = ("ideal", "field", "std", "top_degree", "_index", "_table")
+    __slots__ = ("ideal", "field", "std", "top_degree", "_index", "_table", "_levels")
 
     def __init__(self, ideal: Ideal):
         # I_d is spanned by the m * g, so dim R_d >= C(d+2, 2) - sum_g C(d - deg g + 2, 2):
@@ -382,20 +387,21 @@ class QuotientRing:
             if not ideal.is_n_primary():
                 raise NotNPrimaryError(_NOT_ARTINIAN)
             std, self._index = _staircase(set(ideal.leading_monomials()))
-            self._table = None
+            self._table, self._levels = None, [{} for _ in std]
         else:
-            std, self._index, self._table = self._derive(*ideal._parent)
+            std, self._index, self._table, self._levels = self._derive(*ideal._parent)
         self.std = tuple(std)
         self.top_degree = len(std) - 1
 
     def _derive(self, parent: Ideal, g) -> tuple:
-        """(std, index, tables) of R' = Q/a' from R = Q/a, a' = m*g + (the
-        others): a'_d = a_d for d != e = deg g, so R' keeps R's bases and
+        """(std, index, tables, levels) of R' = Q/a' from R = Q/a, a' = m*g +
+        (the others): a'_d = a_d for d != e = deg g, so R' keeps R's bases and
         table objects but in degree e (an entry any ring of the family makes
-        in them is right for all).  There a'_e, spanned by the multiples of
-        the others (m*g starts in degree e + 1), is eliminated with pivots at
-        leading monomials: the free columns are std'_e, residues give the
-        border entries, and R makes x_v * u for the new u (a_e = a'_e + kg).
+        in them is right for all), and R's level memos but at e - 1 and e.
+        There a'_e, spanned by the multiples of the others (m*g starts in
+        degree e + 1), is eliminated with pivots at leading monomials: the
+        free columns are std'_e, residues give the border entries, and R
+        makes x_v * u for the new u (a_e = a'_e + kg).
         Past top_degree + 1, a'_e = Q_e = a_e; where g is not minimal,
         a'_e = a_e too, and R' = R."""
         from .linalg import Echelon
@@ -409,7 +415,7 @@ class QuotientRing:
         f, e = self.field, g.degree()
         std, index, tables = list(ring.std), list(ring._index), list(ring._nf_table())
         if e > ring.top_degree + 1:
-            return std, index, tables
+            return std, index, tables, ring._levels
         monos = monomials_of_degree(e)[::-1]  # ascending term order
         col = {t: j for j, t in enumerate(monos)}
         span = Echelon(f)
@@ -418,7 +424,7 @@ class QuotientRing:
                 span.add({col[mono_mul(t, s)]: c for t, c in h.terms.items()})
         level = tuple(t for t in reversed(monos) if col[t] not in span.rows)
         if level == ring.basis(e):  # a'_e = a_e: g is not minimal, and R' = R
-            return std, index, tables
+            return std, index, tables, ring._levels
         std[e:e + 1], index[e:e + 1] = [level], [{t: j for j, t in enumerate(level)}]
         if sum(map(len, std)) > MAX_DIM:
             raise _too_large()
@@ -429,7 +435,9 @@ class QuotientRing:
         if e < ring.top_degree:  # x_v * u, u new in std'_e, is on the border below the top
             for t in [mono_mul(u, v) for u in level if u not in ring._index[e] for v in _VAR_MONOS]:
                 ring._entry(t)  # R makes it in the degree-(e + 1) table that R' shares
-        return std, index, tables
+        # no memo (None) on the two levels R' does not share; at e = top + 1, std has grown
+        levels = [None if s in (e - 1, e) else memo for s, memo in enumerate(ring._levels + [None])]
+        return std, index, tables, levels[:len(std)]
 
     def dim(self) -> int:
         return sum(len(level) for level in self.std)
@@ -442,16 +450,27 @@ class QuotientRing:
             return self.std[d]
         return ()
 
+    def level(self, s: int) -> dict:
+        """The memo of level s (what is read off R_s, R_s+1 and x_v between
+        them): the family's own dict where R shares level s with it, else a
+        fresh dict kept nowhere.  Its entries are read-only, like the table's."""
+        memo = self._levels[s] if 0 <= s < len(self._levels) else None
+        return {} if memo is None else memo
+
     def socle(self, e: int) -> list:
         """A basis of the socle of R in degree e, as sparse coordinates over
         basis(e).  Under grevlex with z last, in(I : z) = in(I) : z (Bayer-
         Stillman), so z divides NF(z*b) for a standard b with z*b not standard,
         and the f_b = b - NF(z*b)/z span ker(z: R_e -> R_e+1).  The socle is
-        the relations among the columns (x*f_b, y*f_b), one tagged elimination."""
+        the relations among the columns (x*f_b, y*f_b), one tagged elimination,
+        kept in the level-e memo (read-only)."""
         from .linalg import Echelon
 
         if not 0 <= e <= self.top_degree:
             return []
+        memo = self.level(e)
+        if "socle" in memo:
+            return memo["socle"]
         f, basis, index, z = self.field, self.std[e], self._index[e], _VAR_MONOS[2]
         above, standard = self.basis(e + 1), self._index[e + 1] if e < self.top_degree else {}
         kernel = []
@@ -473,6 +492,7 @@ class QuotientRing:
                 for s, c in rel.items():
                     f.sub_multiple(soc, f.neg(c), kernel[s])
                 out.append(soc)
+        memo["socle"] = out
         return out
 
     # ---- the normal-form table ---------------------------------------------
@@ -537,6 +557,8 @@ class QuotientRing:
         """Dense matrix of multiplication by x_var from degree d to degree
         d+1, one row per basis(d + 1) monomial, from `mult_column`; built on
         each call, not cached."""
+        if not 0 <= var <= 2:  # here too: where basis(d) is empty no mult_column runs
+            raise ValueError(f"variable index {var} is not in 0..2")
         source = self.basis(d)
         mat = [[self.field.zero] * len(source) for _ in self.basis(d + 1)]
         for j, mono in enumerate(source):

@@ -30,6 +30,13 @@ live H_2.  Where A is zero a cycle's class is zero.  A product [a][b] lies
 in internal degree deg a + deg b, and `class_product` forms it only where
 `_classes`, the one record of where A lives, holds A_{i+j} in that degree.
 
+Each elimination reads one level s of R (R_s, R_s+1 and the multiplication
+between them): the socle in degree s level s, d_2 in internal degree d
+level d - 2, d_3 level d - 3.  A trim at g changes levels deg g - 1 and
+deg g alone, so the socle, the whole d_2 of a generator degree and the d_3
+image go into the level memo (`QuotientRing.level`), shared by a family's
+trims on every other level; a ring adds its classes to a copy of the rows dict.
+
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
 on A give the invariants (p, q, r) of the Tor-algebra classification.  The
@@ -227,23 +234,41 @@ class KoszulComplex:
                 if chi + h3:
                     self._keep(2, d, self._boundaries(d), self._cycles(d, Echelon(f)), chi + h3)
             else:
-                image = Echelon(f)
-                cycles = list(self._cycles(d, image))
-                h2 = len(cycles) - (self.component_size(3, d) - h3)
+                rank3 = self.component_size(3, d) - h3
+                rows, nullity, cycles = self._whole_d2(d, rank3)
+                h2 = nullity - rank3
                 if h2:
                     self._keep(2, d, self._boundaries(d), cycles, h2)
                 h1 = h2 - h3 - chi  # chi_d = -h_1 + h_2 - h_3 here
                 if h1:
-                    image.rows = {p: (row, {}) for p, (row, _) in image.rows.items()}
-                    self._keep(1, d, image, (self._coords(_generator_cycle(g)).get(d, {})
-                                             for g in gens if g.degree() == d), h1)
+                    gen_cycles = (self._coords(_generator_cycle(g)).get(d, {})
+                                  for g in gens if g.degree() == d)
+                    self._keep(1, d, Echelon(f, rows), gen_cycles, h1)
+
+    def _whole_d2(self, d: int, rank3: int) -> tuple:
+        """(rows, nullity, relations) of the whole d_2 in internal degree d,
+        kept in the level-(d - 2) memo: the image rows untagged, and the
+        relations (the cycles) only where h_2 = nullity - rank3 > 0, else None.
+        Every ring that shares the level has the same rank3 = rank d_3, as a
+        trim at g of degree d - 3 adds g to R_d-3 and to its socle alike."""
+        memo = self.ring.level(d - 2)
+        if "d2" not in memo:
+            image, untagged = Echelon(self.field), {}  # one empty tag dict: rows never change
+            cycles = list(self._cycles(d, image))
+            memo["d2"] = ({p: (row, untagged) for p, (row, _) in image.rows.items()},
+                          len(cycles), cycles if len(cycles) > rank3 else None)
+        return memo["d2"]
 
     def _boundaries(self, d: int) -> Echelon:
-        """The image of d_3 in internal degree d, eliminated with no tags."""
-        image = Echelon(self.field)
-        for c in range(self.component_size(3, d)):
-            image.add(self._diff_column(3, d, c))
-        return image
+        """The image of d_3 in internal degree d, eliminated with no tags once
+        per level-(d - 3) memo; each call returns a copy of its rows dict."""
+        memo = self.ring.level(d - 3)
+        if "d3" not in memo:
+            image = Echelon(self.field)
+            for c in range(self.component_size(3, d)):
+                image.add(self._diff_column(3, d, c))
+            memo["d3"] = image.rows
+        return Echelon(self.field, memo["d3"])
 
     def _cycles(self, d: int, image: Echelon):
         """The cycles of K_2,d, lazily, from one elimination of the columns of

@@ -35,9 +35,10 @@ class Echelon:
 
     __slots__ = ("field", "rows")
 
-    def __init__(self, field):
+    def __init__(self, field, rows=()):
         self.field = field
-        self.rows = {}  # pivot column -> (row, {tag: coefficient})
+        # pivot column -> (row, {tag: coefficient}); given rows are shared, never changed
+        self.rows = dict(rows)
 
     @property
     def rank(self) -> int:

@@ -9,11 +9,13 @@ import pytest
 import helpers
 from gtrim import (
     Ideal,
+    KoszulComplex,
     Polynomial,
     QuotientRing,
     TrimChoice,
     canonical_generators,
     gorenstein_ideal,
+    report_dict,
     selector_labels,
     trim,
     trimmed_ideal,
@@ -404,7 +406,9 @@ def test_normal_form_table_matches_heap_reduction():
 
 def test_multiplication_refuses_a_variable_index_outside_0_to_2():
     """`mult_column` and `mult_matrix` take x, y, z as 0, 1, 2: a negative
-    index is refused, not read as z from the end, and 3 is a ValueError too."""
+    index is refused, not read as z from the end, and 3 is a ValueError too.
+    `mult_matrix` refuses it also in a degree with no basis, where it forms
+    no column."""
     ring = helpers.family_ideal(3).quotient_ring()
     b = ring.basis(1)[0]
     for var in (-1, -3, 3):
@@ -412,6 +416,9 @@ def test_multiplication_refuses_a_variable_index_outside_0_to_2():
             ring.mult_column(var, b)
         with pytest.raises(ValueError, match=f"^variable index {var} is not in 0..2$"):
             ring.mult_matrix(var, 1)
+    for var, d in ((-1, 99), (7, -5)):
+        with pytest.raises(ValueError, match=f"^variable index {var} is not in 0..2$"):
+            ring.mult_matrix(var, d)
 
 
 def test_component_basis_matches_hilbert():
@@ -573,6 +580,41 @@ def test_derived_trim_ring_matches_walked_ring():
                 cases.add((min(max(g.degree() - ring.top_degree, 0), 2),
                            derived.dim() - ring.dim()))
     assert cases == {(0, 1), (0, 0), (1, 1), (1, 0), (2, 0)}
+
+
+def test_derived_trim_ring_shares_its_family_level_memos():
+    """Level s (R_s, R_s+1 and the multiplication between them) is the same
+    for a trim at g as for its family but at s = deg g - 1 and deg g.  So the
+    derived ring's memo is its family's own dict at every other level, and
+    on those two (and outside 0..top) it is a fresh dict per call, kept
+    nowhere; a ring equal to its family's shares every level.  Every trim of g_m, m = 2..8, and of
+    60 random artinian ideals (seed 7), over F_2, F_3, F_32003 and Q, and
+    (x^2, y^2, z^2, xyz) at xyz, where deg g = top + 1 and std grows by one
+    degree: its homology matches the walked ring's."""
+    def check(parent, k):
+        ring, e = parent.quotient_ring(), parent.generators[k].degree()
+        derived = trim(parent, k).quotient_ring()
+        own = set() if derived.std == ring.std else {e - 1, e}
+        for s in range(-1, len(derived.std) + 1):
+            if s in own or not 0 <= s < len(derived.std):
+                assert derived.level(s) is not derived.level(s), (parent, k, s)
+            else:
+                assert derived.level(s) is ring.level(s), (parent, k, s)
+        return derived
+
+    for char in (2, 3, 32003, 0):
+        fld, rng = helpers.field(char), random.Random(7)
+        parents = [gorenstein_ideal(m, fld) for m in range(2, 9)]
+        parents += [helpers.random_artinian_ideal(rng, fld) for _ in range(60)]
+        for parent in parents:
+            for k in range(len(parent.generators)):
+                check(parent, k)
+    ci = Ideal([X * X, Y * Y, Z * Z, X * Y * Z])
+    derived = check(ci, 3)
+    assert (ci.quotient_ring().top_degree, derived.top_degree) == (2, 3)
+    walked = QuotientRing(Ideal(derived.ideal.generators))
+    assert derived.std == walked.std
+    assert report_dict(KoszulComplex(derived)) == report_dict(KoszulComplex(walked))
 
 
 def test_trimmed_ideal_is_strictly_smaller():
