@@ -548,8 +548,10 @@ def test_stdout_frozen_by_digest(capsys):
     `table` shared one route to the displayed class, the `hilbert` ones
     before it read the Hilbert function off `quotient_ring()`, the interior
     trims (A_3 in two degrees) before H_3 was read off the exact socle, the
-    `gen` ones before U_m and V_m came from one band rule.  No class, rank,
-    Hilbert function, matrix or rendered byte moves."""
+    `gen` ones before U_m and V_m came from one band rule, the small-
+    characteristic tables before trims read products off the family's
+    pairing.  No class, rank, Hilbert function, matrix or rendered byte
+    moves."""
     for argv, digest in (
             (["table", "--m", "2..8"],
              "b564f3154460abade1875a989de277fd7507f16500cc67b862ce4c3dcbe42e19"),
@@ -565,6 +567,10 @@ def test_stdout_frozen_by_digest(capsys):
              "cea2df432a0b192e3294429f375a1028b2cf4ac8945fedb61f1250fb09281461"),
             (["table", "--char", "0", "--m", "2..7"],
              "b942a106d31440228f011c04c17ea489c62ea36f8a3b0f2bc6c33bbde731f260"),
+            (["table", "--m", "2..8", "--char", "2"],
+             "461c47a260c854fca0b4886e4761cdcb1076cbd591b9b2a9cc28e3b6a86f04c7"),
+            (["table", "--m", "2..8", "--char", "3"],
+             "9c942eaff818121473efb28b17ff53e7553a2b6fddf27c981dca90c15f24da53"),
             (["hilbert", "--m", "17"],
              "31ef7906b3e0a412f96927885c9485cb4f9c854b424f9d4489714df2b74a36a9"),
             (["hilbert", "--m", "16", "--format", "csv"],
