@@ -199,11 +199,12 @@ def _classify_target(args) -> Ideal:
     return trimmed_ideal(choice, _field(args))
 
 
-def _classified(ideal: Ideal) -> tuple:
-    """The classify record of Q/ideal and its displayed class; the complex is freed on return."""
+def _classified(ideal: Ideal, family=None) -> tuple:
+    """The classify record of Q/ideal and its displayed class; the complex is
+    freed on return.  A trim's products may read `family`, its family's complex."""
     from .koszul import KoszulComplex, report_dict
 
-    kz = KoszulComplex(ideal.quotient_ring())
+    kz = KoszulComplex(ideal.quotient_ring(), family)
     return report_dict(kz), kz.classify().display()
 
 
@@ -223,11 +224,14 @@ def cmd_table(args) -> str:
     lo, hi = args.m
     field = _field(args)
     check_family_size(hi)
+    from .koszul import KoszulComplex
+
     rows = []
     for m in range(lo, hi + 1):
         family = gorenstein_ideal(m, field)  # every trim's ring is derived from its ring
+        family_kz = KoszulComplex(family.quotient_ring())  # the trims read its products
         for index, g in enumerate(family.generators):
-            report, display = _classified(trim(family, index))
+            report, display = _classified(trim(family, index), family_kz)
             rows.append({"m": m, "g": g.to_text(),
                          **{k: report[k] for k in ("mu", "type", "p", "q", "r")},
                          "class": display})

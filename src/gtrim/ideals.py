@@ -294,7 +294,7 @@ class Ideal:
     def quotient_ring(self) -> "QuotientRing":
         if self._ring is None:
             self._ring = QuotientRing(self)
-            self._parent = None  # a derived ring holds no reference to its parent's
+            self._parent = None  # a derived ring reaches its parent's through `parent`
         return self._ring
 
 
@@ -361,9 +361,11 @@ class QuotientRing:
     between them.  A trim changes levels e - 1 and e alone, and its ring holds
     its family's memo dict (`level`) at every other level; on those two it
     keeps nothing, as only the cycle collector frees it (its ideal holds it).
+    `parent` is (R, e) for a ring derived from R at a generator of degree e,
+    else None.
     """
 
-    __slots__ = ("ideal", "field", "std", "top_degree", "_index", "_table", "_levels")
+    __slots__ = ("ideal", "field", "std", "top_degree", "parent", "_index", "_table", "_levels")
 
     def __init__(self, ideal: Ideal):
         # I_d is spanned by the m * g, so dim R_d >= C(d+2, 2) - sum_g C(d - deg g + 2, 2):
@@ -383,6 +385,7 @@ class QuotientRing:
                 f"dim R): the generator degrees leave at least {bound}")
         self.ideal = ideal
         self.field = ideal.field
+        self.parent = None
         if ideal._parent is None:
             if not ideal.is_n_primary():
                 raise NotNPrimaryError(_NOT_ARTINIAN)
@@ -413,6 +416,7 @@ class QuotientRing:
                 raise NotNPrimaryError(_NOT_ARTINIAN)
             raise _too_large()
         f, e = self.field, g.degree()
+        self.parent = ring, e
         std, index, tables = list(ring.std), list(ring._index), list(ring._nf_table())
         if e > ring.top_degree + 1:
             return std, index, tables, ring._levels
@@ -527,11 +531,13 @@ class QuotientRing:
         parent that has an entry if one does, else through the first, until
         an entry exists, then climbs back, keeping every entry made on the way.
         The normal form does not depend on the path; the entries made do."""
-        d = mono_degree(t)
+        d = t[0] + t[1] + t[2]
         if d > self.top_degree:
             return {}
-        f, tables = self.field, self._nf_table()
-        letters = []
+        tables = self._nf_table()
+        if (vec := tables[d].get(t)) is not None:
+            return vec
+        f, letters = self.field, []
         while t not in tables[d]:
             up = [q for q in _parents(t) if q[1] not in self._index[d - 1]]
             w, t = next((q for q in up if q[1] in tables[d - 1]), up[0])
@@ -551,7 +557,8 @@ class QuotientRing:
         basis(deg mono + 1); the dict is the table's, read-only."""
         if not 0 <= var <= 2:
             raise ValueError(f"variable index {var} is not in 0..2")
-        return self._entry(mono_mul(mono, _VAR_MONOS[var]))
+        a, b, c = mono
+        return self._entry(((a + 1, b, c), (a, b + 1, c), (a, b, c + 1))[var])
 
     def mult_matrix(self, var: int, d: int) -> list:
         """Dense matrix of multiplication by x_var from degree d to degree

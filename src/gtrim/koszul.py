@@ -12,8 +12,8 @@ the relations among its columns are the cycles, and the rows left behind
 span the boundaries below; d_3 is eliminated only for its image, d_1
 never.  An element enters coordinates one way, `_coords`, one entry of the
 quotient ring's normal-form table per monomial; reduction,
-the differential, cycle checks and classes all read them.  Products have
-one route, `_product`, for `wedge`, `multiply`, `class_product` and
+the differential, cycle checks and classes all read them.  Products are
+formed one way, `_product`, for `wedge`, `multiply`, `class_product` and
 `annihilates_a1`: the words of two factors multiply with their exterior
 sign, each product monomial reads one table entry, with no Polynomial product.
 
@@ -37,11 +37,20 @@ deg g alone, so the socle, the whole d_2 of a generator degree and the d_3
 image go into the level memo (`QuotientRing.level`), shared by a family's
 trims on every other level; a ring adds its classes to a copy of the rows dict.
 
+A trim R' of the family's R at g of degree e reads most A_1 x A_2 products
+off the family's complex, passed as `family` (`table` does).  K(R') -> K(R)
+is a map of DG algebras, the identity on coordinates in every coefficient
+degree but e, and no boundary reaches K_3 as K_4 = 0.  So for classes in
+internal degrees du and dv, d = du + dv, with e none of du - 1 and dv - 2
+(the factors), d - 3 (the product) and d - 2 (its socle), the product is
+sum a_s c_t [z_s w_t] exactly, over the family's classes z_s and w_t the
+factors map to, on the family's A_3 classes of degree d, the same socle.
+Each [z_s w_t] is formed once, by the family's `class_product`; any other
+pair of R' is formed directly.
+
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
-on A give the invariants (p, q, r) of the Tor-algebra classification.  The
-explicit A_1 bases of the trims are `_generator_cycle`s too; only their
-annihilator cycle is hand-built.
+on A give the invariants (p, q, r) of the Tor-algebra classification.
 """
 
 from __future__ import annotations
@@ -174,12 +183,14 @@ def _generator_cycle(g: Polynomial) -> KoszulElement:
 class KoszulComplex:
     """Homology of the Koszul complex of a quotient ring, with multiplication."""
 
-    def __init__(self, ring: QuotientRing):
-        self.ring = ring
-        self.field = ring.field
+    def __init__(self, ring: QuotientRing, family: KoszulComplex | None = None):
+        if family is not None and (ring.parent is None or ring.parent[0] is not family.ring):
+            raise ValueError("family is not the complex of the ring this ring is derived from")
+        self.ring, self.family, self.field = ring, family, ring.field
         self._reps = ([], [], [], [])  # per exterior degree: (internal degree, cycle)
         self._classes = {}  # (i, d) -> Echelon: boundaries untagged, representatives tagged
         self._inv = None
+        self._lifts, self._pairing = {}, {}  # the memos of `_lift` and `_family_product`
         self._build_homology()
         # per class of A_i: (internal degree, {word: {monomial: coefficient}})
         self._words = [[(d, self._terms(i, {d: vec})) for d, vec in reps]
@@ -199,12 +210,18 @@ class KoszulComplex:
         source = ring.basis(d - i)
         h_tgt = len(ring.basis(d - i + 1))
         w = WORDS[i][k // len(source)]
-        mono = source[k % len(source)]
+        a, b, c = source[k % len(source)]
+        shifted = ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1))
         col = {}
         for t, letter in enumerate(w):
             base = WORD_INDEX[i - 1][w[:t] + w[t + 1:]] * h_tgt
-            for r, val in ring.mult_column(letter, mono).items():
-                col[base + r] = f.neg(val) if t % 2 else val
+            entry = ring._entry(shifted[letter])
+            if t % 2:
+                for r, val in entry.items():
+                    col[base + r] = f.neg(val)
+            else:
+                for r, val in entry.items():
+                    col[base + r] = val
         return col
 
     def _build_homology(self):
@@ -420,7 +437,8 @@ class KoszulComplex:
 
     def class_product(self, i: int, s: int, j: int, t: int) -> list:
         """Class coordinates of basis class s of A_i times basis class t of A_j,
-        by `_product`; zero, not formed, where A_{i+j} has no class in its degree.
+        by `_product`, or off the family's pairing where `_family_product`
+        allows; zero, not formed, where A_{i+j} has no class in its degree.
         Degrees outside 0..3 or past 3 in sum, and class indices out of range, are refused."""
         if min(i, j) < 0 or i + j > 3:
             raise ValueError(f"exterior degrees {i} and {j} are not in 0..3" if min(i, j) < 0
@@ -430,7 +448,37 @@ class KoszulComplex:
         (du, u), (dv, v) = self._words[i][s], self._words[j][t]
         if (i + j, du + dv) not in self._classes:
             return [self.field.zero] * len(self._reps[i + j])
+        if self.family is not None and (i, j) == (1, 2) and \
+                self.ring.parent[1] not in (du - 1, dv - 2, du + dv - 3, du + dv - 2):
+            return self._family_product(s, t, du + dv)
         return self._class_coords(i + j, self._product(u, v))
+
+    def _family_product(self, s: int, t: int, d: int) -> list:
+        """class_product(1, s, 2, t) as sum a_s' c_t' [z_s' w_t'] over the family's
+        classes (module docstring), each [z_s' w_t'] by the family's `class_product` once."""
+        fam, f, acc = self.family, self.field, {}
+        for s_fam, a in self._lift(1, s).items():
+            for t_fam, c in self._lift(2, t).items():
+                if (s_fam, t_fam) not in fam._pairing:
+                    prod = fam.class_product(1, s_fam, 2, t_fam)
+                    fam._pairing[s_fam, t_fam] = {k: x for k, x in enumerate(prod) if x}
+                f.sub_multiple(acc, f.neg(f.mul(a, c)), fam._pairing[s_fam, t_fam])
+        out = [f.zero] * len(self._reps[3])
+        if acc:  # shifted from the family's A_3 basis to this one's
+            shift = sum(e < d for e, _ in self._reps[3]) - sum(e < d for e, _ in fam._reps[3])
+            for k, c in acc.items():
+                out[k + shift] = c
+        return out
+
+    def _lift(self, i: int, s: int) -> dict:
+        """Class s of A_i, its coordinates read in the family's ring (the same
+        outside degree e), over the family's A_i basis: {} where the family has
+        no A_i in its degree, so that the class maps to a boundary."""
+        if (i, s) not in self._lifts:
+            d, vec = self._reps[i][s]
+            space = self.family._classes.get((i, d))
+            self._lifts[(i, s)] = {} if space is None else space.solve(vec)
+        return self._lifts[(i, s)]
 
     def multiply(self, u: KoszulElement, v: KoszulElement) -> list:
         """Class coordinates of [u][v], the class of u ^ v by `_product`; cycles only."""
@@ -446,19 +494,21 @@ class KoszulComplex:
     # ---- invariants and classification ------------------------------------
 
     def invariants(self) -> TorInvariants:
-        """(p, q, r) from A_1 x A_1 -> A_2 and A_1 x A_2 -> A_3, one
-        `class_product` per pair of basis classes."""
+        """(p, q, r) from A_1 x A_1 -> A_2 and A_1 x A_2 -> A_3, one `class_product`
+        per pair of basis classes whose product lands where `_classes` has A_2 or A_3."""
         if self._inv is None:
             _, n1, n2, n3 = self.ranks()
+            deg1, deg2 = ([d for d, _ in reps] for reps in self._reps[1:3])
             p_span, q_span, r_span = (Echelon(self.field) for _ in range(3))
-            pairs = [self.class_product(1, s, 1, t) for s in range(n1) for t in range(s + 1, n1)]
-            for prod in filter(any, pairs):  # a zero product adds nothing to a span
+            for prod in (self.class_product(1, s, 1, t) for s in range(n1) for t in range(s + 1, n1)
+                         if (2, deg1[s] + deg1[t]) in self._classes):
                 p_span.add(prod)
             for g in range(n2):  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
-                prods = [self.class_product(1, e, 2, g) for e in range(n1)]
-                for prod in filter(any, prods):
+                prods = {e: self.class_product(1, e, 2, g) for e in range(n1)
+                         if (3, deg1[e] + deg2[g]) in self._classes}
+                for prod in filter(any, prods.values()):  # a zero product adds nothing
                     q_span.add(prod)
-                r_span.add([c for prod in prods for c in prod])
+                r_span.add({e * n3 + k: c for e, v in prods.items() for k, c in enumerate(v) if c})
             self._inv = TorInvariants(p=p_span.rank, q=q_span.rank, r=r_span.rank,
                                       mu=n1, type_rank=n3)
         return self._inv

@@ -52,6 +52,8 @@ class Echelon:
         f, rows = self.field, self.rows
         v = dict(vec) if isinstance(vec, dict) else {j: c for j, c in enumerate(vec) if c}
         heap = [-j for j in v if j in rows]
+        if not heap:
+            return v
         heapq.heapify(heap)
         while heap:
             p = -heapq.heappop(heap)

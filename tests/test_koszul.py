@@ -423,6 +423,93 @@ def test_table_builds_few_differential_columns(monkeypatch):
     assert calls[0] <= 9493
 
 
+def _routed_and_direct(family, k, family_complex):
+    """(every class_product(1, s, 2, t), and report_dict or its error) of the
+    trim of family at k, once with family_complex passed and once without."""
+    ring = ideals.trim(family, k).quotient_ring()
+    out = []
+    for kz in (KoszulComplex(ring, family_complex), KoszulComplex(ring)):
+        _, n1, n2, _ = kz.ranks()
+        products = [kz.class_product(1, s, 2, t) for s in range(n1) for t in range(n2)]
+        try:
+            report = report_dict(kz)
+        except (ClassificationScopeError, UnitIdealError) as exc:
+            report = repr(exc)
+        out.append((products, report))
+    return out
+
+
+def test_trim_products_off_the_family_pairing_match_direct_ones():
+    """A trim's complex built with its family's complex reads A_1 x A_2
+    products off the family's pairing where its degree e allows, and forms
+    the rest directly: every class_product(1, s, 2, t) and the report_dict
+    equal those of a complex built without it.  Every trim of g_m for
+    m = 2..10 over F_2, F_3 and F_32003 and m = 2..6 over Q, and every trim
+    of 8 random artinian ideals per field, whose mixed generator degrees put
+    e next to the degrees of many products (the direct fallback)."""
+    for char, top in ((2, 10), (3, 10), (32003, 10), (0, 6)):
+        fld, rng = helpers.field(char), random.Random(helpers.SEED + 28 + char)
+        families = [gorenstein_ideal(m, fld) for m in range(2, top + 1)]
+        families += [helpers.random_artinian_ideal(rng, fld) for _ in range(8)]
+        for family in families:
+            family_complex = KoszulComplex(family.quotient_ring())
+            for k in range(len(family.generators)):
+                routed, direct = _routed_and_direct(family, k, family_complex)
+                assert routed == direct, (char, family, k)
+
+
+def test_table_reads_trim_products_off_one_family_pairing(monkeypatch, capsys):
+    """`table --m 2..8` passes each trim its family's complex: `_product`
+    runs at most 1,100 times (9,648 when every trim formed its own A_1 x A_2
+    products), and at least once on a trim's complex, the direct route (at
+    m = 2 the trimmed degree e = 2 is the top degree, where the rule refuses
+    the family's pairing).  The trims' `invariants` ask `class_product` only
+    for pairs whose target degree has a class: at most 9,648 calls (17,871
+    when every pair was asked and most came back as zero lists)."""
+    from gtrim.cli import main
+
+    calls, on_trim, asked = [0], [0], [0]
+    product, class_product = KoszulComplex._product, KoszulComplex.class_product
+
+    def counted(kz, u, v):
+        calls[0] += 1
+        on_trim[0] += kz.family is not None
+        return product(kz, u, v)
+
+    def counted_class_product(kz, *pair):
+        asked[0] += kz.family is not None
+        return class_product(kz, *pair)
+
+    monkeypatch.setattr(KoszulComplex, "_product", counted)
+    monkeypatch.setattr(KoszulComplex, "class_product", counted_class_product)
+    assert main(["table", "--m", "2..8"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "b564f3154460abade1875a989de277fd7507f16500cc67b862ce4c3dcbe42e19"
+    assert calls[0] <= 1100 and on_trim[0] >= 1 and asked[0] <= 9648
+
+
+def test_family_complex_of_another_ring_is_refused(monkeypatch):
+    """`family` must be the complex of the very ring a ring is derived from:
+    that of g_(m+1), of a sibling trim, or of g_m for a ring walked from the
+    trim's own generators (or g_m's own ring) raises ValueError before any
+    homology is built."""
+    family, larger = gorenstein_ideal(4, F), gorenstein_ideal(5, F)
+    family_complex = KoszulComplex(family.quotient_ring())
+    larger_complex = KoszulComplex(larger.quotient_ring())
+    sibling_complex = KoszulComplex(ideals.trim(family, 1).quotient_ring())
+    trim_ring = ideals.trim(family, 0).quotient_ring()
+    walked = Ideal(ideals.trim(family, 0).generators, F).quotient_ring()
+
+    def refuse(kz):
+        raise AssertionError("homology built for a refused family")
+
+    monkeypatch.setattr(KoszulComplex, "_build_homology", refuse)
+    for ring, wrong in ((trim_ring, larger_complex), (trim_ring, sibling_complex),
+                        (walked, family_complex), (family.quotient_ring(), family_complex)):
+        with pytest.raises(ValueError, match="derived from"):
+            KoszulComplex(ring, wrong)
+
+
 def _outcome(ideal):
     """(report_dict or the error, every homology_basis string) of Q/ideal."""
     kz = KoszulComplex(ideal.quotient_ring())
