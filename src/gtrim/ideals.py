@@ -25,6 +25,7 @@ the size bound without a Groebner basis.
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import namedtuple
 from math import comb
 from operator import itemgetter
@@ -244,8 +245,11 @@ class Ideal:
         self.generators = tuple(kept)
         self._gb = None
         self._reducers = None
-        self._ring = None
-        self._parent = None  # a trim's (parent ideal, g), until its ring is derived
+        self._ring = None  # a weak reference: the ring holds this ideal
+        self._parent = None  # a trim's (parent ideal, g): its ring is derived from the parent's
+
+    def __getstate__(self):  # a weak reference does not pickle: the copy has no ring
+        return None, {**{k: getattr(self, k) for k in self.__slots__}, "_ring": None}
 
     # ---- Groebner machinery ---------------------------------------------
 
@@ -292,10 +296,12 @@ class Ideal:
         return True
 
     def quotient_ring(self) -> "QuotientRing":
-        if self._ring is None:
-            self._ring = QuotientRing(self)
-            self._parent = None  # a derived ring reaches its parent's through `parent`
-        return self._ring
+        """The quotient ring, cached while anything else holds it."""
+        ring = self._ring and self._ring()
+        if ring is None:
+            ring = QuotientRing(self)
+            self._ring = weakref.ref(ring)
+        return ring
 
 
 def trim(ideal: Ideal, index: int) -> Ideal:
@@ -357,15 +363,13 @@ class QuotientRing:
     (so the Hilbert function never pays for them).  A trim a' of a at g is a
     in every degree but e = deg g, so its ring is derived from a's (`_derive`),
     with no Groebner basis of a', and holds a's tables but in degree e.
-    The Koszul layer reads R by level s: R_s, R_s+1 and the multiplication
-    between them.  A trim changes levels e - 1 and e alone, and its ring holds
-    its family's memo dict (`level`) at every other level; on those two it
-    keeps nothing, as only the cycle collector frees it (its ideal holds it).
     `parent` is (R, e) for a ring derived from R at a generator of degree e,
-    else None.
+    else None.  The ring holds its ideal, which holds it only weakly, so a
+    ring is freed when its last user drops it.
     """
 
-    __slots__ = ("ideal", "field", "std", "top_degree", "parent", "_index", "_table", "_levels")
+    __slots__ = ("ideal", "field", "std", "top_degree", "parent", "_index", "_table",
+                 "__weakref__")
 
     def __init__(self, ideal: Ideal):
         # I_d is spanned by the m * g, so dim R_d >= C(d+2, 2) - sum_g C(d - deg g + 2, 2):
@@ -390,17 +394,17 @@ class QuotientRing:
             if not ideal.is_n_primary():
                 raise NotNPrimaryError(_NOT_ARTINIAN)
             std, self._index = _staircase(set(ideal.leading_monomials()))
-            self._table, self._levels = None, [{} for _ in std]
+            self._table = None
         else:
-            std, self._index, self._table, self._levels = self._derive(*ideal._parent)
+            std, self._index, self._table = self._derive(*ideal._parent)
         self.std = tuple(std)
         self.top_degree = len(std) - 1
 
     def _derive(self, parent: Ideal, g) -> tuple:
-        """(std, index, tables, levels) of R' = Q/a' from R = Q/a, a' = m*g +
-        (the others): a'_d = a_d for d != e = deg g, so R' keeps R's bases and
+        """(std, index, tables) of R' = Q/a' from R = Q/a, a' = m*g + (the
+        others): a'_d = a_d for d != e = deg g, so R' keeps R's bases and
         table objects but in degree e (an entry any ring of the family makes
-        in them is right for all), and R's level memos but at e - 1 and e.
+        in them is right for all).
         There a'_e, spanned by the multiples of the others (m*g starts in
         degree e + 1), is eliminated with pivots at leading monomials: the
         free columns are std'_e, residues give the border entries, and R
@@ -419,7 +423,7 @@ class QuotientRing:
         self.parent = ring, e
         std, index, tables = list(ring.std), list(ring._index), list(ring._nf_table())
         if e > ring.top_degree + 1:
-            return std, index, tables, ring._levels
+            return std, index, tables
         monos = monomials_of_degree(e)[::-1]  # ascending term order
         col = {t: j for j, t in enumerate(monos)}
         span = Echelon(f)
@@ -428,7 +432,7 @@ class QuotientRing:
                 span.add({col[mono_mul(t, s)]: c for t, c in h.terms.items()})
         level = tuple(t for t in reversed(monos) if col[t] not in span.rows)
         if level == ring.basis(e):  # a'_e = a_e: g is not minimal, and R' = R
-            return std, index, tables, ring._levels
+            return std, index, tables
         std[e:e + 1], index[e:e + 1] = [level], [{t: j for j, t in enumerate(level)}]
         if sum(map(len, std)) > MAX_DIM:
             raise _too_large()
@@ -439,9 +443,7 @@ class QuotientRing:
         if e < ring.top_degree:  # x_v * u, u new in std'_e, is on the border below the top
             for t in [mono_mul(u, v) for u in level if u not in ring._index[e] for v in _VAR_MONOS]:
                 ring._entry(t)  # R makes it in the degree-(e + 1) table that R' shares
-        # no memo (None) on the two levels R' does not share; at e = top + 1, std has grown
-        levels = [None if s in (e - 1, e) else memo for s, memo in enumerate(ring._levels + [None])]
-        return std, index, tables, levels[:len(std)]
+        return std, index, tables
 
     def dim(self) -> int:
         return sum(len(level) for level in self.std)
@@ -454,27 +456,16 @@ class QuotientRing:
             return self.std[d]
         return ()
 
-    def level(self, s: int) -> dict:
-        """The memo of level s (what is read off R_s, R_s+1 and x_v between
-        them): the family's own dict where R shares level s with it, else a
-        fresh dict kept nowhere.  Its entries are read-only, like the table's."""
-        memo = self._levels[s] if 0 <= s < len(self._levels) else None
-        return {} if memo is None else memo
-
     def socle(self, e: int) -> list:
         """A basis of the socle of R in degree e, as sparse coordinates over
         basis(e).  Under grevlex with z last, in(I : z) = in(I) : z (Bayer-
         Stillman), so z divides NF(z*b) for a standard b with z*b not standard,
         and the f_b = b - NF(z*b)/z span ker(z: R_e -> R_e+1).  The socle is
-        the relations among the columns (x*f_b, y*f_b), one tagged elimination,
-        kept in the level-e memo (read-only)."""
+        the relations among the columns (x*f_b, y*f_b), one tagged elimination."""
         from .linalg import Echelon
 
         if not 0 <= e <= self.top_degree:
             return []
-        memo = self.level(e)
-        if "socle" in memo:
-            return memo["socle"]
         f, basis, index, z = self.field, self.std[e], self._index[e], _VAR_MONOS[2]
         above, standard = self.basis(e + 1), self._index[e + 1] if e < self.top_degree else {}
         kernel = []
@@ -496,7 +487,6 @@ class QuotientRing:
                 for s, c in rel.items():
                     f.sub_multiple(soc, f.neg(c), kernel[s])
                 out.append(soc)
-        memo["socle"] = out
         return out
 
     # ---- the normal-form table ---------------------------------------------

@@ -30,12 +30,25 @@ live H_2.  Where A is zero a cycle's class is zero.  A product [a][b] lies
 in internal degree deg a + deg b, and `class_product` forms it only where
 `_classes`, the one record of where A lives, holds A_{i+j} in that degree.
 
-Each elimination reads one level s of R (R_s, R_s+1 and the multiplication
-between them): the socle in degree s level s, d_2 in internal degree d
-level d - 2, d_3 level d - 3.  A trim at g changes levels deg g - 1 and
-deg g alone, so the socle, the whole d_2 of a generator degree and the d_3
-image go into the level memo (`QuotientRing.level`), shared by a family's
-trims on every other level; a ring adds its classes to a copy of the rows dict.
+A ring R' derived from the family's R at g of degree e (`table` passes
+the family's complex as `family`) takes its homology from R's, by the long
+exact sequence of 0 -> k*gamma(-e) -> R' -> R -> 0 (Bruns-Herzog, 1.6).  If
+g is minimal, std'_e = std_e + {t} and gamma = t - NF_R(t) (NF_R(t) = 0 at
+e = top_degree(R) + 1); otherwise R' = R and nothing changes.  m*gamma = 0,
+so K(k*gamma) = Lambda (x) k*gamma(-e) has zero differential, and in internal
+degree d, with s = d - i the coefficient degree:
+- s not e - 1, e: H_i(R')_d = H_i(R)_d, with the family's representatives,
+  whose coordinates are the same, and the family's boundaries.
+- s = e - 1: H_i(R')_d = ker delta_i, where delta_i(z) is the t-coordinate
+  of the trim's boundary of z, read off its table entries NF'(x_v*b),
+  b in std_e-1; the boundaries are the family's, and nothing is eliminated.
+- s = e: H_i(R')_d is Lambda_i*gamma / im delta_i+1, the gamma*e_w for the
+  words kept greedily in WORDS order, plus the family's representatives
+  re-indexed into std'_e.  Only here are the boundaries the trim's own: the
+  image of d_i+1 from level e - 1, eliminated on the first solve in the
+  degree, which `table` never makes for m >= 3.
+Each class keeps its family coordinates (a unit vector, a kernel vector, or
+{} for gamma*e_w), and sum (-1)^i h_i,d = chi_d is checked in every degree.
 
 A trim R' of the family's R at g of degree e reads most A_1 x A_2 products
 off the family's complex, passed as `family` (`table` does).  K(R') -> K(R)
@@ -180,6 +193,30 @@ def _generator_cycle(g: Polynomial) -> KoszulElement:
     return KoszulElement(1, {(v,): Polynomial(g.field, t) for v, t in enumerate(parts) if t})
 
 
+class _Through:
+    """The classes of a derived ring in one (i, d) where its homology is read
+    through the family's: `space` is the family's, and class first + s has
+    family coordinates lifts[s][1], which are 1 at family class lifts[s][0]
+    and 0 at every other class's.  A cycle's family coordinates must be a
+    combination of these, else it is no cycle in the derived ring."""
+
+    __slots__ = ("space", "first", "lifts")
+
+    def __init__(self, space: Echelon, first: int, lifts: list):
+        self.space, self.first, self.lifts = space, first, lifts
+
+    def solve(self, vec):
+        coords = self.space.solve(vec)
+        if coords is None:
+            return None
+        f, out, rest = self.space.field, {}, dict(coords)
+        for s, (k, lift) in enumerate(self.lifts, self.first):
+            if k in coords:
+                out[s] = coords[k]
+                f.sub_multiple(rest, coords[k], lift)
+        return None if rest else out
+
+
 class KoszulComplex:
     """Homology of the Koszul complex of a quotient ring, with multiplication."""
 
@@ -188,13 +225,20 @@ class KoszulComplex:
             raise ValueError("family is not the complex of the ring this ring is derived from")
         self.ring, self.family, self.field = ring, family, ring.field
         self._reps = ([], [], [], [])  # per exterior degree: (internal degree, cycle)
-        self._classes = {}  # (i, d) -> Echelon: boundaries untagged, representatives tagged
+        # (i, d) -> Echelon: boundaries untagged, representatives tagged; for a
+        # derived ring, a `_Through` or, until its first solve, None
+        self._classes = {}
         self._inv = None
-        self._lifts, self._pairing = {}, {}  # the memos of `_lift` and `_family_product`
-        self._build_homology()
+        self._lifts = ([], [], [], [])  # per class of a derived ring: its family coordinates
+        self._pairing = {}  # the memo of `_family_product`
         # per class of A_i: (internal degree, {word: {monomial: coefficient}})
-        self._words = [[(d, self._terms(i, {d: vec})) for d, vec in reps]
-                       for i, reps in enumerate(self._reps)]
+        self._words = ([], [], [], [])
+        if family is None:
+            self._build_homology()
+            for i, reps in enumerate(self._reps):
+                self._words[i].extend((d, self._terms(i, {d: vec})) for d, vec in reps)
+        else:
+            self._derive_homology()
 
     # ---- chain-level structure -------------------------------------------
 
@@ -235,7 +279,7 @@ class KoszulComplex:
         the `_generator_cycle`s of the degree-d input generators, in input
         order, span H_1.  The image of d_3, the boundaries for H_2, is built
         only when h_2 > 0.  Nothing runs, and no `_classes` entry is made,
-        for an H_i,d that is 0."""
+        for an H_i,d that is 0.  Each elimination is read once per complex."""
         ring, f = self.ring, self.field
         gens = ring.ideal.generators
         gen_degrees = {g.degree() for g in gens}
@@ -249,43 +293,97 @@ class KoszulComplex:
                 self._keep(0, d, Echelon(f), [{0: f.one}], 1)
             elif d not in gen_degrees:
                 if chi + h3:
-                    self._keep(2, d, self._boundaries(d), self._cycles(d, Echelon(f)), chi + h3)
+                    self._keep(2, d, self._boundaries(2, d), self._cycles(d, Echelon(f)), chi + h3)
             else:
-                rank3 = self.component_size(3, d) - h3
-                rows, nullity, cycles = self._whole_d2(d, rank3)
-                h2 = nullity - rank3
+                image = Echelon(f)  # its rows, with no tags, are the boundaries for H_1
+                cycles = list(self._cycles(d, image))
+                h2 = len(cycles) - (self.component_size(3, d) - h3)  # less rank d_3
                 if h2:
-                    self._keep(2, d, self._boundaries(d), cycles, h2)
+                    self._keep(2, d, self._boundaries(2, d), cycles, h2)
                 h1 = h2 - h3 - chi  # chi_d = -h_1 + h_2 - h_3 here
                 if h1:
                     gen_cycles = (self._coords(_generator_cycle(g)).get(d, {})
                                   for g in gens if g.degree() == d)
-                    self._keep(1, d, Echelon(f, rows), gen_cycles, h1)
+                    untagged = {p: (row, {}) for p, (row, _) in image.rows.items()}
+                    self._keep(1, d, Echelon(f, untagged), gen_cycles, h1)
 
-    def _whole_d2(self, d: int, rank3: int) -> tuple:
-        """(rows, nullity, relations) of the whole d_2 in internal degree d,
-        kept in the level-(d - 2) memo: the image rows untagged, and the
-        relations (the cycles) only where h_2 = nullity - rank3 > 0, else None.
-        Every ring that shares the level has the same rank3 = rank d_3, as a
-        trim at g of degree d - 3 adds g to R_d-3 and to its socle alike."""
-        memo = self.ring.level(d - 2)
-        if "d2" not in memo:
-            image, untagged = Echelon(self.field), {}  # one empty tag dict: rows never change
-            cycles = list(self._cycles(d, image))
-            memo["d2"] = ({p: (row, untagged) for p, (row, _) in image.rows.items()},
-                          len(cycles), cycles if len(cycles) > rank3 else None)
-        return memo["d2"]
+    def _derive_homology(self):
+        """The homology of a ring derived from the family's (module docstring):
+        per internal degree, exterior degrees 3 down to 0, so that delta_i+1
+        is known where Lambda_i*gamma is cut by its image.  A class is (its
+        coordinates, its family coordinates, the family class at which those
+        are 1 and every other class's are 0); the s = e spaces are deferred to
+        `_class_coords`.  Raises RuntimeError when a degree misses chi_d."""
+        fam, ring, f = self.family, self.ring, self.field
+        e = ring.parent[1]
+        old, new = fam.ring.basis(e), ring.basis(e)
+        own = (e - 1, e) if len(new) > len(old) else ()  # empty where R' = R
+        if own:
+            (t,) = set(new).difference(old)
+            jt, into = ring._index[e][t], [ring._index[e][b] for b in old]
+            gamma = {jt: f.one, **{into[j]: f.neg(c) for j, c in fam.ring._entry(t).items()}}
+            at_t = {(v, j): col[jt] for j, b in enumerate(ring.basis(e - 1)) for v in range(3)
+                    if jt in (col := ring.mult_column(v, b))}  # NF'(x_v b) at t, where not 0
+        family, deltas = {}, {}
+        for i, reps in enumerate(fam._reps):
+            for k, (d, vec) in enumerate(reps):
+                family.setdefault((i, d), []).append((k, vec))
+        for d in range(ring.top_degree + 4):
+            euler = 0
+            for i in (3, 2, 1, 0):
+                here = family.get((i, d), [])
+                if d - i not in own:
+                    classes = [(vec, {k: f.one}, k) for k, vec in here]
+                elif d - i == e - 1:  # the kernel of delta_i, one relation per class
+                    span, classes = Echelon(f), []
+                    deltas[i, d] = [self._delta(i, d, vec, at_t) for _, vec in here]
+                    for (k, _), image in zip(here, deltas[i, d]):
+                        if (rel := span.add(image, tag=k)) is not None:
+                            vec = {}
+                            for k2, c in rel.items():
+                                f.sub_multiple(vec, f.neg(c), fam._reps[i][k2][1])
+                            classes.append((vec, rel, k))
+                else:  # Lambda_i*gamma less the image of delta_i+1, then the family's
+                    span, n, n_old = Echelon(f), len(new), len(old)
+                    for image in deltas.get((i + 1, d), ()):
+                        span.add(image)
+                    classes = [({w * n + j: c for j, c in gamma.items()}, {}, None)
+                               for w in range(len(WORDS[i]))
+                               if span.add({w: f.one}, tag=w) is None]
+                    classes += [({k // n_old * n + into[k % n_old]: c for k, c in vec.items()},
+                                 {k: f.one}, k) for k, vec in here]
+                if classes:
+                    first = len(self._reps[i])
+                    self._reps[i].extend((d, vec) for vec, _, _ in classes)
+                    self._lifts[i].extend(lift for _, lift, _ in classes)
+                    self._words[i].extend(fam._words[i][k] if len(lift) == 1  # z_k itself
+                                          else (d, self._terms(i, {d: vec}))
+                                          for vec, lift, k in classes)
+                    self._classes[i, d] = None if d - i == e and own else \
+                        _Through(fam._classes[i, d], first, [(k, lift) for _, lift, k in classes])
+                euler += (-1) ** i * (len(classes) - self.component_size(i, d))
+            if euler:
+                raise RuntimeError(f"the classes derived in internal degree {d} miss chi_d")
 
-    def _boundaries(self, d: int) -> Echelon:
-        """The image of d_3 in internal degree d, eliminated with no tags once
-        per level-(d - 3) memo; each call returns a copy of its rows dict."""
-        memo = self.ring.level(d - 3)
-        if "d3" not in memo:
-            image = Echelon(self.field)
-            for c in range(self.component_size(3, d)):
-                image.add(self._diff_column(3, d, c))
-            memo["d3"] = image.rows
-        return Echelon(self.field, memo["d3"])
+    def _delta(self, i: int, d: int, vec: dict, at_t: dict) -> dict:
+        """delta_i of a cycle of R in K_{i,d}, d - i = e - 1: the coordinate at
+        t of its boundary in K(R'), per word of Lambda_{i-1}, from at_t[v, j],
+        the t-coordinate of NF'(x_v b_j)."""
+        f, n, out = self.field, len(self.ring.basis(d - i)), {}
+        for k, c in vec.items():
+            w = WORDS[i][k // n]
+            for p, letter in enumerate(w):
+                if (x := at_t.get((letter, k % n))) is not None:
+                    f.sub_multiple(out, f.mul(x, c if p % 2 else f.neg(c)),
+                                   {WORD_INDEX[i - 1][w[:p] + w[p + 1:]]: f.one})
+        return out
+
+    def _boundaries(self, i: int, d: int) -> Echelon:
+        """The image of d_{i+1} in K_{i,d}: every column, with no tags."""
+        image = Echelon(self.field)
+        for c in range(self.component_size(i + 1, d)):
+            image.add(self._diff_column(i + 1, d, c))
+        return image
 
     def _cycles(self, d: int, image: Echelon):
         """The cycles of K_2,d, lazily, from one elimination of the columns of
@@ -421,9 +519,10 @@ class KoszulComplex:
         `_classes` entry, H_{i,d} = 0: only the boundary is checked to vanish."""
         coords = [self.field.zero] * len(self._reps[i])
         for d, vec in sorted(vecs.items()):
-            space = self._classes.get((i, d))
-            if space is not None:
-                sol = space.solve(vec)
+            if (i, d) in self._classes:
+                if self._classes[i, d] is None:  # deferred: built on the first solve
+                    self._classes[i, d] = self._own_space(i, d)
+                sol = self._classes[i, d].solve(vec)
             else:
                 sol = None if self._boundary_vector(i, d, vec) else {}
             if sol is None:
@@ -431,6 +530,15 @@ class KoszulComplex:
             for k, c in sol.items():
                 coords[k] = c
         return coords
+
+    def _own_space(self, i: int, d: int) -> Echelon:
+        """The classes of a derived ring in K_{i,d}, d - i = e, over its own
+        boundaries, each tagged by its index; raises unless all are independent."""
+        space = self._boundaries(i, d)
+        for k, (deg, vec) in enumerate(self._reps[i]):
+            if deg == d and space.add(vec, tag=k) is not None:
+                raise RuntimeError(f"H_{i},{d}: the derived classes are not independent")
+        return space
 
     def is_boundary(self, el: KoszulElement) -> bool:
         return all(self.field.is_zero(c) for c in self.class_coords(el))
@@ -457,8 +565,8 @@ class KoszulComplex:
         """class_product(1, s, 2, t) as sum a_s' c_t' [z_s' w_t'] over the family's
         classes (module docstring), each [z_s' w_t'] by the family's `class_product` once."""
         fam, f, acc = self.family, self.field, {}
-        for s_fam, a in self._lift(1, s).items():
-            for t_fam, c in self._lift(2, t).items():
+        for s_fam, a in self._lifts[1][s].items():
+            for t_fam, c in self._lifts[2][t].items():
                 if (s_fam, t_fam) not in fam._pairing:
                     prod = fam.class_product(1, s_fam, 2, t_fam)
                     fam._pairing[s_fam, t_fam] = {k: x for k, x in enumerate(prod) if x}
@@ -469,16 +577,6 @@ class KoszulComplex:
             for k, c in acc.items():
                 out[k + shift] = c
         return out
-
-    def _lift(self, i: int, s: int) -> dict:
-        """Class s of A_i, its coordinates read in the family's ring (the same
-        outside degree e), over the family's A_i basis: {} where the family has
-        no A_i in its degree, so that the class maps to a boundary."""
-        if (i, s) not in self._lifts:
-            d, vec = self._reps[i][s]
-            space = self.family._classes.get((i, d))
-            self._lifts[(i, s)] = {} if space is None else space.solve(vec)
-        return self._lifts[(i, s)]
 
     def multiply(self, u: KoszulElement, v: KoszulElement) -> list:
         """Class coordinates of [u][v], the class of u ^ v by `_product`; cycles only."""

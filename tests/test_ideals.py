@@ -1,8 +1,10 @@
 """Groebner bases, normal forms, quotient invariants, socle, colon, trims."""
 
+import gc
 import hashlib
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -15,7 +17,6 @@ from gtrim import (
     TrimChoice,
     canonical_generators,
     gorenstein_ideal,
-    report_dict,
     selector_labels,
     trim,
     trimmed_ideal,
@@ -582,39 +583,37 @@ def test_derived_trim_ring_matches_walked_ring():
     assert cases == {(0, 1), (0, 0), (1, 1), (1, 0), (2, 0)}
 
 
-def test_derived_trim_ring_shares_its_family_level_memos():
-    """Level s (R_s, R_s+1 and the multiplication between them) is the same
-    for a trim at g as for its family but at s = deg g - 1 and deg g.  So the
-    derived ring's memo is its family's own dict at every other level, and
-    on those two (and outside 0..top) it is a fresh dict per call, kept
-    nowhere; a ring equal to its family's shares every level.  Every trim of g_m, m = 2..8, and of
-    60 random artinian ideals (seed 7), over F_2, F_3, F_32003 and Q, and
-    (x^2, y^2, z^2, xyz) at xyz, where deg g = top + 1 and std grows by one
-    degree: its homology matches the walked ring's."""
-    def check(parent, k):
-        ring, e = parent.quotient_ring(), parent.generators[k].degree()
-        derived = trim(parent, k).quotient_ring()
-        own = set() if derived.std == ring.std else {e - 1, e}
-        for s in range(-1, len(derived.std) + 1):
-            if s in own or not 0 <= s < len(derived.std):
-                assert derived.level(s) is not derived.level(s), (parent, k, s)
-            else:
-                assert derived.level(s) is ring.level(s), (parent, k, s)
-        return derived
+def test_trim_ring_is_freed_without_the_cycle_collector(monkeypatch):
+    """An ideal holds its quotient ring weakly, so with the cycle collector
+    off a trim's ring and complex die when `_classified` returns: each trim
+    of g_4 from one family complex, as `table` makes them, and the d trim as
+    `classify` makes it, whose family ring goes with it.  The family ring
+    that the family complex holds stays the ideal's."""
+    from gtrim.cli import _classified
 
-    for char in (2, 3, 32003, 0):
-        fld, rng = helpers.field(char), random.Random(7)
-        parents = [gorenstein_ideal(m, fld) for m in range(2, 9)]
-        parents += [helpers.random_artinian_ideal(rng, fld) for _ in range(60)]
-        for parent in parents:
-            for k in range(len(parent.generators)):
-                check(parent, k)
-    ci = Ideal([X * X, Y * Y, Z * Z, X * Y * Z])
-    derived = check(ci, 3)
-    assert (ci.quotient_ring().top_degree, derived.top_degree) == (2, 3)
-    walked = QuotientRing(Ideal(derived.ideal.generators))
-    assert derived.std == walked.std
-    assert report_dict(KoszulComplex(derived)) == report_dict(KoszulComplex(walked))
+    made, init = [], KoszulComplex.__init__
+
+    def spied(kz, ring, family=None):
+        made.append((weakref.ref(kz), weakref.ref(ring)))
+        init(kz, ring, family)
+
+    monkeypatch.setattr(KoszulComplex, "__init__", spied)
+    family = gorenstein_ideal(4, F)
+    family_complex = KoszulComplex(family.quotient_ring())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for k in range(len(family.generators)):
+            _classified(trim(family, k), family_complex)
+            assert [ref() for ref in made[-1]] == [None, None], k
+        ideal = trimmed_ideal(TrimChoice(4, "d"), F)
+        _classified(ideal)
+        assert [ref() for ref in made[-1]] == [None, None]
+        assert ideal._parent[0]._ring() is None
+        assert family.quotient_ring() is family_complex.ring
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_trimmed_ideal_is_strictly_smaller():

@@ -1,5 +1,6 @@
 """Koszul homology, its multiplication, and the classification table."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -404,11 +405,13 @@ def test_invariants_fill_few_table_entries():
 
 
 def test_table_builds_few_differential_columns(monkeypatch):
-    """A trim's Koszul pieces on the levels it shares with its family (all
-    but deg g - 1 and deg g) are built once per family: over the 77 trims of
-    `table --m 2..8`, 2m + 1 from one g_m per m as `table` builds them,
-    `_diff_column` runs at most 9,493 times (13,861 when each trim built its
-    own socles, d_2 and d_3 images)."""
+    """A trim's homology is its family's, corrected by the connecting map of
+    0 -> k*gamma(-e) -> R' -> R -> 0 (the `koszul` module docstring): over
+    the 77 trims of `table --m 2..8`, built as `table` builds them, 2m + 1
+    from one g_m per m with its complex passed, `_diff_column` runs at most
+    1,000 times, the family complexes included (9,493 when each trim
+    eliminated its own levels deg g - 1 and deg g; 13,861 before that, when
+    each built all its own socles, d_2 and d_3 images)."""
     calls, column = [0], KoszulComplex._diff_column
 
     def counted(kz, i, d, k):
@@ -418,44 +421,78 @@ def test_table_builds_few_differential_columns(monkeypatch):
     monkeypatch.setattr(KoszulComplex, "_diff_column", counted)
     for m in range(2, 9):
         family = gorenstein_ideal(m, F)
+        family_complex = KoszulComplex(family.quotient_ring())
         for k in range(len(family.generators)):
-            report_dict(KoszulComplex(ideals.trim(family, k).quotient_ring()))
-    assert calls[0] <= 9493
+            report_dict(KoszulComplex(ideals.trim(family, k).quotient_ring(), family_complex))
+    assert calls[0] <= 1000
 
 
-def _routed_and_direct(family, k, family_complex):
-    """(every class_product(1, s, 2, t), and report_dict or its error) of the
-    trim of family at k, once with family_complex passed and once without."""
+def _report(kz):
+    """report_dict of kz, or the repr of the error it raises."""
+    try:
+        return report_dict(kz)
+    except (ClassificationScopeError, UnitIdealError) as exc:
+        return repr(exc)
+
+
+def _check_routed_against_direct(family, k, family_complex):
+    """The trim of family at k, its complex derived from family_complex
+    against one built directly: the same report_dict (or error) and degrees
+    of the representatives; the routed representatives' classes in the
+    direct complex, C_i, invertible; each A_1 x A_1 and A_1 x A_2 class
+    product, carried by C_(i+j), the direct class of the same
+    representatives' product; and each routed basis element's class_coords
+    its unit vector.  Returns how the trim relates to its family: 'same'
+    (R' = R), 'taller' (deg g = top_degree + 1 and R' one degree taller) or
+    'grown' (R'_e one larger)."""
     ring = ideals.trim(family, k).quotient_ring()
-    out = []
-    for kz in (KoszulComplex(ring, family_complex), KoszulComplex(ring)):
-        _, n1, n2, _ = kz.ranks()
-        products = [kz.class_product(1, s, 2, t) for s in range(n1) for t in range(n2)]
-        try:
-            report = report_dict(kz)
-        except (ClassificationScopeError, UnitIdealError) as exc:
-            report = repr(exc)
-        out.append((products, report))
-    return out
+    routed, direct = KoszulComplex(ring, family_complex), KoszulComplex(ring)
+    f, case = ring.field, (family.field, family, k)
+    assert _report(routed) == _report(direct), case
+    change = []
+    for i in range(4):
+        assert [d for d, _ in routed._reps[i]] == [d for d, _ in direct._reps[i]], case
+        change.append([direct._class_coords(i, {d: vec}) for d, vec in routed._reps[i]])
+        assert matrix_rank(change[i], len(change[i]), f) == len(change[i]), (case, i)
+        for s, el in enumerate(routed.homology_basis(i)):
+            unit = [f.one if r == s else f.zero for r in range(len(change[i]))]
+            assert routed.class_coords(el) == unit, (case, i, s)
+    for i, j in ((1, 1), (1, 2)):
+        for s, (_, u) in enumerate(routed._words[i]):
+            for t, (_, v) in enumerate(routed._words[j]):
+                carried = {}
+                for r, c in enumerate(routed.class_product(i, s, j, t)):
+                    f.sub_multiple(carried, f.neg(c), dict(enumerate(change[i + j][r])))
+                expected = direct._class_coords(i + j, direct._product(u, v))
+                assert carried == {r: c for r, c in enumerate(expected) if c}, (case, i, s, t)
+    if ring.std == family_complex.ring.std:
+        return "same"
+    return "taller" if ring.top_degree > family_complex.ring.top_degree else "grown"
 
 
 def test_trim_products_off_the_family_pairing_match_direct_ones():
-    """A trim's complex built with its family's complex reads A_1 x A_2
-    products off the family's pairing where its degree e allows, and forms
-    the rest directly: every class_product(1, s, 2, t) and the report_dict
-    equal those of a complex built without it.  Every trim of g_m for
-    m = 2..10 over F_2, F_3 and F_32003 and m = 2..6 over Q, and every trim
-    of 8 random artinian ideals per field, whose mixed generator degrees put
-    e next to the degrees of many products (the direct fallback)."""
+    """A trim's complex derived from its family's (the long exact sequence in
+    the `koszul` module docstring) has other representatives than one built
+    directly, so the two are compared basis-free (`_check_routed_against_direct`):
+    every trim of g_m for m = 2..10 over F_2, F_3 and F_32003 and m = 2..6
+    over Q, and every trim of 8 random artinian ideals per field, whose mixed
+    generator degrees put e next to the degrees of many products and give
+    trims at a non-minimal g (19), at deg g = top_degree + 1 (16, of which
+    6 make R' taller) and past it (8)."""
+    cases = collections.Counter()
     for char, top in ((2, 10), (3, 10), (32003, 10), (0, 6)):
         fld, rng = helpers.field(char), random.Random(helpers.SEED + 28 + char)
         families = [gorenstein_ideal(m, fld) for m in range(2, top + 1)]
         families += [helpers.random_artinian_ideal(rng, fld) for _ in range(8)]
         for family in families:
             family_complex = KoszulComplex(family.quotient_ring())
-            for k in range(len(family.generators)):
-                routed, direct = _routed_and_direct(family, k, family_complex)
-                assert routed == direct, (char, family, k)
+            for k, g in enumerate(family.generators):
+                past = g.degree() - family_complex.ring.top_degree - 1  # 0 at top + 1
+                cases[_check_routed_against_direct(family, k, family_complex),
+                      min(max(past, -1), 1)] += 1
+    assert sum(cases.values()) == 541
+    assert (cases["same", -1], cases["same", 0], cases["taller", 0], cases["same", 1]) == \
+        (19, 10, 6, 8)
 
 
 def test_table_reads_trim_products_off_one_family_pairing(monkeypatch, capsys):
@@ -546,8 +583,7 @@ def test_level_memos_answer_alike_in_any_trim_order():
 
 def _built_with_d3_count(ring, monkeypatch):
     """(KoszulComplex of ring, {internal degree d: d_3 columns built while
-    the homology was built}, {d: (d_3 image rank, whether the level memo
-    held it)} for each d_3 elimination, built or read from the memo)."""
+    the homology was built}, {d: d_3 image rank} for each d_3 elimination)."""
     columns, images = {}, {}
     build, boundaries = KoszulComplex._diff_column, KoszulComplex._boundaries
 
@@ -556,11 +592,10 @@ def _built_with_d3_count(ring, monkeypatch):
             columns[d] = columns.get(d, 0) + 1
         return build(kz, i, d, k)
 
-    def recorded(kz, d):
-        held = "d3" in kz.ring.level(d - 3)
-        image = boundaries(kz, d)
-        assert d not in images, d  # one elimination per degree
-        images[d] = (image.rank, held)
+    def recorded(kz, i, d):
+        image = boundaries(kz, i, d)
+        assert i == 2 and d not in images, (i, d)  # one d_3 elimination per degree
+        images[d] = image.rank
         return image
 
     with monkeypatch.context() as patch:
@@ -574,25 +609,21 @@ def test_homology_skips_follow_socle_and_generator_degrees(monkeypatch):
     """What the build eliminated: d_3 only in the degrees where A_2 has a
     class, H_0 only in degree 0, H_1 only in generator degrees, and the H_3
     entries hold the socle representatives alone, no d_3 column.  Each d_3
-    elimination is whole: built, it holds all component_size(3, d) columns;
-    read from the level memo (filled by a sibling trim or an earlier complex
-    of the same ring), it builds none; either way its rank is that of d_3,
-    component_size(3, d) - h_3."""
+    elimination is whole: it holds all component_size(3, d) columns, and its
+    rank is that of d_3, component_size(3, d) - h_3."""
     rng = random.Random(helpers.SEED + 14)
     rings = [helpers.trim_ideal(m, label).quotient_ring()
              for m in range(2, 7) for label in selector_labels(m)]
     rings += [helpers.family_ideal(m).quotient_ring() for m in range(2, 7)]
     rings += [helpers.random_artinian_ideal(rng, helpers.field(char)).quotient_ring()
               for char in (2, 3, 32003, 0) for _ in range(10)]
-    held_states = set()
-    for ring in rings * 2:  # the second pass reads what the first left in the memos
+    for ring in rings:
         kz, columns, images = _built_with_d3_count(ring, monkeypatch)
-        held_states.update(held for _, held in images.values())
         assert set(images) == {d for d, _ in kz._reps[2]}, ring.ideal
         assert set(columns) <= set(images), ring.ideal
-        for d, (rank, held) in images.items():
+        for d, rank in images.items():
             size = kz.component_size(3, d)
-            assert columns.get(d, 0) == (0 if held else size), (ring.ideal, d)
+            assert columns.get(d, 0) == size, (ring.ideal, d)
             assert rank == size - len(ring.socle(d - 3)), (ring.ideal, d)
         gen_degrees = {g.degree() for g in ring.ideal.generators}
         for (i, d), space in kz._classes.items():
@@ -601,7 +632,6 @@ def test_homology_skips_follow_socle_and_generator_degrees(monkeypatch):
             if i == 3:
                 assert space.rank == len(ring.socle(d - 3)), ring.ideal
                 assert all(tags for _, tags in space.rows.values()), ring.ideal
-    assert held_states == {False, True}
 
 
 def test_d3_columns_only_under_a_live_h2(monkeypatch):
@@ -970,13 +1000,17 @@ def test_abstract_structure_at_scale():
     """Opt-in (`pytest -m slow`): every trim at m = 16 and 24 and the d trim
     at m = 32 and 48 pass `pd_padding` with rank P_1 = r and padding
     (3, 4, 1), and `a1_cycle_basis` gives mu cycles spanning A_1.  The 49
-    trims at m = 24 are made as `table` makes them, from one g_24."""
+    trims at m = 24 are made as `table` makes them, from one g_24, their
+    homology derived from g_24's complex."""
     g24 = gorenstein_ideal(24, F)
+    g24_complex = KoszulComplex(g24.quotient_ring())
     for m, label in ([(m, label) for m in (16, 24) for label in selector_labels(m)]
                      + [(32, "d"), (48, "d")]):
         choice = TrimChoice(m, label)
-        ideal = ideals.trim(g24, choice.index) if m == 24 else trimmed_ideal(choice, F)
-        kz = KoszulComplex(ideal.quotient_ring())
+        if m == 24:
+            kz = KoszulComplex(ideals.trim(g24, choice.index).quotient_ring(), g24_complex)
+        else:
+            kz = KoszulComplex(trimmed_ideal(choice, F).quotient_ring())
         assert helpers.pd_padding(kz) == ([], kz.classify().params["r"], (3, 4, 1)), (m, label)
         mu, cycles = kz.ranks()[1], a1_cycle_basis(choice, kz)
         assert len(cycles) == mu, (m, label)
