@@ -193,27 +193,24 @@ def _generator_cycle(g: Polynomial) -> KoszulElement:
     return KoszulElement(1, {(v,): Polynomial(g.field, t) for v, t in enumerate(parts) if t})
 
 
-class _Through:
+class _Through(namedtuple("_Through", "space first lifts")):
     """The classes of a derived ring in one (i, d) where its homology is read
     through the family's: `space` is the family's, and class first + s has
-    family coordinates lifts[s][1], which are 1 at family class lifts[s][0]
-    and 0 at every other class's.  A cycle's family coordinates must be a
-    combination of these, else it is no cycle in the derived ring."""
+    family coordinates lifts[s], 1 at their last family class and 0 at every
+    other class's last.  A cycle's family coordinates must combine these,
+    else it is no cycle in the derived ring."""
 
-    __slots__ = ("space", "first", "lifts")
-
-    def __init__(self, space: Echelon, first: int, lifts: list):
-        self.space, self.first, self.lifts = space, first, lifts
+    __slots__ = ()
 
     def solve(self, vec):
         coords = self.space.solve(vec)
         if coords is None:
             return None
         f, out, rest = self.space.field, {}, dict(coords)
-        for s, (k, lift) in enumerate(self.lifts, self.first):
-            if k in coords:
-                out[s] = coords[k]
-                f.sub_multiple(rest, coords[k], lift)
+        for s, lift in enumerate(self.lifts, self.first):
+            if (c := coords.get(max(lift))) is not None:
+                out[s] = c
+                f.sub_multiple(rest, c, lift)
         return None if rest else out
 
 
@@ -225,9 +222,8 @@ class KoszulComplex:
             raise ValueError("family is not the complex of the ring this ring is derived from")
         self.ring, self.family, self.field = ring, family, ring.field
         self._reps = ([], [], [], [])  # per exterior degree: (internal degree, cycle)
-        # (i, d) -> Echelon: boundaries untagged, representatives tagged; for a
-        # derived ring, a `_Through` or, until its first solve, None
-        self._classes = {}
+        self._classes = {}  # (i, d) -> Echelon: boundaries untagged, representatives
+        # tagged; for a derived ring a `_Through`, or None until its first solve
         self._inv = None
         self._lifts = ([], [], [], [])  # per class of a derived ring: its family coordinates
         self._pairing = {}  # the memo of `_family_product`
@@ -279,7 +275,7 @@ class KoszulComplex:
         the `_generator_cycle`s of the degree-d input generators, in input
         order, span H_1.  The image of d_3, the boundaries for H_2, is built
         only when h_2 > 0.  Nothing runs, and no `_classes` entry is made,
-        for an H_i,d that is 0.  Each elimination is read once per complex."""
+        for an H_i,d that is 0."""
         ring, f = self.ring, self.field
         gens = ring.ideal.generators
         gen_degrees = {g.degree() for g in gens}
@@ -311,9 +307,10 @@ class KoszulComplex:
         """The homology of a ring derived from the family's (module docstring):
         per internal degree, exterior degrees 3 down to 0, so that delta_i+1
         is known where Lambda_i*gamma is cut by its image.  A class is (its
-        coordinates, its family coordinates, the family class at which those
-        are 1 and every other class's are 0); the s = e spaces are deferred to
-        `_class_coords`.  Raises RuntimeError when a degree misses chi_d."""
+        coordinates, its family coordinates): these are 1 at their last family
+        class and 0 at every other class's last (a unit vector, or a relation
+        from `Echelon.add`), or {} for gamma*e_w.  The s = e spaces are deferred
+        to `_class_coords`.  Raises RuntimeError when a degree misses chi_d."""
         fam, ring, f = self.family, self.ring, self.field
         e = ring.parent[1]
         old, new = fam.ring.basis(e), ring.basis(e)
@@ -324,16 +321,16 @@ class KoszulComplex:
             gamma = {jt: f.one, **{into[j]: f.neg(c) for j, c in fam.ring._entry(t).items()}}
             at_t = {(v, j): col[jt] for j, b in enumerate(ring.basis(e - 1)) for v in range(3)
                     if jt in (col := ring.mult_column(v, b))}  # NF'(x_v b) at t, where not 0
-        family, deltas = {}, {}
+        by_degree, deltas = {}, {}  # the family's classes (index, cycle) per (i, d)
         for i, reps in enumerate(fam._reps):
             for k, (d, vec) in enumerate(reps):
-                family.setdefault((i, d), []).append((k, vec))
+                by_degree.setdefault((i, d), []).append((k, vec))
         for d in range(ring.top_degree + 4):
             euler = 0
             for i in (3, 2, 1, 0):
-                here = family.get((i, d), [])
+                here = by_degree.get((i, d), [])
                 if d - i not in own:
-                    classes = [(vec, {k: f.one}, k) for k, vec in here]
+                    classes = [(vec, {k: f.one}) for k, vec in here]
                 elif d - i == e - 1:  # the kernel of delta_i, one relation per class
                     span, classes = Echelon(f), []
                     deltas[i, d] = [self._delta(i, d, vec, at_t) for _, vec in here]
@@ -342,25 +339,24 @@ class KoszulComplex:
                             vec = {}
                             for k2, c in rel.items():
                                 f.sub_multiple(vec, f.neg(c), fam._reps[i][k2][1])
-                            classes.append((vec, rel, k))
+                            classes.append((vec, rel))
                 else:  # Lambda_i*gamma less the image of delta_i+1, then the family's
                     span, n, n_old = Echelon(f), len(new), len(old)
                     for image in deltas.get((i + 1, d), ()):
                         span.add(image)
-                    classes = [({w * n + j: c for j, c in gamma.items()}, {}, None)
+                    classes = [({w * n + j: c for j, c in gamma.items()}, {})
                                for w in range(len(WORDS[i]))
                                if span.add({w: f.one}, tag=w) is None]
                     classes += [({k // n_old * n + into[k % n_old]: c for k, c in vec.items()},
-                                 {k: f.one}, k) for k, vec in here]
+                                 {k: f.one}) for k, vec in here]
                 if classes:
                     first = len(self._reps[i])
-                    self._reps[i].extend((d, vec) for vec, _, _ in classes)
-                    self._lifts[i].extend(lift for _, lift, _ in classes)
-                    self._words[i].extend(fam._words[i][k] if len(lift) == 1  # z_k itself
-                                          else (d, self._terms(i, {d: vec}))
-                                          for vec, lift, k in classes)
+                    self._reps[i].extend((d, vec) for vec, _ in classes)
+                    self._lifts[i].extend(lift for _, lift in classes)
+                    self._words[i].extend(fam._words[i][max(lift)] if len(lift) == 1  # z_k
+                                          else (d, self._terms(i, {d: vec})) for vec, lift in classes)
                     self._classes[i, d] = None if d - i == e and own else \
-                        _Through(fam._classes[i, d], first, [(k, lift) for _, lift, k in classes])
+                        _Through(fam._classes[i, d], first, [lift for _, lift in classes])
                 euler += (-1) ** i * (len(classes) - self.component_size(i, d))
             if euler:
                 raise RuntimeError(f"the classes derived in internal degree {d} miss chi_d")

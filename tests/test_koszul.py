@@ -495,6 +495,25 @@ def test_trim_products_off_the_family_pairing_match_direct_ones():
         (19, 10, 6, 8)
 
 
+def test_derived_classes_are_checked():
+    """The derivation checks itself: each internal degree against the Euler
+    characteristic (here a family complex short of its top A_3 class), and
+    each deferred space, on its first solve, that its classes are
+    independent of the trim's own boundaries (here one replaced by zero)."""
+    family = gorenstein_ideal(3, F)
+    family_complex = KoszulComplex(family.quotient_ring())
+    ring = ideals.trim(family, 3).quotient_ring()
+    kz = KoszulComplex(ring, family_complex)
+    (i, d), *_ = (key for key, space in kz._classes.items() if space is None)
+    first = next(k for k, (deg, _) in enumerate(kz._reps[i]) if deg == d)
+    kz._reps[i][first] = (d, {})
+    with pytest.raises(RuntimeError, match="not independent"):
+        kz._class_coords(i, {d: {}})
+    family_complex._reps[3].pop()
+    with pytest.raises(RuntimeError, match="internal degree 7 miss chi_d"):
+        KoszulComplex(ring, family_complex)
+
+
 def test_table_reads_trim_products_off_one_family_pairing(monkeypatch, capsys):
     """`table --m 2..8` passes each trim its family's complex: `_product`
     runs at most 1,100 times (9,648 when every trim formed its own A_1 x A_2
