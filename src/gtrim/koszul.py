@@ -193,7 +193,7 @@ def _generator_cycle(g: Polynomial) -> KoszulElement:
     return KoszulElement(1, {(v,): Polynomial(g.field, t) for v, t in enumerate(parts) if t})
 
 
-class _Through(namedtuple("_Through", "space first lifts")):
+class _Through(namedtuple("_Through", "field space first lifts")):
     """The classes of a derived ring in one (i, d) where its homology is read
     through the family's: `space` is the family's, and class first + s has
     family coordinates lifts[s], 1 at their last family class and 0 at every
@@ -206,7 +206,7 @@ class _Through(namedtuple("_Through", "space first lifts")):
         coords = self.space.solve(vec)
         if coords is None:
             return None
-        f, out, rest = self.space.field, {}, dict(coords)
+        f, out, rest = self.field, {}, dict(coords)
         for s, lift in enumerate(self.lifts, self.first):
             if (c := coords.get(max(lift))) is not None:
                 out[s] = c
@@ -310,7 +310,7 @@ class KoszulComplex:
         coordinates, its family coordinates): these are 1 at their last family
         class and 0 at every other class's last (a unit vector, or a relation
         from `Echelon.add`), or {} for gamma*e_w.  The s = e spaces are deferred
-        to `_class_coords`.  Raises RuntimeError when a degree misses chi_d."""
+        to `_space`.  Raises RuntimeError when a degree misses chi_d."""
         fam, ring, f = self.family, self.ring, self.field
         e = ring.parent[1]
         old, new = fam.ring.basis(e), ring.basis(e)
@@ -356,7 +356,7 @@ class KoszulComplex:
                     self._words[i].extend(fam._words[i][max(lift)] if len(lift) == 1  # z_k
                                           else (d, self._terms(i, {d: vec})) for vec, lift in classes)
                     self._classes[i, d] = None if d - i == e and own else \
-                        _Through(fam._classes[i, d], first, [lift for _, lift in classes])
+                        _Through(f, fam._space(i, d), first, [lift for _, lift in classes])
                 euler += (-1) ** i * (len(classes) - self.component_size(i, d))
             if euler:
                 raise RuntimeError(f"the classes derived in internal degree {d} miss chi_d")
@@ -516,9 +516,7 @@ class KoszulComplex:
         coords = [self.field.zero] * len(self._reps[i])
         for d, vec in sorted(vecs.items()):
             if (i, d) in self._classes:
-                if self._classes[i, d] is None:  # deferred: built on the first solve
-                    self._classes[i, d] = self._own_space(i, d)
-                sol = self._classes[i, d].solve(vec)
+                sol = self._space(i, d).solve(vec)
             else:
                 sol = None if self._boundary_vector(i, d, vec) else {}
             if sol is None:
@@ -527,14 +525,17 @@ class KoszulComplex:
                 coords[k] = c
         return coords
 
-    def _own_space(self, i: int, d: int) -> Echelon:
-        """The classes of a derived ring in K_{i,d}, d - i = e, over its own
-        boundaries, each tagged by its index; raises unless all are independent."""
-        space = self._boundaries(i, d)
-        for k, (deg, vec) in enumerate(self._reps[i]):
-            if deg == d and space.add(vec, tag=k) is not None:
-                raise RuntimeError(f"H_{i},{d}: the derived classes are not independent")
-        return space
+    def _space(self, i: int, d: int):
+        """`_classes[(i, d)]`; where a derived ring deferred it (d - i = e), it
+        is built now: its own boundaries, then its classes, each tagged by its
+        index, which must all be independent."""
+        if self._classes[i, d] is None:
+            space = self._boundaries(i, d)
+            for k, (deg, vec) in enumerate(self._reps[i]):
+                if deg == d and space.add(vec, tag=k) is not None:
+                    raise RuntimeError(f"H_{i},{d}: the derived classes are not independent")
+            self._classes[i, d] = space
+        return self._classes[i, d]
 
     def is_boundary(self, el: KoszulElement) -> bool:
         return all(self.field.is_zero(c) for c in self.class_coords(el))

@@ -478,7 +478,8 @@ def test_trim_products_off_the_family_pairing_match_direct_ones():
     over Q, and every trim of 8 random artinian ideals per field, whose mixed
     generator degrees put e next to the degrees of many products and give
     trims at a non-minimal g (19), at deg g = top_degree + 1 (16, of which
-    6 make R' taller) and past it (8)."""
+    6 make R' taller) and past it (8).  Also every trim of every trim of g_3
+    and g_4, derived from the first trim's derived complex."""
     cases = collections.Counter()
     for char, top in ((2, 10), (3, 10), (32003, 10), (0, 6)):
         fld, rng = helpers.field(char), random.Random(helpers.SEED + 28 + char)
@@ -493,17 +494,31 @@ def test_trim_products_off_the_family_pairing_match_direct_ones():
     assert sum(cases.values()) == 541
     assert (cases["same", -1], cases["same", 0], cases["taller", 0], cases["same", 1]) == \
         (19, 10, 6, 8)
+    for m in (3, 4):  # a trim of a trim, from the derived complex of the first trim
+        family = gorenstein_ideal(m, F)
+        family_complex = KoszulComplex(family.quotient_ring())
+        for k in range(len(family.generators)):
+            first = ideals.trim(family, k)
+            first_complex = KoszulComplex(first.quotient_ring(), family_complex)
+            for j in range(len(first.generators)):
+                _check_routed_against_direct(first, j, first_complex)
 
 
 def test_derived_classes_are_checked():
     """The derivation checks itself: each internal degree against the Euler
     characteristic (here a family complex short of its top A_3 class), and
     each deferred space, on its first solve, that its classes are
-    independent of the trim's own boundaries (here one replaced by zero)."""
+    independent of the trim's own boundaries (here one replaced by zero).
+    The cycle of the trimmed generator g is a cycle of the family's ring
+    alone: read through the family's space, its class is refused."""
     family = gorenstein_ideal(3, F)
     family_complex = KoszulComplex(family.quotient_ring())
     ring = ideals.trim(family, 3).quotient_ring()
     kz = KoszulComplex(ring, family_complex)
+    cycle = _generator_cycle(family.generators[3])
+    assert family_complex.is_cycle(cycle) and not kz.is_cycle(cycle)
+    with pytest.raises(ValueError, match="not a cycle"):
+        kz.class_coords(cycle)
     (i, d), *_ = (key for key, space in kz._classes.items() if space is None)
     first = next(k for k, (deg, _) in enumerate(kz._reps[i]) if deg == d)
     kz._reps[i][first] = (d, {})
