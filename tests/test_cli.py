@@ -14,6 +14,7 @@ import gtrim.koszul
 from gtrim import canonical_generators, ideals, report_dict
 from gtrim.cli import main
 from gtrim.ideals import buchberger
+from gtrim.pfaffians import selector_labels
 
 V2_STRINGS = [
     ["0", "0", "0", "x", "z"],
@@ -446,6 +447,37 @@ def test_trim_error_paths_frozen(capsys, tmp_path, monkeypatch):
                 "3cd07b5a09ddf2ab263459034ce33bd078823694d024cd4c3231c56f3ba32962")
         else:
             assert got == (code, "", f"error: {message}\n"), (gens, bound)
+
+
+def test_classify_ideal_trim_frozen_by_digest(capsys, tmp_path):
+    """`classify --ideal FILE --trim SEL` for every selector of three files
+    of mixed generator degree, over F_32003 and F_3, each stdout frozen by
+    sha256 over the selectors in ladder order.  They hold trims at a
+    non-minimal g, where R' = R (y0 of the first over F_3, y2 of the second
+    over F_32003), trims at deg g = top_degree + 1 that make R' one degree
+    taller (x2, d and y0 of the second, and y2 over F_3), and trims where
+    R'_(deg g) grows by one (the rest); the coefficient 3 makes the two
+    fields differ."""
+    for gens, digests in (
+            (["x^2", "y^3", "x*y*z", "z^3", "x^2*y + 3*y^2*z"],
+             ("590ad837830ff421e9fc0a031f1d62a58b9b39a99aaa24e9e7eda8b1e5d7a50d",
+              "2507c146d14865ddcf4dc0f67da0b4d12eda554cf3a55e75e1b34a4311145431")),
+            (["x^2 + 3*y*z", "y^3", "z^4", "x*y^2*z", "y*z^3", "x*z^2", "y^2*z^2"],
+             ("8af300703148eff076d7980a981964159c4d29644863b315573d9f0dd2fbf163",
+              "8b28f07156d1193a1688f1ddb024bcf805ac9dcacdabbace1d980c212f867ebb")),
+            (["x^3 + 3*y^3", "x*y^2", "y^4", "x^2*z - y^2*z", "z^3"],
+             ("e52654cd512bd5e97f2ed77511752a342963ad761d5555bd20574c42c05efabf",
+              "82186408d2c92111bbf18fcb5e87e3d61390175c7c5cab86b88ccfce19a8cad3"))):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"generators": gens}))
+        for char, digest in zip(("32003", "3"), digests):
+            out = ""
+            for sel in selector_labels((len(gens) - 1) // 2):
+                code, text, err = run_cli(["classify", "--ideal", str(path), "--trim", sel,
+                                           "--char", char], capsys)
+                assert code == 0 and err == "", (gens, sel, char)
+                out += text
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (gens, char)
 
 
 def test_buchberger_runs_once_per_family(capsys, monkeypatch):
