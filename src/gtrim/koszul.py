@@ -30,13 +30,13 @@ live H_2.  Where A is zero a cycle's class is zero.  A product [a][b] lies
 in internal degree deg a + deg b, and `class_product` forms it only where
 `_classes`, the one record of where A lives, holds A_{i+j} in that degree.
 
-A ring R' derived from the family's R at g of degree e (`table` passes
-the family's complex as `family`) takes its homology from R's, by the long
-exact sequence of 0 -> k*gamma(-e) -> R' -> R -> 0 (Bruns-Herzog, 1.6).  If
-g is minimal, std'_e = std_e + {t} and gamma = t - NF_R(t) (NF_R(t) = 0 at
-e = top_degree(R) + 1); otherwise R' = R and nothing changes.  m*gamma = 0,
-so K(k*gamma) = Lambda (x) k*gamma(-e) has zero differential, and in internal
-degree d, with s = d - i the coefficient degree:
+A ring R' derived from the family's R at g of degree e takes its homology
+from R's complex (`table` passes one per m as `family`, else it is built),
+by the long exact sequence of 0 -> k*gamma(-e) -> R' -> R -> 0 (Bruns-
+Herzog, 1.6).  If g is minimal, std'_e = std_e + {t} and gamma = t - NF_R(t)
+(NF_R(t) = 0 at e = top_degree(R) + 1); otherwise R' = R and nothing
+changes.  m*gamma = 0, so K(k*gamma) = Lambda (x) k*gamma(-e) has zero
+differential, and in internal degree d, with s = d - i the coefficient degree:
 - s not e - 1, e: H_i(R')_d = H_i(R)_d, with the family's representatives,
   whose coordinates are the same, and the family's boundaries.
 - s = e - 1: H_i(R')_d = ker delta_i, where delta_i(z) is the t-coordinate
@@ -50,16 +50,13 @@ degree d, with s = d - i the coefficient degree:
 Each class keeps its family coordinates (a unit vector, a kernel vector, or
 {} for gamma*e_w), and sum (-1)^i h_i,d = chi_d is checked in every degree.
 
-A trim R' of the family's R at g of degree e reads most A_1 x A_2 products
-off the family's complex, passed as `family` (`table` does).  K(R') -> K(R)
-is a map of DG algebras, the identity on coordinates in every coefficient
-degree but e, and no boundary reaches K_3 as K_4 = 0.  So for classes in
-internal degrees du and dv, d = du + dv, with e none of du - 1 and dv - 2
-(the factors), d - 3 (the product) and d - 2 (its socle), the product is
-sum a_s c_t [z_s w_t] exactly, over the family's classes z_s and w_t the
-factors map to, on the family's A_3 classes of degree d, the same socle.
-Each [z_s w_t] is formed once, by the family's `class_product`; any other
-pair of R' is formed directly.
+Products too: pi: K(R') -> K(R) is a map of DG algebras sending each
+representative to sum lift*z exactly, and pi_* is an isomorphism on
+H_n(R')_d for d - n not e - 1, e and injective at e - 1.  So into a
+`_Through` a product is sum a_s c_t [z_s w_t] over the factors' lifts, each
+[z_s w_t] by the family's `class_product` once, read back by the `_Through`
+(gamma*e_w times a class of positive coefficient degree is 0, as
+m*gamma = 0); a product into d - n = e is formed directly.
 
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
@@ -204,8 +201,11 @@ class _Through(namedtuple("_Through", "field space first lifts")):
 
     def solve(self, vec):
         coords = self.space.solve(vec)
-        if coords is None:
-            return None
+        return None if coords is None else self.read(coords)
+
+    def read(self, coords):
+        """The class coordinates of family class coordinates `coords`, or
+        None when they are no combination of the lifts."""
         f, out, rest = self.field, {}, dict(coords)
         for s, lift in enumerate(self.lifts, self.first):
             if (c := coords.get(max(lift))) is not None:
@@ -220,6 +220,8 @@ class KoszulComplex:
     def __init__(self, ring: QuotientRing, family: KoszulComplex | None = None):
         if family is not None and (ring.parent is None or ring.parent[0] is not family.ring):
             raise ValueError("family is not the complex of the ring this ring is derived from")
+        if family is None and ring.parent is not None:
+            family = KoszulComplex(ring.parent[0])
         self.ring, self.family, self.field = ring, family, ring.field
         self._reps = ([], [], [], [])  # per exterior degree: (internal degree, cycle)
         self._classes = {}  # (i, d) -> Echelon: boundaries untagged, representatives
@@ -265,8 +267,8 @@ class KoszulComplex:
         return col
 
     def _build_homology(self):
-        """A_i only where it can be non-zero, each H_i,d counted before the
-        elimination that finds it.  H_3,d is `socle(d - 3)`, its vectors the
+        """A_i of a walked ring (no parent) only where it can be non-zero, each
+        H_i,d counted before its elimination.  H_3,d is `socle(d - 3)`, its vectors the
         A_3 representatives (K_3 = R e_xyz).  H_0 lives only at d = 0 and H_1
         only in the generator degrees, so elsewhere the Euler characteristic
         sum (-1)^i dim H_i,d = chi_d gives h_2 = chi_d + h_3, and d_2 stops at
@@ -541,9 +543,9 @@ class KoszulComplex:
         return all(self.field.is_zero(c) for c in self.class_coords(el))
 
     def class_product(self, i: int, s: int, j: int, t: int) -> list:
-        """Class coordinates of basis class s of A_i times basis class t of A_j,
-        by `_product`, or off the family's pairing where `_family_product`
-        allows; zero, not formed, where A_{i+j} has no class in its degree.
+        """Class coordinates of basis class s of A_i times basis class t of A_j:
+        `_family_product` where the target's `_classes` entry is a `_Through`,
+        else by `_product`; zero, not formed, where A_{i+j} has no class there.
         Degrees outside 0..3 or past 3 in sum, and class indices out of range, are refused."""
         if min(i, j) < 0 or i + j > 3:
             raise ValueError(f"exterior degrees {i} and {j} are not in 0..3" if min(i, j) < 0
@@ -553,26 +555,24 @@ class KoszulComplex:
         (du, u), (dv, v) = self._words[i][s], self._words[j][t]
         if (i + j, du + dv) not in self._classes:
             return [self.field.zero] * len(self._reps[i + j])
-        if self.family is not None and (i, j) == (1, 2) and \
-                self.ring.parent[1] not in (du - 1, dv - 2, du + dv - 3, du + dv - 2):
-            return self._family_product(s, t, du + dv)
+        if isinstance(self._classes[i + j, du + dv], _Through):
+            return self._family_product(i, s, j, t, du + dv)
         return self._class_coords(i + j, self._product(u, v))
 
-    def _family_product(self, s: int, t: int, d: int) -> list:
-        """class_product(1, s, 2, t) as sum a_s' c_t' [z_s' w_t'] over the family's
-        classes (module docstring), each [z_s' w_t'] by the family's `class_product` once."""
+    def _family_product(self, i: int, s: int, j: int, t: int, d: int) -> list:
+        """class_product(i, s, j, t) into internal degree d as sum a_s' c_t'
+        [z_s' w_t'] over the lifts of the factors (module docstring), each
+        [z_s' w_t'] by the family's `class_product` once, read back through
+        the target's `_Through`."""
         fam, f, acc = self.family, self.field, {}
-        for s_fam, a in self._lifts[1][s].items():
-            for t_fam, c in self._lifts[2][t].items():
-                if (s_fam, t_fam) not in fam._pairing:
-                    prod = fam.class_product(1, s_fam, 2, t_fam)
-                    fam._pairing[s_fam, t_fam] = {k: x for k, x in enumerate(prod) if x}
-                f.sub_multiple(acc, f.neg(f.mul(a, c)), fam._pairing[s_fam, t_fam])
-        out = [f.zero] * len(self._reps[3])
-        if acc:  # shifted from the family's A_3 basis to this one's
-            shift = sum(e < d for e, _ in self._reps[3]) - sum(e < d for e, _ in fam._reps[3])
-            for k, c in acc.items():
-                out[k + shift] = c
+        for s_fam, a in self._lifts[i][s].items():
+            for t_fam, c in self._lifts[j][t].items():
+                if (key := (i, s_fam, j, t_fam)) not in fam._pairing:
+                    fam._pairing[key] = {k: x for k, x in enumerate(fam.class_product(*key)) if x}
+                f.sub_multiple(acc, f.neg(f.mul(a, c)), fam._pairing[key])
+        out = [f.zero] * len(self._reps[i + j])
+        for k, c in self._classes[i + j, d].read(acc).items():
+            out[k] = c
         return out
 
     def multiply(self, u: KoszulElement, v: KoszulElement) -> list:

@@ -91,6 +91,13 @@ def koszul(m, selector=None, char=32003):
     return KoszulComplex(ideal.quotient_ring())
 
 
+def walked_ring(ideal):
+    """The quotient ring of ideal walked from its own Groebner basis: an
+    `Ideal` of the same generators has no parent, so a trim's ring built
+    here is not derived and its complex takes `_build_homology`."""
+    return Ideal(ideal.generators, ideal.field).quotient_ring()
+
+
 @lru_cache(maxsize=None)
 def trimmed_power_ci(char=32003):
     """The quotient obtained by trimming x^2 out of (x^2, y^2, z^2)."""

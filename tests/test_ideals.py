@@ -587,8 +587,8 @@ def test_trim_ring_is_freed_without_the_cycle_collector(monkeypatch):
     """An ideal holds its quotient ring weakly, so with the cycle collector
     off a trim's ring and complex die when `_classified` returns: each trim
     of g_4 from one family complex, as `table` makes them, and the d trim as
-    `classify` makes it, whose family ring goes with it.  The family ring
-    that the family complex holds stays the ideal's."""
+    `classify` makes it, whose family ring and complex go with it.  The
+    family ring that the family complex holds stays the ideal's."""
     from gtrim.cli import _classified
 
     made, init = [], KoszulComplex.__init__
@@ -606,9 +606,10 @@ def test_trim_ring_is_freed_without_the_cycle_collector(monkeypatch):
         for k in range(len(family.generators)):
             _classified(trim(family, k), family_complex)
             assert [ref() for ref in made[-1]] == [None, None], k
-        ideal = trimmed_ideal(TrimChoice(4, "d"), F)
+        ideal, first = trimmed_ideal(TrimChoice(4, "d"), F), len(made)
         _classified(ideal)
-        assert [ref() for ref in made[-1]] == [None, None]
+        assert len(made) - first == 2  # the trim's complex and its family's
+        assert all(ref() is None for refs in made[first:] for ref in refs)
         assert ideal._parent[0]._ring() is None
         assert family.quotient_ring() is family_complex.ring
     finally:

@@ -324,7 +324,8 @@ def test_lowest_homology_stops_at_euler_count(monkeypatch):
     of the family eliminate fewer d_2 columns than those degrees hold.  H_1 is
     read off the generators: no d_1 column is built for any trim at m = 2..6,
     nor for an ideal with redundant generators, whose generator degrees can
-    carry no A_1 class."""
+    carry no A_1 class.  The trims' rings are walked (`helpers.walked_ring`),
+    as a derived ring's complex eliminates nothing of this."""
     calls = []
     column = KoszulComplex._diff_column
 
@@ -337,7 +338,7 @@ def test_lowest_homology_stops_at_euler_count(monkeypatch):
     for m in range(2, 7):
         for label in selector_labels(m):
             calls.clear()
-            kz = KoszulComplex(helpers.trim_ideal(m, label).quotient_ring())
+            kz = KoszulComplex(helpers.walked_ring(helpers.trim_ideal(m, label)))
             assert not any(i == 1 for i, _ in calls), (m, label)
             gen_degrees = {g.degree() for g in kz.ring.ideal.generators}
             for d in {d for i, d in calls if i == 2} - gen_degrees:
@@ -358,13 +359,14 @@ def test_lowest_homology_stops_at_euler_count(monkeypatch):
 def test_a1_representatives_are_generator_cycles():
     """Every A_1 representative is the `_generator_cycle` of an input
     generator of its degree, in coordinates: H_1 = a/ma is read off the
-    generators, redundant ones included."""
+    generators, redundant ones included, in every walked ring (a derived
+    ring's A_1 classes combine its family's)."""
     rng = random.Random(helpers.SEED + 17)
     corpus = [ideal for _, ideal in helpers.small_instances()]
     corpus += [ideal for char in (2, 3, 32003, 0)
                for ideal in redundant_generator_ideals(rng, char, 10)]
     for ideal in corpus:
-        kz = KoszulComplex(ideal.quotient_ring())
+        kz = KoszulComplex(helpers.walked_ring(ideal))
         cycles = [(g.degree(), kz._coords(_generator_cycle(g))) for g in ideal.generators]
         for d, vec in kz._reps[1]:
             assert (d, {d: vec}) in cycles, (ideal.field, str(ideal), d)
@@ -436,19 +438,23 @@ def _report(kz):
 
 
 def _check_routed_against_direct(family, k, family_complex):
-    """The trim of family at k, its complex derived from family_complex
-    against one built directly: the same report_dict (or error) and degrees
-    of the representatives; the routed representatives' classes in the
-    direct complex, C_i, invertible; each A_1 x A_1 and A_1 x A_2 class
-    product, carried by C_(i+j), the direct class of the same
-    representatives' product; and each routed basis element's class_coords
+    """The trim of family at k, its complex derived with family_complex
+    passed and with none (then it builds its family's), against the complex
+    of the same ring walked from the trim's generators: the same report_dict
+    (or error) and degrees of the representatives; the derived
+    representatives' classes in the walked complex, C_i, invertible; each
+    A_1 x A_1, A_1 x A_2 and A_2 x A_1 class product, the same from both
+    derived complexes and, carried by C_(i+j), the walked class of the same
+    representatives' product; and each derived basis element's class_coords
     its unit vector.  Returns how the trim relates to its family: 'same'
     (R' = R), 'taller' (deg g = top_degree + 1 and R' one degree taller) or
     'grown' (R'_e one larger)."""
     ring = ideals.trim(family, k).quotient_ring()
-    routed, direct = KoszulComplex(ring, family_complex), KoszulComplex(ring)
+    routed, shared = KoszulComplex(ring), KoszulComplex(ring, family_complex)
+    direct = KoszulComplex(helpers.walked_ring(ring.ideal))
     f, case = ring.field, (family.field, family, k)
-    assert _report(routed) == _report(direct), case
+    assert routed._reps == shared._reps, case
+    assert _report(routed) == _report(shared) == _report(direct), case
     change = []
     for i in range(4):
         assert [d for d, _ in routed._reps[i]] == [d for d, _ in direct._reps[i]], case
@@ -457,11 +463,13 @@ def _check_routed_against_direct(family, k, family_complex):
         for s, el in enumerate(routed.homology_basis(i)):
             unit = [f.one if r == s else f.zero for r in range(len(change[i]))]
             assert routed.class_coords(el) == unit, (case, i, s)
-    for i, j in ((1, 1), (1, 2)):
+    for i, j in ((1, 1), (1, 2), (2, 1)):
         for s, (_, u) in enumerate(routed._words[i]):
             for t, (_, v) in enumerate(routed._words[j]):
+                product = routed.class_product(i, s, j, t)
+                assert shared.class_product(i, s, j, t) == product, (case, i, s, t)
                 carried = {}
-                for r, c in enumerate(routed.class_product(i, s, j, t)):
+                for r, c in enumerate(product):
                     f.sub_multiple(carried, f.neg(c), dict(enumerate(change[i + j][r])))
                 expected = direct._class_coords(i + j, direct._product(u, v))
                 assert carried == {r: c for r, c in enumerate(expected) if c}, (case, i, s, t)
@@ -472,8 +480,9 @@ def _check_routed_against_direct(family, k, family_complex):
 
 def test_trim_products_off_the_family_pairing_match_direct_ones():
     """A trim's complex derived from its family's (the long exact sequence in
-    the `koszul` module docstring) has other representatives than one built
-    directly, so the two are compared basis-free (`_check_routed_against_direct`):
+    the `koszul` module docstring) has other representatives than that of
+    its ring walked from its generators, so the two are compared basis-free
+    (`_check_routed_against_direct`):
     every trim of g_m for m = 2..10 over F_2, F_3 and F_32003 and m = 2..6
     over Q, and every trim of 8 random artinian ideals per field, whose mixed
     generator degrees put e next to the degrees of many products and give
@@ -532,11 +541,12 @@ def test_derived_classes_are_checked():
 def test_table_reads_trim_products_off_one_family_pairing(monkeypatch, capsys):
     """`table --m 2..8` passes each trim its family's complex: `_product`
     runs at most 1,100 times (9,648 when every trim formed its own A_1 x A_2
-    products), and at least once on a trim's complex, the direct route (at
-    m = 2 the trimmed degree e = 2 is the top degree, where the rule refuses
-    the family's pairing).  The trims' `invariants` ask `class_product` only
-    for pairs whose target degree has a class: at most 9,648 calls (17,871
-    when every pair was asked and most came back as zero lists)."""
+    products), and at least once on a trim's complex, the direct route (a
+    product into coefficient degree e = deg g, where the trim's classes are
+    its own, not read through a `_Through`).  The trims' `invariants` ask
+    `class_product` only for pairs whose target degree has a class: at most
+    9,648 calls (17,871 when every pair was asked and most came back as zero
+    lists)."""
     from gtrim.cli import main
 
     calls, on_trim, asked = [0], [0], [0]
@@ -581,6 +591,37 @@ def test_family_complex_of_another_ring_is_refused(monkeypatch):
             KoszulComplex(ring, wrong)
 
 
+def test_a_derived_ring_takes_one_route(monkeypatch, capsys):
+    """A ring with a parent always derives its homology from its family's
+    complex, passed or not: through `main`, `table --m 2..8` and
+    `classify --m M --trim SEL` for every selector at m = 2..6 never run
+    `_build_homology` on one.  Built with its family's complex passed and
+    without, every trim of g_m, m = 2..6, has the same representatives and
+    the same report."""
+    from gtrim.cli import main
+
+    build = KoszulComplex._build_homology
+
+    def walked_only(kz):
+        assert kz.ring.parent is None, "homology built for a derived ring"
+        build(kz)
+
+    monkeypatch.setattr(KoszulComplex, "_build_homology", walked_only)
+    assert main(["table", "--m", "2..8"]) == 0
+    for m in range(2, 7):
+        for sel in selector_labels(m):
+            assert main(["classify", "--m", str(m), "--trim", sel]) == 0, (m, sel)
+    capsys.readouterr()
+    for m in range(2, 7):
+        family = gorenstein_ideal(m, F)
+        family_complex = KoszulComplex(family.quotient_ring())
+        for k in range(len(family.generators)):
+            ring = ideals.trim(family, k).quotient_ring()
+            alone, shared = KoszulComplex(ring), KoszulComplex(ring, family_complex)
+            assert alone._reps == shared._reps, (m, k)
+            assert report_dict(alone) == report_dict(shared), (m, k)
+
+
 def _outcome(ideal):
     """(report_dict or the error, every homology_basis string) of Q/ideal."""
     kz = KoszulComplex(ideal.quotient_ring())
@@ -591,13 +632,13 @@ def _outcome(ideal):
     return report, [str(b) for i in range(4) for b in kz.homology_basis(i)]
 
 
-def test_level_memos_answer_alike_in_any_trim_order():
-    """Siblings fill and read their family's level memos in whatever order
-    they come: the trims of one family, in `table` order, reversed and in a
-    seeded shuffle, give the same record and the same representatives as a
-    trim of a fresh family each.  g_m for m = 3..8 over F_2, F_3 and
-    F_32003 and m = 3..6 over Q, and 8 random artinian ideals per field, whose
-    generators of mixed degree vary deg g."""
+def test_shared_tables_answer_alike_in_any_trim_order():
+    """Siblings fill and read their family's normal-form tables, held for
+    the whole order, in whatever order they come: the trims of one family,
+    in `table` order, reversed and in a seeded shuffle, give the same record
+    and the same representatives as a trim of a fresh family each.  g_m for
+    m = 3..8 over F_2, F_3 and F_32003 and m = 3..6 over Q, and 8 random
+    artinian ideals per field, whose generators of mixed degree vary deg g."""
     for char, top in ((2, 8), (3, 8), (32003, 8), (0, 6)):
         fld, rng = helpers.field(char), random.Random(helpers.SEED + char)
         families = [lambda m=m: gorenstein_ideal(m, fld) for m in range(3, top + 1)]
@@ -611,8 +652,10 @@ def test_level_memos_answer_alike_in_any_trim_order():
             rng.shuffle(shuffled)
             for order in (range(n), range(n - 1, -1, -1), shuffled):
                 family = make()
+                ring = family.quotient_ring()  # held, so the siblings share its tables
                 for k in order:
                     assert _outcome(ideals.trim(family, k)) == fresh[k], (char, family, k)
+                assert family.quotient_ring() is ring
 
 
 def _built_with_d3_count(ring, monkeypatch):
@@ -644,9 +687,10 @@ def test_homology_skips_follow_socle_and_generator_degrees(monkeypatch):
     class, H_0 only in degree 0, H_1 only in generator degrees, and the H_3
     entries hold the socle representatives alone, no d_3 column.  Each d_3
     elimination is whole: it holds all component_size(3, d) columns, and its
-    rank is that of d_3, component_size(3, d) - h_3."""
+    rank is that of d_3, component_size(3, d) - h_3.  The trims' rings are
+    walked, so their complexes build what is checked."""
     rng = random.Random(helpers.SEED + 14)
-    rings = [helpers.trim_ideal(m, label).quotient_ring()
+    rings = [helpers.walked_ring(helpers.trim_ideal(m, label))
              for m in range(2, 7) for label in selector_labels(m)]
     rings += [helpers.family_ideal(m).quotient_ring() for m in range(2, 7)]
     rings += [helpers.random_artinian_ideal(rng, helpers.field(char)).quotient_ring()
@@ -669,10 +713,10 @@ def test_homology_skips_follow_socle_and_generator_degrees(monkeypatch):
 
 
 def test_d3_columns_only_under_a_live_h2(monkeypatch):
-    """At m = 14 the d trim, from a family of its own, builds 196 d_3
-    columns, all in degrees where A_2 has a class; with d_3 run wherever the
-    staircase had a corner it built 730."""
-    ring = trimmed_ideal(TrimChoice(14, "d"), F).quotient_ring()
+    """At m = 14 the d trim, its ring walked from its own generators, builds
+    196 d_3 columns, all in degrees where A_2 has a class; with d_3 run
+    wherever the staircase had a corner it built 730."""
+    ring = helpers.walked_ring(trimmed_ideal(TrimChoice(14, "d"), F))
     _, columns, _ = _built_with_d3_count(ring, monkeypatch)
     assert sum(columns.values()) <= 196
 
@@ -681,14 +725,16 @@ def test_pivot_at_last_column_keeps_bases_with_less_fill():
     """Rows pivot at their last column: the A_1 space of the m = 14 d trim in
     internal degree 15 holds at most 640 row entries (1,070 when rows pivoted
     at their first column), and the representatives are the same strings,
-    frozen by sha256 over every `homology_basis(i)`, one per line."""
+    frozen by sha256 over every `homology_basis(i)`, one per line.  The
+    rings are walked from the trims' generators: a derived ring has other
+    representatives."""
     frozen = {
         (3, "d"): "4391476bc6421157645eef272cf616cce42b3ac0f708363693738b1008a4bdca",
         (4, "x2"): "56dfa6da66eb66e8a7e54e4bb33a5c2a1e89c2abcdaed749fa5b137375877a7c",
         (14, "d"): "ebb3e851a190de3460f2985790cfa60c1e6e684d7d974e9874f2651898752f83",
     }
     for (m, sel), digest in frozen.items():
-        kz = helpers.koszul(m, sel)
+        kz = KoszulComplex(helpers.walked_ring(helpers.trim_ideal(m, sel)))
         text = "\n".join(str(b) for i in range(4) for b in kz.homology_basis(i))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (m, sel)
     rows = kz._classes[(1, 15)].rows.values()
@@ -1033,9 +1079,10 @@ def test_random_pfaffian_trims_have_the_abstract_structure():
 def test_abstract_structure_at_scale():
     """Opt-in (`pytest -m slow`): every trim at m = 16 and 24 and the d trim
     at m = 32 and 48 pass `pd_padding` with rank P_1 = r and padding
-    (3, 4, 1), and `a1_cycle_basis` gives mu cycles spanning A_1.  The 49
-    trims at m = 24 are made as `table` makes them, from one g_24, their
-    homology derived from g_24's complex."""
+    (3, 4, 1), and `a1_cycle_basis` gives mu cycles spanning A_1.  Every
+    trim's homology is derived from its family's complex: the 49 trims at
+    m = 24 are made as `table` makes them, from one g_24 with its complex
+    passed, and each other trim builds its family's complex itself."""
     g24 = gorenstein_ideal(24, F)
     g24_complex = KoszulComplex(g24.quotient_ring())
     for m, label in ([(m, label) for m in (16, 24) for label in selector_labels(m)]
