@@ -324,8 +324,8 @@ def test_lowest_homology_stops_at_euler_count(monkeypatch):
     of the family eliminate fewer d_2 columns than those degrees hold.  H_1 is
     read off the generators: no d_1 column is built for any trim at m = 2..6,
     nor for an ideal with redundant generators, whose generator degrees can
-    carry no A_1 class.  The trims' rings are walked (`helpers.walked_ring`),
-    as a derived ring's complex eliminates nothing of this."""
+    carry no A_1 class.  The trims' rings are walked (`helpers.walked_ring`):
+    a derived ring takes its homology from its family's instead."""
     calls = []
     column = KoszulComplex._diff_column
 
