@@ -2,20 +2,15 @@
 
 The complex is the exterior algebra on e_x, e_y, e_z over R with
 differential e_x -> x (and so on), so H_i lives in internal degrees
-(coefficient degree plus exterior degree) between 0 and top_degree(R) + 3.
-The differential and its sign rule are written once, as one sparse column
-per basis element of K_{i,d} over the standard-monomial coordinates, read
-from the quotient ring's sparse multiplication columns, and `differential`
-applies the columns in an element's support to its coordinates.  d_2 is
-eliminated at most once per internal degree, column by column, with tags:
-the relations among its columns are the cycles, and the rows left behind
-span the boundaries below; d_3 is eliminated only for its image, d_1
-never.  An element enters coordinates one way, `_coords`, one entry of the
-quotient ring's normal-form table per monomial; reduction,
-the differential, cycle checks and classes all read them.  Products are
-formed one way, `_product`, for `wedge`, `multiply`, `class_product` and
-`annihilates_a1`: the words of two factors multiply with their exterior
-sign, each product monomial reads one table entry, with no Polynomial product.
+(coefficient plus exterior degree) 0 to top_degree(R) + 3.  The differential
+is written once, as one sparse column per basis element of K_{i,d} over the
+standard monomials (`_diff_column`).  d_2 is eliminated at most once per
+internal degree, column by column, with tags: the relations among its
+columns are the cycles, and the rows left behind span the boundaries below;
+d_3 is eliminated only for its image, d_1 never.  An element enters
+coordinates one way, `_coords`, one normal-form table entry per monomial,
+and products are formed one way, `_product`: the words of two factors
+multiply with their exterior sign, each product monomial reads one entry.
 
 The homology is built only where it can be non-zero.  H_i(K^R)_d is
 Tor_i(R, k)_d, so H_0 is k in degree 0, and H_1 = a/ma lives only in the
@@ -26,9 +21,17 @@ exactly off the normal-form table (`QuotientRing.socle`, after Bayer-
 Stillman); its vectors are the A_3 representatives.  The Euler
 characteristic of the degree then counts the one H_i left to find, so d_2
 runs only where H_2 lives or H_1 can, and d_3 only for the boundaries of a
-live H_2.  Where A is zero a cycle's class is zero.  A product [a][b] lies
-in internal degree deg a + deg b, and `class_product` forms it only where
-`_classes`, the one record of where A lives, holds A_{i+j} in that degree.
+live H_2.  Where A is zero a cycle's class is zero.
+
+A weight w grades R too if every generator is homogeneous for it: w.u = 0
+for the exponent differences u within each, a lattice in a + b + c = 0.
+`_weights` gives none at rank 2, two at rank 0, and at rank 1, spanned by v,
+v x (1, 1, 1) over its content: x -> 1, y -> -1, z -> 0 for g_m and its trims
+(x*g, y*g, z*g are homogeneous).  With e_x, e_y, e_z weighing as x, y, z,
+d keeps w.  Every class is homogeneous (else RuntimeError), as `_diff_column`,
+the table, the socle, gamma and the generator cycles are, and `Echelon` only
+combines rows of one weight.  So [a][b] is formed only where `_live`, the
+(i, d, w) of the classes, has A_{i+j} at deg a + deg b, w_a + w_b; else 0.
 
 A ring R' derived from the family's R at g of degree e takes its homology
 from R's complex (`table` passes one per m as `family`, else it is built),
@@ -66,6 +69,7 @@ on A give the invariants (p, q, r) of the Tor-algebra classification.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import gcd
 
 from .errors import ClassificationScopeError, UnitIdealError
 from .ideals import QuotientRing
@@ -190,6 +194,18 @@ def _generator_cycle(g: Polynomial) -> KoszulElement:
     return KoszulElement(1, {(v,): Polynomial(g.field, t) for v, t in enumerate(parts) if t})
 
 
+def _weights(gens) -> tuple:
+    """The weights for which every generator is homogeneous (module docstring)."""
+    diffs = [(a - p, b - q, c - r) for g in gens for (p, q, r) in list(g.terms)[:1]
+             for a, b, c in g.terms if (a, b, c) != (p, q, r)]
+    if not diffs:
+        return ((1, -1, 0), (0, 1, -1))
+    a, b, c = diffs[0]
+    w = (b - c, c - a, a - b)  # v x (1, 1, 1), then over its content, first entry > 0
+    w = tuple(x // (gcd(*w) if next(filter(None, w)) > 0 else -gcd(*w)) for x in w)
+    return (w,) if all(sum(x * y for x, y in zip(w, u)) == 0 for u in diffs) else ()
+
+
 class _Through(namedtuple("_Through", "field space first lifts")):
     """The classes of a derived ring in one (i, d) where its homology is read
     through the family's: `space` is the family's, and class first + s has
@@ -223,20 +239,22 @@ class KoszulComplex:
         if family is None and ring.parent is not None:
             family = KoszulComplex(ring.parent[0])
         self.ring, self.family, self.field = ring, family, ring.field
+        self._weights = _weights(ring.ideal.generators) if family is None else family._weights
         self._reps = ([], [], [], [])  # per exterior degree: (internal degree, cycle)
         self._classes = {}  # (i, d) -> Echelon: boundaries untagged, representatives
         # tagged; for a derived ring a `_Through`, or None until its first solve
         self._inv = None
         self._lifts = ([], [], [], [])  # per class of a derived ring: its family coordinates
         self._pairing = {}  # the memo of `_family_product`
-        # per class of A_i: (internal degree, {word: {monomial: coefficient}})
+        # per class of A_i: (internal degree, {word: {monomial: coefficient}}, weight)
         self._words = ([], [], [], [])
         if family is None:
             self._build_homology()
             for i, reps in enumerate(self._reps):
-                self._words[i].extend((d, self._terms(i, {d: vec})) for d, vec in reps)
+                self._words[i].extend(self._word(i, d, vec) for d, vec in reps)
         else:
             self._derive_homology()
+        self._live = {(i, d, w) for i, words in enumerate(self._words) for d, _, w in words}
 
     # ---- chain-level structure -------------------------------------------
 
@@ -356,7 +374,7 @@ class KoszulComplex:
                     self._reps[i].extend((d, vec) for vec, _ in classes)
                     self._lifts[i].extend(lift for _, lift in classes)
                     self._words[i].extend(fam._words[i][max(lift)] if len(lift) == 1  # z_k
-                                          else (d, self._terms(i, {d: vec})) for vec, lift in classes)
+                                          else self._word(i, d, vec) for vec, lift in classes)
                     self._classes[i, d] = None if d - i == e and own else \
                         _Through(f, fam._space(i, d), first, [lift for _, lift in classes])
                 euler += (-1) ** i * (len(classes) - self.component_size(i, d))
@@ -430,6 +448,20 @@ class KoszulComplex:
             for k, c in vec.items():
                 terms.setdefault(WORDS[i][k // len(basis)], {})[basis[k % len(basis)]] = c
         return terms
+
+    def _word(self, i: int, d: int, vec: dict) -> tuple:
+        """(d, words, weight) of the class vec in K_{i,d}: its terms share one."""
+        terms = self._terms(i, {d: vec})
+        found = {tuple(sum(x * (mono[v] + (v in word)) for v, x in enumerate(w)) for w in self._weights)
+                 for word, t in terms.items() for mono in t}
+        if len(found) != 1:
+            raise RuntimeError(f"a class of H_{i},{d} has terms of two weights")
+        return d, terms, found.pop()
+
+    def _meets(self, i: int, s: int, j: int, t: int) -> bool:
+        """Whether `_live` has A_{i+j} where class s of A_i times t of A_j lies."""
+        (du, _, wu), (dv, _, wv) = self._words[i][s], self._words[j][t]
+        return (i + j, du + dv, tuple(map(int.__add__, wu, wv))) in self._live
 
     def _split(self, el: KoszulElement) -> dict:
         """{word: {monomial: coefficient}} of an element over this ring's
@@ -545,16 +577,16 @@ class KoszulComplex:
     def class_product(self, i: int, s: int, j: int, t: int) -> list:
         """Class coordinates of basis class s of A_i times basis class t of A_j:
         `_family_product` where the target's `_classes` entry is a `_Through`,
-        else by `_product`; zero, not formed, where A_{i+j} has no class there.
+        else by `_product`; zero, not formed, unless `_meets`.
         Degrees outside 0..3 or past 3 in sum, and class indices out of range, are refused."""
         if min(i, j) < 0 or i + j > 3:
             raise ValueError(f"exterior degrees {i} and {j} are not in 0..3" if min(i, j) < 0
                              else "product lands beyond exterior degree 3")
         if not (0 <= s < len(self._words[i]) and 0 <= t < len(self._words[j])):
             raise IndexError(f"A_{i} x A_{j} has no class pair ({s}, {t})")
-        (du, u), (dv, v) = self._words[i][s], self._words[j][t]
-        if (i + j, du + dv) not in self._classes:
+        if not self._meets(i, s, j, t):
             return [self.field.zero] * len(self._reps[i + j])
+        (du, u, _), (dv, v, _) = self._words[i][s], self._words[j][t]
         if isinstance(self._classes[i + j, du + dv], _Through):
             return self._family_product(i, s, j, t, du + dv)
         return self._class_coords(i + j, self._product(u, v))
@@ -590,17 +622,15 @@ class KoszulComplex:
 
     def invariants(self) -> TorInvariants:
         """(p, q, r) from A_1 x A_1 -> A_2 and A_1 x A_2 -> A_3, one `class_product`
-        per pair of basis classes whose product lands where `_classes` has A_2 or A_3."""
+        per pair of basis classes that `_meets`."""
         if self._inv is None:
             _, n1, n2, n3 = self.ranks()
-            deg1, deg2 = ([d for d, _ in reps] for reps in self._reps[1:3])
             p_span, q_span, r_span = (Echelon(self.field) for _ in range(3))
             for prod in (self.class_product(1, s, 1, t) for s in range(n1) for t in range(s + 1, n1)
-                         if (2, deg1[s] + deg1[t]) in self._classes):
+                         if self._meets(1, s, 1, t)):
                 p_span.add(prod)
             for g in range(n2):  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
-                prods = {e: self.class_product(1, e, 2, g) for e in range(n1)
-                         if (3, deg1[e] + deg2[g]) in self._classes}
+                prods = {e: self.class_product(1, e, 2, g) for e in range(n1) if self._meets(1, e, 2, g)}
                 for prod in filter(any, prods.values()):  # a zero product adds nothing
                     q_span.add(prod)
                 r_span.add({e * n3 + k: c for e, v in prods.items() for k, c in enumerate(v) if c})
@@ -694,4 +724,4 @@ def annihilates_a1(kz: KoszulComplex, f: KoszulElement) -> bool:
     if (i := 1 + f.exterior_degree) > 3:
         raise ValueError("product lands beyond exterior degree 3")
     words = kz._split(f)
-    return not any(any(kz._class_coords(i, kz._product(u, words))) for _, u in kz._words[1])
+    return not any(any(kz._class_coords(i, kz._product(u, words))) for _, u, _ in kz._words[1])

@@ -22,8 +22,8 @@ columns, which `koszul_differential` checks, and the `Echelon` that holds
 boundaries and representatives.  `polynomial_wedge` multiplies Koszul
 elements through Polynomial products and normal forms, the oracle for the
 products on coordinates of `KoszulComplex`; `all_products_invariants` forms
-every product of homology classes with it, none skipped by degree, the
-oracle for `KoszulComplex.invariants`.  `pd_padding` is no oracle: it
+every product of homology classes with it, none skipped by degree or
+weight, the oracle for `KoszulComplex.invariants`.  `pd_padding` is no oracle: it
 reads the paper's structure of A (a Poincare duality algebra with a trivial
 padding) through the public `class_product`, the one route for products of
 basis classes.
@@ -253,9 +253,9 @@ def delta_rows(kz):
 
 def all_products_invariants(kz):
     """The invariants from every product of A_1 x A_1 and A_1 x A_2, each
-    formed with `polynomial_wedge` and `class_coords`, none skipped by
-    degree: the oracle for `KoszulComplex.invariants`, which multiplies on
-    coordinates and skips products into degrees without classes."""
+    formed with `polynomial_wedge` and `class_coords`, none skipped: the
+    oracle for `KoszulComplex.invariants`, which multiplies on coordinates
+    and skips the pairs whose degree and weight meet no class."""
     f = kz.field
     a1 = kz.homology_basis(1)
     a2 = kz.homology_basis(2)

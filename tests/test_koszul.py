@@ -252,7 +252,7 @@ def test_products_on_coordinates_match_polynomial_oracle():
 def test_class_product_matches_polynomial_oracle():
     """`class_product(i, s, j, t)` is the class of the Polynomial product of
     basis representatives s of A_i and t of A_j, in either order; it is zero
-    where A_{i+j} has no class in the product's degree."""
+    where A_{i+j} has no class in the product's degree and weight."""
     complexes = [KoszulComplex(ideal.quotient_ring()) for _, ideal in helpers.small_instances()]
     complexes += [helpers.koszul(3, "d", 0), helpers.koszul(4, "x1", 0)]
     for kz in complexes:
@@ -265,7 +265,8 @@ def test_class_product_matches_polynomial_oracle():
 
 def test_classes_record_where_a_lives_and_products_take_one_route(monkeypatch):
     """`_classes` has an entry exactly at the (i, d) of each kept
-    representative, so `class_product` reads where A lives from it alone.
+    representative, and `_live` at its (i, d, weight), from which
+    `class_product` reads where A lives.
     `multiply` of two cycles, basis classes or not, is the class of their
     `wedge`, from one `_product`; `annihilates_a1` forms at most one per A_1
     class."""
@@ -285,7 +286,7 @@ def test_classes_record_where_a_lives_and_products_take_one_route(monkeypatch):
         kz = KoszulComplex(ideal.quotient_ring())
         label = (ideal.field, ideal)
         assert set(kz._classes) == {(i, d) for i, reps in enumerate(kz._reps)
-                                    for d, _ in reps}, label
+                                    for d, _ in reps} == {(i, d) for i, d, _ in kz._live}, label
         for i, j in ((0, 2), (1, 1), (1, 2), (2, 1), (0, 3)):
             u, v = helpers.random_cycle(rng, kz, i), helpers.random_cycle(rng, kz, j)
             expected = kz.class_coords(kz.wedge(u, v))
@@ -446,15 +447,18 @@ def _check_routed_against_direct(family, k, family_complex):
     A_1 x A_1, A_1 x A_2 and A_2 x A_1 class product, the same from both
     derived complexes and, carried by C_(i+j), the walked class of the same
     representatives' product; and each derived basis element's class_coords
-    its unit vector.  Returns how the trim relates to its family: 'same'
-    (R' = R), 'taller' (deg g = top_degree + 1 and R' one degree taller) or
-    'grown' (R'_e one larger)."""
+    its unit vector.  The derived `invariants`, which skip the pairs whose
+    degree and weight meet no class, equal those from every product
+    (`helpers.all_products_invariants`).  Returns how the trim relates to
+    its family: 'same' (R' = R), 'taller' (deg g = top_degree + 1 and R' one
+    degree taller) or 'grown' (R'_e one larger)."""
     ring = ideals.trim(family, k).quotient_ring()
     routed, shared = KoszulComplex(ring), KoszulComplex(ring, family_complex)
     direct = KoszulComplex(helpers.walked_ring(ring.ideal))
     f, case = ring.field, (family.field, family, k)
     assert routed._reps == shared._reps, case
     assert _report(routed) == _report(shared) == _report(direct), case
+    assert routed.invariants() == helpers.all_products_invariants(routed), case
     change = []
     for i in range(4):
         assert [d for d, _ in routed._reps[i]] == [d for d, _ in direct._reps[i]], case
@@ -464,8 +468,8 @@ def _check_routed_against_direct(family, k, family_complex):
             unit = [f.one if r == s else f.zero for r in range(len(change[i]))]
             assert routed.class_coords(el) == unit, (case, i, s)
     for i, j in ((1, 1), (1, 2), (2, 1)):
-        for s, (_, u) in enumerate(routed._words[i]):
-            for t, (_, v) in enumerate(routed._words[j]):
+        for s, (_, u, _) in enumerate(routed._words[i]):
+            for t, (_, v, _) in enumerate(routed._words[j]):
                 product = routed.class_product(i, s, j, t)
                 assert shared.class_product(i, s, j, t) == product, (case, i, s, t)
                 carried = {}
@@ -540,13 +544,14 @@ def test_derived_classes_are_checked():
 
 def test_table_reads_trim_products_off_one_family_pairing(monkeypatch, capsys):
     """`table --m 2..8` passes each trim its family's complex: `_product`
-    runs at most 1,100 times (9,648 when every trim formed its own A_1 x A_2
-    products), and at least once on a trim's complex, the direct route (a
-    product into coefficient degree e = deg g, where the trim's classes are
-    its own, not read through a `_Through`).  The trims' `invariants` ask
-    `class_product` only for pairs whose target degree has a class: at most
-    9,648 calls (17,871 when every pair was asked and most came back as zero
-    lists)."""
+    runs at most 100 times (94; 1,016 when pairs were filtered by degree
+    alone, 9,648 when every trim formed its own A_1 x A_2 products), and at
+    least once on a trim's complex, the direct route (a product into
+    coefficient degree e = deg g, where the trim's classes are its own, not
+    read through a `_Through`).  The trims' `invariants` ask `class_product`
+    only for pairs whose degree and weight meet a class: at most 686 calls
+    (9,648 with the degree alone, 17,871 when every pair was asked and most
+    came back as zero lists)."""
     from gtrim.cli import main
 
     calls, on_trim, asked = [0], [0], [0]
@@ -566,7 +571,74 @@ def test_table_reads_trim_products_off_one_family_pairing(monkeypatch, capsys):
     assert main(["table", "--m", "2..8"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "b564f3154460abade1875a989de277fd7507f16500cc67b862ce4c3dcbe42e19"
-    assert calls[0] <= 1100 and on_trim[0] >= 1 and asked[0] <= 9648
+    assert calls[0] <= 100 and on_trim[0] >= 1 and asked[0] <= 686
+
+
+def test_a_lone_trim_forms_products_only_where_weights_meet(monkeypatch, capsys):
+    """`classify --m 14 --trim d` builds g_14's complex for the trim and
+    forms at most 30 products (26; 756 when pairs were filtered by degree
+    alone): by weight, A_1 x A_2 -> A_3 pairs each A_2 class with at most
+    one A_1 class."""
+    from gtrim.cli import main
+
+    calls = [0]
+    product = KoszulComplex._product
+
+    def counted(kz, u, v):
+        calls[0] += 1
+        return product(kz, u, v)
+
+    monkeypatch.setattr(KoszulComplex, "_product", counted)
+    assert main(["classify", "--m", "14", "--trim", "d"]) == 0
+    capsys.readouterr()
+    assert calls[0] <= 30
+
+
+def test_weights_read_off_the_generators():
+    """`koszul._weights` gives the weights beyond the degree for which every
+    generator is homogeneous: ((1, -1, 0),) for g_m and for each trim of g_m,
+    m = 2..10, whose derived complex takes its family's; none where the
+    exponent differences span the plane a + b + c = 0, and two for a
+    monomial ideal."""
+    for m in range(2, 11):
+        family = gorenstein_ideal(m, F)
+        family_complex = KoszulComplex(family.quotient_ring())
+        assert koszul._weights(family.generators) == family_complex._weights == ((1, -1, 0),)
+        for k in range(len(family.generators)):
+            trim = ideals.trim(family, k)
+            assert koszul._weights(trim.generators) == ((1, -1, 0),), (m, k)
+            derived = KoszulComplex(trim.quotient_ring(), family_complex)
+            assert derived._weights == ((1, -1, 0),), (m, k)
+    plane = Ideal([X ** 2 + Y * Z, Y ** 2 + X * Z, Z ** 2 + X * Y], F)
+    assert koszul._weights(plane.generators) == KoszulComplex(plane.quotient_ring())._weights == ()
+    monomial = Ideal([X ** 2, X * Y, Y ** 3, Z ** 2], F)
+    assert koszul._weights(monomial.generators) == ((1, -1, 0), (0, 1, -1))
+    assert koszul._weights(Ideal([X ** 2 - Y * Z, Y ** 2, Z ** 2], F).generators) == ((0, 1, -1),)
+
+
+def test_every_class_is_weight_homogeneous():
+    """Every basis class of g_m and of each of its trims has terms of one
+    weight, the one kept beside its words, and `_live` holds exactly the
+    (i, d, weight) of the classes: m = 2..10 over F_32003, F_2 and F_3, and
+    m = 2..6 over Q.  The weight is read here off `homology_basis`: a - b of
+    each term x^a y^b z^c, plus one for e_x and less one for e_y."""
+    for char, top in ((32003, 10), (2, 10), (3, 10), (0, 6)):
+        fld = helpers.field(char)
+        for m in range(2, top + 1):
+            family = gorenstein_ideal(m, fld)
+            family_complex = KoszulComplex(family.quotient_ring())
+            for k in range(-1, len(family.generators)):
+                kz = family_complex if k < 0 else \
+                    KoszulComplex(ideals.trim(family, k).quotient_ring(), family_complex)
+                live = set()
+                for i in range(4):
+                    for s, el in enumerate(kz.homology_basis(i)):
+                        found = {a - b + (0 in w) - (1 in w)
+                                 for w, p in el.components.items() for a, b, _ in p.terms}
+                        d, _, weight = kz._words[i][s]
+                        assert found == set(weight), (char, m, k, i, s)
+                        live.add((i, d, weight))
+                assert kz._live == live, (char, m, k)
 
 
 def test_family_complex_of_another_ring_is_refused(monkeypatch):

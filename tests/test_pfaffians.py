@@ -25,6 +25,7 @@ from gtrim import (
 )
 from gtrim.errors import QuotientTooLargeError
 from gtrim.pfaffians import check_family_size, family_dim, selector_index
+from gtrim.poly import mono_mul, monomials_of_degree
 from helpers import (
     all_sub_pfaffians,
     delete_row_col,
@@ -240,6 +241,53 @@ def test_family_hilbert_closed_form():
     for m in range(2, 6):
         ring = helpers.family_ideal(m).quotient_ring()
         assert tuple(family_hilbert(m)) == ring.hilbert().coefficients
+
+
+def test_apolar_functional_of_the_family():
+    """R = Q/g_m is Gorenstein of socle degree D = 2m - 2, so g_m is the
+    annihilator of a functional phi on the forms of degree D (Macaulay's
+    inverse system).  Its closed form: phi(x^k y^k z^(D-2k)) = C_(m-1-k), the
+    Catalan numbers, and phi is 0 off weight 0 (x -> +1, y -> -1, z -> 0).
+    Checked from Polynomial products alone: phi(g*w) = 0 for every generator
+    g and monomial w of degree D - m, and the catalecticant of phi in each
+    degree j has rank family_hilbert(m)[j], which with the first gives
+    g_m = Ann(phi).  The weight-0 support is an independent check of the
+    grading by which `KoszulComplex` skips products.  Also, the ring's
+    normal form of each degree-D monomial t is phi(t)/phi(s) times the one
+    standard monomial s of degree D.  m = 2..10 over F_32003, F_2, F_3 and
+    F_5, and m = 2..6 over Q."""
+    for char, top in ((32003, 10), (2, 10), (3, 10), (5, 10), (0, 6)):
+        fld = helpers.field(char)
+        for m in range(2, top + 1):
+            top_degree, case = 2 * m - 2, (char, m)
+
+            def phi(mono):
+                a, b, _ = mono
+                n = m - 1 - a
+                return fld.of(math.comb(2 * n, n) // (n + 1)) if a == b else fld.zero
+
+            def phi_of(p):
+                total = fld.zero
+                for mono, c in p.terms.items():
+                    total = fld.add(total, fld.mul(c, phi(mono)))
+                return total
+
+            ideal = gorenstein_ideal(m, fld)
+            for g in ideal.generators:
+                for w in monomials_of_degree(top_degree - m):
+                    assert fld.is_zero(phi_of(g * Polynomial.monomial(fld, w, 1))), (case, g, w)
+            ranks = []
+            for j in range(top_degree + 1):
+                rows = [[phi(mono_mul(u, v)) for v in monomials_of_degree(top_degree - j)]
+                        for u in monomials_of_degree(j)]
+                ranks.append(helpers.matrix_rank(rows, len(rows[0]), fld))
+            assert ranks == family_hilbert(m), case
+            ring = ideal.quotient_ring()
+            (s,) = ring.basis(top_degree)
+            for t in monomials_of_degree(top_degree):
+                c = fld.mul(phi(t), fld.inv(phi(s)))
+                expected = {} if fld.is_zero(c) else {top_degree: {0: c}}
+                assert ring.coordinates(Polynomial.monomial(fld, t, 1)) == expected, (case, t)
 
 
 def test_family_size_bound():
