@@ -20,9 +20,8 @@ _HOMES = {
     "fields": ("DEFAULT_CHAR", "PrimeField", "RationalField", "default_field",
                "field_of_characteristic"),
     "ideals": ("HilbertData", "Ideal", "QuotientRing", "buchberger", "trim"),
-    "koszul": ("KoszulComplex", "KoszulElement", "TorClass", "TorInvariants",
-               "a1_annihilator_cycle", "a1_cycle_basis", "annihilates_a1",
-               "classify_from_invariants", "report_dict"),
+    "koszul": ("KoszulComplex", "TorClass", "TorInvariants", "classify_from_invariants",
+               "report_dict"),
     "pfaffians": ("PfaffianFamily", "TrimChoice", "build_u", "build_v",
                   "canonical_generators", "d_poly", "family_hilbert", "gorenstein_ideal",
                   "selector_labels", "trimmed_ideal"),

@@ -8,7 +8,7 @@ along each axis bound (criterion M drops every other), and criterion M
 tests each new lcm only against the minimal lcms of lower degree.  Normal
 forms take terms from a heap and reduce each by its first divisor among the
 reducers, read off bit sets of their exponents rather than found by a scan;
-Buchberger, membership and equality use them.  The quotient ring walks the
+Buchberger uses them.  The quotient ring walks the
 staircase: t of degree d+1 is standard when it is no leading monomial and
 each parent t / x_v is standard, so the cost follows dim R.  The Hilbert
 function is read off those bases.  The quotient's normal forms and
@@ -216,11 +216,10 @@ class Ideal:
     """Homogeneous ideal with a cached reduced Groebner basis.
 
     Construction rejects non-homogeneous generators; zero generators are
-    dropped.  The Groebner basis is computed once, on first use, and its
-    indexed reducers on the first normal form.
+    dropped.  The Groebner basis is computed once, on first use.
     """
 
-    __slots__ = ("field", "generators", "_gb", "_reducers", "_ring", "_parent")
+    __slots__ = ("field", "generators", "_gb", "_ring", "_parent")
 
     def __init__(self, generators, field=None):
         gens = list(generators)
@@ -244,7 +243,6 @@ class Ideal:
         self.field = field
         self.generators = tuple(kept)
         self._gb = None
-        self._reducers = None
         self._ring = None  # a weak reference: the ring holds this ideal
         self._parent = None  # a trim's (parent ideal, g): its ring is derived from the parent's
 
@@ -260,24 +258,6 @@ class Ideal:
 
     def leading_monomials(self) -> tuple:
         return tuple(g.leading_monomial() for g in self.groebner_basis())
-
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        if f.field != self.field:
-            raise ValueError("mismatched coefficient fields")
-        if self._reducers is None:  # only normal forms read the divisor index
-            self._reducers = _Reducers((g.leading_monomial(), g) for g in self.groebner_basis())
-        return Polynomial(self.field,
-                          _normal_form_terms(f.terms, self._reducers, self.field))
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return self.field == other.field and self.groebner_basis() == other.groebner_basis()
-
-    __hash__ = None
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -563,16 +543,10 @@ class QuotientRing:
                 mat[r][j] = c
         return mat
 
-    def coordinates(self, f: Polynomial) -> dict:
-        """The normal form of f as {degree d: sparse coordinates over
-        basis(d)}, read term by term from the table; degrees whose part
-        vanishes are left out."""
-        if f.field != self.field:
-            raise ValueError("mismatched coefficient fields")
-        return self._coordinates(f.terms)
-
     def _coordinates(self, terms: dict) -> dict:
-        """`coordinates` of the polynomial with terms {monomial: coefficient}."""
+        """The normal form of the polynomial with terms {monomial: coefficient}
+        as {degree d: sparse coordinates over basis(d)}, read term by term
+        from the table; degrees whose part vanishes are left out."""
         fld = self.field
         out = {}
         for mono, c in terms.items():

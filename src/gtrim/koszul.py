@@ -7,10 +7,11 @@ is written once, as one sparse column per basis element of K_{i,d} over the
 standard monomials (`_diff_column`).  d_2 is eliminated at most once per
 internal degree, column by column, with tags: the relations among its
 columns are the cycles, and the rows left behind span the boundaries below;
-d_3 is eliminated only for its image, d_1 never.  An element enters
-coordinates one way, `_coords`, one normal-form table entry per monomial,
-and products are formed one way, `_product`: the words of two factors
-multiply with their exterior sign, each product monomial reads one entry.
+d_3 is eliminated only for its image, d_1 never.  Words {word: {monomial:
+coefficient}} enter coordinates one way, `_vectors`, one normal-form table
+entry per monomial, and products are formed one way, `_product`: the words
+of two factors multiply with their exterior sign, each product monomial
+reads one entry.
 
 The homology is built only where it can be non-zero.  H_i(K^R)_d is
 Tor_i(R, k)_d, so H_0 is k in degree 0, and H_1 = a/ma lives only in the
@@ -74,18 +75,9 @@ from math import gcd
 from .errors import ClassificationScopeError, UnitIdealError
 from .ideals import QuotientRing
 from .linalg import Echelon
-from .pfaffians import TrimChoice, canonical_generators, d_poly
-from .poly import Polynomial, variables
 
 WORDS = (((),), ((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),))
 WORD_INDEX = tuple({w: k for k, w in enumerate(level)} for level in WORDS)
-_WORD_STR = {(): "1", (0,): "e_x", (1,): "e_y", (2,): "e_z",
-             (0, 1): "e_xy", (0, 2): "e_xz", (1, 2): "e_yz", (0, 1, 2): "e_xyz"}
-
-
-def _check_degree(i: int) -> None:
-    if not 0 <= i <= 3:
-        raise ValueError(f"exterior degree {i} is not in 0..3")
 
 
 def wedge_words(a: tuple, b: tuple):
@@ -94,50 +86,6 @@ def wedge_words(a: tuple, b: tuple):
         return None
     inversions = sum(1 for p in a for q in b if p > q)
     return (-1 if inversions % 2 else 1, tuple(sorted(a + b)))
-
-
-class KoszulElement:
-    """Element of the Koszul complex: word -> polynomial coefficient."""
-
-    __slots__ = ("exterior_degree", "components")
-
-    def __init__(self, exterior_degree: int, components: dict):
-        self.exterior_degree, self.components = exterior_degree, components
-
-    def __eq__(self, other):
-        if not isinstance(other, KoszulElement):
-            return NotImplemented
-        return (self.exterior_degree, self.components) == (other.exterior_degree, other.components)
-
-    def __repr__(self):
-        return (f"KoszulElement(exterior_degree={self.exterior_degree!r}, "
-                f"components={self.components!r})")
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.components.values())
-
-    def __add__(self, other: "KoszulElement") -> "KoszulElement":
-        if self.exterior_degree != other.exterior_degree:
-            raise ValueError("cannot add elements of different exterior degrees")
-        out = dict(self.components)
-        for w, p in other.components.items():
-            s = out.get(w, Polynomial.zero(p.field)) + p
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return KoszulElement(self.exterior_degree, out)
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        bits = []
-        for w in WORDS[self.exterior_degree]:
-            p = self.components.get(w)
-            if p is None or p.is_zero():
-                continue
-            bits.append(f"({p})*{_WORD_STR[w]}" if w else f"({p})")
-        return " + ".join(bits)
 
 
 class TorInvariants(namedtuple("TorInvariants", "p q r mu type_rank")):
@@ -183,15 +131,15 @@ def classify_from_invariants(inv: TorInvariants) -> TorClass:
                     {"p": p, "q": q, "r": r, "mu": inv.mu, "type": inv.type_rank})
 
 
-def _generator_cycle(g: Polynomial) -> KoszulElement:
-    """f_x e_x + f_y e_y + f_z e_z for g = x f_x + y f_y + z f_z with no
-    constant term, each term of g split at its first variable (x, else y,
+def _generator_cycle(g) -> dict:
+    """The words of f_x e_x + f_y e_y + f_z e_z for g = x f_x + y f_y + z f_z,
+    no constant term, each term of g split at its first variable (x, else y,
     else z).  Its boundary is g, so it is a cycle whenever g lies in the ideal."""
     parts = ({}, {}, {})
     for mono, c in g.terms.items():
         v = 0 if mono[0] else 1 if mono[1] else 2
         parts[v][mono[:v] + (mono[v] - 1,) + mono[v + 1:]] = c
-    return KoszulElement(1, {(v,): Polynomial(g.field, t) for v, t in enumerate(parts) if t})
+    return {(v,): t for v, t in enumerate(parts) if t}
 
 
 def _weights(gens) -> tuple:
@@ -318,7 +266,7 @@ class KoszulComplex:
                     self._keep(2, d, self._boundaries(2, d), cycles, h2)
                 h1 = h2 - h3 - chi  # chi_d = -h_1 + h_2 - h_3 here
                 if h1:
-                    gen_cycles = (self._coords(_generator_cycle(g)).get(d, {})
+                    gen_cycles = (self._vectors(_generator_cycle(g)).get(d, {})
                                   for g in gens if g.degree() == d)
                     untagged = {p: (row, {}) for p, (row, _) in image.rows.items()}
                     self._keep(1, d, Echelon(f, untagged), gen_cycles, h1)
@@ -428,17 +376,7 @@ class KoszulComplex:
     def ranks(self) -> tuple:
         return tuple(len(reps) for reps in self._reps)
 
-    # ---- elements ----------------------------------------------------------
-
-    def reduce_element(self, el: KoszulElement) -> KoszulElement:
-        return self.element_from_vector(el.exterior_degree, self._coords(el))
-
-    def element_from_vector(self, i: int, vecs: dict) -> KoszulElement:
-        """The element with sparse coordinates {internal degree d: {index:
-        coefficient} in K_{i,d}}; the inverse of `_vectors`."""
-        _check_degree(i)
-        return KoszulElement(i, {w: Polynomial(self.field, t)
-                                 for w, t in self._terms(i, vecs).items()})
+    # ---- words and coordinates -------------------------------------------
 
     def _terms(self, i: int, vecs: dict) -> dict:
         """Coordinates {d: vec} in K_i as {word: {monomial: coefficient}}."""
@@ -463,16 +401,6 @@ class KoszulComplex:
         (du, _, wu), (dv, _, wv) = self._words[i][s], self._words[j][t]
         return (i + j, du + dv, tuple(map(int.__add__, wu, wv))) in self._live
 
-    def _split(self, el: KoszulElement) -> dict:
-        """{word: {monomial: coefficient}} of an element over this ring's
-        field; every element enters through here, so its degree is checked here."""
-        _check_degree(el.exterior_degree)
-        if any(p.field != self.field for p in el.components.values()):
-            raise ValueError("mismatched coefficient fields")
-        if any(w not in _WORD_STR or len(w) != el.exterior_degree for w in el.components):
-            raise ValueError(f"a word is not one of exterior degree {el.exterior_degree}")
-        return {w: p.terms for w, p in el.components.items()}
-
     def _vectors(self, comps: dict) -> dict:
         """{word: {monomial: coefficient}} reduced in R, one table entry per
         monomial, as {internal degree: sparse coordinates}."""
@@ -484,38 +412,6 @@ class KoszulComplex:
                 base = WORD_INDEX[i][w] * len(ring.basis(e))
                 out.setdefault(e + i, {}).update((base + j, c) for j, c in vec.items())
         return out
-
-    def _coords(self, el: KoszulElement) -> dict:
-        """The coordinates {internal degree: sparse vector} of el reduced in R:
-        the one way from an element into coordinates."""
-        return self._vectors(self._split(el))
-
-    def homology_basis(self, i: int) -> list:
-        """Deterministic cycle representatives of a basis of A_i."""
-        _check_degree(i)
-        return [self.element_from_vector(i, {d: vec}) for d, vec in self._reps[i]]
-
-    def differential(self, el: KoszulElement) -> KoszulElement:
-        """The boundary of el, with coefficients reduced in R: the columns of
-        `_diff_column` applied to the coordinates of the reduced element."""
-        i = el.exterior_degree
-        if i == 0:
-            return KoszulElement(0, {})
-        return self.element_from_vector(i - 1, {
-            d: self._boundary_vector(i, d, vec) for d, vec in self._coords(el).items()})
-
-    def _boundary_vector(self, i: int, d: int, vec: dict) -> dict:
-        """The differential applied to coordinates in K_{i,d}, one column per
-        coordinate in the support."""
-        f = self.field
-        image = {}
-        for k, c in vec.items():
-            f.sub_multiple(image, f.neg(c), self._diff_column(i, d, k))
-        return image
-
-    def is_cycle(self, el: KoszulElement) -> bool:
-        i = el.exterior_degree
-        return not any(self._boundary_vector(i, d, vec) for d, vec in self._coords(el).items())
 
     def _product(self, u: dict, v: dict) -> dict:
         """Coordinates of u ^ v for {word: {monomial: coefficient}} elements:
@@ -533,26 +429,12 @@ class KoszulComplex:
                                    {(a + p, b + q, c + r): c2 for (p, q, r), c2 in t2.items()})
         return self._vectors(comps)
 
-    def wedge(self, u: KoszulElement, v: KoszulElement) -> KoszulElement:
-        """Exterior product with coefficients reduced in R, from `_product`."""
-        words = self._split(u), self._split(v)
-        if (i := u.exterior_degree + v.exterior_degree) > 3:
-            raise ValueError("product lands beyond exterior degree 3")
-        return self.element_from_vector(i, self._product(*words))
-
-    def class_coords(self, el: KoszulElement) -> list:
-        """Coordinates of the homology class of a cycle over the A_i basis."""
-        return self._class_coords(el.exterior_degree, self._coords(el))
-
     def _class_coords(self, i: int, vecs: dict) -> list:
-        """`class_coords` of coordinates {d: vec} in K_i.  Where (i, d) has no
-        `_classes` entry, H_{i,d} = 0: only the boundary is checked to vanish."""
+        """The class coordinates over the A_i basis of a cycle {d: vec} in K_i;
+        each d must have a `_classes` entry (`class_product` asks only where `_meets`)."""
         coords = [self.field.zero] * len(self._reps[i])
         for d, vec in sorted(vecs.items()):
-            if (i, d) in self._classes:
-                sol = self._space(i, d).solve(vec)
-            else:
-                sol = None if self._boundary_vector(i, d, vec) else {}
+            sol = self._space(i, d).solve(vec)
             if sol is None:
                 raise ValueError(f"element is not a cycle (internal degree {d})")
             for k, c in sol.items():
@@ -570,9 +452,6 @@ class KoszulComplex:
                     raise RuntimeError(f"H_{i},{d}: the derived classes are not independent")
             self._classes[i, d] = space
         return self._classes[i, d]
-
-    def is_boundary(self, el: KoszulElement) -> bool:
-        return all(self.field.is_zero(c) for c in self.class_coords(el))
 
     def class_product(self, i: int, s: int, j: int, t: int) -> list:
         """Class coordinates of basis class s of A_i times basis class t of A_j:
@@ -606,17 +485,6 @@ class KoszulComplex:
         for k, c in self._classes[i + j, d].read(acc).items():
             out[k] = c
         return out
-
-    def multiply(self, u: KoszulElement, v: KoszulElement) -> list:
-        """Class coordinates of [u][v], the class of u ^ v by `_product`; cycles only."""
-        words = self._split(u), self._split(v)  # a foreign word keeps its own error
-        try:
-            self.class_coords(u), self.class_coords(v)
-        except ValueError:
-            raise ValueError("multiply is defined on cycles only") from None
-        if (i := u.exterior_degree + v.exterior_degree) > 3:
-            raise ValueError("product lands beyond exterior degree 3")
-        return self._class_coords(i, self._product(*words))
 
     # ---- invariants and classification ------------------------------------
 
@@ -666,62 +534,3 @@ def report_dict(kz: KoszulComplex) -> dict:
         "class_params": cls.params,
         "gorenstein": inv.type_rank == 1,
     }
-
-
-# ---- explicit cycles for the trims: A_1 = a/ma from `_generator_cycle` of the
-# minimal generators; only the annihilator cycle is hand-built, from syzygies.
-
-def a1_cycle_basis(choice: TrimChoice, kz: KoszulComplex) -> list:
-    """The mu(a) cycles spanning A_1 for a trimmed family ideal: the
-    `_generator_cycle` of each minimal generator of the trim, in ladder order.
-    Those are the canonical generators with g_(choice.index) replaced in place
-    by x*g (x0), y*g (y0) or z*g (d), or removed (interior xI, yI).  Every
-    element is reduced in R and verified to be a cycle.
-    """
-    m, k = choice.m, choice.index
-    gens = canonical_generators(m, kz.field)
-    x, y, z = variables(kz.field)
-    scale = {0: x, m: z, 2 * m: y}.get(k)
-    gens[k:k + 1] = [scale * gens[k]] if scale is not None else []
-    return [_checked_cycle(kz, _generator_cycle(g)) for g in gens]
-
-
-def a1_annihilator_cycle(choice: TrimChoice, kz: KoszulComplex) -> KoszulElement:
-    """A degree-2 cycle whose class multiplies A_1 to zero, for m >= 3, from
-    the ladder position k of the trimmed generator: d_(m-1) e_xy at k = m,
-    else u^(m-i) d_(i-1) e_xy + s u^(m-i-1) d_i e_uz with (i, u, e_uz, s) =
-    (k, y, e_yz, (-1)^(i-1)) on the x-side and (2m-k, x, e_xz, (-1)^i) on the
-    y-side, its x <-> y image up to sign.  d_(-1) = 0, so the pure powers are
-    the i = 0 cases, -y^(m-1) e_yz and x^(m-1) e_xz.  Verified to be a cycle.
-    """
-    m, k = choice.m, choice.index
-    if m < 3:
-        raise ValueError("the annihilator cycle is provided for m >= 3")
-    if k == m:
-        return _checked_cycle(kz, KoszulElement(2, {(0, 1): d_poly(m - 1, kz.field)}))
-    x, y, _ = variables(kz.field)
-    x_side = k < m
-    i = k if x_side else 2 * m - k
-    u, e_uz = (y, (1, 2)) if x_side else (x, (0, 2))
-    s = -1 if (i - x_side) % 2 else 1
-    el = KoszulElement(2, {(0, 1): u ** (m - i) * d_poly(i - 1, kz.field),
-                           e_uz: u ** (m - i - 1) * d_poly(i, kz.field) * s})
-    return _checked_cycle(kz, el)
-
-
-def _checked_cycle(kz: KoszulComplex, el: KoszulElement) -> KoszulElement:
-    """el reduced in R, verified to be a cycle, from one pass into coordinates."""
-    i, vecs = el.exterior_degree, kz._coords(el)
-    if any(kz._boundary_vector(i, d, vec) for d, vec in vecs.items()):
-        raise ValueError(f"element is not a cycle: {el}")
-    return kz.element_from_vector(i, vecs)
-
-
-def annihilates_a1(kz: KoszulComplex, f: KoszulElement) -> bool:
-    """True when [f] multiplies every A_1 basis class to zero: the class of
-    each A_1 representative's words times f, by `_product`."""
-    kz.class_coords(f)  # raises unless f is a cycle
-    if (i := 1 + f.exterior_degree) > 3:
-        raise ValueError("product lands beyond exterior degree 3")
-    words = kz._split(f)
-    return not any(any(kz._class_coords(i, kz._product(u, words))) for _, u, _ in kz._words[1])

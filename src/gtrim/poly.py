@@ -86,12 +86,6 @@ class Polynomial:
         return cls(field, {(0, 0, 0): field.of(value)})
 
     @classmethod
-    def monomial(cls, field, mono: Monomial, coeff=1) -> "Polynomial":
-        if len(mono) != 3 or any(e < 0 for e in mono):
-            raise ValueError(f"bad monomial {mono}")
-        return cls(field, {tuple(mono): field.of(coeff)})
-
-    @classmethod
     def variable(cls, field, name: str) -> "Polynomial":
         if name not in VARS:
             raise ValueError(f"unknown variable {name!r}; variables are {VARS}")
@@ -323,10 +317,6 @@ class PolyMatrix(namedtuple("PolyMatrix", "entries")):
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     def entry(self, i: int, j: int) -> Polynomial:
         return self.entries[i][j]

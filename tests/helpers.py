@@ -30,7 +30,12 @@ basis classes.
 The routines that serve only as cross-checks (minimal generators, the dense
 socle that checks `QuotientRing.socle`, the colon by the maximal ideal,
 interior selectors, polynomials from coordinate vectors) live here, not in
-the package.
+the package.  So do Koszul elements (`KoszulElement`, word -> polynomial)
+and every routine on them: reduction, differential, cycle check, `wedge`,
+class coordinates, `multiply`, and the paper's explicit A_1 cycles and
+annihilator cycle.  They read the package's coordinates (`_vectors`,
+`_diff_column`, `_product`, `_class_coords`), one route per result.  Normal
+forms, membership, equality and coordinates of ideals are here too.
 """
 
 import itertools
@@ -40,20 +45,22 @@ from functools import lru_cache
 from gtrim import (
     Ideal,
     KoszulComplex,
-    KoszulElement,
     Polynomial,
     PolyMatrix,
     TorInvariants,
     TrimChoice,
+    canonical_generators,
+    d_poly,
     field_of_characteristic,
     gorenstein_ideal,
+    ideals,
     selector_labels,
     trim,
     trimmed_ideal,
     variables,
 )
 from gtrim.errors import UnitIdealError
-from gtrim.koszul import wedge_words
+from gtrim.koszul import WORDS, _generator_cycle, wedge_words
 from gtrim.linalg import Echelon
 from gtrim.poly import (
     Monomial,
@@ -127,7 +134,7 @@ def random_form(rng, fld, degree, max_terms=3):
     while out.is_zero():
         for _ in range(rng.randint(1, max_terms)):
             mono = monos[rng.randrange(len(monos))]
-            out = out + Polynomial.monomial(fld, mono, rng.randint(-9, 9))
+            out = out + monomial(fld, mono, rng.randint(-9, 9))
     return out
 
 
@@ -138,7 +145,7 @@ def random_poly(rng, fld, max_degree=3, max_terms=4):
         d = rng.randrange(max_degree + 1)
         monos = monomials_of_degree(d)
         mono = monos[rng.randrange(len(monos))]
-        out = out + Polynomial.monomial(fld, mono, rng.randint(-9, 9))
+        out = out + monomial(fld, mono, rng.randint(-9, 9))
     return out
 
 
@@ -169,34 +176,226 @@ def random_pfaffian_ideal(rng, fld, n):
             return ideal, redraws
 
 
+# ---- Koszul elements: word -> polynomial, read through the package's coordinates ----
+
+_WORD_STR = {(): "1", (0,): "e_x", (1,): "e_y", (2,): "e_z",
+             (0, 1): "e_xy", (0, 2): "e_xz", (1, 2): "e_yz", (0, 1, 2): "e_xyz"}
+
+
+def _check_degree(i: int) -> None:
+    if not 0 <= i <= 3:
+        raise ValueError(f"exterior degree {i} is not in 0..3")
+
+
+@dataclass
+class KoszulElement:
+    """Element of the Koszul complex: word -> polynomial coefficient."""
+
+    exterior_degree: int
+    components: dict
+
+    def is_zero(self) -> bool:
+        return all(p.is_zero() for p in self.components.values())
+
+    def __add__(self, other: "KoszulElement") -> "KoszulElement":
+        if self.exterior_degree != other.exterior_degree:
+            raise ValueError("cannot add elements of different exterior degrees")
+        out = dict(self.components)
+        for w, p in other.components.items():
+            s = out.get(w, Polynomial.zero(p.field)) + p
+            if s.is_zero():
+                out.pop(w, None)
+            else:
+                out[w] = s
+        return KoszulElement(self.exterior_degree, out)
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        bits = []
+        for w in WORDS[self.exterior_degree]:
+            p = self.components.get(w)
+            if p is None or p.is_zero():
+                continue
+            bits.append(f"({p})*{_WORD_STR[w]}" if w else f"({p})")
+        return " + ".join(bits)
+
+
+def words(kz, el) -> dict:
+    """{word: {monomial: coefficient}} of el, the input of `KoszulComplex._vectors`
+    and `_product`; its exterior degree, field and words are checked here."""
+    _check_degree(el.exterior_degree)
+    if any(p.field != kz.field for p in el.components.values()):
+        raise ValueError("mismatched coefficient fields")
+    if any(w not in _WORD_STR or len(w) != el.exterior_degree for w in el.components):
+        raise ValueError(f"a word is not one of exterior degree {el.exterior_degree}")
+    return {w: p.terms for w, p in el.components.items()}
+
+
+def boundary(kz, i, vecs) -> dict:
+    """The differential of coordinates {d: vec} in K_i, one `_diff_column`
+    per coordinate, as {d: vec} in K_(i-1) with the zero images left out."""
+    f, out = kz.field, {}
+    for d, vec in vecs.items():
+        image = {}
+        for k, c in vec.items():
+            f.sub_multiple(image, f.neg(c), kz._diff_column(i, d, k))
+        if image:
+            out[d] = image
+    return out
+
+
+def coords(kz, el, cycle=False) -> dict:
+    """The coordinates {internal degree: sparse vector} of el reduced in R;
+    with `cycle`, an element whose boundary does not vanish is refused."""
+    vecs = kz._vectors(words(kz, el))
+    if cycle and boundary(kz, el.exterior_degree, vecs):
+        raise ValueError(f"element is not a cycle: {el}")
+    return vecs
+
+
+def element(kz, i, vecs) -> KoszulElement:
+    """The element with coordinates {d: vec} in K_i: the inverse of `coords`."""
+    _check_degree(i)
+    return KoszulElement(i, {w: Polynomial(kz.field, t) for w, t in kz._terms(i, vecs).items()})
+
+
+def reduce_element(kz, el, cycle=False) -> KoszulElement:
+    """el reduced in R, from one pass into coordinates; with `cycle`, checked to be one."""
+    return element(kz, el.exterior_degree, coords(kz, el, cycle))
+
+
+def homology_basis(kz, i) -> list:
+    """The cycle representatives of the basis of A_i, as elements."""
+    _check_degree(i)
+    return [element(kz, i, {d: vec}) for d, vec in kz._reps[i]]
+
+
+def differential(kz, el) -> KoszulElement:
+    """The boundary of el, reduced in R, from the package's differential columns."""
+    i = el.exterior_degree
+    return element(kz, max(i - 1, 0), boundary(kz, i, coords(kz, el)))
+
+
+def is_cycle(kz, el) -> bool:
+    return not boundary(kz, el.exterior_degree, coords(kz, el))
+
+
+def wedge(kz, u, v) -> KoszulElement:
+    """u ^ v reduced in R, by the package's `_product` on coordinates."""
+    pair = words(kz, u), words(kz, v)
+    if (i := u.exterior_degree + v.exterior_degree) > 3:
+        raise ValueError("product lands beyond exterior degree 3")
+    return element(kz, i, kz._product(*pair))
+
+
+def vector_class(kz, i, vecs) -> list:
+    """The class over the A_i basis of a cycle with coordinates {d: vec} in
+    K_i, solved by `_class_coords` in the degrees with classes.  Elsewhere
+    H_(i,d) = 0: only the boundary is checked to vanish."""
+    live = {}
+    for d, vec in vecs.items():
+        if (i, d) in kz._classes:
+            live[d] = vec
+        elif boundary(kz, i, {d: vec}):
+            raise ValueError(f"element is not a cycle (internal degree {d})")
+    return kz._class_coords(i, live)
+
+
+def class_coords(kz, el) -> list:
+    """The class of a cycle over the A_i basis."""
+    return vector_class(kz, el.exterior_degree, coords(kz, el))
+
+
+def is_boundary(kz, el) -> bool:
+    return not any(class_coords(kz, el))
+
+
+def multiply(kz, u, v) -> list:
+    """The class coordinates of [u][v], the class of their `wedge`; cycles only."""
+    if not (is_cycle(kz, u) and is_cycle(kz, v)):
+        raise ValueError("multiply is defined on cycles only")
+    return class_coords(kz, wedge(kz, u, v))
+
+
+def annihilates_a1(kz, f) -> bool:
+    """True when the cycle f multiplies every A_1 basis class to zero."""
+    coords(kz, f, cycle=True)
+    return not any(any(class_coords(kz, wedge(kz, e, f))) for e in homology_basis(kz, 1))
+
+
+def generator_cycle(g) -> KoszulElement:
+    """The package's `_generator_cycle` of g as an element."""
+    return KoszulElement(1, {w: Polynomial(g.field, t) for w, t in _generator_cycle(g).items()})
+
+
+# ---- the paper's explicit cycles for the trims: A_1 = a/ma from the minimal
+# generators; only the annihilator cycle is hand-built, from syzygies.
+
+def a1_cycle_basis(choice: TrimChoice, kz) -> list:
+    """The mu(a) cycles spanning A_1 for a trimmed family ideal: the
+    `generator_cycle` of each minimal generator of the trim, in ladder order.
+    Those are the canonical generators with g_(choice.index) replaced in place
+    by x*g (x0), y*g (y0) or z*g (d), or removed (interior xI, yI).  Every
+    element is reduced in R and verified to be a cycle.
+    """
+    m, k = choice.m, choice.index
+    gens = canonical_generators(m, kz.field)
+    x, y, z = variables(kz.field)
+    scale = {0: x, m: z, 2 * m: y}.get(k)
+    gens[k:k + 1] = [scale * gens[k]] if scale is not None else []
+    return [reduce_element(kz, generator_cycle(g), cycle=True) for g in gens]
+
+
+def a1_annihilator_cycle(choice: TrimChoice, kz) -> KoszulElement:
+    """A degree-2 cycle whose class multiplies A_1 to zero, for m >= 3, from
+    the ladder position k of the trimmed generator: d_(m-1) e_xy at k = m,
+    else u^(m-i) d_(i-1) e_xy + s u^(m-i-1) d_i e_uz with (i, u, e_uz, s) =
+    (k, y, e_yz, (-1)^(i-1)) on the x-side and (2m-k, x, e_xz, (-1)^i) on the
+    y-side, its x <-> y image up to sign.  d_(-1) = 0, so the pure powers are
+    the i = 0 cases, -y^(m-1) e_yz and x^(m-1) e_xz.  Verified to be a cycle.
+    """
+    m, k = choice.m, choice.index
+    if m < 3:
+        raise ValueError("the annihilator cycle is provided for m >= 3")
+    if k == m:
+        return reduce_element(kz, KoszulElement(2, {(0, 1): d_poly(m - 1, kz.field)}), cycle=True)
+    x, y, _ = variables(kz.field)
+    x_side = k < m
+    i = k if x_side else 2 * m - k
+    u, e_uz = (y, (1, 2)) if x_side else (x, (0, 2))
+    s = -1 if (i - x_side) % 2 else 1
+    el = KoszulElement(2, {(0, 1): u ** (m - i) * d_poly(i - 1, kz.field),
+                           e_uz: u ** (m - i - 1) * d_poly(i, kz.field) * s})
+    return reduce_element(kz, el, cycle=True)
+
+
 def random_element(rng, kz, i, max_degree=2, density=0.7):
     """Random reduced element of exterior degree i (not necessarily a cycle)."""
-    from gtrim.koszul import WORDS
-
     comps = {}
     for w in WORDS[i]:
         if rng.random() < density:
             p = random_poly(rng, kz.ring.field, max_degree=max_degree, max_terms=3)
             if not p.is_zero():
                 comps[w] = p
-    return kz.reduce_element(KoszulElement(i, comps))
+    return reduce_element(kz, KoszulElement(i, comps))
 
 
 def random_cycle(rng, kz, i):
     """Random cycle: a combination of basis classes plus a random boundary."""
     el = KoszulElement(i, {})
-    for b in kz.homology_basis(i):
+    for b in homology_basis(kz, i):
         c = rng.randint(-5, 5)
         if c:
             el = el + KoszulElement(i, {w: p * c for w, p in b.components.items()})
     if i < 3:
-        el = el + kz.differential(random_element(rng, kz, i + 1))
-    return kz.reduce_element(el)
+        el = el + differential(kz, random_element(rng, kz, i + 1))
+    return reduce_element(kz, el)
 
 
 def koszul_differential(ideal, el):
     """The Koszul boundary of el, sum over words of (-1)^t x_(w_t) p e_(w - w_t),
-    from Polynomial products and `Ideal.normal_form` alone."""
+    from Polynomial products and `normal_form` alone."""
     xyz = variables(ideal.field)
     comps = {}
     for w, p in el.components.items():
@@ -204,21 +403,20 @@ def koszul_differential(ideal, el):
             piece = xyz[letter] * p
             w2 = w[:t] + w[t + 1:]
             comps[w2] = comps.get(w2, Polynomial.zero(ideal.field)) + (-piece if t % 2 else piece)
-    reduced = {w: ideal.normal_form(p) for w, p in comps.items()}
+    reduced = {w: normal_form(ideal, p) for w, p in comps.items()}
     return KoszulElement(max(el.exterior_degree - 1, 0),
                          {w: p for w, p in reduced.items() if not p.is_zero()})
 
 
 def mult_matrix_oracle(ring, var, d):
     """Matrix of multiplication by x_var from degree d to degree d+1, from
-    `Ideal.normal_form` of every product of x_var and a basis(d) monomial."""
+    `normal_form` of every product of x_var and a basis(d) monomial."""
     source = ring.basis(d)
     target_len = len(ring.basis(d + 1))
     mat = [[ring.field.zero] * len(source) for _ in range(target_len)]
     if target_len:
         for j, mono in enumerate(source):
-            image = ring.ideal.normal_form(
-                Polynomial.monomial(ring.field, mono_mul(mono, _VAR_MONOS[var])))
+            image = normal_form(ring.ideal, monomial(ring.field, mono_mul(mono, _VAR_MONOS[var])))
             for m, c in image.terms.items():
                 mat[ring.basis(d + 1).index(m)][j] = c
     return mat
@@ -226,8 +424,7 @@ def mult_matrix_oracle(ring, var, d):
 
 def polynomial_wedge(kz, u, v):
     """The exterior product u ^ v from Polynomial products, reduced in R by
-    `KoszulComplex.reduce_element`: the oracle for `KoszulComplex.wedge`,
-    which multiplies on coordinates."""
+    `reduce_element`: the oracle for `wedge`, which multiplies on coordinates."""
     comps = {}
     for w1, p1 in u.components.items():
         for w2, p2 in v.components.items():
@@ -240,15 +437,15 @@ def polynomial_wedge(kz, u, v):
                 piece = -piece
             cur = comps.get(merged)
             comps[merged] = piece if cur is None else cur + piece
-    return kz.reduce_element(KoszulElement(u.exterior_degree + v.exterior_degree, comps))
+    return reduce_element(kz, KoszulElement(u.exterior_degree + v.exterior_degree, comps))
 
 
 def delta_rows(kz):
     """The matrix of A_2 -> Hom(A_1, A_3): one row per A_2 basis class, the
     concatenated A_3 coordinates of its products with each A_1 basis class."""
-    a1 = kz.homology_basis(1)
-    return [[c for e in a1 for c in kz.class_coords(polynomial_wedge(kz, e, g))]
-            for g in kz.homology_basis(2)]
+    a1 = homology_basis(kz, 1)
+    return [[c for e in a1 for c in class_coords(kz, polynomial_wedge(kz, e, g))]
+            for g in homology_basis(kz, 2)]
 
 
 def all_products_invariants(kz):
@@ -257,16 +454,16 @@ def all_products_invariants(kz):
     oracle for `KoszulComplex.invariants`, which multiplies on coordinates
     and skips the pairs whose degree and weight meet no class."""
     f = kz.field
-    a1 = kz.homology_basis(1)
-    a2 = kz.homology_basis(2)
+    a1 = homology_basis(kz, 1)
+    a2 = homology_basis(kz, 2)
     p_span, q_span, r_span = Echelon(f), Echelon(f), Echelon(f)
     for s in range(len(a1)):
         for t in range(s + 1, len(a1)):
-            p_span.add(kz.class_coords(polynomial_wedge(kz, a1[s], a1[t])))
+            p_span.add(class_coords(kz, polynomial_wedge(kz, a1[s], a1[t])))
     for g in a2:  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
         row = []
         for e in a1:
-            prod = kz.class_coords(polynomial_wedge(kz, e, g))
+            prod = class_coords(kz, polynomial_wedge(kz, e, g))
             q_span.add(prod)
             row.extend(prod)
         r_span.add(row)
@@ -334,10 +531,10 @@ def colon_oracle(ideal):
         nrows = 3 * len(target)
         columns = []
         for mono in monos:
-            f = Polynomial.monomial(fld, mono)
+            f = monomial(fld, mono)
             column = [fld.zero] * nrows
             for v, var in enumerate(xyz):
-                nf = ideal.normal_form(var * f)
+                nf = normal_form(ideal, var * f)
                 for mm, c in nf.terms.items():
                     column[v * len(target) + col[mm]] = c
             columns.append(column)
@@ -361,11 +558,11 @@ def naive_normal_form(f: Polynomial, basis) -> Polynomial:
         lm, lc = rest.leading_monomial(), rest.leading_coeff()
         j = next((j for j, m in enumerate(lms) if mono_divides(m, lm)), None)
         if j is None:
-            term = Polynomial.monomial(fld, lm, lc)
+            term = monomial(fld, lm, lc)
             rest, out = rest - term, out + term
         else:
             coeff = fld.mul(lc, fld.inv(basis[j].leading_coeff()))
-            rest = rest - Polynomial.monomial(fld, mono_div(lm, lms[j]), coeff) * basis[j]
+            rest = rest - monomial(fld, mono_div(lm, lms[j]), coeff) * basis[j]
     return out
 
 
@@ -388,8 +585,8 @@ def naive_buchberger(generators) -> list:
         pairs.remove(chosen)
         _, i, j, shift_f, shift_g = chosen
         f, g, fld = basis[i], basis[j], basis[i].field
-        s = (Polynomial.monomial(fld, shift_f, fld.inv(f.leading_coeff())) * f
-             - Polynomial.monomial(fld, shift_g, fld.inv(g.leading_coeff())) * g)
+        s = (monomial(fld, shift_f, fld.inv(f.leading_coeff())) * f
+             - monomial(fld, shift_g, fld.inv(g.leading_coeff())) * g)
         rem = naive_normal_form(s, basis)
         if not rem.is_zero():
             basis.append(rem.monic())
@@ -475,6 +672,40 @@ def kernel_basis(rows, ncols: int, field) -> list:
 
 # ---- polynomial and ideal oracles ----------------------------------------------
 
+def monomial(field, mono, coeff=1) -> Polynomial:
+    """coeff * x^a y^b z^c for mono = (a, b, c)."""
+    return Polynomial(field, {tuple(mono): field.of(coeff)})
+
+
+def cols(M: PolyMatrix) -> int:
+    return len(M.entries[0]) if M.entries else 0
+
+
+def normal_form(ideal, f: Polynomial) -> Polynomial:
+    """The normal form of f against the reduced Groebner basis, by the
+    package's heap reduction (`ideals._normal_form_terms`)."""
+    if f.field != ideal.field:
+        raise ValueError("mismatched coefficient fields")
+    reducers = ideals._Reducers((g.leading_monomial(), g) for g in ideal.groebner_basis())
+    return Polynomial(ideal.field, ideals._normal_form_terms(f.terms, reducers, ideal.field))
+
+
+def contains(ideal, f: Polynomial) -> bool:
+    return normal_form(ideal, f).is_zero()
+
+
+def same_ideal(a, b) -> bool:
+    """Equality of ideals: the same field and the same reduced Groebner basis."""
+    return a.field == b.field and a.groebner_basis() == b.groebner_basis()
+
+
+def coordinates(ring, f: Polynomial) -> dict:
+    """The normal form of f in ring as {degree d: sparse coordinates over basis(d)}."""
+    if f.field != ring.field:
+        raise ValueError("mismatched coefficient fields")
+    return ring._coordinates(f.terms)
+
+
 def mono_cmp(a: Monomial, b: Monomial) -> int:
     """-1, 0 or 1 as a <, =, > b in grevlex."""
     ka, kb = mono_key(a), mono_key(b)
@@ -500,7 +731,7 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
         lm = rem.leading_monomial()
         if not mono_divides(lm_g, lm):
             raise ValueError("inexact polynomial division")
-        t = Polynomial.monomial(field, mono_div(lm, lm_g),
+        t = monomial(field, mono_div(lm, lm_g),
                                 field.mul(rem.leading_coeff(), field.inv(lc_g)))
         quot = quot + t
         rem = rem - t * g
@@ -509,7 +740,7 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def det_bareiss(M: PolyMatrix) -> Polynomial:
     """Determinant by fraction-free (Bareiss) elimination with exact division."""
-    if M.rows != M.cols:
+    if M.rows != cols(M):
         raise ValueError("determinant of a non-square matrix")
     n = M.rows
     if n == 0:
@@ -537,10 +768,10 @@ def det_bareiss(M: PolyMatrix) -> Polynomial:
 
 
 def is_skew_symmetric(M: PolyMatrix) -> bool:
-    if M.rows != M.cols:
+    if M.rows != cols(M):
         return False
     return all(M.entry(i, j) == -M.entry(j, i)
-               for i in range(M.rows) for j in range(i, M.cols))
+               for i in range(M.rows) for j in range(i, cols(M)))
 
 
 def delete_row_col(M: PolyMatrix, i: int) -> PolyMatrix:
@@ -555,7 +786,7 @@ def pfaffian(M: PolyMatrix) -> Polynomial:
     Each principal minor is expanded once: results are kept per tuple of
     remaining rows, which turns the (n-1)!! expansion into at most 2^n minors.
     """
-    if M.rows != M.cols:
+    if M.rows != cols(M):
         raise ValueError("Pfaffian of a non-square matrix")
     if M.rows % 2:
         raise ValueError("Pfaffian needs an even-sized matrix")
@@ -589,7 +820,7 @@ def pfaffian(M: PolyMatrix) -> Polynomial:
 
 def sub_pfaffian(V: PolyMatrix, i: int) -> Polynomial:
     """Pfaffian of V with 1-based row and column i removed."""
-    if V.rows != V.cols:
+    if V.rows != cols(V):
         raise ValueError("sub-Pfaffian of a non-square matrix")
     if not is_skew_symmetric(V):
         raise ValueError("sub-Pfaffian of a non-skew-symmetric matrix")

@@ -43,8 +43,8 @@ def s_polynomial(f, g):
     """Independent S-polynomial construction for the Buchberger criterion."""
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
     lcm = mono_lcm(lmf, lmg)
-    a = Polynomial.monomial(f.field, mono_div(lcm, lmf), f.field.inv(f.leading_coeff()))
-    b = Polynomial.monomial(g.field, mono_div(lcm, lmg), g.field.inv(g.leading_coeff()))
+    a = helpers.monomial(f.field, mono_div(lcm, lmf), f.field.inv(f.leading_coeff()))
+    b = helpers.monomial(g.field, mono_div(lcm, lmg), g.field.inv(g.leading_coeff()))
     return a * f - b * g
 
 
@@ -52,11 +52,11 @@ def assert_reduced_groebner(ideal):
     """Buchberger criterion plus the shape conditions of the reduced basis."""
     gb = ideal.groebner_basis()
     for g in ideal.generators:
-        assert ideal.normal_form(g).is_zero()
+        assert helpers.normal_form(ideal, g).is_zero()
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
             s = s_polynomial(gb[i], gb[j])
-            assert ideal.normal_form(s).is_zero()
+            assert helpers.normal_form(ideal, s).is_zero()
     lms = [g.leading_monomial() for g in gb]
     for i, g in enumerate(gb):
         assert g.leading_coeff() == ideal.field.one
@@ -73,9 +73,9 @@ def test_family_m2_groebner_frozen():
     I = helpers.family_ideal(2)
     assert [g.to_text() for g in I.groebner_basis()] == [
         "y*z", "x*z", "y^2", "x*y - z^2", "x^2", "z^3"]
-    assert I.normal_form(X * Y).to_text() == "z^2"
-    assert I.contains(X * Y - Z ** 2)
-    assert not I.contains(Z ** 2)
+    assert helpers.normal_form(I, X * Y).to_text() == "z^2"
+    assert helpers.contains(I, X * Y - Z ** 2)
+    assert not helpers.contains(I, Z ** 2)
 
 
 def test_trim_m2_d_groebner_frozen():
@@ -230,11 +230,11 @@ def test_ideal_pickle_round_trip():
         ideal = trimmed_ideal(TrimChoice(5, "d"), helpers.field(char))
         cold = pickle.loads(pickle.dumps(ideal))  # before the basis is cached
         gb, hilbert = ideal.groebner_basis(), ideal.quotient_ring().hilbert()
-        warm = pickle.loads(pickle.dumps(ideal))  # with basis, reducers and ring
+        warm = pickle.loads(pickle.dumps(ideal))  # with basis and ring
         for copy in (cold, warm):
             assert copy.groebner_basis() == gb
             assert copy.quotient_ring().hilbert() == hilbert
-            assert all(copy.contains(g) for g in ideal.generators)
+            assert all(helpers.contains(copy, g) for g in ideal.generators)
 
 
 def test_normal_form_properties_random():
@@ -245,10 +245,10 @@ def test_normal_form_properties_random():
         I = ideals[rng.randrange(len(ideals))]
         f = helpers.random_poly(rng, F, max_degree=4)
         g = helpers.random_poly(rng, F, max_degree=4)
-        nf = I.normal_form(f)
-        assert I.normal_form(nf) == nf
-        assert I.contains(f - nf)
-        assert I.normal_form(f + g) == nf + I.normal_form(g)
+        nf = helpers.normal_form(I, f)
+        assert helpers.normal_form(I, nf) == nf
+        assert helpers.contains(I, f - nf)
+        assert helpers.normal_form(I, f + g) == nf + helpers.normal_form(I, g)
 
 
 def test_membership_on_random_combinations():
@@ -258,11 +258,11 @@ def test_membership_on_random_combinations():
         h = Polynomial.zero(F)
         for g in I.generators:
             h = h + helpers.random_poly(rng, F, max_degree=2) * g
-        assert I.contains(h)
+        assert helpers.contains(I, h)
         ring = I.quotient_ring()
         level = ring.basis(1) or ring.basis(0)
-        s = Polynomial.monomial(F, level[0])
-        assert not I.contains(h + s)
+        s = helpers.monomial(F, level[0])
+        assert not helpers.contains(I, h + s)
 
 
 def test_ideal_sum_and_empty():
@@ -304,7 +304,7 @@ def test_dimension_bound(monkeypatch):
     walk refuses it as it counts past the bound."""
     with pytest.raises(QuotientTooLargeError,
                        match=r"more than 200000 standard monomials \(the bound on dim R\)$"):
-        QuotientRing(Ideal([X, Y ** 2, Polynomial.monomial(F, (0, 0, 150000))]))
+        QuotientRing(Ideal([X, Y ** 2, helpers.monomial(F, (0, 0, 150000))]))
     monkeypatch.setattr(ideals, "MAX_DIM", 8)
     assert QuotientRing(Ideal([X * X, Y * Y, Z * Z])).dim() == 8
     with pytest.raises(QuotientTooLargeError, match="more than 8 standard monomials"):
@@ -368,18 +368,19 @@ def test_quotient_ring_bases_and_coords():
     assert ring.basis(1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert ring.basis(2) == ((0, 0, 2),)
     assert ring.basis(3) == ()
-    assert ring.coordinates(X * Y + Z ** 2) == {2: {0: F.of(2)}}
+    assert helpers.coordinates(ring, X * Y + Z ** 2) == {2: {0: F.of(2)}}
     assert helpers.from_vector(ring, 2, {0: F.of(2)}) == 2 * Z ** 2
-    assert ring.coordinates(X * Y) == {2: {0: F.one}}  # x*y is not standard: it reads as z^2
-    assert ring.coordinates(Z ** 3) == {}  # beyond the top degree
+    assert helpers.coordinates(ring, X * Y) == {2: {0: F.one}}  # x*y is not standard: it reads as z^2
+    assert helpers.coordinates(ring, Z ** 3) == {}  # beyond the top degree
 
 
 def test_normal_form_table_matches_heap_reduction():
-    """`QuotientRing.coordinates` and `mult_matrix` read the border table; the
-    heap reduction of `Ideal.normal_form` is the independent reference."""
+    """`helpers.coordinates` (`QuotientRing._coordinates`) and `mult_matrix`
+    read the border table; the heap reduction of `helpers.normal_form` is the
+    independent reference."""
     def table_form(ring, f):
-        return sum((helpers.from_vector(ring, d, vec) for d, vec in ring.coordinates(f).items()),
-                   Polynomial.zero(ring.field))
+        return sum((helpers.from_vector(ring, d, vec)
+                    for d, vec in helpers.coordinates(ring, f).items()), Polynomial.zero(ring.field))
 
     rng = random.Random(helpers.SEED + 13)
     corpus = [Ideal([ONE]), Ideal([X, Y, Z])]
@@ -393,16 +394,16 @@ def test_normal_form_table_matches_heap_reduction():
         ring, fld = I.quotient_ring(), I.field
         for d in range(ring.top_degree + 2):
             for mono in monomials_of_degree(d):
-                f = Polynomial.monomial(fld, mono)
-                assert table_form(ring, f) == I.normal_form(f), (I, mono)
+                f = helpers.monomial(fld, mono)
+                assert table_form(ring, f) == helpers.normal_form(I, f), (I, mono)
         for _ in range(20):  # inhomogeneous, with terms above the top degree
             f = helpers.random_poly(rng, fld, max_degree=ring.top_degree + 2, max_terms=6)
-            assert table_form(ring, f) == I.normal_form(f), (I, f)
+            assert table_form(ring, f) == helpers.normal_form(I, f), (I, f)
         for d in range(-1, ring.top_degree + 2):
             for v in range(3):
                 assert ring.mult_matrix(v, d) == helpers.mult_matrix_oracle(ring, v, d), (I, v, d)
         with pytest.raises(ValueError):
-            ring.coordinates(Polynomial.variable(helpers.field(3 if fld.char != 3 else 2), "x"))
+            helpers.coordinates(ring, Polynomial.variable(helpers.field(3 if fld.char != 3 else 2), "x"))
 
 
 def test_multiplication_refuses_a_variable_index_outside_0_to_2():
@@ -471,9 +472,9 @@ def test_socle_members_annihilate_maximal_ideal():
     for m, sel in ((2, None), (3, "x1")):
         I = helpers.family_ideal(m) if sel is None else helpers.trim_ideal(m, sel)
         for s in socle_basis(I).basis:
-            assert not I.contains(s)
+            assert not helpers.contains(I, s)
             for v in (X, Y, Z):
-                assert I.contains(v * s)
+                assert helpers.contains(I, v * s)
 
 
 def test_exact_socle_matches_homology_and_oracle():
@@ -509,16 +510,16 @@ def test_exact_socle_matches_homology_and_oracle():
 
 def test_colon_frozen_cases():
     g2 = helpers.family_ideal(2)
-    assert colon_by_maximal(g2) == Ideal(g2.generators + (X * Y,))
+    assert helpers.same_ideal(colon_by_maximal(g2), Ideal(g2.generators + (X * Y,)))
     n = Ideal([X, Y, Z])
-    assert colon_by_maximal(n) == Ideal([ONE])
+    assert helpers.same_ideal(colon_by_maximal(n), Ideal([ONE]))
     ci = Ideal([X * X, Y * Y, Z * Z])
-    assert colon_by_maximal(ci) == Ideal(ci.generators + (X * Y * Z,))
+    assert helpers.same_ideal(colon_by_maximal(ci), Ideal(ci.generators + (X * Y * Z,)))
 
 
 def test_colon_matches_bruteforce_oracle_spot():
     for label, I in helpers.small_instances()[:10]:
-        assert helpers.colon_oracle(I) == colon_by_maximal(I), label
+        assert helpers.same_ideal(helpers.colon_oracle(I), colon_by_maximal(I)), label
 
 
 # ---- trimming ---------------------------------------------------------------------
@@ -530,16 +531,16 @@ def test_trim_generators_frozen():
     assert [g.to_text() for g in T.generators[:3]] == [
         "x^2*y - x*z^2", "x*y^2 - y*z^2", "x*y*z - z^3"]
     assert T.generators[3:] == tuple(gens[:2] + gens[3:])
-    assert all(T.contains(v * d2) for v in (X, Y, Z))
-    assert not T.contains(d2)
+    assert all(helpers.contains(T, v * d2) for v in (X, Y, Z))
+    assert not helpers.contains(T, d2)
 
 
 def test_trim_replaces_one_generator():
     T = trim(helpers.family_ideal(2), 0)
-    assert T == helpers.trim_ideal(2, "x0")
-    assert T == Ideal([X ** 3, X * Z, X * Y - Z * Z, Y * Z, Y * Y])
-    assert not T.contains(X * X)
-    assert all(T.contains(v * X * X) for v in (X, Y, Z))
+    assert helpers.same_ideal(T, helpers.trim_ideal(2, "x0"))
+    assert helpers.same_ideal(T, Ideal([X ** 3, X * Z, X * Y - Z * Z, Y * Z, Y * Y]))
+    assert not helpers.contains(T, X * X)
+    assert all(helpers.contains(T, v * X * X) for v in (X, Y, Z))
 
 
 def test_trim_validation():
@@ -621,6 +622,6 @@ def test_trimmed_ideal_is_strictly_smaller():
     for m, sel in ((2, "x0"), (2, "d"), (3, "x1")):
         I = helpers.family_ideal(m)
         T = helpers.trim_ideal(m, sel)
-        assert all(I.contains(g) for g in T.generators)
-        assert T != I
+        assert all(helpers.contains(I, g) for g in T.generators)
+        assert not helpers.same_ideal(T, I)
         assert T.quotient_ring().dim() == I.quotient_ring().dim() + 1

@@ -12,13 +12,9 @@ import helpers
 from gtrim import (
     Ideal,
     KoszulComplex,
-    KoszulElement,
     Polynomial,
     TorInvariants,
     TrimChoice,
-    a1_annihilator_cycle,
-    a1_cycle_basis,
-    annihilates_a1,
     classify_from_invariants,
     gorenstein_ideal,
     report_dict,
@@ -29,7 +25,27 @@ from gtrim import (
 from gtrim import ideals, koszul
 from gtrim.errors import ClassificationScopeError, UnitIdealError
 from gtrim.koszul import _generator_cycle, wedge_words
-from helpers import is_interior, matrix_rank, minimal_generators, socle_basis, span_rank
+from helpers import (
+    KoszulElement,
+    a1_annihilator_cycle,
+    a1_cycle_basis,
+    annihilates_a1,
+    class_coords,
+    differential,
+    element,
+    generator_cycle,
+    homology_basis,
+    is_boundary,
+    is_cycle,
+    is_interior,
+    matrix_rank,
+    minimal_generators,
+    multiply,
+    reduce_element,
+    socle_basis,
+    span_rank,
+    wedge,
+)
 
 F = helpers.field()
 X, Y, Z = variables(F)
@@ -53,11 +69,11 @@ def test_wedge_words_signs():
 def test_differential_formulas():
     kz = helpers.koszul(2)
     one = Polynomial.constant(F, 1)
-    d_top = kz.differential(KoszulElement(3, {E_XYZ: one}))
+    d_top = differential(kz, KoszulElement(3, {E_XYZ: one}))
     assert d_top.components[E_YZ] == X
     assert d_top.components[E_XZ] == -Y
     assert d_top.components[E_XY] == Z
-    d_xy = kz.differential(KoszulElement(2, {E_XY: one}))
+    d_xy = differential(kz, KoszulElement(2, {E_XY: one}))
     assert d_xy.components == {E_Y: X, E_X: -Y}
 
 
@@ -68,8 +84,8 @@ def test_differential_matches_polynomial_oracle():
             kz = helpers.koszul(m, sel, char)
             for i in range(4):
                 samples = [helpers.random_element(rng, kz, i, max_degree=3) for _ in range(15)]
-                for el in samples + kz.homology_basis(i):
-                    assert kz.differential(el) == helpers.koszul_differential(kz.ring.ideal, el)
+                for el in samples + homology_basis(kz, i):
+                    assert differential(kz, el) == helpers.koszul_differential(kz.ring.ideal, el)
 
 
 def test_differential_squares_to_zero():
@@ -78,7 +94,7 @@ def test_differential_squares_to_zero():
         for i in (2, 3):
             for _ in range(40):
                 el = helpers.random_element(rng, kz, i)
-                assert kz.differential(kz.differential(el)).is_zero()
+                assert differential(kz, differential(kz, el)).is_zero()
 
 
 # ---- homology ranks -------------------------------------------------------------
@@ -118,14 +134,14 @@ def test_a1_representative_degrees_are_minimal_generator_degrees():
     for I in corpus:
         kz = KoszulComplex(I.quotient_ring())
         reps = [1 + max(p.degree() for p in b.components.values())
-                for b in kz.homology_basis(1)]
+                for b in homology_basis(kz, 1)]
         kept, _ = minimal_generators(I)
         assert sorted(reps) == sorted(g.degree() for g in kept), (I.field, I)
         # A_1 = a/ma: the cycles of the input generators, redundant ones too, span it
-        cycles = [_generator_cycle(g) for g in I.generators]
-        assert all(kz.is_cycle(c) for c in cycles), (I.field, I)
+        cycles = [generator_cycle(g) for g in I.generators]
+        assert all(is_cycle(kz, c) for c in cycles), (I.field, I)
         mu = kz.ranks()[1]
-        assert span_rank([kz.class_coords(c) for c in cycles], mu, I.field) == mu, (I.field, I)
+        assert span_rank([class_coords(kz, c) for c in cycles], mu, I.field) == mu, (I.field, I)
 
 
 def test_ranks_cross_checked_against_ideal_invariants():
@@ -163,24 +179,24 @@ def assert_matches_full_homology(kz, rng, label):
     f, ref = kz.field, helpers.full_homology(kz.ring)
     assert kz.ranks() == ref.ranks(), label
     for i in (0, 2):
-        assert [str(b) for b in kz.homology_basis(i)] == \
-            [str(b) for b in ref.homology_basis(i)], (label, i)
-    a1, a2 = kz.homology_basis(1), kz.homology_basis(2)
+        assert [str(b) for b in homology_basis(kz, i)] == \
+            [str(b) for b in homology_basis(ref, i)], (label, i)
+    a1, a2 = homology_basis(kz, 1), homology_basis(kz, 2)
     change = {}
     for i in (1, 3):
-        basis = kz.homology_basis(i)
+        basis = homology_basis(kz, i)
         assert all(helpers.koszul_differential(kz.ring.ideal, b).is_zero() for b in basis), label
-        change[i] = [ref.class_coords(b) for b in basis]
+        change[i] = [class_coords(ref, b) for b in basis]
         assert matrix_rank(change[i], len(basis), f) == len(basis), (label, i)
-    products = [kz.wedge(a1[s], a1[t]) for s in range(len(a1)) for t in range(s + 1, len(a1))]
-    products += [kz.wedge(e, g) for e in a1 for g in a2]
+    products = [wedge(kz, a1[s], a1[t]) for s in range(len(a1)) for t in range(s + 1, len(a1))]
+    products += [wedge(kz, e, g) for e in a1 for g in a2]
     for el in products + [helpers.random_cycle(rng, kz, i) for i in range(4)]:
-        coords = kz.class_coords(el)
+        coords = class_coords(kz, el)
         rows = change.get(el.exterior_degree)
         if rows is not None:
             coords = [functools.reduce(f.add, (f.mul(a, row[t]) for a, row in zip(coords, rows)),
                                        f.zero) for t in range(len(coords))]
-        assert coords == ref.class_coords(el), (label, str(el))
+        assert coords == class_coords(ref, el), (label, str(el))
 
 
 def test_degree_local_homology_matches_full_oracle():
@@ -237,16 +253,16 @@ def test_products_on_coordinates_match_polynomial_oracle():
                   for char in (2, 3, 32003, 0)
                   for ideal in redundant_generator_ideals(rng, char, 10)]
     for label, kz in complexes:
-        basis = [b for i in range(4) for b in kz.homology_basis(i)]
+        basis = [b for i in range(4) for b in homology_basis(kz, i)]
         pairs = [(u, v) for u, v in itertools.combinations(basis, 2)
                  if u.exterior_degree + v.exterior_degree <= 3]
         pairs += [(helpers.random_cycle(rng, kz, i), helpers.random_cycle(rng, kz, j))
                   for i, j in ((1, 1), (1, 2), (2, 1), (0, 3))]
         for u, v in pairs:
             oracle = helpers.polynomial_wedge(kz, u, v)
-            product = kz.wedge(u, v)
+            product = wedge(kz, u, v)
             assert product == oracle and str(product) == str(oracle), label
-            assert kz.multiply(u, v) == kz.class_coords(oracle), label
+            assert multiply(kz, u, v) == class_coords(kz, oracle), label
 
 
 def test_class_product_matches_polynomial_oracle():
@@ -256,10 +272,10 @@ def test_class_product_matches_polynomial_oracle():
     complexes = [KoszulComplex(ideal.quotient_ring()) for _, ideal in helpers.small_instances()]
     complexes += [helpers.koszul(3, "d", 0), helpers.koszul(4, "x1", 0)]
     for kz in complexes:
-        basis = [kz.homology_basis(i) for i in range(4)]
+        basis = [homology_basis(kz, i) for i in range(4)]
         for i, j in ((0, 0), (0, 2), (1, 1), (1, 2), (2, 1), (3, 0)):
             for (s, u), (t, v) in itertools.product(enumerate(basis[i]), enumerate(basis[j])):
-                oracle = kz.class_coords(helpers.polynomial_wedge(kz, u, v))
+                oracle = class_coords(kz, helpers.polynomial_wedge(kz, u, v))
                 assert kz.class_product(i, s, j, t) == oracle, (kz.ring.ideal, i, s, j, t)
 
 
@@ -267,9 +283,9 @@ def test_classes_record_where_a_lives_and_products_take_one_route(monkeypatch):
     """`_classes` has an entry exactly at the (i, d) of each kept
     representative, and `_live` at its (i, d, weight), from which
     `class_product` reads where A lives.
-    `multiply` of two cycles, basis classes or not, is the class of their
-    `wedge`, from one `_product`; `annihilates_a1` forms at most one per A_1
-    class."""
+    `helpers.multiply` of two cycles, basis classes or not, is the class of
+    their `wedge`, from one `_product`; `annihilates_a1` forms at most one per
+    A_1 class."""
     rng = random.Random(helpers.SEED + 24)
     corpus = [ideal for _, ideal in helpers.small_instances()]
     corpus += [helpers.random_artinian_ideal(rng, helpers.field(char))
@@ -289,9 +305,9 @@ def test_classes_record_where_a_lives_and_products_take_one_route(monkeypatch):
                                     for d, _ in reps} == {(i, d) for i, d, _ in kz._live}, label
         for i, j in ((0, 2), (1, 1), (1, 2), (2, 1), (0, 3)):
             u, v = helpers.random_cycle(rng, kz, i), helpers.random_cycle(rng, kz, j)
-            expected = kz.class_coords(kz.wedge(u, v))
+            expected = class_coords(kz, wedge(kz, u, v))
             calls.clear()
-            assert kz.multiply(u, v) == expected, label
+            assert multiply(kz, u, v) == expected, label
             assert len(calls) == 1, label
         f = helpers.random_cycle(rng, kz, 2)
         calls.clear()
@@ -301,9 +317,35 @@ def test_classes_record_where_a_lives_and_products_take_one_route(monkeypatch):
             assert 1 <= len(calls) <= kz.ranks()[1], label
 
 
+def test_live_classes_are_where_products_are_solved():
+    """`_class_coords` solves only in degrees with a `_classes` entry, and
+    `class_product` asks it only where `_meets` finds a class in `_live`: the
+    two name the same (i, d) for g_m and each of its trims, m = 2..8 over
+    F_32003 and F_2, every trim's complex derived once with its family's
+    complex passed and once without.  Every pair of basis classes that meets
+    then has its product formed."""
+    for char in (32003, 2):
+        fld = helpers.field(char)
+        for m in range(2, 9):
+            family = gorenstein_ideal(m, fld)
+            family_complex = KoszulComplex(family.quotient_ring())
+            complexes = [family_complex]
+            for k in range(len(family.generators)):
+                ring = ideals.trim(family, k).quotient_ring()
+                complexes += [KoszulComplex(ring, family_complex), KoszulComplex(ring)]
+            for kz in complexes:
+                case = (char, m, kz.ring.ideal)
+                assert {(i, d) for i, d, _ in kz._live} == set(kz._classes), case
+                n = kz.ranks()
+                for i, j in itertools.product(range(4), repeat=2):
+                    for s, t in itertools.product(range(n[i]), range(n[j] if i + j <= 3 else 0)):
+                        if kz._meets(i, s, j, t):
+                            assert len(kz.class_product(i, s, j, t)) == n[i + j], case
+
+
 def test_invariants_make_no_polynomial_product(monkeypatch):
     """`invariants` reads the representatives as coordinates: it forms no
-    Polynomial product and no homology_basis element."""
+    Polynomial product, and builds no Polynomial at all, so no element."""
     complexes = {sel: KoszulComplex(trimmed_ideal(TrimChoice(6, sel), F).quotient_ring())
                  for sel in ("d", "x2")}
     expected = {sel: helpers.all_products_invariants(kz) for sel, kz in complexes.items()}
@@ -313,7 +355,7 @@ def test_invariants_make_no_polynomial_product(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__mul__", refuse)
     monkeypatch.setattr(Polynomial, "__rmul__", refuse)
-    monkeypatch.setattr(KoszulComplex, "homology_basis", refuse)
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
     for sel, kz in complexes.items():
         assert kz.invariants() == expected[sel], sel
     assert [kz.classify().display() for kz in complexes.values()] == ["G(10)", "G(9)"]
@@ -368,7 +410,7 @@ def test_a1_representatives_are_generator_cycles():
                for ideal in redundant_generator_ideals(rng, char, 10)]
     for ideal in corpus:
         kz = KoszulComplex(helpers.walked_ring(ideal))
-        cycles = [(g.degree(), kz._coords(_generator_cycle(g))) for g in ideal.generators]
+        cycles = [(g.degree(), kz._vectors(_generator_cycle(g))) for g in ideal.generators]
         for d, vec in kz._reps[1]:
             assert (d, {d: vec}) in cycles, (ideal.field, str(ideal), d)
 
@@ -377,7 +419,7 @@ def test_generator_cycles_short_of_the_euler_count_raise(monkeypatch):
     """The Euler count of A_1 is a guarantee, not a cap: cycles that span
     fewer classes (here none, each generator's cycle replaced by zero) make
     the build raise instead of returning fewer classes."""
-    monkeypatch.setattr(koszul, "_generator_cycle", lambda g: KoszulElement(1, {}))
+    monkeypatch.setattr(koszul, "_generator_cycle", lambda g: {})
     with pytest.raises(RuntimeError, match="fewer than"):
         KoszulComplex(helpers.trim_ideal(3, "d").quotient_ring())
 
@@ -464,9 +506,9 @@ def _check_routed_against_direct(family, k, family_complex):
         assert [d for d, _ in routed._reps[i]] == [d for d, _ in direct._reps[i]], case
         change.append([direct._class_coords(i, {d: vec}) for d, vec in routed._reps[i]])
         assert matrix_rank(change[i], len(change[i]), f) == len(change[i]), (case, i)
-        for s, el in enumerate(routed.homology_basis(i)):
+        for s, el in enumerate(homology_basis(routed, i)):
             unit = [f.one if r == s else f.zero for r in range(len(change[i]))]
-            assert routed.class_coords(el) == unit, (case, i, s)
+            assert class_coords(routed, el) == unit, (case, i, s)
     for i, j in ((1, 1), (1, 2), (2, 1)):
         for s, (_, u, _) in enumerate(routed._words[i]):
             for t, (_, v, _) in enumerate(routed._words[j]):
@@ -475,7 +517,7 @@ def _check_routed_against_direct(family, k, family_complex):
                 carried = {}
                 for r, c in enumerate(product):
                     f.sub_multiple(carried, f.neg(c), dict(enumerate(change[i + j][r])))
-                expected = direct._class_coords(i + j, direct._product(u, v))
+                expected = helpers.vector_class(direct, i + j, direct._product(u, v))
                 assert carried == {r: c for r, c in enumerate(expected) if c}, (case, i, s, t)
     if ring.std == family_complex.ring.std:
         return "same"
@@ -523,15 +565,19 @@ def test_derived_classes_are_checked():
     each deferred space, on its first solve, that its classes are
     independent of the trim's own boundaries (here one replaced by zero).
     The cycle of the trimmed generator g is a cycle of the family's ring
-    alone: read through the family's space, its class is refused."""
+    alone: its boundary in the trim's ring does not vanish, and read through
+    the family's space (a `_Through`), its class is refused."""
     family = gorenstein_ideal(3, F)
     family_complex = KoszulComplex(family.quotient_ring())
     ring = ideals.trim(family, 3).quotient_ring()
     kz = KoszulComplex(ring, family_complex)
-    cycle = _generator_cycle(family.generators[3])
-    assert family_complex.is_cycle(cycle) and not kz.is_cycle(cycle)
+    cycle = generator_cycle(family.generators[3])
+    assert is_cycle(family_complex, cycle) and not is_cycle(kz, cycle)
     with pytest.raises(ValueError, match="not a cycle"):
-        kz.class_coords(cycle)
+        class_coords(kz, cycle)
+    assert isinstance(kz._classes[1, 3], koszul._Through)
+    with pytest.raises(ValueError, match="not a cycle"):
+        kz._class_coords(1, kz._vectors(_generator_cycle(family.generators[3])))
     (i, d), *_ = (key for key, space in kz._classes.items() if space is None)
     first = next(k for k, (deg, _) in enumerate(kz._reps[i]) if deg == d)
     kz._reps[i][first] = (d, {})
@@ -632,7 +678,7 @@ def test_every_class_is_weight_homogeneous():
                     KoszulComplex(ideals.trim(family, k).quotient_ring(), family_complex)
                 live = set()
                 for i in range(4):
-                    for s, el in enumerate(kz.homology_basis(i)):
+                    for s, el in enumerate(homology_basis(kz, i)):
                         found = {a - b + (0 in w) - (1 in w)
                                  for w, p in el.components.items() for a, b, _ in p.terms}
                         d, _, weight = kz._words[i][s]
@@ -701,7 +747,7 @@ def _outcome(ideal):
         report = report_dict(kz)
     except (ClassificationScopeError, UnitIdealError) as exc:
         report = repr(exc)
-    return report, [str(b) for i in range(4) for b in kz.homology_basis(i)]
+    return report, [str(b) for i in range(4) for b in homology_basis(kz, i)]
 
 
 def test_shared_tables_answer_alike_in_any_trim_order():
@@ -807,7 +853,7 @@ def test_pivot_at_last_column_keeps_bases_with_less_fill():
     }
     for (m, sel), digest in frozen.items():
         kz = KoszulComplex(helpers.walked_ring(helpers.trim_ideal(m, sel)))
-        text = "\n".join(str(b) for i in range(4) for b in kz.homology_basis(i))
+        text = "\n".join(str(b) for i in range(4) for b in homology_basis(kz, i))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (m, sel)
     rows = kz._classes[(1, 15)].rows.values()
     assert sum(len(row) for row, _ in rows) <= 640
@@ -819,53 +865,57 @@ def test_degree_without_homology_checks_cycles():
         d = next(d for d in range(kz.ring.top_degree + 4)
                  if (i, d) not in kz._classes and kz.component_size(i, d)
                  and kz.component_size(i + 1, d))
-        basis = [kz.element_from_vector(i, {d: {k: F.one}})
+        basis = [element(kz, i, {d: {k: F.one}})
                  for k in range(kz.component_size(i, d))]
-        non_cycle = next(el for el in basis if not kz.is_cycle(el))
+        non_cycle = next(el for el in basis if not is_cycle(kz, el))
         with pytest.raises(ValueError, match="element is not a cycle"):
-            kz.class_coords(non_cycle)
-        boundary = next(b for b in (kz.differential(kz.element_from_vector(i + 1, {d: {k: F.one}}))
+            class_coords(kz, non_cycle)
+        boundary = next(b for b in (differential(kz, element(kz, i + 1, {d: {k: F.one}}))
                                     for k in range(kz.component_size(i + 1, d)))
                         if not b.is_zero())
-        assert kz.class_coords(boundary) == [F.zero] * kz.ranks()[i]
+        assert class_coords(kz, boundary) == [F.zero] * kz.ranks()[i]
 
 
 def test_classify_path_makes_no_heap_reduction(monkeypatch):
     """The quotient ring (derived from the family's), homology, products and
     the class read normal forms from tables; the heap reduction against the
-    Groebner basis is not called."""
+    Groebner basis is not called, and no divisor index (`_Reducers`) is built."""
     ideal = trimmed_ideal(TrimChoice(6, "d"), F)
     ideal._parent[0].groebner_basis()  # the family's Buchberger reduces S-polynomials
-    calls = []
-    heap = ideals._normal_form_terms
+    calls, built = [], []
+    heap, reducers = ideals._normal_form_terms, ideals._Reducers
 
     def counted(*args):
         calls.append(args)
         return heap(*args)
 
+    class Counted(reducers):
+        def __init__(self, entries=()):
+            built.append(1)
+            super().__init__(entries)
+
     monkeypatch.setattr(ideals, "_normal_form_terms", counted)
+    monkeypatch.setattr(ideals, "_Reducers", Counted)
     kz = KoszulComplex(ideal.quotient_ring())
     kz.invariants()
     assert kz.classify().display() == "G(10)"
-    assert len(calls) == 0
-    assert ideal._reducers is None  # the divisor index is built for normal forms only
+    assert len(calls) == 0 and len(built) == 0
     ideal.groebner_basis()  # the trim's own, built for normal forms only, by Buchberger
     calls.clear()
-    assert ideal.normal_form(X ** 6).is_zero() and len(calls) == 1  # the wrapper counts
-    assert ideal._reducers is not None
+    assert helpers.normal_form(ideal, X ** 6).is_zero() and len(calls) == 1  # the wrapper counts
 
 
 def test_homology_basis_elements_are_cycles_not_boundaries():
     for kz in (helpers.koszul(2), helpers.koszul(3, "x1")):
         for i in range(4):
-            basis = kz.homology_basis(i)
+            basis = homology_basis(kz, i)
             assert len(basis) == kz.ranks()[i]
             coords = []
             for b in basis:
                 assert helpers.koszul_differential(kz.ring.ideal, b).is_zero()
-                assert kz.is_cycle(b)
-                assert not kz.is_boundary(b)
-                coords.append(kz.class_coords(b))
+                assert is_cycle(kz, b)
+                assert not is_boundary(kz, b)
+                coords.append(class_coords(kz, b))
             assert span_rank(coords, kz.ranks()[i], F) == len(basis)
 
 
@@ -873,10 +923,10 @@ def test_homology_basis_elements_are_cycles_not_boundaries():
 
 def test_unit_class_acts_as_identity():
     kz = helpers.koszul(2, "x1")
-    one = kz.homology_basis(0)[0]
+    one = homology_basis(kz, 0)[0]
     for i in (1, 2, 3):
-        for k, b in enumerate(kz.homology_basis(i)):
-            coords = kz.multiply(one, b)
+        for k, b in enumerate(homology_basis(kz, i)):
+            coords = multiply(kz, one, b)
             expected = [F.zero] * kz.ranks()[i]
             expected[k] = F.one
             assert coords == expected
@@ -886,18 +936,18 @@ def test_multiply_rejects_bad_input():
     kz = helpers.koszul(2)
     one = Polynomial.constant(F, 1)
     not_cycle = KoszulElement(1, {E_X: one})  # boundary of e_x is x, nonzero in R
-    cycle2 = kz.homology_basis(2)[0]
+    cycle2 = homology_basis(kz, 2)[0]
     with pytest.raises(ValueError):
-        kz.multiply(not_cycle, cycle2)
+        multiply(kz, not_cycle, cycle2)
     with pytest.raises(ValueError):
-        kz.multiply(cycle2, cycle2)  # lands beyond the top exterior degree
+        multiply(kz, cycle2, cycle2)  # lands beyond the top exterior degree
     with pytest.raises(ValueError):
-        kz.class_coords(not_cycle)
+        class_coords(kz, not_cycle)
 
 
 def test_class_product_rejects_bad_indices():
     """Exterior degrees outside 0..3, or past 3 in sum, are a ValueError (the
-    sum with `wedge`'s and `multiply`'s message); a class index outside
+    sum with `helpers.wedge`'s and `multiply`'s message); a class index outside
     0..n-1, negatives included, is an IndexError, never another class."""
     kz = helpers.koszul(3, "d")
     n = kz.ranks()
@@ -913,19 +963,18 @@ def test_class_product_rejects_bad_indices():
 
 
 def test_exterior_degrees_outside_0_to_3_are_rejected():
-    """Every public entry point refuses an exterior degree of -1 or 4 with
-    one ValueError, empty elements included: none reads a neighbouring A_i
-    by negative indexing, answers as if the element were a cycle or ends in
-    another error."""
+    """Every entry point of the element routines in `helpers` refuses an
+    exterior degree of -1 or 4 with one ValueError, empty elements included:
+    none reads a neighbouring A_i by negative indexing, answers as if the
+    element were a cycle or ends in another error."""
     kz = helpers.koszul(3, "d")
-    b = kz.homology_basis(3)[0]
+    b = homology_basis(kz, 3)[0]
     for i in (-1, 4):
         bad = KoszulElement(i, {})
-        calls = [lambda: kz.element_from_vector(i, {}), lambda: kz.homology_basis(i)]
-        calls += [functools.partial(call, bad) for call in (
-            kz.reduce_element, kz.differential, kz.is_cycle, kz.class_coords,
-            kz.is_boundary, lambda el: annihilates_a1(kz, el))]
-        calls += [functools.partial(call, *args) for call in (kz.wedge, kz.multiply)
+        calls = [lambda: element(kz, i, {}), lambda: homology_basis(kz, i)]
+        calls += [functools.partial(call, kz, bad) for call in (
+            reduce_element, differential, is_cycle, class_coords, is_boundary, annihilates_a1)]
+        calls += [functools.partial(call, kz, *args) for call in (wedge, multiply)
                   for args in ((bad, b), (b, bad))]
         for call in calls:
             with pytest.raises(ValueError, match=f"^exterior degree {i} is not in 0..3$"):
@@ -937,13 +986,13 @@ def test_elements_with_foreign_words_are_rejected():
     degree is refused on the way into coordinates, not read as another
     element."""
     kz = helpers.koszul(3, "d")
-    cycle = kz.homology_basis(1)[0]
+    cycle = homology_basis(kz, 1)[0]
     for word in (E_XY, (1, 0), (0, 0)):
         bad = KoszulElement(1, {word: X})
-        for call in (kz.is_cycle, kz.reduce_element, kz.class_coords,
-                     lambda el: kz.multiply(el, cycle)):
+        for call in (is_cycle, reduce_element, class_coords,
+                     lambda kz, el: multiply(kz, el, cycle)):
             with pytest.raises(ValueError, match="not one of exterior degree 1"):
-                call(bad)
+                call(kz, bad)
 
 
 # ---- invariants and the decision table --------------------------------------------
@@ -1036,7 +1085,7 @@ def test_cycle_basis_spans_degree_one_homology():
         cycles = a1_cycle_basis(TrimChoice(m, sel), kz)
         mu = kz.ranks()[1]
         assert len(cycles) == mu
-        coords = [kz.class_coords(c) for c in cycles]
+        coords = [class_coords(kz, c) for c in cycles]
         assert span_rank(coords, mu, F) == mu
 
 
@@ -1044,8 +1093,8 @@ def test_annihilator_cycle_properties():
     for m, sel in ((3, "x0"), (3, "x2"), (3, "d"), (3, "y1"), (4, "d")):
         kz = helpers.koszul(m, sel)
         f = a1_annihilator_cycle(TrimChoice(m, sel), kz)
-        assert kz.is_cycle(f)
-        assert not kz.is_boundary(f)
+        assert is_cycle(kz, f)
+        assert not is_boundary(kz, f)
         assert annihilates_a1(kz, f)
 
 
@@ -1070,29 +1119,38 @@ def test_annihilator_cycles_frozen():
 
 
 def test_cycle_checks_and_products_stay_on_coordinates(monkeypatch):
-    """`is_cycle`, `multiply` and `annihilates_a1` reduce and check their
-    factors on table coordinates: with `Polynomial.__init__` and
-    `element_from_vector` refusing to run, they give the answers they gave
-    before, and a non-cycle is still rejected."""
+    """The package multiplies classes and checks cycles on table coordinates:
+    with `Polynomial.__init__` refusing to run, `class_product` gives, for
+    every A_1 x A_1 and A_1 x A_2 pair of basis classes, the class that
+    `helpers.multiply` gave before, and `_class_coords` refuses the
+    coordinates of a non-cycle in a degree where A_1 has classes.  The
+    helpers' cycle checks stay on coordinates too, and `annihilates_a1`
+    tells the annihilator cycle from the classes that A_1 does not kill."""
     kz = helpers.koszul(4, "d")
-    a1, a2 = kz.homology_basis(1), kz.homology_basis(2)
+    a1, a2 = homology_basis(kz, 1), homology_basis(kz, 2)
     f = a1_annihilator_cycle(TrimChoice(4, "d"), kz)
     not_cycle = KoszulElement(1, {E_X: Polynomial.constant(F, 1)})
-    products = [kz.multiply(u, v) for u in a1 for v in a1 + a2]
-    annihilated = [not any(any(kz.multiply(u, v)) for u in a1) for v in a1 + a2]
+    pairs = [(1, s, j, t) for s in range(len(a1)) for j in (1, 2)
+             for t in range(len(a1 if j == 1 else a2))]
+    products = [multiply(kz, a1[s], (a1 if j == 1 else a2)[t]) for _, s, j, t in pairs]
+    annihilated = [not any(any(multiply(kz, u, v)) for u in a1) for v in a1 + a2]
     assert False in annihilated
+    assert annihilates_a1(kz, f)
+    assert [annihilates_a1(kz, v) for v in a1 + a2] == annihilated
+    d = kz._reps[1][0][0]
+    units = ({d: {k: F.one}} for k in range(kz.component_size(1, d)))
+    outside = next(vec for vec in units if not is_cycle(kz, element(kz, 1, vec)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("left the coordinates")
 
     monkeypatch.setattr(Polynomial, "__init__", refuse)
-    monkeypatch.setattr(KoszulComplex, "element_from_vector", refuse)
-    assert all(kz.is_cycle(b) for b in a1 + a2 + [f]) and not kz.is_cycle(not_cycle)
-    assert [kz.multiply(u, v) for u in a1 for v in a1 + a2] == products
+    assert [kz.class_product(*pair) for pair in pairs] == products
+    with pytest.raises(ValueError, match="not a cycle"):
+        kz._class_coords(1, outside)
+    assert all(is_cycle(kz, b) for b in a1 + a2 + [f]) and not is_cycle(kz, not_cycle)
     with pytest.raises(ValueError, match="cycles only"):
-        kz.multiply(not_cycle, a2[0])
-    assert annihilates_a1(kz, f)
-    assert [annihilates_a1(kz, v) for v in a1 + a2] == annihilated
+        multiply(kz, not_cycle, a2[0])
     with pytest.raises(ValueError, match="not a cycle"):
         annihilates_a1(kz, not_cycle)
 
@@ -1151,7 +1209,7 @@ def test_random_pfaffian_trims_have_the_abstract_structure():
 def test_abstract_structure_at_scale():
     """Opt-in (`pytest -m slow`): every trim at m = 16 and 24 and the d trim
     at m = 32 and 48 pass `pd_padding` with rank P_1 = r and padding
-    (3, 4, 1), and `a1_cycle_basis` gives mu cycles spanning A_1.  Every
+    (3, 4, 1), and `helpers.a1_cycle_basis` gives mu cycles spanning A_1.  Every
     trim's homology is derived from its family's complex: the 49 trims at
     m = 24 are made as `table` makes them, from one g_24 with its complex
     passed, and each other trim builds its family's complex itself."""
@@ -1167,16 +1225,16 @@ def test_abstract_structure_at_scale():
         assert helpers.pd_padding(kz) == ([], kz.classify().params["r"], (3, 4, 1)), (m, label)
         mu, cycles = kz.ranks()[1], a1_cycle_basis(choice, kz)
         assert len(cycles) == mu, (m, label)
-        assert span_rank([kz.class_coords(c) for c in cycles], mu, F) == mu, (m, label)
+        assert span_rank([class_coords(kz, c) for c in cycles], mu, F) == mu, (m, label)
 
 
 def test_hand_built_cycles_need_m_at_least_three():
-    """`a1_cycle_basis` is built from the generators, so it covers m = 2 too
+    """`helpers.a1_cycle_basis` is built from the generators, so it covers m = 2 too
     (mu = 5, 4, 5, 4, 5); only the annihilator cycle's formulas need m >= 3."""
     for label in selector_labels(2):
         kz = helpers.koszul(2, label)
         cycles, mu = a1_cycle_basis(TrimChoice(2, label), kz), kz.ranks()[1]
         assert len(cycles) == mu, label
-        assert span_rank([kz.class_coords(c) for c in cycles], mu, F) == mu, label
+        assert span_rank([class_coords(kz, c) for c in cycles], mu, F) == mu, label
     with pytest.raises(ValueError, match="annihilator cycle"):
         a1_annihilator_cycle(TrimChoice(2, "d"), helpers.koszul(2, "d"))

@@ -1,6 +1,8 @@
 """The package surface: names resolved on first use, a CLI start that loads
-only what its command runs, and the immutable records."""
+only what its command runs, a homology layer apart from the family layer, no
+routine that only the tests reach, and the immutable records."""
 
+import ast
 import json
 import os
 import subprocess
@@ -14,7 +16,6 @@ import pytest
 import gtrim
 from gtrim import (
     HilbertData,
-    KoszulElement,
     PfaffianFamily,
     PolyMatrix,
     PrimeField,
@@ -24,8 +25,15 @@ from gtrim import (
     TrimChoice,
     variables,
 )
+from helpers import KoszulElement
 
 SRC = str(Path(gtrim.__file__).parents[1])
+ROOT = Path(__file__).resolve().parents[1]
+
+# Defined under src/gtrim, named nowhere else in src/ or bench/, and kept on purpose
+REACHED_FROM_OUTSIDE = {
+    "selector_labels": "the documented inverse of selector_index (README), for callers",
+}
 
 COLD_START = """
 import json, sys
@@ -48,6 +56,54 @@ def test_cold_start_loads_only_what_the_command_runs():
     assert "gtrim.koszul" in after_classify
     # the rational type is imported lazily, not lost
     assert "fractions" in after_classify or "gmpy2" in after_classify
+
+
+def test_koszul_layer_loads_no_family_or_field_module():
+    """The homology layer does not depend on the family layer: a fresh
+    `import gtrim.koszul` loads neither `gtrim.pfaffians` nor `gtrim.fields`."""
+    code = "import json, sys, gtrim.koszul; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = {m for m in json.loads(proc.stdout.splitlines()[-1]) if m.startswith("gtrim.")}
+    assert "gtrim.koszul" in loaded and not loaded & {"gtrim.pfaffians", "gtrim.fields"}, loaded
+
+
+def package_routines_named_only_in_tests():
+    """The functions, methods and classes defined under src/gtrim (dunders
+    aside), by qualified name, that no name or attribute in src/ or bench/
+    reads outside their own definition."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for folder in (ROOT / "src" / "gtrim", ROOT / "bench")
+             for path in sorted(folder.glob("*.py"))}
+    uses = [(path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = set()
+    for path, tree in trees.items():
+        if path.parent.name != "gtrim":
+            continue
+        scopes = [(tree, "")]
+        while scopes:
+            node, prefix = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    scopes.append((child, prefix))
+                    continue
+                scopes.append((child, f"{prefix}{child.name}."))
+                if child.name.startswith("__"):
+                    continue
+                if not any(name == child.name and not (
+                        p == path and child.lineno <= line <= child.end_lineno)
+                           for p, line, name in uses):
+                    unused.add(prefix + child.name)
+    return unused
+
+
+def test_no_routine_ships_only_for_the_tests():
+    """Every routine in the package is reached from the package or the
+    benchmark; the oracles and element routines that only tests call live in
+    tests/helpers.py.  The few kept on purpose are listed, each with why."""
+    assert package_routines_named_only_in_tests() == set(REACHED_FROM_OUTSIDE)
 
 
 def test_lazy_names_are_their_home_objects():

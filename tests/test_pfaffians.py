@@ -45,7 +45,7 @@ def closed_form_oracle(m, fld):
     out = Polynomial.zero(fld)
     for j in range(m // 2 + 1):
         sign = -1 if ((m - 2 * j) // 2) % 2 else 1
-        out = out + Polynomial.monomial(fld, (j, j, m - 2 * j),
+        out = out + helpers.monomial(fld, (j, j, m - 2 * j),
                                         sign * math.comb(m - j, j))
     return out
 
@@ -65,7 +65,7 @@ def test_u_frozen_displays():
 def test_u_is_symmetric_band():
     for m in range(1, 8):
         U = build_u(m, F)
-        assert (U.rows, U.cols) == (m, m)
+        assert (U.rows, helpers.cols(U)) == (m, m)
         assert all(U.entry(i, j) == U.entry(j, i) for i in range(m) for j in range(m))
 
 
@@ -83,7 +83,7 @@ def test_v_frozen_displays():
 def test_v_shape_and_skew_symmetry():
     for m in range(1, 7):
         V = build_v(m, F)
-        assert (V.rows, V.cols) == (2 * m + 1, 2 * m + 1)
+        assert (V.rows, helpers.cols(V)) == (2 * m + 1, 2 * m + 1)
         assert is_skew_symmetric(V)
         # upper-right m x m corner is the symmetric band matrix
         U = build_u(m, F)
@@ -221,11 +221,11 @@ def test_canonical_generators_frozen():
 def test_generators_span_the_pfaffian_ideal():
     for m in range(2, 5):
         pf_ideal = Ideal(all_sub_pfaffians(build_v(m, F)))
-        assert pf_ideal == helpers.family_ideal(m)
+        assert helpers.same_ideal(pf_ideal, helpers.family_ideal(m))
 
 
 def test_family_ideal_m1_is_maximal():
-    assert gorenstein_ideal(1, F) == Ideal([X, Y, Z])
+    assert helpers.same_ideal(gorenstein_ideal(1, F), Ideal([X, Y, Z]))
     with pytest.raises(ValueError):
         gorenstein_ideal(0, F)
 
@@ -275,7 +275,7 @@ def test_apolar_functional_of_the_family():
             ideal = gorenstein_ideal(m, fld)
             for g in ideal.generators:
                 for w in monomials_of_degree(top_degree - m):
-                    assert fld.is_zero(phi_of(g * Polynomial.monomial(fld, w, 1))), (case, g, w)
+                    assert fld.is_zero(phi_of(g * helpers.monomial(fld, w, 1))), (case, g, w)
             ranks = []
             for j in range(top_degree + 1):
                 rows = [[phi(mono_mul(u, v)) for v in monomials_of_degree(top_degree - j)]
@@ -287,7 +287,7 @@ def test_apolar_functional_of_the_family():
             for t in monomials_of_degree(top_degree):
                 c = fld.mul(phi(t), fld.inv(phi(s)))
                 expected = {} if fld.is_zero(c) else {top_degree: {0: c}}
-                assert ring.coordinates(Polynomial.monomial(fld, t, 1)) == expected, (case, t)
+                assert helpers.coordinates(ring, helpers.monomial(fld, t, 1)) == expected, (case, t)
 
 
 def test_family_size_bound():
@@ -359,7 +359,7 @@ def test_trimmed_ideal_matches_generic_trim():
         gens = canonical_generators(m, F)
         for label in selector_labels(m):
             choice = TrimChoice(m, label)
-            assert trimmed_ideal(choice, F) == trim(Ideal(gens), choice.index)
+            assert helpers.same_ideal(trimmed_ideal(choice, F), trim(Ideal(gens), choice.index))
 
 
 def test_interior_generators_become_superfluous():
@@ -368,9 +368,9 @@ def test_interior_generators_become_superfluous():
         for label in selector_labels(m):
             choice = TrimChoice(m, label)
             rest = Ideal([g for k, g in enumerate(gens) if k != choice.index])
-            absorbed = all(rest.contains(v * gens[choice.index]) for v in (X, Y, Z))
+            absorbed = all(helpers.contains(rest, v * gens[choice.index]) for v in (X, Y, Z))
             assert absorbed == is_interior(choice)
-            assert (helpers.trim_ideal(m, label) == rest) == is_interior(choice)
+            assert helpers.same_ideal(helpers.trim_ideal(m, label), rest) == is_interior(choice)
 
 
 # ---- the bundled family object -------------------------------------------------------

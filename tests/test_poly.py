@@ -139,7 +139,7 @@ def test_power_squares(monkeypatch):
         assert base ** n == power
     calls, mul = [], Polynomial.__mul__
     monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    assert Z ** 150000 == Polynomial.monomial(F, (0, 0, 150000))
+    assert Z ** 150000 == helpers.monomial(F, (0, 0, 150000))
     assert len(calls) <= 40
 
 
@@ -245,7 +245,7 @@ def test_exact_div_random():
 
 def test_polymatrix_basics():
     M = PolyMatrix.from_rows([[X, Y], [Z, X]])
-    assert (M.rows, M.cols) == (2, 2)
+    assert (M.rows, helpers.cols(M)) == (2, 2)
     assert M.entry(0, 1) == Y
     assert [[M.entry(j, i) for j in range(2)] for i in range(2)] == [[X, Z], [Y, X]]
     assert delete_row_col(M, 0).entries == ((X,),)
