@@ -201,7 +201,7 @@ def _classify_target(args) -> Ideal:
 
 def _classified(ideal: Ideal, family=None) -> tuple:
     """The classify record of Q/ideal and its displayed class; the complex is
-    freed on return.  A trim's products may read `family`, its family's complex."""
+    freed on return.  A trim derives its homology from `family`, its family's complex."""
     from .koszul import KoszulComplex, report_dict
 
     kz = KoszulComplex(ideal.quotient_ring(), family)
@@ -229,7 +229,7 @@ def cmd_table(args) -> str:
     rows = []
     for m in range(lo, hi + 1):
         family = gorenstein_ideal(m, field)  # every trim's ring is derived from its ring
-        family_kz = KoszulComplex(family.quotient_ring())  # the trims read its products
+        family_kz = KoszulComplex(family.quotient_ring())  # the trims derive their homology
         for index, g in enumerate(family.generators):
             report, display = _classified(trim(family, index), family_kz)
             rows.append({"m": m, "g": g.to_text(),

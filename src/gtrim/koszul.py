@@ -54,13 +54,9 @@ differential, and in internal degree d, with s = d - i the coefficient degree:
 Each class keeps its family coordinates (a unit vector, a kernel vector, or
 {} for gamma*e_w), and sum (-1)^i h_i,d = chi_d is checked in every degree.
 
-Products too: pi: K(R') -> K(R) is a map of DG algebras sending each
-representative to sum lift*z exactly, and pi_* is an isomorphism on
-H_n(R')_d for d - n not e - 1, e and injective at e - 1.  So into a
-`_Through` a product is sum a_s c_t [z_s w_t] over the factors' lifts, each
-[z_s w_t] by the family's `class_product` once, read back by the `_Through`
-(gamma*e_w times a class of positive coefficient degree is 0, as
-m*gamma = 0); a product into d - n = e is formed directly.
+Products too are formed in K(R') and, into a `_Through`, solved in the
+family's space: this is exact because K(R') and K(R) share coordinates and
+boundaries outside coefficient degree e.
 
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
@@ -164,12 +160,10 @@ class _Through(namedtuple("_Through", "field space first lifts")):
     __slots__ = ()
 
     def solve(self, vec):
-        coords = self.space.solve(vec)
-        return None if coords is None else self.read(coords)
-
-    def read(self, coords):
-        """The class coordinates of family class coordinates `coords`, or
-        None when they are no combination of the lifts."""
+        """The class coordinates of `vec`, solved in the family's space, or
+        None when its family coordinates are no combination of the lifts."""
+        if (coords := self.space.solve(vec)) is None:
+            return None
         f, out, rest = self.field, {}, dict(coords)
         for s, lift in enumerate(self.lifts, self.first):
             if (c := coords.get(max(lift))) is not None:
@@ -192,8 +186,6 @@ class KoszulComplex:
         self._classes = {}  # (i, d) -> Echelon: boundaries untagged, representatives
         # tagged; for a derived ring a `_Through`, or None until its first solve
         self._inv = None
-        self._lifts = ([], [], [], [])  # per class of a derived ring: its family coordinates
-        self._pairing = {}  # the memo of `_family_product`
         # per class of A_i: (internal degree, {word: {monomial: coefficient}}, weight)
         self._words = ([], [], [], [])
         if family is None:
@@ -320,7 +312,6 @@ class KoszulComplex:
                 if classes:
                     first = len(self._reps[i])
                     self._reps[i].extend((d, vec) for vec, _ in classes)
-                    self._lifts[i].extend(lift for _, lift in classes)
                     self._words[i].extend(fam._words[i][max(lift)] if len(lift) == 1  # z_k
                                           else self._word(i, d, vec) for vec, lift in classes)
                     self._classes[i, d] = None if d - i == e and own else \
@@ -454,9 +445,8 @@ class KoszulComplex:
         return self._classes[i, d]
 
     def class_product(self, i: int, s: int, j: int, t: int) -> list:
-        """Class coordinates of basis class s of A_i times basis class t of A_j:
-        `_family_product` where the target's `_classes` entry is a `_Through`,
-        else by `_product`; zero, not formed, unless `_meets`.
+        """Class coordinates of basis class s of A_i times basis class t of A_j,
+        formed by `_product`; zero, not formed, unless `_meets`.
         Degrees outside 0..3 or past 3 in sum, and class indices out of range, are refused."""
         if min(i, j) < 0 or i + j > 3:
             raise ValueError(f"exterior degrees {i} and {j} are not in 0..3" if min(i, j) < 0
@@ -465,40 +455,28 @@ class KoszulComplex:
             raise IndexError(f"A_{i} x A_{j} has no class pair ({s}, {t})")
         if not self._meets(i, s, j, t):
             return [self.field.zero] * len(self._reps[i + j])
-        (du, u, _), (dv, v, _) = self._words[i][s], self._words[j][t]
-        if isinstance(self._classes[i + j, du + dv], _Through):
-            return self._family_product(i, s, j, t, du + dv)
-        return self._class_coords(i + j, self._product(u, v))
-
-    def _family_product(self, i: int, s: int, j: int, t: int, d: int) -> list:
-        """class_product(i, s, j, t) into internal degree d as sum a_s' c_t'
-        [z_s' w_t'] over the lifts of the factors (module docstring), each
-        [z_s' w_t'] by the family's `class_product` once, read back through
-        the target's `_Through`."""
-        fam, f, acc = self.family, self.field, {}
-        for s_fam, a in self._lifts[i][s].items():
-            for t_fam, c in self._lifts[j][t].items():
-                if (key := (i, s_fam, j, t_fam)) not in fam._pairing:
-                    fam._pairing[key] = {k: x for k, x in enumerate(fam.class_product(*key)) if x}
-                f.sub_multiple(acc, f.neg(f.mul(a, c)), fam._pairing[key])
-        out = [f.zero] * len(self._reps[i + j])
-        for k, c in self._classes[i + j, d].read(acc).items():
-            out[k] = c
-        return out
+        return self._class_coords(i + j, self._product(self._words[i][s][1], self._words[j][t][1]))
 
     # ---- invariants and classification ------------------------------------
 
     def invariants(self) -> TorInvariants:
         """(p, q, r) from A_1 x A_1 -> A_2 and A_1 x A_2 -> A_3, one `class_product`
-        per pair of basis classes that `_meets`."""
+        per pair of basis classes that `_meets`: A_1 x A_1 scans the pairs, and
+        each A_2 class asks only the A_1 classes at the (degree, weight) of an
+        A_3 class less its own."""
         if self._inv is None:
-            _, n1, n2, n3 = self.ranks()
+            _, n1, _, n3 = self.ranks()
             p_span, q_span, r_span = (Echelon(self.field) for _ in range(3))
             for prod in (self.class_product(1, s, 1, t) for s in range(n1) for t in range(s + 1, n1)
                          if self._meets(1, s, 1, t)):
                 p_span.add(prod)
-            for g in range(n2):  # r is the rank of A_2 -> Hom(A_1, A_3), one row per A_2 class
-                prods = {e: self.class_product(1, e, 2, g) for e in range(n1) if self._meets(1, e, 2, g)}
+            a1 = {}  # (internal degree, weight) -> the A_1 classes there
+            for e, (d, _, w) in enumerate(self._words[1]):
+                a1.setdefault((d, w), []).append(e)
+            a3 = {(d, w) for d, _, w in self._words[3]}
+            for g, (d2, _, w2) in enumerate(self._words[2]):  # r: the rank of A_2 -> Hom(A_1, A_3)
+                prods = {e: self.class_product(1, e, 2, g) for d3, w3 in a3
+                         for e in a1.get((d3 - d2, tuple(map(int.__sub__, w3, w2))), ())}
                 for prod in filter(any, prods.values()):  # a zero product adds nothing
                     q_span.add(prod)
                 r_span.add({e * n3 + k: c for e, v in prods.items() for k, c in enumerate(v) if c})

@@ -524,7 +524,7 @@ def _check_routed_against_direct(family, k, family_complex):
     return "taller" if ring.top_degree > family_complex.ring.top_degree else "grown"
 
 
-def test_trim_products_off_the_family_pairing_match_direct_ones():
+def test_derived_trim_complexes_match_walked_ones():
     """A trim's complex derived from its family's (the long exact sequence in
     the `koszul` module docstring) has other representatives than that of
     its ring walked from its generators, so the two are compared basis-free
@@ -588,24 +588,20 @@ def test_derived_classes_are_checked():
         KoszulComplex(ring, family_complex)
 
 
-def test_table_reads_trim_products_off_one_family_pairing(monkeypatch, capsys):
-    """`table --m 2..8` passes each trim its family's complex: `_product`
-    runs at most 100 times (94; 1,016 when pairs were filtered by degree
-    alone, 9,648 when every trim formed its own A_1 x A_2 products), and at
-    least once on a trim's complex, the direct route (a product into
-    coefficient degree e = deg g, where the trim's classes are its own, not
-    read through a `_Through`).  The trims' `invariants` ask `class_product`
-    only for pairs whose degree and weight meet a class: at most 686 calls
-    (9,648 with the degree alone, 17,871 when every pair was asked and most
-    came back as zero lists)."""
+def test_table_forms_each_asked_trim_product_once(monkeypatch, capsys):
+    """`table --m 2..8` passes each trim its family's complex for the
+    homology, and forms each product a trim's `invariants` asks for once, by
+    `_product`, and no other.  The trims ask `class_product` only for pairs
+    whose degree and weight meet a class: at most 686 calls (9,648 with the
+    degree alone, 17,871 when every pair was asked and most came back as
+    zero lists)."""
     from gtrim.cli import main
 
-    calls, on_trim, asked = [0], [0], [0]
+    calls, asked = [0], [0]
     product, class_product = KoszulComplex._product, KoszulComplex.class_product
 
     def counted(kz, u, v):
         calls[0] += 1
-        on_trim[0] += kz.family is not None
         return product(kz, u, v)
 
     def counted_class_product(kz, *pair):
@@ -617,27 +613,34 @@ def test_table_reads_trim_products_off_one_family_pairing(monkeypatch, capsys):
     assert main(["table", "--m", "2..8"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "b564f3154460abade1875a989de277fd7507f16500cc67b862ce4c3dcbe42e19"
-    assert calls[0] <= 100 and on_trim[0] >= 1 and asked[0] <= 686
+    assert calls[0] == asked[0] <= 686
 
 
 def test_a_lone_trim_forms_products_only_where_weights_meet(monkeypatch, capsys):
     """`classify --m 14 --trim d` builds g_14's complex for the trim and
     forms at most 30 products (26; 756 when pairs were filtered by degree
     alone): by weight, A_1 x A_2 -> A_3 pairs each A_2 class with at most
-    one A_1 class."""
+    one A_1 class.  `invariants` finds those partners by (degree, weight),
+    so `_meets` runs at most 432 times (1,328 when every A_1 x A_2 pair was
+    tested)."""
     from gtrim.cli import main
 
-    calls = [0]
-    product = KoszulComplex._product
+    calls, tested = [0], [0]
+    product, meets = KoszulComplex._product, KoszulComplex._meets
 
     def counted(kz, u, v):
         calls[0] += 1
         return product(kz, u, v)
 
+    def counted_meets(kz, *pair):
+        tested[0] += 1
+        return meets(kz, *pair)
+
     monkeypatch.setattr(KoszulComplex, "_product", counted)
+    monkeypatch.setattr(KoszulComplex, "_meets", counted_meets)
     assert main(["classify", "--m", "14", "--trim", "d"]) == 0
     capsys.readouterr()
-    assert calls[0] <= 30
+    assert calls[0] <= 30 and tested[0] <= 432
 
 
 def test_weights_read_off_the_generators():
