@@ -73,12 +73,6 @@ class PrimeField:
             raise ValueError(f"{value} has no value in F_{p}: its denominator is divisible by {p}")
         return num % p * pow(den, -1, p) % p
 
-    def add(self, a, b):
-        return (a + b) % self.char
-
-    def sub(self, a, b):
-        return (a - b) % self.char
-
     def mul(self, a, b):
         return a * b % self.char
 
@@ -151,12 +145,6 @@ class RationalField:
             from fractions import Fraction
             return _rat()(Fraction(value))
         return _rat()(value)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b

@@ -31,8 +31,8 @@ v x (1, 1, 1) over its content: x -> 1, y -> -1, z -> 0 for g_m and its trims
 (x*g, y*g, z*g are homogeneous).  With e_x, e_y, e_z weighing as x, y, z,
 d keeps w.  Every class is homogeneous (else RuntimeError), as `_diff_column`,
 the table, the socle, gamma and the generator cycles are, and `Echelon` only
-combines rows of one weight.  So [a][b] is formed only where `_live`, the
-(i, d, w) of the classes, has A_{i+j} at deg a + deg b, w_a + w_b; else 0.
+combines rows of one weight.  So [a][b] is formed only where `_partners` finds
+A_{i+j} at deg a + deg b, w_a + w_b in `_at`, the classes by degree, then weight.
 
 A ring R' derived from the family's R at g of degree e takes its homology
 from R's complex (`table` passes one per m as `family`, else it is built),
@@ -194,7 +194,10 @@ class KoszulComplex:
                 self._words[i].extend(self._word(i, d, vec) for d, vec in reps)
         else:
             self._derive_homology()
-        self._live = {(i, d, w) for i, words in enumerate(self._words) for d, _, w in words}
+        self._at = ({}, {}, {}, {})  # per exterior degree: internal degree -> weight -> classes
+        for at, words in zip(self._at, self._words):
+            for s, (d, _, w) in enumerate(words):
+                at.setdefault(d, {}).setdefault(w, []).append(s)
 
     # ---- chain-level structure -------------------------------------------
 
@@ -387,10 +390,13 @@ class KoszulComplex:
             raise RuntimeError(f"a class of H_{i},{d} has terms of two weights")
         return d, terms, found.pop()
 
-    def _meets(self, i: int, s: int, j: int, t: int) -> bool:
-        """Whether `_live` has A_{i+j} where class s of A_i times t of A_j lies."""
-        (du, _, wu), (dv, _, wv) = self._words[i][s], self._words[j][t]
-        return (i + j, du + dv, tuple(map(int.__add__, wu, wv))) in self._live
+    def _partners(self, i: int, s: int, k: int) -> list:
+        """The classes of A_(k-i) whose product with class s of A_i lands on the (degree,
+        weight) of a class of A_k, by `_at`: A_k degrees with none at the difference are skipped."""
+        d, _, w = self._words[i][s]
+        into = self._at[k - i]
+        return [t for dk, weights in self._at[k].items() if (there := into.get(dk - d))
+                for wk in weights for t in there.get(tuple(map(int.__sub__, wk, w)), ())]
 
     def _vectors(self, comps: dict) -> dict:
         """{word: {monomial: coefficient}} reduced in R, one table entry per
@@ -422,7 +428,7 @@ class KoszulComplex:
 
     def _class_coords(self, i: int, vecs: dict) -> list:
         """The class coordinates over the A_i basis of a cycle {d: vec} in K_i;
-        each d must have a `_classes` entry (`class_product` asks only where `_meets`)."""
+        each d must have a `_classes` entry, as every (i, d) of `_at` has."""
         coords = [self.field.zero] * len(self._reps[i])
         for d, vec in sorted(vecs.items()):
             sol = self._space(i, d).solve(vec)
@@ -446,37 +452,31 @@ class KoszulComplex:
 
     def class_product(self, i: int, s: int, j: int, t: int) -> list:
         """Class coordinates of basis class s of A_i times basis class t of A_j,
-        formed by `_product`; zero, not formed, unless `_meets`.
+        formed by `_product`; zero, not formed, unless t is among s's `_partners`.
         Degrees outside 0..3 or past 3 in sum, and class indices out of range, are refused."""
         if min(i, j) < 0 or i + j > 3:
             raise ValueError(f"exterior degrees {i} and {j} are not in 0..3" if min(i, j) < 0
                              else "product lands beyond exterior degree 3")
         if not (0 <= s < len(self._words[i]) and 0 <= t < len(self._words[j])):
             raise IndexError(f"A_{i} x A_{j} has no class pair ({s}, {t})")
-        if not self._meets(i, s, j, t):
+        if t not in self._partners(i, s, i + j):
             return [self.field.zero] * len(self._reps[i + j])
         return self._class_coords(i + j, self._product(self._words[i][s][1], self._words[j][t][1]))
 
     # ---- invariants and classification ------------------------------------
 
     def invariants(self) -> TorInvariants:
-        """(p, q, r) from A_1 x A_1 -> A_2 and A_1 x A_2 -> A_3, one `class_product`
-        per pair of basis classes that `_meets`: A_1 x A_1 scans the pairs, and
-        each A_2 class asks only the A_1 classes at the (degree, weight) of an
-        A_3 class less its own."""
+        """(p, q, r) from A_1 x A_1 -> A_2 and A_1 x A_2 -> A_3, one `class_product` per
+        pair of basis classes that meets: each A_1 class with its later `_partners` in
+        A_2, each A_2 class with its `_partners` in A_3."""
         if self._inv is None:
-            _, n1, _, n3 = self.ranks()
+            _, n1, n2, n3 = self.ranks()
             p_span, q_span, r_span = (Echelon(self.field) for _ in range(3))
-            for prod in (self.class_product(1, s, 1, t) for s in range(n1) for t in range(s + 1, n1)
-                         if self._meets(1, s, 1, t)):
+            for prod in (self.class_product(1, s, 1, t) for s in range(n1)
+                         for t in self._partners(1, s, 2) if t > s):
                 p_span.add(prod)
-            a1 = {}  # (internal degree, weight) -> the A_1 classes there
-            for e, (d, _, w) in enumerate(self._words[1]):
-                a1.setdefault((d, w), []).append(e)
-            a3 = {(d, w) for d, _, w in self._words[3]}
-            for g, (d2, _, w2) in enumerate(self._words[2]):  # r: the rank of A_2 -> Hom(A_1, A_3)
-                prods = {e: self.class_product(1, e, 2, g) for d3, w3 in a3
-                         for e in a1.get((d3 - d2, tuple(map(int.__sub__, w3, w2))), ())}
+            for g in range(n2):  # r: the rank of A_2 -> Hom(A_1, A_3)
+                prods = {e: self.class_product(1, e, 2, g) for e in self._partners(2, g, 3)}
                 for prod in filter(any, prods.values()):  # a zero product adds nothing
                     q_span.add(prod)
                 r_span.add({e * n3 + k: c for e, v in prods.items() for k, c in enumerate(v) if c})
@@ -489,7 +489,7 @@ class KoszulComplex:
         A_1 in internal degree d counts the degree-d minimal generators."""
         if not self._reps[0]:
             raise UnitIdealError("minimal generators are only defined for ideals inside (x, y, z)")
-        if any(d == 1 for d, _ in self._reps[1]):
+        if 1 in self._at[1]:
             raise ClassificationScopeError(
                 "ideal has a degree-1 minimal generator; classification "
                 "requires the ideal to sit inside the square of the maximal ideal")

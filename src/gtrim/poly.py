@@ -314,12 +314,5 @@ class PolyMatrix(namedtuple("PolyMatrix", "entries")):
             raise ValueError("ragged matrix rows")
         return cls(tup)
 
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
-
     def to_strings(self) -> list:
         return [[p.to_text() for p in row] for row in self.entries]

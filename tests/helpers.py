@@ -638,7 +638,7 @@ def rref(rows, ncols: int, field):
         for i in range(len(mat)):
             if i != r and not field.is_zero(mat[i][col]):
                 c = mat[i][col]
-                mat[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(mat[i], mat[r])]
+                mat[i] = [field.of(a - c * b) for a, b in zip(mat[i], mat[r])]
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -740,9 +740,9 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def det_bareiss(M: PolyMatrix) -> Polynomial:
     """Determinant by fraction-free (Bareiss) elimination with exact division."""
-    if M.rows != cols(M):
+    if len(M.entries) != cols(M):
         raise ValueError("determinant of a non-square matrix")
-    n = M.rows
+    n = len(M.entries)
     if n == 0:
         raise ValueError("empty matrix needs an explicit field")
     field = M.entries[0][0].field
@@ -768,16 +768,16 @@ def det_bareiss(M: PolyMatrix) -> Polynomial:
 
 
 def is_skew_symmetric(M: PolyMatrix) -> bool:
-    if M.rows != cols(M):
+    if len(M.entries) != cols(M):
         return False
-    return all(M.entry(i, j) == -M.entry(j, i)
-               for i in range(M.rows) for j in range(i, cols(M)))
+    return all(M.entries[i][j] == -M.entries[j][i]
+               for i in range(len(M.entries)) for j in range(i, cols(M)))
 
 
 def delete_row_col(M: PolyMatrix, i: int) -> PolyMatrix:
     """Remove 0-based row i and column i."""
-    keep = [r for r in range(M.rows) if r != i]
-    return PolyMatrix(tuple(tuple(M.entry(r, c) for c in keep) for r in keep))
+    keep = [r for r in range(len(M.entries)) if r != i]
+    return PolyMatrix(tuple(tuple(M.entries[r][c] for c in keep) for r in keep))
 
 
 def pfaffian(M: PolyMatrix) -> Polynomial:
@@ -786,15 +786,15 @@ def pfaffian(M: PolyMatrix) -> Polynomial:
     Each principal minor is expanded once: results are kept per tuple of
     remaining rows, which turns the (n-1)!! expansion into at most 2^n minors.
     """
-    if M.rows != cols(M):
+    if len(M.entries) != cols(M):
         raise ValueError("Pfaffian of a non-square matrix")
-    if M.rows % 2:
+    if len(M.entries) % 2:
         raise ValueError("Pfaffian needs an even-sized matrix")
     if not is_skew_symmetric(M):
         raise ValueError("Pfaffian of a non-skew-symmetric matrix")
-    if M.rows == 0:
+    if not M.entries:
         raise ValueError("empty matrix has no coefficient field; use size >= 2")
-    field = M.entry(0, 1).field
+    field = M.entries[0][1].field
     memo = {(): Polynomial.constant(field, 1)}
 
     def pf(active):
@@ -804,7 +804,7 @@ def pfaffian(M: PolyMatrix) -> Polynomial:
         rest = active[1:]
         total = Polynomial.zero(field)
         for pos, j in enumerate(rest):
-            e = M.entry(first, j)
+            e = M.entries[first][j]
             if e.is_zero():
                 continue
             term = e * pf(rest[:pos] + rest[pos + 1:])
@@ -815,25 +815,25 @@ def pfaffian(M: PolyMatrix) -> Polynomial:
         memo[active] = total
         return total
 
-    return pf(tuple(range(M.rows)))
+    return pf(tuple(range(len(M.entries))))
 
 
 def sub_pfaffian(V: PolyMatrix, i: int) -> Polynomial:
     """Pfaffian of V with 1-based row and column i removed."""
-    if V.rows != cols(V):
+    if len(V.entries) != cols(V):
         raise ValueError("sub-Pfaffian of a non-square matrix")
     if not is_skew_symmetric(V):
         raise ValueError("sub-Pfaffian of a non-skew-symmetric matrix")
-    if not 1 <= i <= V.rows:
-        raise ValueError(f"index {i} out of range 1..{V.rows}")
+    if not 1 <= i <= len(V.entries):
+        raise ValueError(f"index {i} out of range 1..{len(V.entries)}")
     minor = delete_row_col(V, i - 1)
-    if minor.rows % 2:
+    if len(minor.entries) % 2:
         raise ValueError("deleting one row/column must leave an even size")
     return pfaffian(minor)
 
 
 def all_sub_pfaffians(V: PolyMatrix) -> list:
-    return [sub_pfaffian(V, i) for i in range(1, V.rows + 1)]
+    return [sub_pfaffian(V, i) for i in range(1, len(V.entries) + 1)]
 
 
 def component_basis(ideal: Ideal, d: int) -> list:

@@ -265,11 +265,10 @@ def test_membership_on_random_combinations():
         assert not helpers.contains(I, h + s)
 
 
-def test_ideal_sum_and_empty():
+def test_empty_ideal():
     empty = Ideal([], field=F)
     assert empty.groebner_basis() == ()
     assert not empty.is_n_primary()
-    I = helpers.family_ideal(2)
     with pytest.raises(ValueError):
         Ideal([])  # empty generators need an explicit field
 

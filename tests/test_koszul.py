@@ -194,8 +194,8 @@ def assert_matches_full_homology(kz, rng, label):
         coords = class_coords(kz, el)
         rows = change.get(el.exterior_degree)
         if rows is not None:
-            coords = [functools.reduce(f.add, (f.mul(a, row[t]) for a, row in zip(coords, rows)),
-                                       f.zero) for t in range(len(coords))]
+            coords = [f.of(sum(a * row[t] for a, row in zip(coords, rows)))
+                      for t in range(len(coords))]
         assert coords == class_coords(ref, el), (label, str(el))
 
 
@@ -279,10 +279,16 @@ def test_class_product_matches_polynomial_oracle():
                 assert kz.class_product(i, s, j, t) == oracle, (kz.ring.ideal, i, s, j, t)
 
 
+def index_cells(kz) -> set:
+    """The (i, d) that the class index `_at` of a complex names."""
+    return {(i, d) for i, at in enumerate(kz._at) for d in at}
+
+
 def test_classes_record_where_a_lives_and_products_take_one_route(monkeypatch):
     """`_classes` has an entry exactly at the (i, d) of each kept
-    representative, and `_live` at its (i, d, weight), from which
-    `class_product` reads where A lives.
+    representative, and so has `_at`, the index of the classes by exterior
+    degree, internal degree and weight, from which `class_product` reads
+    where A lives.
     `helpers.multiply` of two cycles, basis classes or not, is the class of
     their `wedge`, from one `_product`; `annihilates_a1` forms at most one per
     A_1 class."""
@@ -302,7 +308,7 @@ def test_classes_record_where_a_lives_and_products_take_one_route(monkeypatch):
         kz = KoszulComplex(ideal.quotient_ring())
         label = (ideal.field, ideal)
         assert set(kz._classes) == {(i, d) for i, reps in enumerate(kz._reps)
-                                    for d, _ in reps} == {(i, d) for i, d, _ in kz._live}, label
+                                    for d, _ in reps} == index_cells(kz), label
         for i, j in ((0, 2), (1, 1), (1, 2), (2, 1), (0, 3)):
             u, v = helpers.random_cycle(rng, kz, i), helpers.random_cycle(rng, kz, j)
             expected = class_coords(kz, wedge(kz, u, v))
@@ -319,11 +325,12 @@ def test_classes_record_where_a_lives_and_products_take_one_route(monkeypatch):
 
 def test_live_classes_are_where_products_are_solved():
     """`_class_coords` solves only in degrees with a `_classes` entry, and
-    `class_product` asks it only where `_meets` finds a class in `_live`: the
-    two name the same (i, d) for g_m and each of its trims, m = 2..8 over
-    F_32003 and F_2, every trim's complex derived once with its family's
-    complex passed and once without.  Every pair of basis classes that meets
-    then has its product formed."""
+    `class_product` asks it only for the `_partners` that the index `_at`
+    gives: the two name the same (i, d) for g_m and each of its trims,
+    m = 2..8 over F_32003 and F_2, every trim's complex derived once with
+    its family's complex passed and once without.  The partners of a class
+    are exactly the classes whose product with it has the (degree, weight)
+    of a class, and every pair they make has its product formed."""
     for char in (32003, 2):
         fld = helpers.field(char)
         for m in range(2, 9):
@@ -335,11 +342,17 @@ def test_live_classes_are_where_products_are_solved():
                 complexes += [KoszulComplex(ring, family_complex), KoszulComplex(ring)]
             for kz in complexes:
                 case = (char, m, kz.ring.ideal)
-                assert {(i, d) for i, d, _ in kz._live} == set(kz._classes), case
+                assert index_cells(kz) == set(kz._classes), case
+                live = {(i, d, w) for i, words in enumerate(kz._words) for d, _, w in words}
                 n = kz.ranks()
                 for i, j in itertools.product(range(4), repeat=2):
-                    for s, t in itertools.product(range(n[i]), range(n[j] if i + j <= 3 else 0)):
-                        if kz._meets(i, s, j, t):
+                    for s in range(n[i] if i + j <= 3 else 0):
+                        du, _, wu = kz._words[i][s]
+                        partners = kz._partners(i, s, i + j)
+                        assert sorted(partners) == [
+                            t for t, (dv, _, wv) in enumerate(kz._words[j])
+                            if (i + j, du + dv, tuple(map(int.__add__, wu, wv))) in live], case
+                        for t in partners:
                             assert len(kz.class_product(i, s, j, t)) == n[i + j], case
 
 
@@ -620,27 +633,28 @@ def test_a_lone_trim_forms_products_only_where_weights_meet(monkeypatch, capsys)
     """`classify --m 14 --trim d` builds g_14's complex for the trim and
     forms at most 30 products (26; 756 when pairs were filtered by degree
     alone): by weight, A_1 x A_2 -> A_3 pairs each A_2 class with at most
-    one A_1 class.  `invariants` finds those partners by (degree, weight),
-    so `_meets` runs at most 432 times (1,328 when every A_1 x A_2 pair was
-    tested)."""
+    one A_1 class.  `invariants` reads the partners of each class off the
+    index `_at`, so `_partners` runs at most 85 times: once per A_1 class
+    (29), once per A_2 class (30) and once per product (26).  Pairs tested
+    one by one took 432 tests, and 1,328 when every A_1 x A_2 pair was."""
     from gtrim.cli import main
 
-    calls, tested = [0], [0]
-    product, meets = KoszulComplex._product, KoszulComplex._meets
+    calls, looked = [0], [0]
+    product, partners = KoszulComplex._product, KoszulComplex._partners
 
     def counted(kz, u, v):
         calls[0] += 1
         return product(kz, u, v)
 
-    def counted_meets(kz, *pair):
-        tested[0] += 1
-        return meets(kz, *pair)
+    def counted_partners(kz, *cls):
+        looked[0] += 1
+        return partners(kz, *cls)
 
     monkeypatch.setattr(KoszulComplex, "_product", counted)
-    monkeypatch.setattr(KoszulComplex, "_meets", counted_meets)
+    monkeypatch.setattr(KoszulComplex, "_partners", counted_partners)
     assert main(["classify", "--m", "14", "--trim", "d"]) == 0
     capsys.readouterr()
-    assert calls[0] <= 30 and tested[0] <= 432
+    assert calls[0] <= 30 and looked[0] <= 85
 
 
 def test_weights_read_off_the_generators():
@@ -667,10 +681,11 @@ def test_weights_read_off_the_generators():
 
 def test_every_class_is_weight_homogeneous():
     """Every basis class of g_m and of each of its trims has terms of one
-    weight, the one kept beside its words, and `_live` holds exactly the
-    (i, d, weight) of the classes: m = 2..10 over F_32003, F_2 and F_3, and
-    m = 2..6 over Q.  The weight is read here off `homology_basis`: a - b of
-    each term x^a y^b z^c, plus one for e_x and less one for e_y."""
+    internal degree and one weight, the ones kept beside its words, and the
+    index `_at` files exactly the classes under their (i, d, weight):
+    m = 2..10 over F_32003, F_2 and F_3, and m = 2..6 over Q.  Both are read
+    here off `homology_basis`: a + b + c plus the word length, and a - b, plus
+    one for e_x and less one for e_y, of each term x^a y^b z^c e_w."""
     for char, top in ((32003, 10), (2, 10), (3, 10), (0, 6)):
         fld = helpers.field(char)
         for m in range(2, top + 1):
@@ -679,15 +694,17 @@ def test_every_class_is_weight_homogeneous():
             for k in range(-1, len(family.generators)):
                 kz = family_complex if k < 0 else \
                     KoszulComplex(ideals.trim(family, k).quotient_ring(), family_complex)
-                live = set()
+                live = {}
                 for i in range(4):
                     for s, el in enumerate(homology_basis(kz, i)):
-                        found = {a - b + (0 in w) - (1 in w)
-                                 for w, p in el.components.items() for a, b, _ in p.terms}
+                        found = {(a + b + c + len(w), a - b + (0 in w) - (1 in w))
+                                 for w, p in el.components.items() for a, b, c in p.terms}
                         d, _, weight = kz._words[i][s]
-                        assert found == set(weight), (char, m, k, i, s)
-                        live.add((i, d, weight))
-                assert kz._live == live, (char, m, k)
+                        assert found == {(d, *weight)}, (char, m, k, i, s)
+                        live.setdefault((i, d, weight), []).append(s)
+                assert {(i, d, w): classes for i, at in enumerate(kz._at)
+                        for d, weights in at.items()
+                        for w, classes in weights.items()} == live, (char, m, k)
 
 
 def test_family_complex_of_another_ring_is_refused(monkeypatch):

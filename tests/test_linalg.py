@@ -29,7 +29,7 @@ def random_matrix(rng, fld, nrows, ncols):
         elif kind < 0.3:  # a combination of earlier rows
             a, b = rng.choice(rows), rng.choice(rows)
             c = fld.of(rng.randint(-3, 3))
-            row = [fld.add(x, fld.mul(c, y)) for x, y in zip(a, b)]
+            row = [fld.of(x + c * y) for x, y in zip(a, b)]
         else:
             row = [fld.zero if j in dead or rng.random() < 0.6 else fld.of(rng.randint(-5, 5))
                    for j in range(ncols)]
@@ -52,7 +52,7 @@ def combination(fld, coeffs: dict, vectors: list, ncols: int) -> list:
     """The dense vector sum over t of coeffs[t] * vectors[t]."""
     out = [fld.zero] * ncols
     for t, c in coeffs.items():
-        out = [fld.add(x, fld.mul(c, y)) for x, y in zip(out, vectors[t])]
+        out = [fld.of(x + c * y) for x, y in zip(out, vectors[t])]
     return out
 
 
@@ -83,7 +83,7 @@ def test_echelon_matches_dense_oracle(fld):
             for row in rows:
                 dot = fld.zero
                 for a, b in zip(row, v):
-                    dot = fld.add(dot, fld.mul(a, b))
+                    dot = fld.of(dot + a * b)
                 assert fld.is_zero(dot)
 
 
@@ -151,10 +151,10 @@ def test_echelon_solve_over_tagged_vectors(fld):
         coeffs = {k: fld.of(rng.randint(-4, 4)) for k in kept}
         member = [fld.zero] * ncols
         for k, c in coeffs.items():
-            member = [fld.add(x, fld.mul(c, y)) for x, y in zip(member, tagged[k])]
+            member = [fld.of(x + c * y) for x, y in zip(member, tagged[k])]
         for v in untagged:
             c = fld.of(rng.randint(-4, 4))
-            member = [fld.add(x, fld.mul(c, y)) for x, y in zip(member, v)]
+            member = [fld.of(x + c * y) for x, y in zip(member, v)]
         sol = ech.solve(member)
         assert sol is not None
         assert set(sol) <= set(kept)
@@ -221,7 +221,7 @@ def test_sub_multiple_matches_naive_sum(kind):
             vec = {j: fld.mul(c, a) for j, a in row.items()}
         naive = {}
         for j in set(vec) | set(row):
-            s = fld.sub(vec.get(j, fld.zero), fld.mul(c, row.get(j, fld.zero)))
+            s = fld.of(vec.get(j, fld.zero) - c * row.get(j, fld.zero))
             if not fld.is_zero(s):
                 naive[j] = s
         out = dict(vec)

@@ -70,31 +70,35 @@ def test_koszul_layer_loads_no_family_or_field_module():
 
 def package_routines_named_only_in_tests():
     """The functions, methods and classes defined under src/gtrim (dunders
-    aside), by qualified name, that no name or attribute in src/ or bench/
-    reads outside their own definition."""
+    aside), by qualified name, that no use in src/ or bench/ reads outside
+    their own definition.  A method is reached only through an attribute
+    (`x.sub`), so a local variable of its name (`sub = ...`) hides nothing;
+    a function or class, through a name or an attribute."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for folder in (ROOT / "src" / "gtrim", ROOT / "bench")
              for path in sorted(folder.glob("*.py"))}
-    uses = [(path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+    uses = [(path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr,
+             isinstance(node, ast.Attribute))
             for path, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
     unused = set()
     for path, tree in trees.items():
         if path.parent.name != "gtrim":
             continue
-        scopes = [(tree, "")]
+        scopes = [(tree, "", False)]
         while scopes:
-            node, prefix = scopes.pop()
+            node, prefix, in_class = scopes.pop()
             for child in ast.iter_child_nodes(node):
                 if not isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                    scopes.append((child, prefix))
+                    scopes.append((child, prefix, in_class))
                     continue
-                scopes.append((child, f"{prefix}{child.name}."))
+                scopes.append((child, f"{prefix}{child.name}.", isinstance(child, ast.ClassDef)))
                 if child.name.startswith("__"):
                     continue
-                if not any(name == child.name and not (
+                method = in_class and isinstance(child, ast.FunctionDef)
+                if not any(name == child.name and (attribute or not method) and not (
                         p == path and child.lineno <= line <= child.end_lineno)
-                           for p, line, name in uses):
+                           for p, line, name, attribute in uses):
                     unused.add(prefix + child.name)
     return unused
 

@@ -65,8 +65,8 @@ def test_u_frozen_displays():
 def test_u_is_symmetric_band():
     for m in range(1, 8):
         U = build_u(m, F)
-        assert (U.rows, helpers.cols(U)) == (m, m)
-        assert all(U.entry(i, j) == U.entry(j, i) for i in range(m) for j in range(m))
+        assert (len(U.entries), helpers.cols(U)) == (m, m)
+        assert all(U.entries[i][j] == U.entries[j][i] for i in range(m) for j in range(m))
 
 
 def test_v_frozen_displays():
@@ -83,15 +83,15 @@ def test_v_frozen_displays():
 def test_v_shape_and_skew_symmetry():
     for m in range(1, 7):
         V = build_v(m, F)
-        assert (V.rows, helpers.cols(V)) == (2 * m + 1, 2 * m + 1)
+        assert (len(V.entries), helpers.cols(V)) == (2 * m + 1, 2 * m + 1)
         assert is_skew_symmetric(V)
         # upper-right m x m corner is the symmetric band matrix
         U = build_u(m, F)
         for i in range(m):
             for j in range(m):
-                assert V.entry(i, m + 1 + j) == U.entry(i, j)
-        assert V.entry(m - 1, m) == X
-        assert V.entry(m, m + 1) == Y
+                assert V.entries[i][m + 1 + j] == U.entries[i][j]
+        assert V.entries[m - 1][m] == X
+        assert V.entries[m][m + 1] == Y
 
 
 # ---- the determinant family ---------------------------------------------------
@@ -269,7 +269,7 @@ def test_apolar_functional_of_the_family():
             def phi_of(p):
                 total = fld.zero
                 for mono, c in p.terms.items():
-                    total = fld.add(total, fld.mul(c, phi(mono)))
+                    total = fld.of(total + c * phi(mono))
                 return total
 
             ideal = gorenstein_ideal(m, fld)

@@ -245,9 +245,9 @@ def test_exact_div_random():
 
 def test_polymatrix_basics():
     M = PolyMatrix.from_rows([[X, Y], [Z, X]])
-    assert (M.rows, helpers.cols(M)) == (2, 2)
-    assert M.entry(0, 1) == Y
-    assert [[M.entry(j, i) for j in range(2)] for i in range(2)] == [[X, Z], [Y, X]]
+    assert (len(M.entries), helpers.cols(M)) == (2, 2)
+    assert M.entries[0][1] == Y
+    assert [[M.entries[j][i] for j in range(2)] for i in range(2)] == [[X, Z], [Y, X]]
     assert delete_row_col(M, 0).entries == ((X,),)
     with pytest.raises(ValueError):
         PolyMatrix.from_rows([[X], [Y, Z]])
@@ -264,12 +264,12 @@ def test_skew_symmetry_detection():
 
 def det_leibniz(M):
     """Sum over permutations of signed entry products (sign by inversion count)."""
-    n = M.rows
-    total = Polynomial.zero(M.entry(0, 0).field)
+    n = len(M.entries)
+    total = Polynomial.zero(M.entries[0][0].field)
     for perm in itertools.permutations(range(n)):
         term = Polynomial.constant(total.field, 1)
         for i in range(n):
-            term = term * M.entry(i, perm[i])
+            term = term * M.entries[i][perm[i]]
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total = total - term if inversions % 2 else total + term
     return total
