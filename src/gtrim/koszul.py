@@ -42,21 +42,16 @@ Herzog, 1.6).  If g is minimal, std'_e = std_e + {t} and gamma = t - NF_R(t)
 changes.  m*gamma = 0, so K(k*gamma) = Lambda (x) k*gamma(-e) has zero
 differential, and in internal degree d, with s = d - i the coefficient degree:
 - s not e - 1, e: H_i(R')_d = H_i(R)_d, with the family's representatives,
-  whose coordinates are the same, and the family's boundaries.
+  whose coordinates are the same.
 - s = e - 1: H_i(R')_d = ker delta_i, where delta_i(z) is the t-coordinate
   of the trim's boundary of z, read off its table entries NF'(x_v*b),
-  b in std_e-1; the boundaries are the family's, and nothing is eliminated.
+  b in std_e-1; nothing is eliminated.
 - s = e: H_i(R')_d is Lambda_i*gamma / im delta_i+1, the gamma*e_w for the
   words kept greedily in WORDS order, plus the family's representatives
-  re-indexed into std'_e.  Only here are the boundaries the trim's own: the
-  image of d_i+1 from level e - 1, eliminated on the first solve in the
-  degree, which `table` never makes for m >= 3.
-Each class keeps its family coordinates (a unit vector, a kernel vector, or
-{} for gamma*e_w), and sum (-1)^i h_i,d = chi_d is checked in every degree.
-
-Products too are formed in K(R') and, into a `_Through`, solved in the
-family's space: this is exact because K(R') and K(R) share coordinates and
-boundaries outside coefficient degree e.
+  re-indexed into std'_e.
+Every degree is checked against sum (-1)^i h_i,d = chi_d.  A derived ring
+solves in its own spaces, each built on its first solve: its own
+boundaries, then its classes.
 
 The class is read from A = H(K^R) alone: A_0 = 0 is the unit ideal, an A_1
 class in internal degree 1 is a linear minimal generator, and the products
@@ -150,28 +145,6 @@ def _weights(gens) -> tuple:
     return (w,) if all(sum(x * y for x, y in zip(w, u)) == 0 for u in diffs) else ()
 
 
-class _Through(namedtuple("_Through", "field space first lifts")):
-    """The classes of a derived ring in one (i, d) where its homology is read
-    through the family's: `space` is the family's, and class first + s has
-    family coordinates lifts[s], 1 at their last family class and 0 at every
-    other class's last.  A cycle's family coordinates must combine these,
-    else it is no cycle in the derived ring."""
-
-    __slots__ = ()
-
-    def solve(self, vec):
-        """The class coordinates of `vec`, solved in the family's space, or
-        None when its family coordinates are no combination of the lifts."""
-        if (coords := self.space.solve(vec)) is None:
-            return None
-        f, out, rest = self.field, {}, dict(coords)
-        for s, lift in enumerate(self.lifts, self.first):
-            if (c := coords.get(max(lift))) is not None:
-                out[s] = c
-                f.sub_multiple(rest, c, lift)
-        return None if rest else out
-
-
 class KoszulComplex:
     """Homology of the Koszul complex of a quotient ring, with multiplication."""
 
@@ -184,7 +157,7 @@ class KoszulComplex:
         self._weights = _weights(ring.ideal.generators) if family is None else family._weights
         self._reps = ([], [], [], [])  # per exterior degree: (internal degree, cycle)
         self._classes = {}  # (i, d) -> Echelon: boundaries untagged, representatives
-        # tagged; for a derived ring a `_Through`, or None until its first solve
+        # tagged; for a derived ring None until its first solve
         self._inv = None
         # per class of A_i: (internal degree, {word: {monomial: coefficient}}, weight)
         self._words = ([], [], [], [])
@@ -269,11 +242,12 @@ class KoszulComplex:
     def _derive_homology(self):
         """The homology of a ring derived from the family's (module docstring):
         per internal degree, exterior degrees 3 down to 0, so that delta_i+1
-        is known where Lambda_i*gamma is cut by its image.  A class is (its
-        coordinates, its family coordinates): these are 1 at their last family
-        class and 0 at every other class's last (a unit vector, or a relation
-        from `Echelon.add`), or {} for gamma*e_w.  The s = e spaces are deferred
-        to `_space`.  Raises RuntimeError when a degree misses chi_d."""
+        is known where Lambda_i*gamma is cut by its image.  The family's
+        classes are read off its `_at` in index order.  A class is (its
+        coordinates, the index k of the family class it is), whose words
+        `fam._words[i][k]` it reuses, or None where it is new: gamma*e_w, or a
+        kernel vector of more than one term.  Every space is deferred to
+        `_space`.  Raises RuntimeError when a degree misses chi_d."""
         fam, ring, f = self.family, self.ring, self.field
         e = ring.parent[1]
         old, new = fam.ring.basis(e), ring.basis(e)
@@ -284,16 +258,14 @@ class KoszulComplex:
             gamma = {jt: f.one, **{into[j]: f.neg(c) for j, c in fam.ring._entry(t).items()}}
             at_t = {(v, j): col[jt] for j, b in enumerate(ring.basis(e - 1)) for v in range(3)
                     if jt in (col := ring.mult_column(v, b))}  # NF'(x_v b) at t, where not 0
-        by_degree, deltas = {}, {}  # the family's classes (index, cycle) per (i, d)
-        for i, reps in enumerate(fam._reps):
-            for k, (d, vec) in enumerate(reps):
-                by_degree.setdefault((i, d), []).append((k, vec))
+        deltas = {}
         for d in range(ring.top_degree + 4):
             euler = 0
-            for i in (3, 2, 1, 0):
-                here = by_degree.get((i, d), [])
+            for i in (3, 2, 1, 0):  # the family's classes here, (index, cycle), in index order
+                ks = sorted(sum(fam._at[i].get(d, {}).values(), []))
+                here = [(k, fam._reps[i][k][1]) for k in ks]
                 if d - i not in own:
-                    classes = [(vec, {k: f.one}) for k, vec in here]
+                    classes = [(vec, k) for k, vec in here]
                 elif d - i == e - 1:  # the kernel of delta_i, one relation per class
                     span, classes = Echelon(f), []
                     deltas[i, d] = [self._delta(i, d, vec, at_t) for _, vec in here]
@@ -302,23 +274,21 @@ class KoszulComplex:
                             vec = {}
                             for k2, c in rel.items():
                                 f.sub_multiple(vec, f.neg(c), fam._reps[i][k2][1])
-                            classes.append((vec, rel))
+                            classes.append((vec, k if len(rel) == 1 else None))
                 else:  # Lambda_i*gamma less the image of delta_i+1, then the family's
                     span, n, n_old = Echelon(f), len(new), len(old)
                     for image in deltas.get((i + 1, d), ()):
                         span.add(image)
-                    classes = [({w * n + j: c for j, c in gamma.items()}, {})
+                    classes = [({w * n + j: c for j, c in gamma.items()}, None)
                                for w in range(len(WORDS[i]))
                                if span.add({w: f.one}, tag=w) is None]
-                    classes += [({k // n_old * n + into[k % n_old]: c for k, c in vec.items()},
-                                 {k: f.one}) for k, vec in here]
+                    classes += [({k // n_old * n + into[k % n_old]: c for k, c in vec.items()}, k)
+                                for k, vec in here]
                 if classes:
-                    first = len(self._reps[i])
                     self._reps[i].extend((d, vec) for vec, _ in classes)
-                    self._words[i].extend(fam._words[i][max(lift)] if len(lift) == 1  # z_k
-                                          else self._word(i, d, vec) for vec, lift in classes)
-                    self._classes[i, d] = None if d - i == e and own else \
-                        _Through(f, fam._space(i, d), first, [lift for _, lift in classes])
+                    self._words[i].extend(self._word(i, d, vec) if k is None else fam._words[i][k]
+                                          for vec, k in classes)
+                    self._classes[i, d] = None
                 euler += (-1) ** i * (len(classes) - self.component_size(i, d))
             if euler:
                 raise RuntimeError(f"the classes derived in internal degree {d} miss chi_d")
@@ -439,8 +409,8 @@ class KoszulComplex:
         return coords
 
     def _space(self, i: int, d: int):
-        """`_classes[(i, d)]`; where a derived ring deferred it (d - i = e), it
-        is built now: its own boundaries, then its classes, each tagged by its
+        """`_classes[(i, d)]`; a derived ring deferred every one, and builds
+        it now: its own boundaries, then its classes, each tagged by its
         index, which must all be independent."""
         if self._classes[i, d] is None:
             space = self._boundaries(i, d)

@@ -25,6 +25,7 @@ from gtrim import (
 from gtrim import ideals, koszul
 from gtrim.errors import ClassificationScopeError, UnitIdealError
 from gtrim.koszul import _generator_cycle, wedge_words
+from gtrim.linalg import Echelon
 from helpers import (
     KoszulElement,
     a1_annihilator_cycle,
@@ -578,8 +579,8 @@ def test_derived_classes_are_checked():
     each deferred space, on its first solve, that its classes are
     independent of the trim's own boundaries (here one replaced by zero).
     The cycle of the trimmed generator g is a cycle of the family's ring
-    alone: its boundary in the trim's ring does not vanish, and read through
-    the family's space (a `_Through`), its class is refused."""
+    alone: its boundary in the trim's ring does not vanish, and solved in
+    the trim's own space, which that solve builds, its class is refused."""
     family = gorenstein_ideal(3, F)
     family_complex = KoszulComplex(family.quotient_ring())
     ring = ideals.trim(family, 3).quotient_ring()
@@ -588,17 +589,50 @@ def test_derived_classes_are_checked():
     assert is_cycle(family_complex, cycle) and not is_cycle(kz, cycle)
     with pytest.raises(ValueError, match="not a cycle"):
         class_coords(kz, cycle)
-    assert isinstance(kz._classes[1, 3], koszul._Through)
     with pytest.raises(ValueError, match="not a cycle"):
         kz._class_coords(1, kz._vectors(_generator_cycle(family.generators[3])))
+    assert isinstance(kz._classes[1, 3], Echelon)
+    assert kz._classes[1, 3] is not family_complex._classes[1, 3]
     (i, d), *_ = (key for key, space in kz._classes.items() if space is None)
     first = next(k for k, (deg, _) in enumerate(kz._reps[i]) if deg == d)
     kz._reps[i][first] = (d, {})
     with pytest.raises(RuntimeError, match="not independent"):
         kz._class_coords(i, {d: {}})
-    family_complex._reps[3].pop()
+    top = len(family_complex._reps[3]) - 1  # dropped from the reps, words and index alike
+    d, _ = family_complex._reps[3].pop()
+    _, _, w = family_complex._words[3].pop()
+    family_complex._at[3][d][w].remove(top)
     with pytest.raises(RuntimeError, match="internal degree 7 miss chi_d"):
         KoszulComplex(ring, family_complex)
+
+
+def test_a_derived_complex_reads_no_family_space():
+    """A trim's complex derived from a family complex whose `_classes` are
+    emptied has the same ranks, invariants and every A_1 x A_1, A_1 x A_2
+    and A_2 x A_1 class product as one derived from the intact family
+    complex: a trim solves in its own spaces, and the family lends only its
+    ring, representatives, words, class index and weights.  Every trim of
+    g_m for m = 2..8 over F_32003 and F_2 and m = 2..5 over Q, and of 4
+    random artinian ideals per field."""
+    for char, top in ((32003, 8), (2, 8), (0, 5)):
+        fld, rng = helpers.field(char), random.Random(helpers.SEED + 35 + char)
+        families = [gorenstein_ideal(m, fld) for m in range(2, top + 1)]
+        families += [helpers.random_artinian_ideal(rng, fld) for _ in range(4)]
+        for family in families:
+            intact = KoszulComplex(family.quotient_ring())
+            emptied = KoszulComplex(intact.ring)
+            emptied._classes = {}
+            for k in range(len(family.generators)):
+                ring = ideals.trim(family, k).quotient_ring()
+                kz, bare = KoszulComplex(ring, intact), KoszulComplex(ring, emptied)
+                case = (char, family, k)
+                assert bare.ranks() == kz.ranks(), case
+                assert bare.invariants() == kz.invariants(), case
+                n = kz.ranks()
+                for i, j in ((1, 1), (1, 2), (2, 1)):
+                    for s, t in itertools.product(range(n[i]), range(n[j])):
+                        assert bare.class_product(i, s, j, t) == \
+                            kz.class_product(i, s, j, t), (case, i, s, t)
 
 
 def test_table_forms_each_asked_trim_product_once(monkeypatch, capsys):
