@@ -15,9 +15,14 @@ function is read off those bases.  The quotient's normal forms and
 multiplication maps come from one table per degree over the border (standard
 monomials times a variable), built on first use in increasing term order from
 the reduced basis alone (FGLM), with no polynomial reduction.  A trim a' =
-(x, y, z)*g + (the others) of a has a'_d = a_d for every d != deg g, so its
-ring shares a's bases and tables (filled then) in every degree but deg g,
-eliminated again, and a' needs no Groebner basis.  Before any of this, a
+(x, y, z)*g_k + (the others) of a has a'_d = a_d for every d != e = deg g_k,
+so its ring shares a's bases and tables (filled then) in every degree but e,
+and a' needs no Groebner basis.  In degree e all of R's trims read one solve,
+kept per degree like the tables: c(u) = {k: c_k(u)} writes u - NF(u), for
+each border leading monomial u, over the degree-e generators modulo the
+lower multiples.  A k in a relation among them is not minimal, and R' = R;
+else std'_e = std_e + {t}, t the least u with c_k(u) != 0, and with gamma =
+t - NF(t), NF'(u) = NF(u) + c_k(u)/c_k(t)*gamma.  Before any of this, a
 lower bound on dim R read off the generator degrees refuses inputs above
 the size bound without a Groebner basis.
 """
@@ -244,7 +249,7 @@ class Ideal:
         self.generators = tuple(kept)
         self._gb = None
         self._ring = None  # a weak reference: the ring holds this ideal
-        self._parent = None  # a trim's (parent ideal, g): its ring is derived from the parent's
+        self._parent = None  # a trim's (parent, index of g): its ring is derived from the parent's
 
     def __getstate__(self):  # a weak reference does not pickle: the copy has no ring
         return None, {**{k: getattr(self, k) for k in self.__slots__}, "_ring": None}
@@ -294,7 +299,7 @@ def trim(ideal: Ideal, index: int) -> Ideal:
     g = gens.pop(index)
     x, y, z = variables(ideal.field)
     out = Ideal([x * g, y * g, z * g] + gens, ideal.field)
-    out._parent = (ideal, g)
+    out._parent = (ideal, index)
     return out
 
 
@@ -343,13 +348,14 @@ class QuotientRing:
     (so the Hilbert function never pays for them).  A trim a' of a at g is a
     in every degree but e = deg g, so its ring is derived from a's (`_derive`),
     with no Groebner basis of a', and holds a's tables but in degree e.
-    `parent` is (R, e) for a ring derived from R at a generator of degree e,
-    else None.  The ring holds its ideal, which holds it only weakly, so a
-    ring is freed when its last user drops it.
+    `parent` is (R, e, cut) for a ring derived from R at a generator of
+    degree e (cut from `_derive`, None where R' = R), else None.  The ring
+    holds its ideal, which holds it only weakly, so a ring is freed when its
+    last user drops it.
     """
 
     __slots__ = ("ideal", "field", "std", "top_degree", "parent", "_index", "_table",
-                 "__weakref__")
+                 "_solves", "__weakref__")
 
     def __init__(self, ideal: Ideal):
         # I_d is spanned by the m * g, so dim R_d >= C(d+2, 2) - sum_g C(d - deg g + 2, 2):
@@ -370,6 +376,7 @@ class QuotientRing:
         self.ideal = ideal
         self.field = ideal.field
         self.parent = None
+        self._solves = {}  # degree e -> `_solve(e)`, read by every trim at a degree-e generator
         if ideal._parent is None:
             if not ideal.is_n_primary():
                 raise NotNPrimaryError(_NOT_ARTINIAN)
@@ -380,50 +387,88 @@ class QuotientRing:
         self.std = tuple(std)
         self.top_degree = len(std) - 1
 
-    def _derive(self, parent: Ideal, g) -> tuple:
-        """(std, index, tables) of R' = Q/a' from R = Q/a, a' = m*g + (the
-        others): a'_d = a_d for d != e = deg g, so R' keeps R's bases and
+    def _derive(self, parent: Ideal, k: int) -> tuple:
+        """(std, index, tables) of R' = Q/a' from R = Q/a, a' = m*g_k + (the
+        others): a'_d = a_d for d != e = deg g_k, so R' keeps R's bases and
         table objects but in degree e (an entry any ring of the family makes
-        in them is right for all).
-        There a'_e, spanned by the multiples of the others (m*g starts in
-        degree e + 1), is eliminated with pivots at leading monomials: the
-        free columns are std'_e, residues give the border entries, and R
-        makes x_v * u for the new u (a_e = a'_e + kg).
-        Past top_degree + 1, a'_e = Q_e = a_e; where g is not minimal,
-        a'_e = a_e too, and R' = R."""
-        from .linalg import Echelon
-
+        in them is right for all).  There it reads R's `_solve(e)`, made once
+        for all of R's trims: in R' the other generators and the lower
+        multiples vanish, so u = NF(u) + c_k(u)*g_k.  A k in a relation, and
+        any e past top_degree + 1 (a'_e = Q_e), leave a'_e = a_e and R' = R.
+        Else t, the least border monomial with c_k(t) != 0, joins std_e: for
+        another leading monomial L with c_k(L) != 0, r_L - c_k(L)/c_k(t)*r_t
+        is in a'_e with leading monomial L, and a non-border L reduces through
+        smaller border monomials.  With gamma = t - NF(t), each border entry
+        is NF(u) + c_k(u)/c_k(t)*gamma; R makes x_v*t in the degree-(e + 1)
+        table that R' shares.  `parent` keeps (gamma, {u: c_k(u)/c_k(t)})."""
         try:
             ring = parent.quotient_ring()
         except QuotientTooLargeError:  # then so is R', which maps onto R
             if not parent.is_n_primary():  # R' is artinian iff R is
                 raise NotNPrimaryError(_NOT_ARTINIAN)
             raise _too_large()
-        f, e = self.field, g.degree()
-        self.parent = ring, e
+        f, e = self.field, parent.generators[k].degree()
+        self.parent = ring, e, None
         std, index, tables = list(ring.std), list(ring._index), list(ring._nf_table())
         if e > ring.top_degree + 1:
             return std, index, tables
-        monos = monomials_of_degree(e)[::-1]  # ascending term order
-        col = {t: j for j, t in enumerate(monos)}
-        span = Echelon(f)
-        for h in self.ideal.generators:
-            for s in monomials_of_degree(e - h.degree()):
-                span.add({col[mono_mul(t, s)]: c for t, c in h.terms.items()})
-        level = tuple(t for t in reversed(monos) if col[t] not in span.rows)
-        if level == ring.basis(e):  # a'_e = a_e: g is not minimal, and R' = R
+        if (solved := ring._solves.get(e)) is None:
+            solved = ring._solves[e] = ring._solve(e)
+        dependent, coefficients = solved
+        if k in dependent:
             return std, index, tables
-        std[e:e + 1], index[e:e + 1] = [level], [{t: j for j, t in enumerate(level)}]
+        t = next(u for u, c in coefficients.items() if k in c)
+        inv = f.inv(coefficients[t][k])
+        ratio = {u: f.mul(c[k], inv) for u, c in coefficients.items() if k in c}
+        old = ring.basis(e)
+        level = tuple(sorted(old + (t,), key=mono_key, reverse=True))
+        std[e:e + 1], index[e:e + 1] = [level], [{u: j for j, u in enumerate(level)}]
         if sum(map(len, std)) > MAX_DIM:
             raise _too_large()
-        table = {t: {j: f.one} for t, j in index[e].items()}
-        for t in {mono_mul(b, v) for b in ring.basis(e - 1) for v in _VAR_MONOS} - index[e].keys():
-            table[t] = {index[e][monos[c]]: a for c, a in span.residue({col[t]: f.one}).items()}
+        into = [index[e][b] for b in old]
+        gamma = {index[e][t]: f.one, **{into[j]: f.neg(c) for j, c in ring._entry(t).items()}}
+        table = {u: {j: f.one} for u, j in index[e].items()}
+        for u in coefficients:
+            if u != t:
+                table[u] = vec = {into[j]: c for j, c in ring._entry(u).items()}
+                if u in ratio:
+                    f.sub_multiple(vec, f.neg(ratio[u]), gamma)
         tables[e:e + 1] = [table]
-        if e < ring.top_degree:  # x_v * u, u new in std'_e, is on the border below the top
-            for t in [mono_mul(u, v) for u in level if u not in ring._index[e] for v in _VAR_MONOS]:
-                ring._entry(t)  # R makes it in the degree-(e + 1) table that R' shares
+        if e < ring.top_degree:  # x_v * t is on the border below the top
+            for v in _VAR_MONOS:
+                ring._entry(mono_mul(t, v))
+        self.parent = ring, e, (gamma, ratio)
         return std, index, tables
+
+    def _solve(self, e: int) -> tuple:
+        """(dependent, coefficients): one tagged elimination over Q_e, its
+        columns in increasing term order, of the degree-e multiples of the
+        lower generators, untagged, then of each degree-e generator, tagged
+        by its index k.  dependent holds every tag in a relation the adds
+        return, the indices of generators that are not minimal.  coefficients
+        maps each non-standard border monomial u of degree e, in increasing
+        term order, to c(u) = {k: c_k(u)}, u - NF(u) over the kept generators
+        modulo the lower multiples (u is a leading monomial of a_e)."""
+        from .linalg import Echelon
+
+        f, gens = self.field, self.ideal.generators
+        col = {t: j for j, t in enumerate(reversed(monomials_of_degree(e)))}
+        span, dependent = Echelon(f), set()
+        for h in gens:
+            for s in monomials_of_degree(e - h.degree()) if h.degree() < e else ():
+                span.add({col[mono_mul(t, s)]: c for t, c in h.terms.items()})
+        for k, h in enumerate(gens):
+            if h.degree() == e and (rel := span.add(
+                    {col[t]: c for t, c in h.terms.items()}, tag=k)) is not None:
+                dependent.update(rel)
+        basis, coefficients = self.basis(e), {}
+        # degree 0 has no border; 1 stands for it, a leading monomial where a unit generates
+        border = {mono_mul(b, v) for b in self.basis(e - 1) for v in _VAR_MONOS} or {(0, 0, 0)}
+        for u in sorted(border.difference(basis), key=mono_key):
+            vec = {col[u]: f.one}
+            vec.update((col[basis[j]], f.neg(c)) for j, c in self._entry(u).items())
+            coefficients[u] = span.solve(vec)
+        return dependent, coefficients
 
     def dim(self) -> int:
         return sum(len(level) for level in self.std)

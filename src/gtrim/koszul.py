@@ -42,13 +42,15 @@ Herzog, 1.6).  If g is minimal, std'_e = std_e + {t} and gamma = t - NF_R(t)
 changes.  m*gamma = 0, so K(k*gamma) = Lambda (x) k*gamma(-e) has zero
 differential, and in internal degree d, with s = d - i the coefficient degree:
 - s not e - 1, e: H_i(R')_d = H_i(R)_d, with the family's representatives,
-  whose coordinates are the same.
+  whose coordinates are the same; so outside d = e - 1 .. e + 3 the trim
+  takes the family's classes by degree and walks nothing.
 - s = e - 1: H_i(R')_d = ker delta_i, where delta_i(z) is the t-coordinate
-  of the trim's boundary of z, read off its table entries NF'(x_v*b),
-  b in std_e-1; nothing is eliminated.
+  of the trim's boundary of z, from the t-coordinates c_k(x_v*b)/c_k(t) of
+  NF'(x_v*b), b in std_e-1, read off the family's generator solve
+  (`QuotientRing._derive`); nothing is eliminated.
 - s = e: H_i(R')_d is Lambda_i*gamma / im delta_i+1, the gamma*e_w for the
-  words kept greedily in WORDS order, plus the family's representatives
-  re-indexed into std'_e.
+  words kept greedily in WORDS order past the kernel span's rows, plus the
+  family's representatives re-indexed into std'_e.
 Every degree is checked against sum (-1)^i h_i,d = chi_d.  A derived ring
 solves in its own spaces, each built on its first solve: its own
 boundaries, then its classes.
@@ -240,58 +242,62 @@ class KoszulComplex:
                     self._keep(1, d, Echelon(f, untagged), gen_cycles, h1)
 
     def _derive_homology(self):
-        """The homology of a ring derived from the family's (module docstring):
-        per internal degree, exterior degrees 3 down to 0, so that delta_i+1
-        is known where Lambda_i*gamma is cut by its image.  The family's
-        classes are read off its `_at` in index order.  A class is (its
-        coordinates, the index k of the family class it is), whose words
-        `fam._words[i][k]` it reuses, or None where it is new: gamma*e_w, or a
-        kernel vector of more than one term.  Every space is deferred to
-        `_space`.  Raises RuntimeError when a degree misses chi_d."""
+        """The homology of a ring derived from the family's (module docstring).
+        Only internal degrees e - 1 to e + 3 hold a coefficient degree e - 1
+        or e; everywhere else the trim takes the family's classes, read off
+        `_reps` and `_words` by degree, and checks chi_d on their counts in
+        `_at`.  In those degrees it runs exterior degrees 3 down to 0, so that
+        the image of delta_i+1 is in the span where Lambda_i*gamma is cut by
+        it.  A class is (its coordinates, the index k of the family class it
+        is), whose words `fam._words[i][k]` it reuses, or None where it is
+        new: gamma*e_w, or a kernel vector of more than one term.  Every space
+        is deferred to `_space`.  Raises RuntimeError when a degree misses chi_d."""
         fam, ring, f = self.family, self.ring, self.field
-        e = ring.parent[1]
-        old, new = fam.ring.basis(e), ring.basis(e)
-        own = (e - 1, e) if len(new) > len(old) else ()  # empty where R' = R
-        if own:
-            (t,) = set(new).difference(old)
-            jt, into = ring._index[e][t], [ring._index[e][b] for b in old]
-            gamma = {jt: f.one, **{into[j]: f.neg(c) for j, c in fam.ring._entry(t).items()}}
-            at_t = {(v, j): col[jt] for j, b in enumerate(ring.basis(e - 1)) for v in range(3)
-                    if jt in (col := ring.mult_column(v, b))}  # NF'(x_v b) at t, where not 0
-        deltas = {}
-        for d in range(ring.top_degree + 4):
-            euler = 0
+        _, e, cut = ring.parent
+        lo, hi = (e - 1, e + 4) if cut else (0, 0)  # empty where R' = R
+        for d in (d for d in range(ring.top_degree + 4) if not lo <= d < hi):
+            counts = (sum(map(len, fam._at[i].get(d, {}).values())) for i in range(4))
+            if sum((-1) ** i * (h - self.component_size(i, d)) for i, h in enumerate(counts)):
+                raise RuntimeError(f"the classes derived in internal degree {d} miss chi_d")
+        window = ([], [], [], [])  # per exterior degree: (d, cycle, words) in lo..hi - 1
+        if cut:
+            gamma, ratio = cut
+            n, old = len(ring.basis(e)), len(fam.ring.basis(e))
+            into = [ring._index[e][b] for b in fam.ring.basis(e)]
+            at_t = {(v, j): r for j, (a, b, c) in enumerate(ring.basis(e - 1))  # c_k(x_v b)/c_k(t)
+                    for v, u in enumerate(((a + 1, b, c), (a, b + 1, c), (a, b, c + 1)))
+                    if (r := ratio.get(u)) is not None}
+        for d in range(lo, hi):
+            span, euler = Echelon(f), 0  # the image of delta_i+1 at d - i = e - 1, cut at d - i = e
             for i in (3, 2, 1, 0):  # the family's classes here, (index, cycle), in index order
                 ks = sorted(sum(fam._at[i].get(d, {}).values(), []))
                 here = [(k, fam._reps[i][k][1]) for k in ks]
-                if d - i not in own:
-                    classes = [(vec, k) for k, vec in here]
-                elif d - i == e - 1:  # the kernel of delta_i, one relation per class
-                    span, classes = Echelon(f), []
-                    deltas[i, d] = [self._delta(i, d, vec, at_t) for _, vec in here]
-                    for (k, _), image in zip(here, deltas[i, d]):
-                        if (rel := span.add(image, tag=k)) is not None:
+                if d - i == e - 1:  # the kernel of delta_i, one relation per class
+                    classes = []
+                    for k, vec in here:
+                        if (rel := span.add(self._delta(i, d, vec, at_t), tag=k)) is not None:
                             vec = {}
                             for k2, c in rel.items():
                                 f.sub_multiple(vec, f.neg(c), fam._reps[i][k2][1])
                             classes.append((vec, k if len(rel) == 1 else None))
-                else:  # Lambda_i*gamma less the image of delta_i+1, then the family's
-                    span, n, n_old = Echelon(f), len(new), len(old)
-                    for image in deltas.get((i + 1, d), ()):
-                        span.add(image)
+                elif d - i == e:  # Lambda_i*gamma less the image of delta_i+1, then the family's
                     classes = [({w * n + j: c for j, c in gamma.items()}, None)
-                               for w in range(len(WORDS[i]))
-                               if span.add({w: f.one}, tag=w) is None]
-                    classes += [({k // n_old * n + into[k % n_old]: c for k, c in vec.items()}, k)
+                               for w in range(len(WORDS[i])) if span.add({w: f.one}) is None]
+                    classes += [({k // old * n + into[k % old]: c for k, c in vec.items()}, k)
                                 for k, vec in here]
-                if classes:
-                    self._reps[i].extend((d, vec) for vec, _ in classes)
-                    self._words[i].extend(self._word(i, d, vec) if k is None else fam._words[i][k]
-                                          for vec, k in classes)
-                    self._classes[i, d] = None
+                else:
+                    classes = [(vec, k) for k, vec in here]
+                window[i].extend((d, vec, self._word(i, d, vec) if k is None else fam._words[i][k])
+                                 for vec, k in classes)
                 euler += (-1) ** i * (len(classes) - self.component_size(i, d))
             if euler:
                 raise RuntimeError(f"the classes derived in internal degree {d} miss chi_d")
+        for i, own in enumerate(window):  # the family's before lo, the window's, then from hi
+            reps, words = fam._reps[i], fam._words[i]
+            a, b = (sum(d < x for d, _ in reps) for x in (lo, hi))
+            self._reps[i].extend(reps[:a] + [(d, vec) for d, vec, _ in own] + reps[b:])
+            self._words[i].extend(words[:a] + [w for *_, w in own] + words[b:])
+        self._classes = dict.fromkeys((i, d) for i, reps in enumerate(self._reps) for d, _ in reps)
 
     def _delta(self, i: int, d: int, vec: dict, at_t: dict) -> dict:
         """delta_i of a cycle of R in K_{i,d}, d - i = e - 1: the coordinate at
@@ -422,16 +428,18 @@ class KoszulComplex:
 
     def class_product(self, i: int, s: int, j: int, t: int) -> list:
         """Class coordinates of basis class s of A_i times basis class t of A_j,
-        formed by `_product`; zero, not formed, unless t is among s's `_partners`.
-        Degrees outside 0..3 or past 3 in sum, and class indices out of range, are refused."""
+        formed by `_product`; zero, not formed, unless t is among s's `_partners`:
+        deg s + deg t, w_s + w_t is a cell of `_at[i + j]`.  Degrees outside 0..3
+        or past 3 in sum, and class indices out of range, are refused."""
         if min(i, j) < 0 or i + j > 3:
             raise ValueError(f"exterior degrees {i} and {j} are not in 0..3" if min(i, j) < 0
                              else "product lands beyond exterior degree 3")
         if not (0 <= s < len(self._words[i]) and 0 <= t < len(self._words[j])):
             raise IndexError(f"A_{i} x A_{j} has no class pair ({s}, {t})")
-        if t not in self._partners(i, s, i + j):
+        (ds, u, ws), (dt, v, wt) = self._words[i][s], self._words[j][t]
+        if tuple(map(int.__add__, ws, wt)) not in self._at[i + j].get(ds + dt, {}):
             return [self.field.zero] * len(self._reps[i + j])
-        return self._class_coords(i + j, self._product(self._words[i][s][1], self._words[j][t][1]))
+        return self._class_coords(i + j, self._product(u, v))
 
     # ---- invariants and classification ------------------------------------
 

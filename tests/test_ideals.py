@@ -558,12 +558,16 @@ def test_derived_trim_ring_matches_walked_ring():
     deg g.  Every trim of g_m, m = 2..8, and of 60 random artinian ideals (seed 7),
     over F_2, F_3, F_32003 and Q.  The random ones bring each edge case: g
     not minimal (R' = R), deg g = top + 1 (top grows or not) and deg g above
-    top + 1."""
+    top + 1.  So does (x^2, y^2, z^2, x^2 + y^2), as `--ideal` may list it:
+    one relation ties its generators 0, 1 and 3, whose trims keep R' = R,
+    while z^2 is minimal and its trim's ring grows by one."""
     cases = set()
     for char in (2, 3, 32003, 0):
         fld, rng = helpers.field(char), random.Random(7)
+        x, y, z = variables(fld)
+        tied = Ideal([x * x, y * y, z * z, x * x + y * y])
         parents = [gorenstein_ideal(m, fld) for m in range(2, 9)]
-        parents += [helpers.random_artinian_ideal(rng, fld) for _ in range(60)]
+        parents += [helpers.random_artinian_ideal(rng, fld) for _ in range(60)] + [tied]
         for parent in parents:
             ring = parent.quotient_ring()
             for k, g in enumerate(parent.generators):
@@ -571,6 +575,8 @@ def test_derived_trim_ring_matches_walked_ring():
                 derived, walked = T.quotient_ring(), QuotientRing(Ideal(T.generators))
                 case = (char, parent, k)
                 assert derived.ideal is T and derived is not ring, case
+                if parent is tied:
+                    assert derived.dim() - ring.dim() == (k == 2), case
                 assert derived.std == walked.std, case
                 assert derived.top_degree == walked.top_degree, case
                 assert derived.hilbert() == walked.hilbert(), case

@@ -663,14 +663,55 @@ def test_table_forms_each_asked_trim_product_once(monkeypatch, capsys):
     assert calls[0] == asked[0] <= 686
 
 
+def test_table_solves_each_family_once(monkeypatch, capsys):
+    """`table --m 2..8`, one family complex per m, solves the degree-m
+    generators of each g_m once (`QuotientRing._solve`: 7 times for the 77
+    trims), and every trim reads its ring, t, at_t and delta off that solve:
+    `_derive` makes no `Echelon.add` of its own (each trim eliminated its
+    own a'_e before), and `_derive_homology` never calls `mult_column`
+    (4,851 calls when at_t was read off the trim's table)."""
+    from gtrim.cli import main
+    from gtrim.ideals import QuotientRing
+
+    running, calls = [], collections.Counter()
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[name, "_derive" in running and "_solve" not in running,
+                  "_derive_homology" in running] += 1
+            running.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, name in ((QuotientRing, "_derive"), (QuotientRing, "_solve"),
+                      (QuotientRing, "mult_column"), (KoszulComplex, "_derive_homology"),
+                      (Echelon, "add")):
+        spy(cls, name)
+    assert main(["table", "--m", "2..8"]) == 0
+    capsys.readouterr()
+    assert calls["_derive", False, False] == calls["_derive_homology", False, False] == 77
+    assert calls["_solve", True, False] == 7
+    assert calls["add", False, False] > 0  # the solves and the families' own eliminations
+    assert calls["add", True, False] == 0
+    assert sum(n for (name, _, homology), n in calls.items()
+               if name == "mult_column" and homology) == 0
+
+
 def test_a_lone_trim_forms_products_only_where_weights_meet(monkeypatch, capsys):
     """`classify --m 14 --trim d` builds g_14's complex for the trim and
     forms at most 30 products (26; 756 when pairs were filtered by degree
     alone): by weight, A_1 x A_2 -> A_3 pairs each A_2 class with at most
     one A_1 class.  `invariants` reads the partners of each class off the
-    index `_at`, so `_partners` runs at most 85 times: once per A_1 class
-    (29), once per A_2 class (30) and once per product (26).  Pairs tested
-    one by one took 432 tests, and 1,328 when every A_1 x A_2 pair was."""
+    index `_at`, and `class_product` tests a pair in `_at` without them, so
+    `_partners` runs at most 59 times: once per A_1 class (29) and once per
+    A_2 class (30); 85 while each product re-listed them.  Pairs tested one
+    by one took 432 tests, and 1,328 when every A_1 x A_2 pair was."""
     from gtrim.cli import main
 
     calls, looked = [0], [0]
@@ -688,7 +729,7 @@ def test_a_lone_trim_forms_products_only_where_weights_meet(monkeypatch, capsys)
     monkeypatch.setattr(KoszulComplex, "_partners", counted_partners)
     assert main(["classify", "--m", "14", "--trim", "d"]) == 0
     capsys.readouterr()
-    assert calls[0] <= 30 and looked[0] <= 85
+    assert calls[0] <= 30 and looked[0] <= 59
 
 
 def test_weights_read_off_the_generators():
