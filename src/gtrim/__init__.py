@@ -24,7 +24,7 @@ _HOMES = {
                "report_dict"),
     "pfaffians": ("PfaffianFamily", "TrimChoice", "build_u", "build_v",
                   "canonical_generators", "d_poly", "family_hilbert", "gorenstein_ideal",
-                  "selector_labels", "trimmed_ideal"),
+                  "trimmed_ideal"),
     "poly": ("Polynomial", "PolyMatrix", "mono_key", "monomials_of_degree",
              "parse_polynomial", "variables"),
 }

@@ -1,7 +1,7 @@
 """Exact coefficient fields: prime fields F_p and the rationals.
 
 Field objects carry the arithmetic; elements are plain ints (reduced to
-``[0, p)``) or exact rationals.  Everything downstream is parameterized by a
+``[0, p)``) or Fractions.  Everything downstream is parameterized by a
 field object so the same code runs modulo a prime and over the rationals.
 Each field also carries the package's one sparse accumulate, `sub_multiple`
 (``vec -= c * row`` on ``{key: nonzero coefficient}`` dicts), with its
@@ -112,39 +112,16 @@ class PrimeField:
         return f"PrimeField({self.char})"
 
 
-_RAT = None  # the rational type, imported by `_rat` on first use
-
-
-def _rat():
-    """gmpy2.mpq when available, Fraction otherwise; a run over F_p imports neither."""
-    global _RAT
-    if _RAT is None:
-        try:
-            from gmpy2 import mpq as _RAT
-        except ImportError:  # pragma: no cover - gmpy2 is a speedup, not a requirement
-            from fractions import Fraction as _RAT
-    return _RAT
-
-
 class RationalField:
-    """Exact rationals; gmpy2.mpq when available, Fraction otherwise."""
+    """Exact rationals as `fractions.Fraction`, imported by the first
+    RationalField made, so a run over F_p never loads it."""
 
-    __slots__ = ()
+    __slots__ = ("zero", "one", "of")
     char = 0
 
-    @property
-    def zero(self):
-        return _rat()(0)
-
-    @property
-    def one(self):
-        return _rat()(1)
-
-    def of(self, value):
-        if isinstance(value, str):
-            from fractions import Fraction
-            return _rat()(Fraction(value))
-        return _rat()(value)
+    def __init__(self):
+        from fractions import Fraction
+        self.zero, self.one, self.of = Fraction(0), Fraction(1), Fraction
 
     def mul(self, a, b):
         return a * b
@@ -155,7 +132,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / _rat()(a)
+        return self.one / a
 
     def is_zero(self, a) -> bool:
         return a == 0

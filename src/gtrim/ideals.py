@@ -358,11 +358,13 @@ class QuotientRing:
                  "_solves", "__weakref__")
 
     def __init__(self, ideal: Ideal):
+        degrees = [g.degree() for g in ideal.generators]
+        if len(degrees) < 3 and all(degrees):  # no unit, so height <= 2 (Krull): not artinian
+            raise NotNPrimaryError(_NOT_ARTINIAN)
         # I_d is spanned by the m * g, so dim R_d >= C(d+2, 2) - sum_g C(d - deg g + 2, 2):
         # summed before any Groebner basis is built, until the sum passes the
         # bound or, past the least degree, the summand is <= 0 and not rising
         # (it is concave there, so no later one is positive)
-        degrees = [g.degree() for g in ideal.generators]
         least, bound, last, d = min(degrees, default=0), 0, 0, 0
         while bound <= MAX_DIM:
             here = comb(d + 2, 2) - sum(comb(d - e + 2, 2) for e in degrees if e <= d)

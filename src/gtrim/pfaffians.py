@@ -113,16 +113,6 @@ def family_hilbert(m: int) -> list:
     return [math.comb(min(d, 2 * m - 2 - d) + 2, 2) for d in range(2 * m - 1)]
 
 
-def selector_labels(m: int) -> list:
-    """The 2m+1 trim selectors, label k naming ladder position k (the inverse
-    of `selector_index`); m = 1 gives [x0, d, y0]."""
-    if m < 1:
-        raise ValueError(f"family index must be >= 1, got {m}")
-    left = ["x0"] + [f"x{i}" for i in range(1, m)]
-    right = [f"y{i}" for i in range(m - 1, 0, -1)] + ["y0"]
-    return left + ["d"] + right
-
-
 def selector_index(selector: str, m: int) -> int:
     """Position of a selector's generator among 2m+1 in canonical order.
 

@@ -159,7 +159,7 @@ class Polynomial:
         return Polynomial(self.field)._minus(self.field.one, self)
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):  # a rational scalar: int, Fraction or mpq
+        if not isinstance(other, Polynomial):  # a rational scalar: int or Fraction
             return self.scale(other) if hasattr(other, "denominator") else NotImplemented
         self._check_field(other)
         f, out = self.field, {}

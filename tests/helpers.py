@@ -29,13 +29,14 @@ padding) through the public `class_product`, the one route for products of
 basis classes.
 The routines that serve only as cross-checks (minimal generators, the dense
 socle that checks `QuotientRing.socle`, the colon by the maximal ideal,
-interior selectors, polynomials from coordinate vectors) live here, not in
-the package.  So do Koszul elements (`KoszulElement`, word -> polynomial)
-and every routine on them: reduction, differential, cycle check, `wedge`,
-class coordinates, `multiply`, and the paper's explicit A_1 cycles and
-annihilator cycle.  They read the package's coordinates (`_vectors`,
-`_diff_column`, `_product`, `_class_coords`), one route per result.  Normal
-forms, membership, equality and coordinates of ideals are here too.
+interior selectors, the selector labels, polynomials from coordinate
+vectors) live here, not in the package.  So do Koszul elements
+(`KoszulElement`, word -> polynomial) and every routine on them: reduction,
+differential, cycle check, `wedge`, class coordinates, `multiply`, and the
+paper's explicit A_1 cycles and annihilator cycle.  They read the package's
+coordinates (`_vectors`, `_diff_column`, `_product`, `_class_coords`), one
+route per result.  Normal forms, membership, equality and coordinates of
+ideals are here too.
 """
 
 import itertools
@@ -54,7 +55,6 @@ from gtrim import (
     field_of_characteristic,
     gorenstein_ideal,
     ideals,
-    selector_labels,
     trim,
     trimmed_ideal,
     variables,
@@ -80,6 +80,16 @@ _VAR_MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 @lru_cache(maxsize=None)
 def field(char=32003):
     return field_of_characteristic(char)
+
+
+def selector_labels(m: int) -> list:
+    """The 2m+1 trim selectors, label k naming ladder position k (the inverse
+    of `gtrim.pfaffians.selector_index`); m = 1 gives [x0, d, y0]."""
+    if m < 1:
+        raise ValueError(f"family index must be >= 1, got {m}")
+    left = ["x0"] + [f"x{i}" for i in range(1, m)]
+    right = [f"y{i}" for i in range(m - 1, 0, -1)] + ["y0"]
+    return left + ["d"] + right
 
 
 @lru_cache(maxsize=None)

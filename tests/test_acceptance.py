@@ -20,7 +20,6 @@ from gtrim import (
     d_poly,
     family_hilbert,
     report_dict,
-    selector_labels,
     variables,
 )
 from gtrim.poly import monomials_of_degree
@@ -39,6 +38,7 @@ from helpers import (
     minimal_generators,
     multiply,
     same_ideal,
+    selector_labels,
     socle_basis,
     span_rank,
     sub_pfaffian,

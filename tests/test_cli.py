@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import helpers
+from helpers import selector_labels
 import gtrim.koszul
 from gtrim import canonical_generators, ideals, report_dict
 from gtrim.cli import main
 from gtrim.ideals import buchberger
-from gtrim.pfaffians import selector_labels
 
 V2_STRINGS = [
     ["0", "0", "0", "x", "z"],
@@ -413,6 +413,19 @@ def test_classify_ideal_above_dimension_bound_exits_3(tmp_path):
         code, out, err = classify_ideal_file(tmp_path, {"generators": gens}, timeout=30)
         assert code == 3 and out == "" and "Traceback" not in err, gens
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
+
+def test_classify_ideal_with_fewer_than_three_generators_exits_3(capsys, tmp_path):
+    """Fewer than three non-zero generators, none a unit, span an ideal of
+    height at most 2 (Krull), so the quotient is never artinian: that is the
+    one-line error, not the bound on dim R the degrees alone would break."""
+    path = tmp_path / "ideal.json"
+    for gens in ([], ["x^5"], ["x^2", "0"]):
+        path.write_text(json.dumps({"generators": gens}))
+        code, out, err = run_cli(["classify", "--ideal", str(path)], capsys)
+        assert code == 3 and out == "", gens
+        assert err.splitlines() == ["error: quotient is not artinian; "
+                                    "some variable has no pure-power leading term"], gens
 
 
 def test_trim_error_paths_frozen(capsys, tmp_path, monkeypatch):

@@ -18,7 +18,6 @@ from gtrim import (
     classify_from_invariants,
     gorenstein_ideal,
     report_dict,
-    selector_labels,
     trimmed_ideal,
     variables,
 )
@@ -43,6 +42,7 @@ from helpers import (
     minimal_generators,
     multiply,
     reduce_element,
+    selector_labels,
     socle_basis,
     span_rank,
     wedge,

@@ -30,11 +30,6 @@ from helpers import KoszulElement
 SRC = str(Path(gtrim.__file__).parents[1])
 ROOT = Path(__file__).resolve().parents[1]
 
-# Defined under src/gtrim, named nowhere else in src/ or bench/, and kept on purpose
-REACHED_FROM_OUTSIDE = {
-    "selector_labels": "the documented inverse of selector_index (README), for callers",
-}
-
 COLD_START = """
 import json, sys
 import gtrim.cli
@@ -55,7 +50,7 @@ def test_cold_start_loads_only_what_the_command_runs():
         assert name not in after_hilbert, name
     assert "gtrim.koszul" in after_classify
     # the rational type is imported lazily, not lost
-    assert "fractions" in after_classify or "gmpy2" in after_classify
+    assert "fractions" in after_classify
 
 
 def test_koszul_layer_loads_no_family_or_field_module():
@@ -106,8 +101,8 @@ def package_routines_named_only_in_tests():
 def test_no_routine_ships_only_for_the_tests():
     """Every routine in the package is reached from the package or the
     benchmark; the oracles and element routines that only tests call live in
-    tests/helpers.py.  The few kept on purpose are listed, each with why."""
-    assert package_routines_named_only_in_tests() == set(REACHED_FROM_OUTSIDE)
+    tests/helpers.py."""
+    assert package_routines_named_only_in_tests() == set()
 
 
 def test_lazy_names_are_their_home_objects():
@@ -183,7 +178,11 @@ def test_prime_field_refuses_a_denominator_divisible_by_p():
     assert PrimeField(5).of(Fraction(3, 2)) == 4 and PrimeField(3).of("6/3") == 2
 
 
-def test_rational_field_uses_gmpy2_when_installed():
-    gmpy2 = pytest.importorskip("gmpy2")
-    assert isinstance(RationalField().of("1/2"), type(gmpy2.mpq(1, 2)))
-    assert RationalField().of("1/2") == gmpy2.mpq(1, 2)
+def test_rational_field_computes_in_fractions():
+    """Every element `RationalField` makes is a Fraction: an int inverts
+    exactly, not to the float 1/3; any two RationalFields are one field."""
+    Q = RationalField()
+    assert Q.inv(3) == Fraction(1, 3) and type(Q.inv(3)) is Fraction
+    assert all(type(a) is Fraction for a in (Q.of("1/2"), Q.of(2), Q.zero, Q.one))
+    assert Q.of("1/2") == Fraction(1, 2) and (Q.zero, Q.one) == (0, 1)
+    assert Q == RationalField() and hash(Q) == hash(RationalField())

@@ -18,7 +18,6 @@ from gtrim import (
     d_poly,
     family_hilbert,
     gorenstein_ideal,
-    selector_labels,
     trim,
     trimmed_ideal,
     variables,
@@ -33,6 +32,7 @@ from helpers import (
     is_interior,
     is_skew_symmetric,
     pfaffian,
+    selector_labels,
     sub_pfaffian,
 )
 

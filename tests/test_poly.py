@@ -115,8 +115,8 @@ def test_constructor_keeps_coefficients_canonical():
 
 
 def test_rational_scalars_scale_and_floats_do_not():
-    """Every scalar with a denominator scales: int, Fraction and, with gmpy2
-    installed, the mpq that `Q.of` returns, which is no Fraction."""
+    """Every scalar with a denominator scales: int, Fraction and the Fraction
+    that `Q.of` returns; a float has no exact value and does not."""
     xq, yq, _ = variables(Q)
     p = xq * yq - 3 * xq
     half = Q.of("1/2")
